@@ -1,0 +1,77 @@
+"""Byte-for-byte goldens of the CLI's ``--json`` output and exit codes.
+
+Each case runs ``sturmlex`` in process and compares stdout with
+``tests/golden/<name>.json``; the golden files pin the output of the
+verdicts, not just their schema, so a refactor of the check or generator
+layers that changes any verdict, witness or window shows up here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from sturmlex.cli import main
+
+from conftest import FIB32, TM_SPEC
+
+GOLDEN = Path(__file__).parent / "golden"
+
+STURMIAN_SPECS = {
+    "fib": "fib",
+    "std-1-9-1-9": "std:1,9,1,9",
+    "thue-morse": TM_SPEC,
+    "mech-3-8": "mech:3/8@0",
+    "periodic-0010110": "periodic:0010110",
+    "ultper-0110-01": "ultper:0110|01",
+    "ternary-morphic": "morphic:0->012,1->02,2->1;seed=0",
+    # 80 letters; the seam between the copies breaks the Fibonacci structure.
+    "literal-short": "literal:" + FIB32 + FIB32 + FIB32[:16],
+}
+
+CASES = [
+    (f"sturmian-{name}", ["check", "--spec", spec, "--what", "sturmian", "--json",
+                          "--max-n", "40"])
+    for name, spec in STURMIAN_SPECS.items()
+] + [
+    (f"{what}-thue-morse", ["check", "--spec", TM_SPEC, "--what", what, "--json",
+                            "--max-n", "16"])
+    for what in ("nfop", "hamming2", "ones", "balance", "complexity")
+] + [
+    ("nfop-variant1-periodic-012", ["check", "--spec", "periodic:012", "--what", "nfop",
+                                    "--variant", "1", "--json", "--max-n", "8"]),
+    ("harness-corpus", ["harness", "--corpus", str(GOLDEN / "corpus.txt"), "--json",
+                        "--max-n", "20"]),
+    ("christoffel-5-8-plain", ["christoffel", "--p", "5", "--q", "8", "--json"]),
+    ("christoffel-5-8", ["christoffel", "--p", "5", "--q", "8", "--verify", "--json"]),
+    ("christoffel-5-8-fib", ["christoffel", "--p", "5", "--q", "8", "--verify",
+                             "--spec", "fib", "--json"]),
+]
+
+EXIT_CODES = {
+    "sturmian-fib": 0,
+    "sturmian-std-1-9-1-9": 0,
+    "sturmian-thue-morse": 1,
+    "sturmian-mech-3-8": 1,
+    "sturmian-periodic-0010110": 1,
+    "sturmian-ultper-0110-01": 1,
+    "sturmian-ternary-morphic": 1,
+    "sturmian-literal-short": 1,
+    "nfop-thue-morse": 1,
+    "hamming2-thue-morse": 1,
+    "ones-thue-morse": 1,
+    "balance-thue-morse": 1,
+    "complexity-thue-morse": 0,
+    "nfop-variant1-periodic-012": 1,
+    "harness-corpus": 0,
+    "christoffel-5-8-plain": 0,
+    "christoffel-5-8": 1,
+    "christoffel-5-8-fib": 0,
+}
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_cli_json_matches_golden(capsys, name, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert code == EXIT_CODES[name]
