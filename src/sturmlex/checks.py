@@ -109,16 +109,27 @@ def _require_binary(table: FactorTable, check: str) -> None:
         )
 
 
+def _least_core(table: FactorTable, lo_head: str, hi_head: str) -> str | None:
+    """Shortest (then lex-least) u with lo_head+u+0 and hi_head+u+1 both present.
+
+    Both heads have the same length, and every candidate u is itself a factor.
+    """
+    extra = len(lo_head) + 1
+    for m in range(extra, table.max_len + 1):
+        candidates = ("",) if m == extra else table.factors(m - extra)
+        for u in candidates:
+            if table.is_factor(f"{lo_head}{u}0") and table.is_factor(f"{hi_head}{u}1"):
+                return u
+    return None
+
+
 def minimal_imbalance(table: FactorTable) -> ImbalanceWitness | None:
     """Shortest (then lex-least) u such that 0u0 and 1u1 both occur."""
     _require_binary(table, "balance")
-    for m in range(2, table.max_len + 1):
-        candidates = ("",) if m == 2 else table.factors(m - 2)
-        for u in candidates:
-            lo, hi = f"0{u}0", f"1{u}1"
-            if table.is_factor(lo) and table.is_factor(hi):
-                return ImbalanceWitness(u=u, pair=(lo, hi))
-    return None
+    u = _least_core(table, "0", "1")
+    if u is None:
+        return None
+    return ImbalanceWitness(u=u, pair=(f"0{u}0", f"1{u}1"))
 
 
 def check_balance(table: FactorTable) -> Verdict:
@@ -185,44 +196,15 @@ def _prefixes_extremal(table: FactorTable, kind: str) -> bool:
     return True
 
 
-def _nfop_shape(v: str, vp: str, variant: int) -> tuple[bool, str | None]:
-    """Does the adjacent pair (v, vp) fit an allowed shape for the variant?"""
-    diffs = [i for i in range(len(v)) if v[i] != vp[i]]
-    if len(diffs) == 1:
-        i = diffs[0]
-        if i != len(v) - 1:
-            return False, "single mismatch not at the last position"
-        if variant != 1 and ord(vp[i]) - ord(v[i]) != 1:
-            return False, "last letters are not consecutive"
-        return True, None
-    if len(diffs) == 2:
-        i, j = diffs
-        if j != i + 1:
-            return False, "mismatch positions are not adjacent"
-        a, b = v[i], v[j]
-        if vp[i] != b or vp[j] != a:
-            return False, "adjacent mismatches are not a transposition"
-        if not a < b:
-            return False, "transposed letters are not ascending"
-        if variant != 1 and ord(b) - ord(a) != 1:
-            return False, "transposed letters are not consecutive"
-        return True, None
-    return False, f"differ in {len(diffs)} positions"
+def _scan_adjacent(table: FactorTable, check: str, pair_fault) -> Verdict:
+    """Test every adjacent pair of each saturated sorted factor list.
 
-
-def check_nfop(table: FactorTable, variant: int = 3) -> Verdict:
-    """Test every adjacent same-length factor pair against the allowed shapes.
-
+    ``pair_fault(v, vp)`` returns why the pair breaks the property, or None.
+    The first fault (shortest length, then lex-least pair) is the witness.
     Only saturated lengths are asserted; when unsaturated lengths had to be
-    skipped and no violation was found the verdict is Indeterminate rather
-    than a consistency claim.
+    skipped and no fault was found the verdict is Indeterminate rather than
+    a consistency claim.
     """
-    if variant not in (1, 2, 3):
-        raise ValueError(f"variant must be 1, 2 or 3, got {variant}")
-    if variant == 3 and not table.is_binary:
-        raise AlphabetTooLarge(
-            f"variant 3 needs letters within 01, table has {table.alphabet!r}"
-        )
     sat = table.saturated_lengths()
     skipped = []
     for n in range(1, table.max_len + 1):
@@ -231,10 +213,10 @@ def check_nfop(table: FactorTable, variant: int = 3) -> Verdict:
             continue
         fs = table.factors(n)
         for v, vp in zip(fs, fs[1:]):
-            ok, why = _nfop_shape(v, vp, variant)
-            if not ok:
+            why = pair_fault(v, vp)
+            if why is not None:
                 return Verdict(
-                    "nfop",
+                    check,
                     VIOLATED,
                     witness=(v, vp),
                     n=n,
@@ -243,12 +225,51 @@ def check_nfop(table: FactorTable, variant: int = 3) -> Verdict:
                 )
     if skipped:
         return Verdict(
-            "nfop",
+            check,
             INDETERMINATE,
             reason="unsaturated lengths " + ",".join(str(n) for n in skipped),
             saturated_lengths=sat,
         )
-    return Verdict("nfop", CONSISTENT, up_to=table.max_len, saturated_lengths=sat)
+    return Verdict(check, CONSISTENT, up_to=table.max_len, saturated_lengths=sat)
+
+
+def _nfop_shape(v: str, vp: str, variant: int) -> str | None:
+    """Why the adjacent pair (v, vp) fits no allowed shape, or None if it fits."""
+    diffs = [i for i in range(len(v)) if v[i] != vp[i]]
+    if len(diffs) == 1:
+        i = diffs[0]
+        if i != len(v) - 1:
+            return "single mismatch not at the last position"
+        if variant != 1 and ord(vp[i]) - ord(v[i]) != 1:
+            return "last letters are not consecutive"
+        return None
+    if len(diffs) == 2:
+        i, j = diffs
+        if j != i + 1:
+            return "mismatch positions are not adjacent"
+        a, b = v[i], v[j]
+        if vp[i] != b or vp[j] != a:
+            return "adjacent mismatches are not a transposition"
+        if not a < b:
+            return "transposed letters are not ascending"
+        if variant != 1 and ord(b) - ord(a) != 1:
+            return "transposed letters are not consecutive"
+        return None
+    return f"differ in {len(diffs)} positions"
+
+
+def check_nfop(table: FactorTable, variant: int = 3) -> Verdict:
+    """Test every adjacent same-length factor pair against the allowed shapes.
+
+    Unsaturated lengths are skipped; if any were, no violation means Indeterminate.
+    """
+    if variant not in (1, 2, 3):
+        raise ValueError(f"variant must be 1, 2 or 3, got {variant}")
+    if variant == 3 and not table.is_binary:
+        raise AlphabetTooLarge(
+            f"variant 3 needs letters within 01, table has {table.alphabet!r}"
+        )
+    return _scan_adjacent(table, "nfop", lambda v, vp: _nfop_shape(v, vp, variant))
 
 
 def find_nfop_violation(table: FactorTable, variant: int = 3) -> NfopViolation | None:
@@ -256,44 +277,23 @@ def find_nfop_violation(table: FactorTable, variant: int = 3) -> NfopViolation |
     verdict = check_nfop(table, variant)
     if verdict.status != VIOLATED:
         return None
-    assert verdict.witness is not None and verdict.n is not None
-    return NfopViolation(
-        n=verdict.n,
-        pair=(verdict.witness[0], verdict.witness[1]),
-        variant=variant,
-        reason=verdict.reason or "",
-    )
+    return NfopViolation(verdict.n, verdict.witness, variant, verdict.reason)
+
+
+def _hamming_fault(v: str, vp: str) -> str | None:
+    d = sum(1 for a, b in zip(v, vp) if a != b)
+    return f"differ in {d} positions" if d > 2 else None
 
 
 def check_hamming2(table: FactorTable) -> Verdict:
     """Adjacent same-length factors must differ in at most two positions."""
     _require_binary(table, "hamming2")
-    sat = table.saturated_lengths()
-    skipped = []
-    for n in range(1, table.max_len + 1):
-        if not table.saturated(n):
-            skipped.append(n)
-            continue
-        fs = table.factors(n)
-        for v, vp in zip(fs, fs[1:]):
-            d = sum(1 for a, b in zip(v, vp) if a != b)
-            if d > 2:
-                return Verdict(
-                    "hamming2",
-                    VIOLATED,
-                    witness=(v, vp),
-                    n=n,
-                    reason=f"differ in {d} positions",
-                    saturated_lengths=sat,
-                )
-    if skipped:
-        return Verdict(
-            "hamming2",
-            INDETERMINATE,
-            reason="unsaturated lengths " + ",".join(str(n) for n in skipped),
-            saturated_lengths=sat,
-        )
-    return Verdict("hamming2", CONSISTENT, up_to=table.max_len, saturated_lengths=sat)
+    return _scan_adjacent(table, "hamming2", _hamming_fault)
+
+
+def _ones_fault(v: str, vp: str) -> str | None:
+    a, b = v.count("1"), vp.count("1")
+    return f"1-count drops from {a} to {b}" if a > b else None
 
 
 def check_ones_monotone(table: FactorTable) -> Verdict:
@@ -303,31 +303,7 @@ def check_ones_monotone(table: FactorTable) -> Verdict:
     implies a descent between some adjacent pair.
     """
     _require_binary(table, "ones")
-    sat = table.saturated_lengths()
-    skipped = []
-    for n in range(1, table.max_len + 1):
-        if not table.saturated(n):
-            skipped.append(n)
-            continue
-        fs = table.factors(n)
-        for v, vp in zip(fs, fs[1:]):
-            if v.count("1") > vp.count("1"):
-                return Verdict(
-                    "ones",
-                    VIOLATED,
-                    witness=(v, vp),
-                    n=n,
-                    reason=f"1-count drops from {v.count('1')} to {vp.count('1')}",
-                    saturated_lengths=sat,
-                )
-    if skipped:
-        return Verdict(
-            "ones",
-            INDETERMINATE,
-            reason="unsaturated lengths " + ",".join(str(n) for n in skipped),
-            saturated_lengths=sat,
-        )
-    return Verdict("ones", CONSISTENT, up_to=table.max_len, saturated_lengths=sat)
+    return _scan_adjacent(table, "ones", _ones_fault)
 
 
 def periodicity_certificate(table: FactorTable) -> Verdict:
@@ -403,12 +379,7 @@ def _unioccurrent_early_factor(table: FactorTable) -> str | None:
 
 def find_extension_exclusion(table: FactorTable) -> str | None:
     """Shortest (then lex-least) u with both 10u0 and 01u1 present."""
-    for m in range(3, table.max_len + 1):
-        candidates = ("",) if m == 3 else table.factors(m - 3)
-        for u in candidates:
-            if table.is_factor(f"10{u}0") and table.is_factor(f"01{u}1"):
-                return u
-    return None
+    return _least_core(table, "10", "01")
 
 
 def default_prefix_length(max_len: int) -> int:
@@ -617,53 +588,38 @@ def equivalence_harness(
     def record(label, assertion, result, detail=None):
         outcomes.append(HarnessOutcome(label, assertion, result, detail))
 
+    def judge(label, assertion, ok, fail_detail):
+        record(label, assertion, "pass" if ok else "fail", None if ok else fail_detail)
+
     for label, spec in zip(labels, corpus):
         table = saturated_table(spec, max_len, prefix_len, budget)
         flags = known_flags(spec)
+        flagged = flags.recurrent is True and flags.aperiodic is True
         binary = table.is_binary
         nfop = check_nfop(table, 3 if binary else 1)
 
         if nfop.status == CONSISTENT:
             balance = check_balance(table)
-            record(
-                label,
-                "nfop=>balance",
-                "pass" if balance.status == CONSISTENT else "fail",
-                None if balance.status == CONSISTENT else str(balance.witness),
-            )
+            ok = balance.status == CONSISTENT
+            judge(label, "nfop=>balance", ok, str(balance.witness))
             excl = find_extension_exclusion(table)
-            record(
-                label,
-                "nfop=>extension-exclusion",
-                "pass" if excl is None else "fail",
-                None if excl is None else f"u={excl!r}",
-            )
+            judge(label, "nfop=>extension-exclusion", excl is None, f"u={excl!r}")
             cert = periodicity_certificate(table)
-            record(
-                label,
-                "nfop=>aperiodic",
-                "pass" if cert.status == APPARENTLY_APERIODIC else "fail",
-                None if cert.status == APPARENTLY_APERIODIC else cert.reason,
-            )
+            ok = cert.status == APPARENTLY_APERIODIC
+            judge(label, "nfop=>aperiodic", ok, cert.reason)
         else:
             detail = f"nfop {nfop.status}"
             record(label, "nfop=>balance", "skip", detail)
             record(label, "nfop=>extension-exclusion", "skip", detail)
             record(label, "nfop=>aperiodic", "skip", detail)
 
-        if isinstance(spec, StandardSequence) or (
-            flags.recurrent is True and flags.aperiodic is True
-        ):
-            record(
-                label,
-                "sturmian-generator-nfop",
-                "pass" if nfop.status != VIOLATED else "fail",
-                None if nfop.status != VIOLATED else str(nfop.witness),
-            )
+        if isinstance(spec, StandardSequence) or flagged:
+            ok = nfop.status != VIOLATED
+            judge(label, "sturmian-generator-nfop", ok, str(nfop.witness))
         else:
             record(label, "sturmian-generator-nfop", "skip", "not a Sturmian generator")
 
-        if binary and flags.recurrent is True and flags.aperiodic is True:
+        if binary and flagged:
             hamming = check_hamming2(table)
             ones = check_ones_monotone(table)
             statuses = {nfop.status, hamming.status, ones.status}
@@ -685,17 +641,13 @@ def equivalence_harness(
             )
 
         if binary:
+            # nfop above is variant 3 on a binary table; only 1 and 2 run anew.
             triples = [
                 (v.status, v.witness, v.n)
-                for v in (check_nfop(table, k) for k in (1, 2, 3))
+                for v in (check_nfop(table, 1), check_nfop(table, 2), nfop)
             ]
             agree = triples[0] == triples[1] == triples[2]
-            record(
-                label,
-                "variant-agreement",
-                "pass" if agree else "fail",
-                None if agree else str(triples),
-            )
+            judge(label, "variant-agreement", agree, str(triples))
         else:
             record(label, "variant-agreement", "skip", "non-binary table")
 

@@ -41,11 +41,38 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _spec_help() -> str:
-    return (
-        "word spec: fib | morphic:0->01,1->0;seed=0 | periodic:01 | "
-        "ultper:0|1 | std:1,1,2,3 | mech:2/5@0 | literal:0100101"
-    )
+def _int_at_least(low: int):
+    """argparse type for an integer >= ``low``; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_NON_NEGATIVE_INT = _int_at_least(0)
+_POSITIVE_INT = _int_at_least(1)
+
+# Single checks by --what.  The lambdas look the check up on ``checks`` at
+# call time, so a replaced module attribute (e.g. a tracing wrapper) is used.
+_CHECKS = {
+    "nfop": lambda table, args: checks.check_nfop(table, args.variant),
+    "balance": lambda table, args: checks.check_balance(table),
+    "hamming2": lambda table, args: checks.check_hamming2(table),
+    "ones": lambda table, args: checks.check_ones_monotone(table),
+    "complexity": lambda table, args: checks.periodicity_certificate(table),
+}
+
+_SPEC_HELP = (
+    "word spec: fib | morphic:0->01,1->0;seed=0 | periodic:01 | "
+    "ultper:0|1 | std:1,1,2,3 | mech:2/5@0 | literal:0100101"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,46 +80,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("generate", help="print a prefix of the specified word")
-    p.add_argument("--spec", required=True, help=_spec_help())
-    p.add_argument("--len", dest="length", type=int, required=True)
+    p.add_argument("--spec", required=True, help=_SPEC_HELP)
+    p.add_argument("--len", dest="length", type=_NON_NEGATIVE_INT, required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("factors", help="print complexities, optionally the table")
-    p.add_argument("--spec", required=True, help=_spec_help())
-    p.add_argument("--len", dest="length", type=int, required=True)
-    p.add_argument("--max-n", dest="max_n", type=int, required=True)
+    p.add_argument("--spec", required=True, help=_SPEC_HELP)
+    p.add_argument("--len", dest="length", type=_POSITIVE_INT, required=True)
+    p.add_argument("--max-n", dest="max_n", type=_POSITIVE_INT, required=True)
     p.add_argument("--dump", action="store_true", help="also print n/factor/count lines")
     p.set_defaults(func=cmd_factors)
 
     p = sub.add_parser("check", help="run one property check or the full battery")
-    p.add_argument("--spec", required=True, help=_spec_help())
-    p.add_argument(
-        "--what",
-        required=True,
-        choices=["nfop", "balance", "hamming2", "ones", "complexity", "sturmian"],
-    )
-    p.add_argument("--max-n", dest="max_n", type=int, required=True)
-    p.add_argument("--prefix-len", dest="prefix_len", type=int, default=None)
+    p.add_argument("--spec", required=True, help=_SPEC_HELP)
+    p.add_argument("--what", required=True, choices=[*_CHECKS, "sturmian"])
+    p.add_argument("--max-n", dest="max_n", type=_POSITIVE_INT, required=True)
+    p.add_argument("--prefix-len", dest="prefix_len", type=_POSITIVE_INT, default=None)
     p.add_argument("--variant", type=int, choices=[1, 2, 3], default=3,
                    help="shape variant for nfop (default 3)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("christoffel", help="print a Christoffel pair, optionally verify")
-    p.add_argument("--p", type=int, required=True, help="number of ones")
-    p.add_argument("--q", type=int, required=True, help="number of zeros (length is p+q)")
+    p.add_argument("--p", type=_POSITIVE_INT, required=True, help="number of ones")
+    p.add_argument("--q", type=_POSITIVE_INT, required=True,
+                   help="number of zeros (length is p+q)")
     p.add_argument("--verify", action="store_true",
                    help="check the factor structure against a word's table")
     p.add_argument("--spec", default=None,
                    help="word to verify against (default mech:p/(p+q)@0)")
-    p.add_argument("--prefix-len", dest="prefix_len", type=int, default=None)
+    p.add_argument("--prefix-len", dest="prefix_len", type=_POSITIVE_INT, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_christoffel)
 
     p = sub.add_parser("harness", help="run the cross-check harness over a corpus file")
     p.add_argument("--corpus", required=True, help="file with one spec per line, # comments")
-    p.add_argument("--max-n", dest="max_n", type=int, required=True)
-    p.add_argument("--prefix-len", dest="prefix_len", type=int, default=None)
+    p.add_argument("--max-n", dest="max_n", type=_POSITIVE_INT, required=True)
+    p.add_argument("--prefix-len", dest="prefix_len", type=_POSITIVE_INT, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_harness)
 
@@ -151,16 +175,7 @@ def cmd_check(args) -> int:
         decisive = report.combined
     else:
         table = checks.saturated_table(spec, args.max_n, args.prefix_len)
-        if args.what == "nfop":
-            decisive = checks.check_nfop(table, args.variant)
-        elif args.what == "balance":
-            decisive = checks.check_balance(table)
-        elif args.what == "hamming2":
-            decisive = checks.check_hamming2(table)
-        elif args.what == "ones":
-            decisive = checks.check_ones_monotone(table)
-        else:
-            decisive = checks.periodicity_certificate(table)
+        decisive = _CHECKS[args.what](table, args)
         verdicts = [decisive]
     if args.json:
         _emit_json([v.to_json() for v in verdicts])
@@ -172,21 +187,15 @@ def cmd_check(args) -> int:
 
 def cmd_christoffel(args) -> int:
     pair = christoffel.christoffel_pair(args.p, args.q)
-    report = None
+    # Without --verify the report lists the pair and no items.
+    report = christoffel.ChristoffelReport(args.p, args.q, pair, items=())
     if args.verify:
         spec_text = args.spec or f"mech:{args.p}/{args.p + args.q}@0"
         spec = words.parse_spec(spec_text)
         table = checks.saturated_table(spec, args.p + args.q, args.prefix_len)
         report = christoffel.verify_christoffel_properties(args.p, args.q, table)
     if args.json:
-        payload = report.to_json() if report is not None else {
-            "check": "christoffel",
-            "p": args.p,
-            "q": args.q,
-            "lower": pair.lower,
-            "upper": pair.upper,
-            "items": [],
-        }
+        payload = report.to_json()
         payload["conjugates"] = christoffel.conjugates(pair.lower)
         _emit_json(payload)
     else:
@@ -195,13 +204,10 @@ def cmd_christoffel(args) -> int:
         print(f"core\t{pair.core or '-'}")
         for c in christoffel.conjugates(pair.lower):
             print(f"conjugate\t{c}")
-        if report is not None:
-            for item in report.items:
-                status = "pass" if item.passed else "fail"
-                print(f"verify\t{item.name}\t{status}\t{item.detail}")
-    if report is not None and not report.all_passed:
-        return EXIT_VIOLATED
-    return EXIT_CONSISTENT
+        for item in report.items:
+            status = "pass" if item.passed else "fail"
+            print(f"verify\t{item.name}\t{status}\t{item.detail}")
+    return EXIT_CONSISTENT if report.all_passed else EXIT_VIOLATED
 
 
 def load_corpus(path: str) -> list[tuple[str, words.WordSpec]]:
@@ -242,10 +248,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except SturmlexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
+    except (SturmlexError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

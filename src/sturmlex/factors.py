@@ -10,6 +10,7 @@ set, everything else stays advisory.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -43,7 +44,6 @@ class FactorTable:
         self.max_len = max_len
         self.alphabet = "".join(sorted(set(word)))
         self._factors: dict[int, tuple[str, ...]] = {}
-        self._rank: dict[int, dict[str, int]] = {}
         self._count: dict[int, Counter] = {}
         self._first: dict[int, dict[str, int]] = {}
         self._saturated: dict[int, bool] = {}
@@ -55,7 +55,6 @@ class FactorTable:
             first = {v: word.find(v) for v in fs}
             last_new = max(first.values())
             self._factors[n] = fs
-            self._rank[n] = {v: r for r, v in enumerate(fs)}
             self._count[n] = counts
             self._first[n] = first
             self._last_new[n] = last_new
@@ -82,7 +81,7 @@ class FactorTable:
 
     def is_factor(self, v: str) -> bool:
         self._require(len(v))
-        return v in self._rank[len(v)]
+        return v in self._count[len(v)]
 
     def count(self, v: str) -> int:
         """Number of occurrences of ``v`` in the prefix (overlaps included)."""
@@ -99,21 +98,15 @@ class FactorTable:
             raise NotAFactor(v)
         return pos
 
-    def positions(self, v: str) -> list[int]:
-        """Every start position of ``v``, scanning the prefix on demand."""
-        n = len(v)
-        self._require(n)
-        return [i for i in range(len(self.word) - n + 1) if self.word[i : i + n] == v]
-
     def successor(self, v: str) -> str | None:
         """Next factor of the same length in lex order, or None if maximal."""
         n = len(v)
         self._require(n)
-        r = self._rank[n].get(v)
-        if r is None:
+        if v not in self._count[n]:
             raise NotAFactor(v)
         fs = self._factors[n]
-        return fs[r + 1] if r + 1 < len(fs) else None
+        r = bisect_right(fs, v)
+        return fs[r] if r < len(fs) else None
 
     def extremal(self, n: int) -> tuple[str, str]:
         """(lex-minimal, lex-maximal) factor of length n."""
@@ -129,7 +122,7 @@ class FactorTable:
         """
         self._require(n)
         self._require(n + 1)
-        longer = self._rank[n + 1]
+        longer = self._count[n + 1]
         out = []
         for v in self._factors[n]:
             extensions = sum(1 for x in self.alphabet if x + v in longer)

@@ -32,6 +32,14 @@ def _check_word(s: str, what: str, allow_empty: bool = False) -> None:
             raise MalformedSpec(f"{what} contains {c!r}; letters are the digits 0-9")
 
 
+def _repeat(preperiod: str, period: str, n: int) -> str:
+    """First ``n`` letters of preperiod followed by period repeated forever."""
+    if n <= len(preperiod):
+        return preperiod[:n]
+    tail = n - len(preperiod)
+    return preperiod + (period * (tail // len(period) + 1))[:tail]
+
+
 @dataclass(frozen=True)
 class KnownFlags:
     """A-priori recurrence/aperiodicity knowledge; ``None`` means unknown."""
@@ -67,8 +75,7 @@ class Periodic:
         _check_word(self.seed, "periodic seed")
 
     def prefix(self, n: int) -> str:
-        reps = n // len(self.seed) + 1
-        return (self.seed * reps)[:n]
+        return _repeat("", self.seed, n)
 
 
 @dataclass(frozen=True)
@@ -83,11 +90,7 @@ class UltimatelyPeriodic:
         _check_word(self.seed, "periodic seed")
 
     def prefix(self, n: int) -> str:
-        if n <= len(self.preperiod):
-            return self.preperiod[:n]
-        tail = n - len(self.preperiod)
-        reps = tail // len(self.seed) + 1
-        return self.preperiod + (self.seed * reps)[:tail]
+        return _repeat(self.preperiod, self.seed, n)
 
 
 @dataclass(frozen=True)
@@ -125,20 +128,12 @@ class Morphic:
             )
 
     def prefix(self, n: int) -> str:
+        images = str.maketrans(self.rules)
         w = self.seed
-        rules = self.rules
         while len(w) < n:
-            # One substitution round, stopping once n letters are secured so
-            # intermediate strings never grow far beyond the target.
-            parts = []
-            total = 0
-            for c in w:
-                img = rules[c]
-                parts.append(img)
-                total += len(img)
-                if total >= n:
-                    break
-            w = "".join(parts)
+            # Images are nonempty, so the first n letters of the image depend
+            # only on the first n letters of w; cutting there bounds the work.
+            w = w[:n].translate(images)
         return w[:n]
 
 
@@ -165,8 +160,6 @@ class StandardSequence:
                 raise MalformedSpec("directive entries must be integers >= 1")
 
     def prefix(self, n: int) -> str:
-        if n <= 0:
-            return ""
         prev, cur = "1", "0"
         i = 0
         while len(cur) < n:
@@ -186,8 +179,9 @@ class MechanicalRational:
     """Lower coding of the rotation with rational slope p/(p+q).
 
     Letter i is floor((i+1)a + rho) - floor(ia + rho) with a = p/(p+q),
-    evaluated in exact rational arithmetic.  With rho = 0 and p, q >= 1 the
-    word is periodic with period equal to the lower Christoffel word of
+    evaluated in exact rational arithmetic.  Shifting i by p+q adds the
+    integer p to both floors, so the word repeats its first p+q letters.
+    With rho = 0 and p, q >= 1 that period is the lower Christoffel word of
     slope p/(p+q).
     """
 
@@ -210,13 +204,9 @@ class MechanicalRational:
         num, den = self.rho.numerator, self.rho.denominator
         common = length * den
         base = num * length
-        out = []
-        prev = base // common
-        for i in range(1, n + 1):
-            cur = (i * self.p * den + base) // common
-            out.append("0" if cur == prev else "1")
-            prev = cur
-        return "".join(out)
+        floors = [(i * self.p * den + base) // common for i in range(length + 1)]
+        period = "".join("0" if a == b else "1" for a, b in zip(floors, floors[1:]))
+        return _repeat("", period, n)
 
 
 WordSpec = (

@@ -6,6 +6,8 @@ first occurrences come from ``str.find``, and the ordering shapes are tested
 by reconstructing the expected partner string instead of diffing positions.
 """
 
+import math
+
 
 def distinct_factors(w, n):
     return sorted({w[i : i + n] for i in range(len(w) - n + 1)})
@@ -41,9 +43,9 @@ def nfop_pair_ok(v, vp, variant=3):
     return False
 
 
-def nfop_verdict(w, max_len, variant=3):
-    """(status, violation length or None, pair or None), same scan order
-    as the real check."""
+def adjacent_verdict(w, max_len, pair_ok):
+    """(status, violation length or None, pair or None) for a property of
+    adjacent sorted factor pairs, same scan order as the real checks."""
     skipped = False
     for n in range(1, max_len + 1):
         if not saturated(w, n):
@@ -51,11 +53,23 @@ def nfop_verdict(w, max_len, variant=3):
             continue
         fs = distinct_factors(w, n)
         for v, vp in zip(fs, fs[1:]):
-            if not nfop_pair_ok(v, vp, variant):
+            if not pair_ok(v, vp):
                 return "Violated", n, (v, vp)
     if skipped:
         return "Indeterminate", None, None
     return "ConsistentUpTo", None, None
+
+
+def nfop_verdict(w, max_len, variant=3):
+    return adjacent_verdict(w, max_len, lambda v, vp: nfop_pair_ok(v, vp, variant))
+
+
+def hamming2_verdict(w, max_len):
+    return adjacent_verdict(w, max_len, lambda v, vp: hamming(v, vp) <= 2)
+
+
+def ones_verdict(w, max_len):
+    return adjacent_verdict(w, max_len, lambda v, vp: v.count("1") <= vp.count("1"))
 
 
 def minimal_imbalance(w, max_len):
@@ -79,3 +93,29 @@ def balance_verdict(w, max_len):
 
 def hamming(v, vp):
     return sum(1 for a, b in zip(v, vp) if a != b)
+
+
+def extension_exclusion(w, max_len):
+    """Shortest then lex-least u with 10u0 and 01u1 both in w, or None."""
+    for m in range(3, max_len + 1):
+        candidates = [""] if m == 3 else distinct_factors(w, m - 3)
+        for u in candidates:
+            if "10" + u + "0" in w and "01" + u + "1" in w:
+                return u
+    return None
+
+
+def mechanical_prefix(a, rho, n):
+    """Letter i is floor((i+1)a + rho) - floor(ia + rho), a and rho Fractions."""
+    return "".join(
+        str(math.floor((i + 1) * a + rho) - math.floor(i * a + rho)) for i in range(n)
+    )
+
+
+def morphic_prefix(rules, seed, n):
+    """Apply the substitution letter by letter to the whole word until it
+    holds n letters."""
+    w = seed
+    while len(w) < n:
+        w = "".join(rules[c] for c in w)
+    return w[:n]

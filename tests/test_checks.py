@@ -1,6 +1,8 @@
 """Single-property checks, composite verdicts, and the cross-check harness."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sturmlex as sx
 from sturmlex import checks
@@ -353,3 +355,46 @@ class TestCrossCheckInvariants:
                         assert fib_table.successor(v) == w
                         checked += 1
         assert checked > 0
+
+
+@st.composite
+def binary_tables(draw):
+    """A random binary word, or a repeated random seed (so that some lengths
+    saturate and violations are definitive), with a random length bound."""
+    w = draw(
+        st.one_of(
+            st.text(alphabet="01", min_size=1, max_size=80),
+            st.builds(
+                lambda seed, k: seed * k,
+                st.text(alphabet="01", min_size=1, max_size=8),
+                st.integers(2, 30),
+            ),
+        )
+    )
+    return sx.FactorTable(w, draw(st.integers(1, min(len(w), 10))))
+
+
+class TestDifferentialRandomBinary:
+    """Checks against the brute-force oracle on random binary words."""
+
+    @given(t=binary_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_adjacent_pair_checks(self, t):
+        cases = [
+            (sx.check_hamming2(t), naive.hamming2_verdict(t.word, t.max_len)),
+            (sx.check_ones_monotone(t), naive.ones_verdict(t.word, t.max_len)),
+        ] + [
+            (sx.check_nfop(t, k), naive.nfop_verdict(t.word, t.max_len, k))
+            for k in (1, 2, 3)
+        ]
+        for got, (status, n, pair) in cases:
+            assert (got.status, got.n, got.witness) == (status, n, pair)
+
+    @given(t=binary_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_core_searches(self, t):
+        hit = naive.minimal_imbalance(t.word, t.max_len)
+        got = sx.minimal_imbalance(t)
+        assert (None if got is None else (got.u, got.pair)) == hit
+        want = naive.extension_exclusion(t.word, t.max_len)
+        assert sx.find_extension_exclusion(t) == want

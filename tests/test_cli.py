@@ -3,8 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
-from sturmlex.cli import main
+import pytest
+
+from sturmlex.cli import build_parser, main
 
 from conftest import FIB32
 
@@ -200,6 +203,43 @@ class TestUsageErrors:
             capsys, "check", "--spec", "bogus:1", "--what", "nfop", "--max-n", "5"
         )
         assert code == 65
+
+
+CORPUS = str(Path(__file__).parent / "golden" / "corpus.txt")
+
+# A valid command line per subcommand that sets every numeric argument.
+FULL_ARGV = {
+    "generate": ["generate", "--spec", "fib", "--len", "8"],
+    "factors": ["factors", "--spec", "fib", "--len", "8", "--max-n", "2"],
+    "check": ["check", "--spec", "fib", "--what", "nfop", "--max-n", "4",
+              "--prefix-len", "64", "--variant", "3"],
+    "christoffel": ["christoffel", "--p", "2", "--q", "3", "--prefix-len", "64"],
+    "harness": ["harness", "--corpus", CORPUS, "--max-n", "4", "--prefix-len", "64"],
+}
+
+NUMERIC_FLAGS = ("--len", "--max-n", "--prefix-len", "--variant", "--p", "--q")
+
+
+def out_of_range_cases():
+    for command, argv in FULL_ARGV.items():
+        for flag in argv:
+            if flag in NUMERIC_FLAGS:
+                # 0 is a valid length for generate only.
+                zero_ok = (command, flag) == ("generate", "--len")
+                for value in ["-1"] if zero_ok else ["0", "-1"]:
+                    yield command, flag, value
+
+
+class TestNumericArguments:
+    @pytest.mark.parametrize("command,flag,value", list(out_of_range_cases()))
+    def test_out_of_range_is_a_usage_error(self, capsys, command, flag, value):
+        argv = list(FULL_ARGV[command])
+        build_parser().parse_args(argv)  # the unchanged line is valid
+        argv[argv.index(flag) + 1] = value
+        code, out, err = run(capsys, *argv)
+        assert code == 64
+        assert out == ""
+        assert err.startswith("usage:") and f"argument {flag}:" in err
 
 
 class TestConsoleEntry:

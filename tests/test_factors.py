@@ -35,7 +35,6 @@ class TestBuild:
     def test_counts_include_overlaps(self):
         t = sx.FactorTable("0000", 2)
         assert t.count("00") == 3
-        assert t.positions("00") == [0, 1, 2]
 
     def test_window_bounds(self):
         with pytest.raises(WindowTooLarge):

@@ -1,14 +1,16 @@
 """Generator behavior and the word-spec mini-language."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sturmlex as sx
 from sturmlex.errors import LiteralTooShort, MalformedSpec
 
+import naive
 from conftest import FIB32, TM_SPEC, prefix
 
 
@@ -195,3 +197,37 @@ class TestSpecRoundTrip:
         for text in SPEC_TEXTS:
             spec = sx.parse_spec(text)
             assert sx.parse_spec(sx.format_spec(spec)) == spec
+
+
+class TestDifferentialGenerators:
+    """Structural generators against letter-by-letter oracles."""
+
+    @given(
+        den=st.integers(1, 30),
+        num=st.integers(0, 29),
+        rho_num=st.integers(0, 40),
+        rho_den=st.integers(1, 41),
+        n=st.integers(0, 200),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_mechanical_floor_formula(self, den, num, rho_num, rho_den, n):
+        num %= den
+        assume(math.gcd(num, den) == 1)
+        rho = Fraction(rho_num % rho_den, rho_den)
+        spec = sx.MechanicalRational(num, den - num, rho)
+        assert sx.generate_prefix(spec, n) == naive.mechanical_prefix(
+            Fraction(num, den), rho, n
+        )
+
+    @given(
+        images=st.lists(
+            st.text(alphabet="012", min_size=1, max_size=4), min_size=3, max_size=3
+        ),
+        n=st.integers(0, 300),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_morphic_letterwise_substitution(self, images, n):
+        rules = dict(zip("012", images))
+        rules["0"] = "0" + rules["0"]  # prolongable on the seed 0
+        spec = sx.Morphic(rules, "0")
+        assert sx.generate_prefix(spec, n) == naive.morphic_prefix(rules, "0", n)
