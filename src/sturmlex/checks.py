@@ -233,9 +233,38 @@ def _scan_adjacent(table: FactorTable, check: str, pair_fault) -> Verdict:
     return Verdict(check, CONSISTENT, up_to=table.max_len, saturated_lengths=sat)
 
 
+def _first_mismatches(v: str, vp: str) -> list[int]:
+    """The first (at most three) positions where equal-length v and vp differ.
+
+    Each is found by bisecting on slice equality, so the long common
+    stretches of neighbouring sorted factors are compared in C.
+    """
+    found: list[int] = []
+    lo, last = 0, len(v) - 1
+    for _ in range(3):
+        if v[lo:] == vp[lo:]:
+            break
+        # Invariant: the next mismatch lies in lo..hi.
+        hi = last
+        while v[lo] == vp[lo]:
+            mid = (lo + hi) // 2
+            if v[lo : mid + 1] == vp[lo : mid + 1]:
+                lo = mid + 1
+            else:
+                hi = mid
+        found.append(lo)
+        lo += 1
+    return found
+
+
+def _differ_reason(v: str, vp: str) -> str:
+    d = sum(1 for a, b in zip(v, vp) if a != b)
+    return f"differ in {d} positions"
+
+
 def _nfop_shape(v: str, vp: str, variant: int) -> str | None:
     """Why the adjacent pair (v, vp) fits no allowed shape, or None if it fits."""
-    diffs = [i for i in range(len(v)) if v[i] != vp[i]]
+    diffs = _first_mismatches(v, vp)
     if len(diffs) == 1:
         i = diffs[0]
         if i != len(v) - 1:
@@ -255,7 +284,7 @@ def _nfop_shape(v: str, vp: str, variant: int) -> str | None:
         if variant != 1 and ord(b) - ord(a) != 1:
             return "transposed letters are not consecutive"
         return None
-    return f"differ in {len(diffs)} positions"
+    return _differ_reason(v, vp)
 
 
 def check_nfop(table: FactorTable, variant: int = 3) -> Verdict:
@@ -281,8 +310,7 @@ def find_nfop_violation(table: FactorTable, variant: int = 3) -> NfopViolation |
 
 
 def _hamming_fault(v: str, vp: str) -> str | None:
-    d = sum(1 for a, b in zip(v, vp) if a != b)
-    return f"differ in {d} positions" if d > 2 else None
+    return _differ_reason(v, vp) if len(_first_mismatches(v, vp)) > 2 else None
 
 
 def check_hamming2(table: FactorTable) -> Verdict:

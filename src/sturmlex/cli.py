@@ -173,13 +173,17 @@ def cmd_check(args) -> int:
         )
         verdicts = list(report.verdicts) + [report.combined]
         decisive = report.combined
+        prefix_length = report.prefix_length
     else:
         table = checks.saturated_table(spec, args.max_n, args.prefix_len)
         decisive = _CHECKS[args.what](table, args)
         verdicts = [decisive]
+        prefix_length = len(table.word)
     if args.json:
         _emit_json([v.to_json() for v in verdicts])
     else:
+        # The window may have grown past --prefix-len until it saturated.
+        print(f"prefix: {prefix_length} letters")
         for v in verdicts:
             print(_format_verdict(v))
     return _exit_for(decisive)

@@ -6,6 +6,11 @@ occurrence positions.  Length n is called *saturated* when every length-n
 factor first occurs entirely inside the first half of the prefix; only a
 saturated list is treated downstream as the word's complete length-n factor
 set, everything else stays advisory.
+
+The index is built in one pass over the prefix: only the longest windows
+are sliced from the word, and each shorter length is derived from the next
+longer one by dropping the last letter, summing counts and keeping the
+smallest first occurrence, plus the single window that ends the prefix.
 """
 
 from __future__ import annotations
@@ -20,6 +25,34 @@ from .errors import NotAFactor, WindowTooLarge
 def is_unbordered(v: str) -> bool:
     """True when no proper nonempty prefix of ``v`` is also a suffix."""
     return not any(v[:b] == v[-b:] for b in range(1, len(v)))
+
+
+def _truncated(
+    count: dict[str, int], first: dict[str, int], word: str, n: int
+) -> tuple[dict[str, int], dict[str, int]]:
+    """Counts and first occurrences of the length-n factors, from length n+1.
+
+    Every occurrence of a length-n factor is the start of a length-(n+1)
+    occurrence, except the one tail window, which starts at len(word)-n.
+    """
+    shorter: dict[str, int] = {}
+    shorter_first: dict[str, int] = {}
+    for v, c in count.items():
+        u = v[:-1]
+        p = first[v]
+        if u in shorter:
+            shorter[u] += c
+            if p < shorter_first[u]:
+                shorter_first[u] = p
+        else:
+            shorter[u] = c
+            shorter_first[u] = p
+    tail_start = len(word) - n
+    tail = word[tail_start:]
+    shorter[tail] = shorter.get(tail, 0) + 1
+    # Every other start is at most len(word)-n-1, so an earlier one wins.
+    shorter_first.setdefault(tail, tail_start)
+    return shorter, shorter_first
 
 
 @dataclass(frozen=True)
@@ -44,18 +77,24 @@ class FactorTable:
         self.max_len = max_len
         self.alphabet = "".join(sorted(set(word)))
         self._factors: dict[int, tuple[str, ...]] = {}
-        self._count: dict[int, Counter] = {}
+        self._count: dict[int, dict[str, int]] = {}
         self._first: dict[int, dict[str, int]] = {}
         self._saturated: dict[int, bool] = {}
         self._last_new: dict[int, int] = {}
-        half = len(word) // 2
-        for n in range(1, max_len + 1):
-            counts = Counter(word[i : i + n] for i in range(len(word) - n + 1))
-            fs = tuple(sorted(counts))
-            first = {v: word.find(v) for v in fs}
+        size = len(word)
+        half = size // 2
+        starts = range(size - max_len, -1, -1)
+        count = Counter(word[i : i + max_len] for i in starts)
+        # Starts descend, so the smallest start of each window is stored last.
+        first = dict(zip((word[i : i + max_len] for i in starts), starts))
+        # Re-key with the counter's strings: one copy of each window, not two.
+        first = {v: first[v] for v in count}
+        for n in range(max_len, 0, -1):
+            if n < max_len:
+                count, first = _truncated(count, first, word, n)
             last_new = max(first.values())
-            self._factors[n] = fs
-            self._count[n] = counts
+            self._factors[n] = tuple(sorted(count))
+            self._count[n] = count
             self._first[n] = first
             self._last_new[n] = last_new
             # The newest factor must fit entirely inside the first half.

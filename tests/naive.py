@@ -4,6 +4,8 @@ Everything here is deliberately naive and independent of the package
 internals: membership uses the ``in`` operator, counting scans every window,
 first occurrences come from ``str.find``, and the ordering shapes are tested
 by reconstructing the expected partner string instead of diffing positions.
+The reason strings of the pair checks come from listing every differing
+position.
 """
 
 import math
@@ -21,6 +23,11 @@ def occurrences(w, v):
 def saturated(w, n):
     half = len(w) // 2
     return all(w.find(v) + n <= half for v in distinct_factors(w, n))
+
+
+def last_new_position(w, n):
+    """Start of the latest first occurrence among the length-n factors."""
+    return max(w.find(v) for v in distinct_factors(w, n))
 
 
 def successor(w, v):
@@ -41,6 +48,37 @@ def nfop_pair_ok(v, vp, variant=3):
             if vp == v[:i] + b + a + v[i + 2 :]:
                 return True
     return False
+
+
+def nfop_reason(v, vp, variant=3):
+    """Reason string for an adjacent pair, by listing every differing
+    position; the reference for the real pair predicate's wording."""
+    diffs = [i for i in range(len(v)) if v[i] != vp[i]]
+    if len(diffs) == 1:
+        i = diffs[0]
+        if i != len(v) - 1:
+            return "single mismatch not at the last position"
+        if variant != 1 and ord(vp[i]) - ord(v[i]) != 1:
+            return "last letters are not consecutive"
+        return None
+    if len(diffs) == 2:
+        i, j = diffs
+        if j != i + 1:
+            return "mismatch positions are not adjacent"
+        a, b = v[i], v[j]
+        if vp[i] != b or vp[j] != a:
+            return "adjacent mismatches are not a transposition"
+        if not a < b:
+            return "transposed letters are not ascending"
+        if variant != 1 and ord(b) - ord(a) != 1:
+            return "transposed letters are not consecutive"
+        return None
+    return f"differ in {len(diffs)} positions"
+
+
+def hamming_reason(v, vp):
+    d = hamming(v, vp)
+    return f"differ in {d} positions" if d > 2 else None
 
 
 def adjacent_verdict(w, max_len, pair_ok):

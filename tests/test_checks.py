@@ -374,6 +374,36 @@ def binary_tables(draw):
     return sx.FactorTable(w, draw(st.integers(1, min(len(w), 10))))
 
 
+@st.composite
+def mismatched_pairs(draw):
+    """Equal-length words with 0-5 differing positions, ends favoured, or
+    with two neighbouring letters swapped."""
+    alphabet = draw(st.sampled_from(["01", "012"]))
+    v = draw(st.text(alphabet=alphabet, min_size=1, max_size=60))
+    last = len(v) - 1
+    if last and draw(st.booleans()):
+        i = draw(st.integers(0, last - 1))
+        return v, v[:i] + v[i + 1] + v[i] + v[i + 2 :]
+    spots = st.one_of(st.just(0), st.just(last), st.integers(0, last))
+    vp = list(v)
+    for i in draw(st.lists(spots, unique=True, max_size=min(5, len(v)))):
+        vp[i] = draw(st.sampled_from([c for c in alphabet if c != v[i]]))
+    return v, "".join(vp)
+
+
+class TestPairReasons:
+    """Pair predicates give the oracle's reason string, or None, exactly."""
+
+    @given(pair=mismatched_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_against_listing_every_mismatch(self, pair):
+        for v, vp in (pair, pair[::-1]):
+            for variant in (1, 2, 3):
+                want = naive.nfop_reason(v, vp, variant)
+                assert checks._nfop_shape(v, vp, variant) == want
+            assert checks._hamming_fault(v, vp) == naive.hamming_reason(v, vp)
+
+
 class TestDifferentialRandomBinary:
     """Checks against the brute-force oracle on random binary words."""
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sturmlex import checks, words
 from sturmlex.cli import build_parser, main
 
 from conftest import FIB32
@@ -56,6 +57,17 @@ class TestCheck:
         )
         assert code == 0
         assert "ConsistentUpTo 40" in out
+
+    @pytest.mark.parametrize("what", ["nfop", "sturmian"])
+    def test_text_names_the_window_used(self, capsys, what):
+        code, out, _ = run(
+            capsys, "check", "--spec", "fib", "--what", what,
+            "--max-n", "40", "--prefix-len", "100",
+        )
+        assert code == 0
+        used = len(checks.saturated_table(words.parse_spec("fib"), 40, 100).word)
+        assert used > 100
+        assert out.splitlines()[0] == f"prefix: {used} letters"
 
     def test_periodic_not_sturmian(self, capsys):
         code, out, _ = run(

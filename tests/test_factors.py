@@ -1,6 +1,7 @@
 """Factor index construction and queries, checked against brute force."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -175,12 +176,30 @@ class TestAgainstBruteForce:
                     assert t.first_occurrence(v) == w.find(v)
                     assert t.successor(v) == naive.successor(w, v)
 
-    @given(w=st.text(alphabet="012", min_size=4, max_size=60))
-    @settings(max_examples=60, deadline=None)
-    def test_random_ternary_words(self, w):
-        max_len = min(5, len(w))
+    @given(data=st.data(), alphabet=st.sampled_from(["0", "01", "012"]))
+    @settings(max_examples=150, deadline=None)
+    def test_random_ternary_words(self, data, alphabet):
+        # max_len may equal len(w): the longest length then has a single
+        # window, and every shorter length gains one window at the tail.
+        w = data.draw(st.text(alphabet=alphabet, min_size=1, max_size=60))
+        max_len = data.draw(st.integers(1, len(w)))
         t = sx.FactorTable(w, max_len)
         for n in range(1, max_len + 1):
             assert list(t.factors(n)) == naive.distinct_factors(w, n)
+            assert t.saturated(n) == naive.saturated(w, n)
+            assert t.last_new_position(n) == naive.last_new_position(w, n)
             for v in t.factors(n):
                 assert t.count(v) == naive.occurrences(w, v)
+                assert t.first_occurrence(v) == w.find(v)
+                assert t.successor(v) == naive.successor(w, v)
+
+    def test_long_random_word_builds_quickly(self):
+        # The index is near-linear in len(w) * max_len; a quadratic pass over
+        # the ~1e5 distinct factors per length would blow far past the bound.
+        rng = random.Random(20261018)
+        w = "".join(rng.choice("01") for _ in range(100_000))
+        start = time.perf_counter()
+        t = sx.FactorTable(w, 20)
+        took = time.perf_counter() - start
+        assert t.complexity(20) == len(naive.distinct_factors(w, 20))
+        assert took < 30, f"indexing took {took:.1f} s"
