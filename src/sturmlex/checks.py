@@ -365,7 +365,6 @@ def recurrence_heuristic(table: FactorTable, known: bool | None = None) -> Verdi
     when available, overrides the heuristic.
     """
     sat = table.saturated_lengths()
-    witness = _unioccurrent_early_factor(table)
     if known is True:
         return Verdict(
             "recurrence",
@@ -374,6 +373,7 @@ def recurrence_heuristic(table: FactorTable, known: bool | None = None) -> Verdi
             reason="a-priori recurrent",
             saturated_lengths=sat,
         )
+    witness = _unioccurrent_early_factor(table)
     if known is False:
         return Verdict(
             "recurrence",
@@ -416,32 +416,27 @@ def default_prefix_length(max_len: int) -> int:
 
 
 def saturated_table(
-    spec: WordSpec,
-    max_len: int,
-    prefix_len: int | None = None,
-    budget: int = PREFIX_BUDGET,
+    spec: WordSpec, max_len: int, prefix_len: int | None = None
 ) -> FactorTable:
     """Generate a prefix and index it, doubling until all lengths saturate.
 
-    Doubling stops at the budget (or at the end of a literal), in which case
-    the table simply comes back with unsaturated lengths and downstream
+    Doubling stops at PREFIX_BUDGET (or at the end of a literal), in which
+    case the table simply comes back with unsaturated lengths and downstream
     checks degrade to Indeterminate.
     """
     target = prefix_len if prefix_len is not None else default_prefix_length(max_len)
-    if target > budget:
-        raise BudgetExceeded(f"prefix length {target} exceeds budget {budget}")
     target = max(target, max_len)
+    if target > PREFIX_BUDGET:
+        raise BudgetExceeded(f"prefix length {target} exceeds budget {PREFIX_BUDGET}")
+    cap = PREFIX_BUDGET
+    if isinstance(spec, Literal):
+        cap = min(cap, len(spec.word))
     while True:
-        length = target
-        if isinstance(spec, Literal):
-            length = min(length, len(spec.word))
-        prefix = generate_prefix(spec, length)
-        table = FactorTable(prefix, max_len)
-        if len(table.saturated_lengths()) == max_len:
+        length = min(target, cap)
+        table = FactorTable(generate_prefix(spec, length), max_len)
+        if length >= cap or len(table.saturated_lengths()) == max_len:
             return table
-        if length >= budget or (isinstance(spec, Literal) and length >= len(spec.word)):
-            return table
-        target = min(target * 2, budget)
+        target *= 2
 
 
 @dataclass(frozen=True)
@@ -470,11 +465,31 @@ class SturmianReport:
         }
 
 
+def _battery(spec: WordSpec, table: FactorTable) -> tuple[Verdict, ...]:
+    """The six single-property verdicts of one table, in report order.
+
+    nfop is variant 3 on a binary table and variant 1 otherwise; the checks
+    that need a binary alphabet come back Indeterminate on any other.
+    """
+    if table.is_binary:
+        nfop = check_nfop(table, 3)
+        balance = check_balance(table)
+        hamming = check_hamming2(table)
+        ones = check_ones_monotone(table)
+    else:
+        nfop = check_nfop(table, 1)
+        why, sat = "alphabet is not binary", table.saturated_lengths()
+        balance, hamming, ones = (
+            Verdict(c, INDETERMINATE, reason=why, saturated_lengths=sat)
+            for c in ("balance", "hamming2", "ones")
+        )
+    complexity = periodicity_certificate(table)
+    recurrence = recurrence_heuristic(table, known=known_flags(spec).recurrent)
+    return nfop, balance, complexity, hamming, ones, recurrence
+
+
 def sturmian_verdict(
-    spec: WordSpec,
-    prefix_len: int | None = None,
-    max_len: int = 40,
-    budget: int = PREFIX_BUDGET,
+    spec: WordSpec, prefix_len: int | None = None, max_len: int = 40
 ) -> SturmianReport:
     """Run every check on one word and combine them.
 
@@ -483,31 +498,14 @@ def sturmian_verdict(
     saturated length; it is NotSturmian on any definitive violation; it is
     Indeterminate otherwise.
     """
-    table = saturated_table(spec, max_len, prefix_len, budget)
-    flags = known_flags(spec)
-    sat = table.saturated_lengths()
-    binary = table.is_binary
-    nfop = check_nfop(table, 3 if binary else 1)
-    if binary:
-        balance = check_balance(table)
-        hamming = check_hamming2(table)
-        ones = check_ones_monotone(table)
-    else:
-        skip = Verdict(
-            "", INDETERMINATE, reason="alphabet is not binary", saturated_lengths=sat
-        )
-        balance = replace(skip, check="balance")
-        hamming = replace(skip, check="hamming2")
-        ones = replace(skip, check="ones")
-    complexity = periodicity_certificate(table)
-    recurrence = recurrence_heuristic(table, known=flags.recurrent)
-    combined = _combined_judgment(table, nfop, balance, complexity, hamming, ones)
+    table = saturated_table(spec, max_len, prefix_len)
+    verdicts = _battery(spec, table)
     return SturmianReport(
         spec_text=format_spec(spec),
         prefix_length=len(table.word),
         max_len=max_len,
-        verdicts=(nfop, balance, complexity, hamming, ones, recurrence),
-        combined=combined,
+        verdicts=verdicts,
+        combined=_combined_judgment(table, *verdicts[:5]),
     )
 
 
@@ -592,18 +590,17 @@ def equivalence_harness(
     corpus: list[WordSpec],
     max_len: int,
     prefix_len: int | None = None,
-    budget: int = PREFIX_BUDGET,
     labels: list[str] | None = None,
 ) -> HarnessReport:
     """Assert the cross-check implications that must hold at window scale.
 
-    Per word: (a) an ordering-consistent table must be balance-consistent,
-    contain no u with 10u0 and 01u1 both present, and look aperiodic;
-    (b) specs known a priori to describe Sturmian words never produce an
-    ordering violation; (c) words flagged recurrent and aperiodic must get
-    agreeing verdicts from the ordering, hamming2 and ones checks; (d) the
-    three ordering variants agree on binary tables.  Failures are report
-    entries, never exceptions.
+    Per word: (a) an ordering-consistent binary table must be
+    balance-consistent, contain no u with 10u0 and 01u1 both present, and
+    look aperiodic (skipped on non-binary tables); (b) specs known a priori
+    to describe Sturmian words never produce an ordering violation; (c) words
+    flagged recurrent and aperiodic must get agreeing verdicts from the
+    ordering, hamming2 and ones checks; (d) the three ordering variants agree
+    on binary tables.  Failures are report entries, never exceptions.
     """
     if not corpus:
         raise ValueError("corpus must be nonempty")
@@ -620,23 +617,23 @@ def equivalence_harness(
         record(label, assertion, "pass" if ok else "fail", None if ok else fail_detail)
 
     for label, spec in zip(labels, corpus):
-        table = saturated_table(spec, max_len, prefix_len, budget)
+        table = saturated_table(spec, max_len, prefix_len)
         flags = known_flags(spec)
         flagged = flags.recurrent is True and flags.aperiodic is True
         binary = table.is_binary
-        nfop = check_nfop(table, 3 if binary else 1)
+        nfop, balance, cert, hamming, ones, _ = _battery(spec, table)
 
-        if nfop.status == CONSISTENT:
-            balance = check_balance(table)
+        if nfop.status == CONSISTENT and binary:
             ok = balance.status == CONSISTENT
             judge(label, "nfop=>balance", ok, str(balance.witness))
             excl = find_extension_exclusion(table)
             judge(label, "nfop=>extension-exclusion", excl is None, f"u={excl!r}")
-            cert = periodicity_certificate(table)
             ok = cert.status == APPARENTLY_APERIODIC
             judge(label, "nfop=>aperiodic", ok, cert.reason)
         else:
-            detail = f"nfop {nfop.status}"
+            detail = "non-binary table"
+            if nfop.status != CONSISTENT:
+                detail = f"nfop {nfop.status}"
             record(label, "nfop=>balance", "skip", detail)
             record(label, "nfop=>extension-exclusion", "skip", detail)
             record(label, "nfop=>aperiodic", "skip", detail)
@@ -648,8 +645,6 @@ def equivalence_harness(
             record(label, "sturmian-generator-nfop", "skip", "not a Sturmian generator")
 
         if binary and flagged:
-            hamming = check_hamming2(table)
-            ones = check_ones_monotone(table)
             statuses = {nfop.status, hamming.status, ones.status}
             if INDETERMINATE in statuses:
                 record(label, "recurrent-aperiodic-agreement", "skip", "indeterminate")
@@ -669,13 +664,12 @@ def equivalence_harness(
             )
 
         if binary:
-            # nfop above is variant 3 on a binary table; only 1 and 2 run anew.
+            # nfop is variant 3 here, and variant 2 differs from it only by
+            # the binary precondition, so it stands for both; 1 runs anew.
             triples = [
-                (v.status, v.witness, v.n)
-                for v in (check_nfop(table, 1), check_nfop(table, 2), nfop)
+                (v.status, v.witness, v.n) for v in (check_nfop(table, 1), nfop, nfop)
             ]
-            agree = triples[0] == triples[1] == triples[2]
-            judge(label, "variant-agreement", agree, str(triples))
+            judge(label, "variant-agreement", triples[0] == triples[1], str(triples))
         else:
             record(label, "variant-agreement", "skip", "non-binary table")
 

@@ -1,5 +1,8 @@
 """Single-property checks, composite verdicts, and the cross-check harness."""
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -232,6 +235,14 @@ class TestSaturatedTable:
         with pytest.raises(BudgetExceeded):
             checks.saturated_table(sx.parse_spec("fib"), 8, prefix_len=checks.PREFIX_BUDGET + 1)
 
+    def test_max_len_beyond_budget_rejected(self):
+        # The window must hold max_len letters, so a short prefix_len is no way
+        # round the budget.
+        with pytest.raises(BudgetExceeded):
+            checks.saturated_table(
+                sx.parse_spec("fib"), checks.PREFIX_BUDGET + 1, prefix_len=1
+            )
+
 
 class TestSturmianVerdict:
     def test_fibonacci(self):
@@ -303,6 +314,92 @@ class TestEquivalenceHarness:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             sx.equivalence_harness([], 10)
+
+    def test_non_binary_table_skips_the_binary_implications(self):
+        # nfop variant 1 holds on {0,1,2} at length 1, but balance, the
+        # extension exclusion and the certificate speak of binary words only.
+        report = sx.equivalence_harness([sx.parse_spec("periodic:012")], 1)
+        assert len(report.outcomes) == 6
+        assert report.all_passed
+        byname = {o.assertion: o for o in report.outcomes}
+        for assertion in ("nfop=>balance", "nfop=>extension-exclusion", "nfop=>aperiodic"):
+            assert (byname[assertion].result, byname[assertion].detail) == (
+                "skip", "non-binary table",
+            )
+
+    @pytest.mark.parametrize("text", ["std:1", "std:2,1", "std:1,9,1,9"])
+    def test_agreement_detail_matches_sturmian_verdict(self, text):
+        # std:1 is the Fibonacci word; the morphic "fib" spec is not flagged
+        # aperiodic a priori, so the harness skips this entry for it.
+        spec = sx.parse_spec(text)
+        report = sx.equivalence_harness([spec], 10, prefix_len=256)
+        byname = {o.assertion: o for o in report.outcomes}
+        r = sx.sturmian_verdict(spec, 256, 10)
+        expected = " ".join(
+            f"{c}={r.verdict(c).status}" for c in ("nfop", "hamming2", "ones")
+        )
+        assert byname["recurrent-aperiodic-agreement"].detail == expected
+
+    def test_variant_disagreement_is_reported(self, monkeypatch):
+        real = checks.check_nfop
+
+        def skewed(table, variant=3):
+            v = real(table, variant)
+            return replace(v, status=checks.INDETERMINATE) if variant == 1 else v
+
+        monkeypatch.setattr(checks, "check_nfop", skewed)
+        report = sx.equivalence_harness([sx.parse_spec("std:2,1")], 8)
+        entry = {o.assertion: o for o in report.outcomes}["variant-agreement"]
+        assert entry.result == "fail"
+        assert entry.detail.startswith("[('Indeterminate', None, None), ")
+        assert entry.detail.count("ConsistentUpTo") == 2
+
+
+CHECK_FUNCTIONS = (
+    "check_nfop",
+    "check_balance",
+    "check_hamming2",
+    "check_ones_monotone",
+    "periodicity_certificate",
+    "recurrence_heuristic",
+    "find_extension_exclusion",
+)
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """Count calls of each check made through its module attribute."""
+    calls = Counter()
+    for name in CHECK_FUNCTIONS:
+        original = getattr(checks, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(checks, name, counted)
+    return calls
+
+
+class TestEachCheckOncePerTable:
+    def test_sturmian_verdict(self, check_calls):
+        sx.sturmian_verdict(sx.parse_spec("fib"), max_len=8)
+        assert check_calls == Counter(
+            {name: 1 for name in CHECK_FUNCTIONS if name != "find_extension_exclusion"}
+        )
+
+    def test_harness_on_a_binary_table(self, check_calls):
+        sx.equivalence_harness([sx.parse_spec("std:2,1")], 8)
+        # variant 3 in the battery, variant 1 for variant-agreement
+        assert check_calls == Counter({name: 1 for name in CHECK_FUNCTIONS}) + Counter(
+            check_nfop=1
+        )
+
+    def test_harness_on_a_non_binary_table(self, check_calls):
+        sx.equivalence_harness([sx.parse_spec("periodic:012")], 1)
+        assert check_calls == Counter(
+            check_nfop=1, periodicity_certificate=1, recurrence_heuristic=1
+        )
 
 
 class TestCrossCheckInvariants:

@@ -136,6 +136,16 @@ class TestCheck:
             assert list(v.keys()) == JSON_KEYS
 
 
+    def test_max_n_beyond_budget_is_an_input_error(self, capsys):
+        # A one-letter prefix request does not shrink the window below max_n.
+        code, out, err = run(
+            capsys, "check", "--spec", "fib", "--what", "nfop",
+            "--prefix-len", "1", "--max-n", str(checks.PREFIX_BUDGET + 1),
+        )
+        assert (code, out) == (65, "")
+        assert "exceeds budget" in err
+
+
 class TestChristoffel:
     def test_plain_listing(self, capsys):
         code, out, _ = run(capsys, "christoffel", "--p", "2", "--q", "3")
@@ -191,6 +201,15 @@ class TestHarness:
         corpus.write_text("# nothing here\n")
         code, _, err = run(capsys, "harness", "--corpus", str(corpus), "--max-n", "8")
         assert code == 65
+
+    def test_non_binary_corpus(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("periodic:012\n")
+        code, out, err = run(
+            capsys, "harness", "--corpus", str(corpus), "--max-n", "1"
+        )
+        assert (code, err) == (0, "")
+        assert "periodic:012\tnfop=>balance\tskip" in out
 
     def test_missing_corpus_file(self, capsys, tmp_path):
         code, _, err = run(
