@@ -27,6 +27,7 @@ from .errors import (
 )
 from .factors import FactorTable
 from .words import (
+    PREFIX_BUDGET,
     Literal,
     StandardSequence,
     WordSpec,
@@ -50,9 +51,6 @@ NOT_STURMIAN = "NotSturmian"
 BOTH_EXTENSIONS = "BothExtensions"
 PREFIX_CASE = "PrefixCase"
 WINDOW_INDETERMINATE = "WindowIndeterminate"
-
-#: Hard cap on generated prefix lengths (letters).
-PREFIX_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -236,24 +234,15 @@ def _scan_adjacent(table: FactorTable, check: str, pair_fault) -> Verdict:
 def _first_mismatches(v: str, vp: str) -> list[int]:
     """The first (at most three) positions where equal-length v and vp differ.
 
-    Each is found by bisecting on slice equality, so the long common
-    stretches of neighbouring sorted factors are compared in C.
+    Read in base 16, each digit letter is one nibble, so the XOR of the words
+    is nonzero exactly where they differ; its top nonzero nibble is leftmost.
     """
+    x = int(v, 16) ^ int(vp, 16)
     found: list[int] = []
-    lo, last = 0, len(v) - 1
-    for _ in range(3):
-        if v[lo:] == vp[lo:]:
-            break
-        # Invariant: the next mismatch lies in lo..hi.
-        hi = last
-        while v[lo] == vp[lo]:
-            mid = (lo + hi) // 2
-            if v[lo : mid + 1] == vp[lo : mid + 1]:
-                lo = mid + 1
-            else:
-                hi = mid
-        found.append(lo)
-        lo += 1
+    while x and len(found) < 3:
+        k = (x.bit_length() - 1) // 4
+        found.append(len(v) - 1 - k)
+        x &= (1 << 4 * k) - 1
     return found
 
 
@@ -434,7 +423,8 @@ def saturated_table(
     while True:
         length = min(target, cap)
         table = FactorTable(generate_prefix(spec, length), max_len)
-        if length >= cap or len(table.saturated_lengths()) == max_len:
+        # Each shorter factor lies in a length-max_len window: this saturates all.
+        if length >= cap or table.saturated(max_len):
             return table
         target *= 2
 

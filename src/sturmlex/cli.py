@@ -216,16 +216,15 @@ def cmd_christoffel(args) -> int:
 
 def load_corpus(path: str) -> list[tuple[str, words.WordSpec]]:
     """Parse a corpus file: one spec per line, blank lines and # comments."""
-    entries = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            entries.append((line, words.parse_spec(line)))
-    if not entries:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SturmlexError(f"cannot read corpus file {path}: {exc}") from exc
+    texts = [line for line in lines if line and not line.startswith("#")]
+    if not texts:
         raise SturmlexError(f"corpus file {path} holds no specs")
-    return entries
+    return [(text, words.parse_spec(text)) for text in texts]
 
 
 def cmd_harness(args) -> int:
@@ -252,7 +251,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (SturmlexError, FileNotFoundError) as exc:
+    except SturmlexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

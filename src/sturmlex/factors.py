@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NotAFactor, WindowTooLarge
+from .words import _check_word
 
 
 def is_unbordered(v: str) -> bool:
@@ -76,6 +77,7 @@ class FactorTable:
         self.word = word
         self.max_len = max_len
         self.alphabet = "".join(sorted(set(word)))
+        _check_word(self.alphabet, "word")
         self._factors: dict[int, tuple[str, ...]] = {}
         self._count: dict[int, dict[str, int]] = {}
         self._first: dict[int, dict[str, int]] = {}

@@ -16,9 +16,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import LiteralTooShort, MalformedSpec
+from .errors import BudgetExceeded, LiteralTooShort, MalformedSpec
 
 ALPHABET = "0123456789"
+
+#: Hard cap on generated prefix lengths (letters).
+PREFIX_BUDGET = 1 << 22
 
 #: Substitution fixed by the Fibonacci word.
 FIBONACCI_RULES = {"0": "01", "1": "0"}
@@ -223,6 +226,8 @@ def generate_prefix(spec: WordSpec, n: int) -> str:
     """First ``n`` letters of the word described by ``spec``."""
     if n < 0:
         raise ValueError("prefix length must be >= 0")
+    if n > PREFIX_BUDGET:
+        raise BudgetExceeded(f"prefix length {n} exceeds budget {PREFIX_BUDGET}")
     return spec.prefix(n)
 
 

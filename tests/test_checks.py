@@ -475,8 +475,9 @@ def binary_tables(draw):
 def mismatched_pairs(draw):
     """Equal-length words with 0-5 differing positions, ends favoured, or
     with two neighbouring letters swapped."""
-    alphabet = draw(st.sampled_from(["01", "012"]))
-    v = draw(st.text(alphabet=alphabet, min_size=1, max_size=60))
+    alphabet = draw(st.sampled_from(["01", "012", "0123456789"]))
+    # Up to 300 letters, so each word's base-16 integer spans many machine words.
+    v = draw(st.text(alphabet=alphabet, min_size=1, max_size=300))
     last = len(v) - 1
     if last and draw(st.booleans()):
         i = draw(st.integers(0, last - 1))
@@ -495,6 +496,8 @@ class TestPairReasons:
     @settings(max_examples=400, deadline=None)
     def test_against_listing_every_mismatch(self, pair):
         for v, vp in (pair, pair[::-1]):
+            listing = [i for i, (a, b) in enumerate(zip(v, vp)) if a != b]
+            assert checks._first_mismatches(v, vp) == listing[:3]
             for variant in (1, 2, 3):
                 want = naive.nfop_reason(v, vp, variant)
                 assert checks._nfop_shape(v, vp, variant) == want

@@ -32,6 +32,13 @@ class TestGenerate:
         assert code == 65
         assert "error" in err
 
+    def test_length_beyond_budget_is_an_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "generate", "--spec", "fib", "--len", str(words.PREFIX_BUDGET + 1)
+        )
+        assert (code, out) == (65, "")
+        assert err.startswith("error: ")
+
 
 class TestFactors:
     def test_complexities(self, capsys):
@@ -48,6 +55,15 @@ class TestFactors:
         )
         assert code == 0
         assert out.endswith("1\t0\t4\n1\t1\t4\n2\t01\t4\n2\t10\t3\n")
+
+    def test_length_beyond_budget_is_an_input_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "factors", "--spec", "fib", "--len", str(words.PREFIX_BUDGET + 1),
+            "--max-n", "2",
+        )
+        assert (code, out) == (65, "")
+        assert err.startswith("error: ")
 
 
 class TestCheck:
@@ -216,6 +232,16 @@ class TestHarness:
             capsys, "harness", "--corpus", str(tmp_path / "nope.txt"), "--max-n", "8"
         )
         assert code == 65
+
+    def test_unreadable_corpus_is_an_input_error(self, capsys, tmp_path):
+        undecodable = tmp_path / "corpus.txt"
+        undecodable.write_bytes(b"\xff\xfe")
+        for path in (tmp_path, undecodable):
+            code, _, err = run(capsys, "harness", "--corpus", str(path), "--max-n", "4")
+            assert code == 65
+            # One error line; an uncaught exception would fail the test instead.
+            assert err.startswith("error: cannot read corpus file")
+            assert err.count("\n") == 1
 
 
 class TestUsageErrors:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sturmlex as sx
-from sturmlex.errors import NotAFactor, WindowTooLarge
+from sturmlex.errors import MalformedSpec, NotAFactor, WindowTooLarge
 
 import naive
 from conftest import prefix
@@ -42,6 +42,13 @@ class TestBuild:
             sx.FactorTable("0110", 5)
         with pytest.raises(WindowTooLarge):
             sx.FactorTable("0110", 0)
+        with pytest.raises(WindowTooLarge):
+            sx.FactorTable("", 1)
+
+    @pytest.mark.parametrize("word", ["0a1", "01A"])
+    def test_letters_are_digits(self, word):
+        with pytest.raises(MalformedSpec):
+            sx.FactorTable(word, 1)
 
     def test_complexity_one_counts_letters(self):
         assert sx.FactorTable("0120", 1).complexity(1) == 3
@@ -184,6 +191,10 @@ class TestAgainstBruteForce:
         w = data.draw(st.text(alphabet=alphabet, min_size=1, max_size=60))
         max_len = data.draw(st.integers(1, len(w)))
         t = sx.FactorTable(w, max_len)
+        # Every factor lies in a longest window, so saturating max_len
+        # saturates every shorter length.
+        if t.saturated(max_len):
+            assert len(t.saturated_lengths()) == max_len
         for n in range(1, max_len + 1):
             assert list(t.factors(n)) == naive.distinct_factors(w, n)
             assert t.saturated(n) == naive.saturated(w, n)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sturmlex as sx
-from sturmlex.errors import LiteralTooShort, MalformedSpec
+from sturmlex.errors import BudgetExceeded, LiteralTooShort, MalformedSpec
 
 import naive
 from conftest import FIB32, TM_SPEC, prefix
@@ -67,6 +67,10 @@ class TestGeneratePrefix:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             sx.generate_prefix(sx.parse_spec("fib"), -1)
+
+    def test_length_beyond_budget_rejected(self):
+        with pytest.raises(BudgetExceeded):
+            sx.generate_prefix(sx.parse_spec("fib"), sx.PREFIX_BUDGET + 1)
 
 
 SPEC_TEXTS = [
