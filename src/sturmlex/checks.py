@@ -12,7 +12,8 @@ package and its CLI) says: every pair of lexicographically consecutive
 equal-length factors is either an adjacent ascending transposition
 (v = x ab y, v' = x ba y with a < b) or a final-letter step (v = x a,
 v' = x b).  Variant 1 allows any a < b, variant 2 requires b = a + 1, and
-variant 3 is the binary form with the 01/10 swap.
+variant 3 is the binary form with the 01/10 swap.  One walk over adjacent
+pairs, on integer factor codes, decides it together with hamming2 and ones.
 """
 
 from __future__ import annotations
@@ -194,41 +195,61 @@ def _prefixes_extremal(table: FactorTable, kind: str) -> bool:
     return True
 
 
-def _scan_adjacent(table: FactorTable, check: str, pair_fault) -> Verdict:
-    """Test every adjacent pair of each saturated sorted factor list.
+def _adjacent_faults(
+    table: FactorTable, sought: tuple[str, ...], variant: int = 3
+) -> tuple[Verdict, ...]:
+    """The verdicts of the sought pair checks, in order, from one walk.
 
-    ``pair_fault(v, vp)`` returns why the pair breaks the property, or None.
-    The first fault (shortest length, then lex-least pair) is the witness.
-    Only saturated lengths are asserted; when unsaturated lengths had to be
-    skipped and no fault was found the verdict is Indeterminate rather than
-    a consistency claim.
+    ``sought`` names checks among "nfop" (of ``variant``), "hamming2" and
+    "ones" (binary only).  Each factor of a saturated length is read once as
+    a base-16 code, one nibble per digit letter.  A pair whose codes differ
+    by a step to the next final letter (XOR 1) or by a 01 -> 10 swap fits
+    every nfop variant, differs in two letters at most and keeps the
+    1-count, so it passes outright; any other pair gets the exact tests.
+    The first fault of a check (shortest length, then lex-least pair) is its
+    witness, and the walk stops once every sought check has one.  A check
+    with no fault is Indeterminate when unsaturated lengths were skipped.
     """
     sat = table.saturated_lengths()
-    skipped = []
-    for n in range(1, table.max_len + 1):
-        if not table.saturated(n):
-            skipped.append(n)
-            continue
-        fs = table.factors(n)
-        for v, vp in zip(fs, fs[1:]):
-            why = pair_fault(v, vp)
-            if why is not None:
-                return Verdict(
-                    check,
-                    VIOLATED,
-                    witness=(v, vp),
-                    n=n,
-                    reason=why,
-                    saturated_lengths=sat,
-                )
-    if skipped:
-        return Verdict(
-            check,
-            INDETERMINATE,
-            reason="unsaturated lengths " + ",".join(str(n) for n in skipped),
-            saturated_lengths=sat,
+    pending = set(sought)
+    found: dict[str, Verdict] = {}
+
+    def fault(check, v, vp, n, why):
+        pending.remove(check)
+        found[check] = Verdict(
+            check, VIOLATED, witness=(v, vp), n=n, reason=why, saturated_lengths=sat
         )
-    return Verdict(check, CONSISTENT, up_to=table.max_len, saturated_lengths=sat)
+
+    for n in sat:
+        fs = table.factors(n)
+        codes = [int(v, 16) for v in fs]
+        for v, vp, c, cp in zip(fs, fs[1:], codes, codes[1:]):
+            x = c ^ cp
+            if x == 1:
+                continue
+            # The swap: x is 0x11 on a nibble boundary and c holds 01 there.
+            s = x.bit_length() - 5
+            if s >= 0 and not s & 3 and x == 0x11 << s and (c >> s) & 0xFF == 1:
+                continue
+            if "nfop" in pending and (why := _nfop_shape(v, vp, variant)):
+                fault("nfop", v, vp, n, why)
+            # Binary codes: each differing letter is one bit of x, each 1 one bit.
+            if "hamming2" in pending and x.bit_count() > 2:
+                fault("hamming2", v, vp, n, _differ_reason(v, vp))
+            if "ones" in pending and (a := c.bit_count()) > (b := cp.bit_count()):
+                fault("ones", v, vp, n, f"1-count drops from {a} to {b}")
+            if not pending:
+                return tuple(found[check] for check in sought)
+    skipped = [n for n in range(1, table.max_len + 1) if not table.saturated(n)]
+    if skipped:
+        why = "unsaturated lengths " + ",".join(str(n) for n in skipped)
+        rest = {"status": INDETERMINATE, "reason": why}
+    else:
+        rest = {"status": CONSISTENT, "up_to": table.max_len}
+    return tuple(
+        found.get(check) or Verdict(check, saturated_lengths=sat, **rest)
+        for check in sought
+    )
 
 
 def _first_mismatches(v: str, vp: str) -> list[int]:
@@ -287,7 +308,7 @@ def check_nfop(table: FactorTable, variant: int = 3) -> Verdict:
         raise AlphabetTooLarge(
             f"variant 3 needs letters within 01, table has {table.alphabet!r}"
         )
-    return _scan_adjacent(table, "nfop", lambda v, vp: _nfop_shape(v, vp, variant))
+    return _adjacent_faults(table, ("nfop",), variant)[0]
 
 
 def find_nfop_violation(table: FactorTable, variant: int = 3) -> NfopViolation | None:
@@ -298,19 +319,10 @@ def find_nfop_violation(table: FactorTable, variant: int = 3) -> NfopViolation |
     return NfopViolation(verdict.n, verdict.witness, variant, verdict.reason)
 
 
-def _hamming_fault(v: str, vp: str) -> str | None:
-    return _differ_reason(v, vp) if len(_first_mismatches(v, vp)) > 2 else None
-
-
 def check_hamming2(table: FactorTable) -> Verdict:
     """Adjacent same-length factors must differ in at most two positions."""
     _require_binary(table, "hamming2")
-    return _scan_adjacent(table, "hamming2", _hamming_fault)
-
-
-def _ones_fault(v: str, vp: str) -> str | None:
-    a, b = v.count("1"), vp.count("1")
-    return f"1-count drops from {a} to {b}" if a > b else None
+    return _adjacent_faults(table, ("hamming2",))[0]
 
 
 def check_ones_monotone(table: FactorTable) -> Verdict:
@@ -320,7 +332,7 @@ def check_ones_monotone(table: FactorTable) -> Verdict:
     implies a descent between some adjacent pair.
     """
     _require_binary(table, "ones")
-    return _scan_adjacent(table, "ones", _ones_fault)
+    return _adjacent_faults(table, ("ones",))[0]
 
 
 def periodicity_certificate(table: FactorTable) -> Verdict:
@@ -462,12 +474,10 @@ def _battery(spec: WordSpec, table: FactorTable) -> tuple[Verdict, ...]:
     that need a binary alphabet come back Indeterminate on any other.
     """
     if table.is_binary:
-        nfop = check_nfop(table, 3)
+        nfop, hamming, ones = _adjacent_faults(table, ("nfop", "hamming2", "ones"))
         balance = check_balance(table)
-        hamming = check_hamming2(table)
-        ones = check_ones_monotone(table)
     else:
-        nfop = check_nfop(table, 1)
+        (nfop,) = _adjacent_faults(table, ("nfop",), 1)
         why, sat = "alphabet is not binary", table.saturated_lengths()
         balance, hamming, ones = (
             Verdict(c, INDETERMINATE, reason=why, saturated_lengths=sat)

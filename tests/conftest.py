@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import sturmlex as sx
@@ -5,6 +10,24 @@ import sturmlex as sx
 TM_SPEC = "morphic:0->01,1->10;seed=0"
 
 FIB32 = "01001010010010100101001001010010"
+
+
+# The directory that holds the imported package, so that a child
+# interpreter imports the same code without an install or PYTHONPATH.
+SRC = str(Path(sx.__file__).resolve().parent.parent)
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """Run ``python -m sturmlex *argv`` in a child process."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, "-m", "sturmlex", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
 
 
 def prefix(text: str, n: int) -> str:

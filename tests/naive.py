@@ -81,6 +81,11 @@ def hamming_reason(v, vp):
     return f"differ in {d} positions" if d > 2 else None
 
 
+def ones_reason(v, vp):
+    a, b = v.count("1"), vp.count("1")
+    return f"1-count drops from {a} to {b}" if a > b else None
+
+
 def adjacent_verdict(w, max_len, pair_ok):
     """(status, violation length or None, pair or None) for a property of
     adjacent sorted factor pairs, same scan order as the real checks."""

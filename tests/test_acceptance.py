@@ -13,14 +13,12 @@ test_checks.py and test_christoffel.py.
 
 import math
 import random
-import subprocess
-import sys
 
 import sturmlex as sx
 from sturmlex import checks
 
 import naive
-from conftest import FIB32, prefix
+from conftest import FIB32, prefix, run_module
 
 
 def _report(criterion: int, ok: bool, detail: str = "") -> None:
@@ -31,12 +29,7 @@ def _report(criterion: int, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_01_fibonacci_generation():
-    proc = subprocess.run(
-        [sys.executable, "-m", "sturmlex", "generate", "--spec", "fib", "--len", "32"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = run_module("generate", "--spec", "fib", "--len", "32")
     ok = proc.returncode == 0 and proc.stdout.strip() == FIB32
     _report(1, ok, f"stdout={proc.stdout.strip()!r}")
 

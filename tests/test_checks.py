@@ -4,7 +4,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sturmlex as sx
@@ -272,6 +272,11 @@ class TestSturmianVerdict:
         assert r.verdict("balance").status == checks.INDETERMINATE
         assert r.verdict("nfop").status == checks.VIOLATED
 
+    def test_non_binary_nfop_is_variant_one(self):
+        # The step 0 -> 2 and the swap 02 -> 20 fit variant 1, not variant 2.
+        r = sx.sturmian_verdict(sx.parse_spec("periodic:02"), max_len=2)
+        assert r.verdict("nfop").status == checks.CONSISTENT
+
     def test_json_shape(self):
         r = sx.sturmian_verdict(sx.parse_spec("fib"), max_len=8)
         payload = r.to_json()
@@ -356,6 +361,7 @@ class TestEquivalenceHarness:
 
 
 CHECK_FUNCTIONS = (
+    "_adjacent_faults",
     "check_nfop",
     "check_balance",
     "check_hamming2",
@@ -382,23 +388,34 @@ def check_calls(monkeypatch):
 
 
 class TestEachCheckOncePerTable:
+    """Every verdict once per table; nfop, hamming2 and ones share one pair
+    walk (``_adjacent_faults``) instead of calling their public wrappers."""
+
     def test_sturmian_verdict(self, check_calls):
         sx.sturmian_verdict(sx.parse_spec("fib"), max_len=8)
         assert check_calls == Counter(
-            {name: 1 for name in CHECK_FUNCTIONS if name != "find_extension_exclusion"}
+            _adjacent_faults=1,
+            check_balance=1,
+            periodicity_certificate=1,
+            recurrence_heuristic=1,
         )
 
     def test_harness_on_a_binary_table(self, check_calls):
         sx.equivalence_harness([sx.parse_spec("std:2,1")], 8)
-        # variant 3 in the battery, variant 1 for variant-agreement
-        assert check_calls == Counter({name: 1 for name in CHECK_FUNCTIONS}) + Counter(
-            check_nfop=1
+        # the battery's walk, and check_nfop variant 1 for variant-agreement
+        assert check_calls == Counter(
+            _adjacent_faults=2,
+            check_nfop=1,
+            check_balance=1,
+            periodicity_certificate=1,
+            recurrence_heuristic=1,
+            find_extension_exclusion=1,
         )
 
     def test_harness_on_a_non_binary_table(self, check_calls):
         sx.equivalence_harness([sx.parse_spec("periodic:012")], 1)
         assert check_calls == Counter(
-            check_nfop=1, periodicity_certificate=1, recurrence_heuristic=1
+            _adjacent_faults=1, periodicity_certificate=1, recurrence_heuristic=1
         )
 
 
@@ -455,15 +472,15 @@ class TestCrossCheckInvariants:
 
 
 @st.composite
-def binary_tables(draw):
-    """A random binary word, or a repeated random seed (so that some lengths
+def tables(draw, alphabet="01"):
+    """A random word, or a repeated random seed (so that some lengths
     saturate and violations are definitive), with a random length bound."""
     w = draw(
         st.one_of(
-            st.text(alphabet="01", min_size=1, max_size=80),
+            st.text(alphabet=alphabet, min_size=1, max_size=80),
             st.builds(
                 lambda seed, k: seed * k,
-                st.text(alphabet="01", min_size=1, max_size=8),
+                st.text(alphabet=alphabet, min_size=1, max_size=8),
                 st.integers(2, 30),
             ),
         )
@@ -501,26 +518,42 @@ class TestPairReasons:
             for variant in (1, 2, 3):
                 want = naive.nfop_reason(v, vp, variant)
                 assert checks._nfop_shape(v, vp, variant) == want
-            assert checks._hamming_fault(v, vp) == naive.hamming_reason(v, vp)
 
 
 class TestDifferentialRandomBinary:
     """Checks against the brute-force oracle on random binary words."""
 
-    @given(t=binary_tables())
+    @given(t=tables())
     @settings(max_examples=150, deadline=None)
     def test_adjacent_pair_checks(self, t):
         cases = [
-            (sx.check_hamming2(t), naive.hamming2_verdict(t.word, t.max_len)),
-            (sx.check_ones_monotone(t), naive.ones_verdict(t.word, t.max_len)),
+            (
+                sx.check_hamming2(t),
+                naive.hamming2_verdict(t.word, t.max_len),
+                naive.hamming_reason,
+            ),
+            (
+                sx.check_ones_monotone(t),
+                naive.ones_verdict(t.word, t.max_len),
+                naive.ones_reason,
+            ),
         ] + [
-            (sx.check_nfop(t, k), naive.nfop_verdict(t.word, t.max_len, k))
+            (
+                sx.check_nfop(t, k),
+                naive.nfop_verdict(t.word, t.max_len, k),
+                lambda v, vp, k=k: naive.nfop_reason(v, vp, k),
+            )
             for k in (1, 2, 3)
         ]
-        for got, (status, n, pair) in cases:
+        for got, (status, n, pair), reason in cases:
             assert (got.status, got.n, got.witness) == (status, n, pair)
+            if pair is not None:
+                assert got.reason == reason(*pair)
+        # The battery seeks all three faults in one walk.
+        battery = checks._adjacent_faults(t, ("nfop", "hamming2", "ones"))
+        assert battery == (cases[2][0], cases[0][0], cases[1][0])
 
-    @given(t=binary_tables())
+    @given(t=tables())
     @settings(max_examples=150, deadline=None)
     def test_core_searches(self, t):
         hit = naive.minimal_imbalance(t.word, t.max_len)
@@ -528,3 +561,19 @@ class TestDifferentialRandomBinary:
         assert (None if got is None else (got.u, got.pair)) == hit
         want = naive.extension_exclusion(t.word, t.max_len)
         assert sx.find_extension_exclusion(t) == want
+
+
+class TestDifferentialNonBinary:
+    """nfop variants 1 and 2 against the oracle on words over 3 and 10 letters."""
+
+    @given(t=st.sampled_from(["012", "0123456789"]).flatmap(tables))
+    # 03 -> 12 has the XOR of a 01 -> 10 swap but is no transposition.
+    @example(t=sx.FactorTable("03120" * 12, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_nfop_variants(self, t):
+        for k in (1, 2):
+            got = sx.check_nfop(t, k)
+            status, n, pair = naive.nfop_verdict(t.word, t.max_len, k)
+            assert (got.status, got.n, got.witness) == (status, n, pair)
+            if pair is not None:
+                assert got.reason == naive.nfop_reason(*pair, k)

@@ -1,8 +1,6 @@
 """Command line surface: output text, JSON stability, exit codes."""
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +8,7 @@ import pytest
 from sturmlex import checks, words
 from sturmlex.cli import build_parser, main
 
-from conftest import FIB32
+from conftest import FIB32, run_module
 
 JSON_KEYS = ["check", "status", "upTo", "witness", "saturatedLengths", "n", "reason"]
 
@@ -301,12 +299,6 @@ class TestNumericArguments:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "sturmlex", "generate", "--spec", "fib",
-             "--len", "32"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = run_module("generate", "--spec", "fib", "--len", "32")
         assert proc.returncode == 0
         assert proc.stdout.strip() == FIB32
