@@ -27,15 +27,7 @@ from .errors import (
     NotImbalanced,
 )
 from .factors import FactorTable
-from .words import (
-    PREFIX_BUDGET,
-    Literal,
-    StandardSequence,
-    WordSpec,
-    format_spec,
-    generate_prefix,
-    known_flags,
-)
+from .words import PREFIX_BUDGET, Literal, WordSpec, generate_prefix
 
 # Verdict statuses.
 CONSISTENT = "ConsistentUpTo"
@@ -375,21 +367,13 @@ def recurrence_heuristic(table: FactorTable, known: bool | None = None) -> Verdi
             saturated_lengths=sat,
         )
     witness = _unioccurrent_early_factor(table)
-    if known is False:
+    if known is False or witness is not None:
         return Verdict(
             "recurrence",
             NON_RECURRENT,
             witness=(witness,) if witness is not None else None,
             n=len(witness) if witness is not None else None,
-            reason="a-priori non-recurrent",
-            saturated_lengths=sat,
-        )
-    if witness is not None:
-        return Verdict(
-            "recurrence",
-            NON_RECURRENT,
-            witness=(witness,),
-            n=len(witness),
+            reason="a-priori non-recurrent" if known is False else None,
             saturated_lengths=sat,
         )
     return Verdict(
@@ -484,7 +468,7 @@ def _battery(spec: WordSpec, table: FactorTable) -> tuple[Verdict, ...]:
             for c in ("balance", "hamming2", "ones")
         )
     complexity = periodicity_certificate(table)
-    recurrence = recurrence_heuristic(table, known=known_flags(spec).recurrent)
+    recurrence = recurrence_heuristic(table, known=spec.flags.recurrent)
     return nfop, balance, complexity, hamming, ones, recurrence
 
 
@@ -501,7 +485,7 @@ def sturmian_verdict(
     table = saturated_table(spec, max_len, prefix_len)
     verdicts = _battery(spec, table)
     return SturmianReport(
-        spec_text=format_spec(spec),
+        spec_text=str(spec),
         prefix_length=len(table.word),
         max_len=max_len,
         verdicts=verdicts,
@@ -605,7 +589,7 @@ def equivalence_harness(
     if not corpus:
         raise ValueError("corpus must be nonempty")
     if labels is None:
-        labels = [format_spec(spec) for spec in corpus]
+        labels = [str(spec) for spec in corpus]
     elif len(labels) != len(corpus):
         raise ValueError("labels and corpus must have the same length")
     outcomes: list[HarnessOutcome] = []
@@ -618,7 +602,7 @@ def equivalence_harness(
 
     for label, spec in zip(labels, corpus):
         table = saturated_table(spec, max_len, prefix_len)
-        flags = known_flags(spec)
+        flags = spec.flags
         flagged = flags.recurrent is True and flags.aperiodic is True
         binary = table.is_binary
         nfop, balance, cert, hamming, ones, _ = _battery(spec, table)
@@ -638,7 +622,7 @@ def equivalence_harness(
             record(label, "nfop=>extension-exclusion", "skip", detail)
             record(label, "nfop=>aperiodic", "skip", detail)
 
-        if isinstance(spec, StandardSequence) or flagged:
+        if flagged:
             ok = nfop.status != VIOLATED
             judge(label, "sturmian-generator-nfop", ok, str(nfop.witness))
         else:

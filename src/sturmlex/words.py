@@ -4,10 +4,12 @@ Words are plain Python strings of digit characters, so comparing equal-length
 factors with ``<`` is exactly the lexicographic order induced by the letter
 order 0 < 1 < ... < 9.  Each spec class below describes an infinite word (or,
 for :class:`Literal`, a finite window of one) and can produce any prefix of it
-deterministically.  Irrational slopes are never represented with floats: they
-enter only through :class:`StandardSequence` directives, which are integer
-exact, while :class:`MechanicalRational` covers the rational-slope codings in
-exact fraction arithmetic.
+deterministically.  Each also knows what its kind implies a priori
+(``spec.flags``, a :class:`KnownFlags`), and ``str(spec)`` is its text in the
+mini-language that :func:`parse_spec` reads.  Irrational slopes are never
+represented with floats: they enter only through :class:`StandardSequence`
+directives, which are integer exact, while :class:`MechanicalRational` covers
+the rational-slope codings in exact fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -35,14 +37,6 @@ def _check_word(s: str, what: str, allow_empty: bool = False) -> None:
             raise MalformedSpec(f"{what} contains {c!r}; letters are the digits 0-9")
 
 
-def _repeat(preperiod: str, period: str, n: int) -> str:
-    """First ``n`` letters of preperiod followed by period repeated forever."""
-    if n <= len(preperiod):
-        return preperiod[:n]
-    tail = n - len(preperiod)
-    return preperiod + (period * (tail // len(period) + 1))[:tail]
-
-
 @dataclass(frozen=True)
 class KnownFlags:
     """A-priori recurrence/aperiodicity knowledge; ``None`` means unknown."""
@@ -51,14 +45,45 @@ class KnownFlags:
     aperiodic: bool | None
 
 
+class _EventuallyPeriodic:
+    """Base of the kinds that are ``preperiod`` followed by ``period`` forever.
+
+    Subclasses supply ``preperiod``; the periodic kinds name their period
+    ``seed``.
+    """
+
+    @property
+    def period(self) -> str:
+        return self.seed
+
+    def prefix(self, n: int) -> str:
+        pre, period = self.preperiod, self.period
+        if n <= len(pre):
+            return pre[:n]
+        tail = n - len(pre)
+        return pre + (period * (tail // len(period) + 1))[:tail]
+
+    @property
+    def flags(self) -> KnownFlags:
+        # Never aperiodic; recurrent exactly when the word is purely
+        # periodic, that is when shifting by the period fixes the preperiod.
+        k, d = len(self.preperiod), len(self.period)
+        w = self.prefix(k + d)
+        return KnownFlags(recurrent=w[:k] == w[d:], aperiodic=False)
+
+
 @dataclass(frozen=True)
 class Literal:
     """A finite window given verbatim.  No tail is implied beyond it."""
 
     word: str
+    flags = KnownFlags(recurrent=None, aperiodic=None)
 
     def __post_init__(self):
         _check_word(self.word, "literal word")
+
+    def __str__(self) -> str:
+        return f"literal:{self.word}"
 
     def prefix(self, n: int) -> str:
         if n > len(self.word):
@@ -69,20 +94,21 @@ class Literal:
 
 
 @dataclass(frozen=True)
-class Periodic:
+class Periodic(_EventuallyPeriodic):
     """The purely periodic word seed^w."""
 
     seed: str
+    preperiod = ""
 
     def __post_init__(self):
         _check_word(self.seed, "periodic seed")
 
-    def prefix(self, n: int) -> str:
-        return _repeat("", self.seed, n)
+    def __str__(self) -> str:
+        return f"periodic:{self.seed}"
 
 
 @dataclass(frozen=True)
-class UltimatelyPeriodic:
+class UltimatelyPeriodic(_EventuallyPeriodic):
     """preperiod followed by seed^w."""
 
     preperiod: str
@@ -92,8 +118,8 @@ class UltimatelyPeriodic:
         _check_word(self.preperiod, "preperiod", allow_empty=True)
         _check_word(self.seed, "periodic seed")
 
-    def prefix(self, n: int) -> str:
-        return _repeat(self.preperiod, self.seed, n)
+    def __str__(self) -> str:
+        return f"ultper:{self.preperiod}|{self.seed}"
 
 
 @dataclass(frozen=True)
@@ -130,6 +156,16 @@ class Morphic:
                 "(its image must start with the seed and be longer)"
             )
 
+    @property
+    def flags(self) -> KnownFlags:
+        # A primitive substitution has a uniformly recurrent fixed point.
+        primitive = _is_primitive(self.rules)
+        return KnownFlags(recurrent=True if primitive else None, aperiodic=None)
+
+    def __str__(self) -> str:
+        rules = ",".join(f"{a}->{img}" for a, img in sorted(self.rules.items()))
+        return f"morphic:{rules};seed={self.seed}"
+
     def prefix(self, n: int) -> str:
         images = str.maketrans(self.rules)
         w = self.seed
@@ -152,6 +188,7 @@ class StandardSequence:
     """
 
     directive: tuple[int, ...]
+    flags = KnownFlags(recurrent=True, aperiodic=True)
 
     def __post_init__(self):
         entries = tuple(self.directive)
@@ -161,6 +198,9 @@ class StandardSequence:
         for d in entries:
             if not isinstance(d, int) or d < 1:
                 raise MalformedSpec("directive entries must be integers >= 1")
+
+    def __str__(self) -> str:
+        return "std:" + ",".join(str(d) for d in self.directive)
 
     def prefix(self, n: int) -> str:
         prev, cur = "1", "0"
@@ -178,19 +218,20 @@ class StandardSequence:
 
 
 @dataclass(frozen=True)
-class MechanicalRational:
+class MechanicalRational(_EventuallyPeriodic):
     """Lower coding of the rotation with rational slope p/(p+q).
 
     Letter i is floor((i+1)a + rho) - floor(ia + rho) with a = p/(p+q),
     evaluated in exact rational arithmetic.  Shifting i by p+q adds the
-    integer p to both floors, so the word repeats its first p+q letters.
-    With rho = 0 and p, q >= 1 that period is the lower Christoffel word of
-    slope p/(p+q).
+    integer p to both floors, so the word repeats its first p+q letters,
+    its ``period``.  With rho = 0 and p, q >= 1 that period is the lower
+    Christoffel word of slope p/(p+q).
     """
 
     p: int
     q: int
     rho: Fraction = Fraction(0)
+    preperiod = ""
 
     def __post_init__(self):
         rho = Fraction(self.rho)
@@ -202,14 +243,19 @@ class MechanicalRational:
         if not 0 <= rho < 1:
             raise MalformedSpec("intercept must lie in [0, 1)")
 
-    def prefix(self, n: int) -> str:
+    def __str__(self) -> str:
+        rho = self.rho
+        rho_text = "0" if rho == 0 else f"{rho.numerator}/{rho.denominator}"
+        return f"mech:{self.p}/{self.p + self.q}@{rho_text}"
+
+    @property
+    def period(self) -> str:
         length = self.p + self.q
         num, den = self.rho.numerator, self.rho.denominator
         common = length * den
         base = num * length
         floors = [(i * self.p * den + base) // common for i in range(length + 1)]
-        period = "".join("0" if a == b else "1" for a, b in zip(floors, floors[1:]))
-        return _repeat("", period, n)
+        return "".join("0" if a == b else "1" for a, b in zip(floors, floors[1:]))
 
 
 WordSpec = (
@@ -229,35 +275,6 @@ def generate_prefix(spec: WordSpec, n: int) -> str:
     if n > PREFIX_BUDGET:
         raise BudgetExceeded(f"prefix length {n} exceeds budget {PREFIX_BUDGET}")
     return spec.prefix(n)
-
-
-def known_flags(spec: WordSpec) -> KnownFlags:
-    """Recurrence and aperiodicity facts implied by the spec kind alone."""
-    if isinstance(spec, Periodic):
-        return KnownFlags(recurrent=True, aperiodic=False)
-    if isinstance(spec, UltimatelyPeriodic):
-        if not spec.preperiod or _preperiod_absorbs(spec.preperiod, spec.seed):
-            return KnownFlags(recurrent=True, aperiodic=False)
-        return KnownFlags(recurrent=False, aperiodic=False)
-    if isinstance(spec, StandardSequence):
-        # Cycling directive: irrational slope, uniformly recurrent.
-        return KnownFlags(recurrent=True, aperiodic=True)
-    if isinstance(spec, MechanicalRational):
-        # Rational slope: purely periodic whatever the intercept.
-        return KnownFlags(recurrent=True, aperiodic=False)
-    if isinstance(spec, Morphic):
-        if _is_primitive(spec.rules):
-            return KnownFlags(recurrent=True, aperiodic=None)
-        return KnownFlags(recurrent=None, aperiodic=None)
-    return KnownFlags(recurrent=None, aperiodic=None)
-
-
-def _preperiod_absorbs(pre: str, seed: str) -> bool:
-    # pre * seed^w is purely seed-periodic iff shifting by |seed| fixes the
-    # preperiod region.
-    w = pre + seed + seed
-    d = len(seed)
-    return all(w[i] == w[i + d] for i in range(len(pre)))
 
 
 def _is_primitive(rules: dict[str, str]) -> bool:
@@ -280,7 +297,8 @@ def parse_spec(text: str) -> WordSpec:
     Forms: ``fib``, ``morphic:0->01,1->0;seed=0``, ``periodic:01``,
     ``ultper:0|1`` (preperiod|seed), ``std:1,1,2,3``, ``mech:2/5@0``
     (slope as numerator/denominator, intercept after ``@`` as ``a/b``
-    or ``0``), ``literal:0100101``.
+    or ``0``), ``literal:0100101``.  ``str(spec)`` writes a spec back in
+    this form (``fib`` comes back as its ``morphic:`` rules).
     """
     t = text.strip()
     if t == "fib":
@@ -321,24 +339,6 @@ def parse_spec(text: str) -> WordSpec:
             raise MalformedSpec("slope must satisfy 0 <= p/q < 1")
         return MechanicalRational(num, den - num, _parse_rational(rho_text))
     raise MalformedSpec(f"unknown spec kind {kind!r}")
-
-
-def format_spec(spec: WordSpec) -> str:
-    """Mini-language text for ``spec`` (inverse of :func:`parse_spec`)."""
-    if isinstance(spec, Literal):
-        return f"literal:{spec.word}"
-    if isinstance(spec, Periodic):
-        return f"periodic:{spec.seed}"
-    if isinstance(spec, UltimatelyPeriodic):
-        return f"ultper:{spec.preperiod}|{spec.seed}"
-    if isinstance(spec, StandardSequence):
-        return "std:" + ",".join(str(d) for d in spec.directive)
-    if isinstance(spec, MechanicalRational):
-        rho = spec.rho
-        rho_text = "0" if rho == 0 else f"{rho.numerator}/{rho.denominator}"
-        return f"mech:{spec.p}/{spec.p + spec.q}@{rho_text}"
-    rules = ",".join(f"{a}->{img}" for a, img in sorted(spec.rules.items()))
-    return f"morphic:{rules};seed={spec.seed}"
 
 
 def _parse_rules(text: str) -> dict[str, str]:

@@ -115,6 +115,13 @@ class TestMechanicalInvariants:
         w = prefix("mech:2/5@0", 50)
         assert w == w[:5] * 10
 
+    def test_period_is_lower_christoffel_word(self):
+        pairs = [
+            (p, q) for p in range(1, 21) for q in range(1, 21) if math.gcd(p, q) == 1
+        ]
+        for p, q in pairs:
+            assert sx.MechanicalRational(p, q).period == sx.lower_christoffel(p, q)
+
 
 class TestMalformedSpecs:
     @pytest.mark.parametrize(
@@ -164,6 +171,11 @@ class TestKnownFlags:
             ("ultper:0|1", False, False),
             ("ultper:0|10", True, False),  # preperiod absorbs into the period
             ("ultper:|01", True, False),
+            # preperiods at least as long as the period
+            ("ultper:0101|01", True, False),
+            ("ultper:1101|01", False, False),
+            ("ultper:000|0", True, False),
+            ("ultper:10|0", False, False),
             ("std:1,1", True, True),
             ("mech:2/5@0", True, False),
             ("fib", True, None),  # primitive substitution
@@ -172,12 +184,12 @@ class TestKnownFlags:
         ],
     )
     def test_flag_table(self, text, recurrent, aperiodic):
-        flags = sx.known_flags(sx.parse_spec(text))
+        flags = sx.parse_spec(text).flags
         assert (flags.recurrent, flags.aperiodic) == (recurrent, aperiodic)
 
     def test_non_primitive_morphic_stays_unknown(self):
         # 1 never reaches 0 under 0->01, 1->1
-        flags = sx.known_flags(sx.Morphic({"0": "01", "1": "1"}, "0"))
+        flags = sx.Morphic({"0": "01", "1": "1"}, "0").flags
         assert (flags.recurrent, flags.aperiodic) == (None, None)
 
 
@@ -195,12 +207,12 @@ class TestSpecRoundTrip:
         ],
     )
     def test_format_inverts_parse(self, text):
-        assert sx.format_spec(sx.parse_spec(text)) == text
+        assert str(sx.parse_spec(text)) == text
 
     def test_parse_inverts_format(self):
         for text in SPEC_TEXTS:
             spec = sx.parse_spec(text)
-            assert sx.parse_spec(sx.format_spec(spec)) == spec
+            assert sx.parse_spec(str(spec)) == spec
 
 
 class TestDifferentialGenerators:
