@@ -18,6 +18,7 @@ pairs, on integer factor codes, decides it together with hamming2 and ones.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -103,14 +104,16 @@ def _require_binary(table: FactorTable, check: str) -> None:
 def _least_core(table: FactorTable, lo_head: str, hi_head: str) -> str | None:
     """Shortest (then lex-least) u with lo_head+u+0 and hi_head+u+1 both present.
 
-    Both heads have the same length, and every candidate u is itself a factor.
+    Both heads have the same length and lo_head ends in 0.  The candidates
+    lo_head+u+0, in lex order of u, run from lo_head to the next head.
     """
-    extra = len(lo_head) + 1
-    for m in range(extra, table.max_len + 1):
-        candidates = ("",) if m == extra else table.factors(m - extra)
-        for u in candidates:
-            if table.is_factor(f"{lo_head}{u}0") and table.is_factor(f"{hi_head}{u}1"):
-                return u
+    h = len(lo_head)
+    end = lo_head[:-1] + "1"
+    for m in range(h + 1, table.max_len + 1):
+        fs = table.factors(m)
+        for w in fs[bisect_left(fs, lo_head) : bisect_left(fs, end)]:
+            if w[-1] == "0" and table.is_factor(f"{hi_head}{w[h:-1]}1"):
+                return w[h:-1]
     return None
 
 
@@ -192,25 +195,28 @@ def _adjacent_faults(
 ) -> tuple[Verdict, ...]:
     """The verdicts of the sought pair checks, in order, from one walk.
 
-    ``sought`` names checks among "nfop" (of ``variant``), "hamming2" and
-    "ones" (binary only).  Each factor of a saturated length is read once as
-    a base-16 code, one nibble per digit letter.  A pair whose codes differ
-    by a step to the next final letter (XOR 1) or by a 01 -> 10 swap fits
-    every nfop variant, differs in two letters at most and keeps the
-    1-count, so it passes outright; any other pair gets the exact tests.
-    The first fault of a check (shortest length, then lex-least pair) is its
-    witness, and the walk stops once every sought check has one.  A check
-    with no fault is Indeterminate when unsaturated lengths were skipped.
+    ``sought`` names checks among "nfop" (of ``variant``), "nfop1" (nfop of
+    variant 1, reported as "nfop"), "hamming2" and "ones" (binary only).
+    Each factor of a saturated length is read once as a base-16 code, one
+    nibble per digit letter.  A pair whose codes differ by a step to the
+    next final letter (XOR 1) or by a 01 -> 10 swap fits every nfop variant,
+    differs in two letters at most and keeps the 1-count, so it passes
+    outright; any other pair gets the exact tests.  The first fault of a
+    check (shortest length, then lex-least pair) is its witness, and the
+    walk stops once every sought check has one.  A check with no fault is
+    Indeterminate when unsaturated lengths were skipped.
     """
     sat = table.saturated_lengths()
     pending = set(sought)
     found: dict[str, Verdict] = {}
 
-    def fault(check, v, vp, n, why):
-        pending.remove(check)
-        found[check] = Verdict(
-            check, VIOLATED, witness=(v, vp), n=n, reason=why, saturated_lengths=sat
-        )
+    def verdict(key, **fields):
+        check = "nfop" if key == "nfop1" else key
+        return Verdict(check, saturated_lengths=sat, **fields)
+
+    def fault(key, v, vp, n, why):
+        pending.remove(key)
+        found[key] = verdict(key, status=VIOLATED, witness=(v, vp), n=n, reason=why)
 
     for n in sat:
         fs = table.factors(n)
@@ -225,23 +231,22 @@ def _adjacent_faults(
                 continue
             if "nfop" in pending and (why := _nfop_shape(v, vp, variant)):
                 fault("nfop", v, vp, n, why)
+            if "nfop1" in pending and (why := _nfop_shape(v, vp, 1)):
+                fault("nfop1", v, vp, n, why)
             # Binary codes: each differing letter is one bit of x, each 1 one bit.
             if "hamming2" in pending and x.bit_count() > 2:
                 fault("hamming2", v, vp, n, _differ_reason(v, vp))
             if "ones" in pending and (a := c.bit_count()) > (b := cp.bit_count()):
                 fault("ones", v, vp, n, f"1-count drops from {a} to {b}")
             if not pending:
-                return tuple(found[check] for check in sought)
+                return tuple(found[key] for key in sought)
     skipped = [n for n in range(1, table.max_len + 1) if not table.saturated(n)]
     if skipped:
         why = "unsaturated lengths " + ",".join(str(n) for n in skipped)
         rest = {"status": INDETERMINATE, "reason": why}
     else:
         rest = {"status": CONSISTENT, "up_to": table.max_len}
-    return tuple(
-        found.get(check) or Verdict(check, saturated_lengths=sat, **rest)
-        for check in sought
-    )
+    return tuple(found.get(key) or verdict(key, **rest) for key in sought)
 
 
 def _first_mismatches(v: str, vp: str) -> list[int]:
@@ -452,16 +457,20 @@ class SturmianReport:
 
 
 def _battery(spec: WordSpec, table: FactorTable) -> tuple[Verdict, ...]:
-    """The six single-property verdicts of one table, in report order.
+    """The six single-property verdicts in report order, then nfop variant 1.
 
     nfop is variant 3 on a binary table and variant 1 otherwise; the checks
-    that need a binary alphabet come back Indeterminate on any other.
+    that need a binary alphabet come back Indeterminate on any other.  On a
+    binary table the same walk judges variant 1: it faults exactly where
+    variant 3 does, so seeking it costs one shape test.
     """
     if table.is_binary:
-        nfop, hamming, ones = _adjacent_faults(table, ("nfop", "hamming2", "ones"))
+        sought = ("nfop", "hamming2", "ones", "nfop1")
+        nfop, hamming, ones, nfop_1 = _adjacent_faults(table, sought)
         balance = check_balance(table)
     else:
         (nfop,) = _adjacent_faults(table, ("nfop",), 1)
+        nfop_1 = nfop
         why, sat = "alphabet is not binary", table.saturated_lengths()
         balance, hamming, ones = (
             Verdict(c, INDETERMINATE, reason=why, saturated_lengths=sat)
@@ -469,7 +478,7 @@ def _battery(spec: WordSpec, table: FactorTable) -> tuple[Verdict, ...]:
         )
     complexity = periodicity_certificate(table)
     recurrence = recurrence_heuristic(table, known=spec.flags.recurrent)
-    return nfop, balance, complexity, hamming, ones, recurrence
+    return nfop, balance, complexity, hamming, ones, recurrence, nfop_1
 
 
 def sturmian_verdict(
@@ -483,7 +492,7 @@ def sturmian_verdict(
     Indeterminate otherwise.
     """
     table = saturated_table(spec, max_len, prefix_len)
-    verdicts = _battery(spec, table)
+    verdicts = _battery(spec, table)[:6]
     return SturmianReport(
         spec_text=str(spec),
         prefix_length=len(table.word),
@@ -584,7 +593,8 @@ def equivalence_harness(
     to describe Sturmian words never produce an ordering violation; (c) words
     flagged recurrent and aperiodic must get agreeing verdicts from the
     ordering, hamming2 and ones checks; (d) the three ordering variants agree
-    on binary tables.  Failures are report entries, never exceptions.
+    on binary tables, variant 1 judged in the battery's own pair walk.
+    Failures are report entries, never exceptions.
     """
     if not corpus:
         raise ValueError("corpus must be nonempty")
@@ -605,7 +615,7 @@ def equivalence_harness(
         flags = spec.flags
         flagged = flags.recurrent is True and flags.aperiodic is True
         binary = table.is_binary
-        nfop, balance, cert, hamming, ones, _ = _battery(spec, table)
+        nfop, balance, cert, hamming, ones, _, nfop_1 = _battery(spec, table)
 
         if nfop.status == CONSISTENT and binary:
             ok = balance.status == CONSISTENT
@@ -649,10 +659,8 @@ def equivalence_harness(
 
         if binary:
             # nfop is variant 3 here, and variant 2 differs from it only by
-            # the binary precondition, so it stands for both; 1 runs anew.
-            triples = [
-                (v.status, v.witness, v.n) for v in (check_nfop(table, 1), nfop, nfop)
-            ]
+            # the binary precondition, so it stands for both.
+            triples = [(v.status, v.witness, v.n) for v in (nfop_1, nfop, nfop)]
             judge(label, "variant-agreement", triples[0] == triples[1], str(triples))
         else:
             record(label, "variant-agreement", "skip", "non-binary table")

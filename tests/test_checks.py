@@ -346,13 +346,17 @@ class TestEquivalenceHarness:
         assert byname["recurrent-aperiodic-agreement"].detail == expected
 
     def test_variant_disagreement_is_reported(self, monkeypatch):
-        real = checks.check_nfop
+        # Skew the variant-1 verdict ("nfop1") that the battery's walk yields.
+        real = checks._adjacent_faults
 
-        def skewed(table, variant=3):
-            v = real(table, variant)
-            return replace(v, status=checks.INDETERMINATE) if variant == 1 else v
+        def skewed(table, sought, variant=3):
+            verdicts = real(table, sought, variant)
+            return tuple(
+                replace(v, status=checks.INDETERMINATE) if key == "nfop1" else v
+                for key, v in zip(sought, verdicts)
+            )
 
-        monkeypatch.setattr(checks, "check_nfop", skewed)
+        monkeypatch.setattr(checks, "_adjacent_faults", skewed)
         report = sx.equivalence_harness([sx.parse_spec("std:2,1")], 8)
         entry = {o.assertion: o for o in report.outcomes}["variant-agreement"]
         assert entry.result == "fail"
@@ -388,8 +392,9 @@ def check_calls(monkeypatch):
 
 
 class TestEachCheckOncePerTable:
-    """Every verdict once per table; nfop, hamming2 and ones share one pair
-    walk (``_adjacent_faults``) instead of calling their public wrappers."""
+    """Every verdict once per table; nfop, hamming2 and ones (and, in the
+    harness, nfop variant 1) share one pair walk (``_adjacent_faults``)
+    instead of calling their public wrappers."""
 
     def test_sturmian_verdict(self, check_calls):
         sx.sturmian_verdict(sx.parse_spec("fib"), max_len=8)
@@ -402,10 +407,9 @@ class TestEachCheckOncePerTable:
 
     def test_harness_on_a_binary_table(self, check_calls):
         sx.equivalence_harness([sx.parse_spec("std:2,1")], 8)
-        # the battery's walk, and check_nfop variant 1 for variant-agreement
+        # the battery's walk also judges nfop variant 1 for variant-agreement
         assert check_calls == Counter(
-            _adjacent_faults=2,
-            check_nfop=1,
+            _adjacent_faults=1,
             check_balance=1,
             periodicity_certificate=1,
             recurrence_heuristic=1,
@@ -549,11 +553,22 @@ class TestDifferentialRandomBinary:
             assert (got.status, got.n, got.witness) == (status, n, pair)
             if pair is not None:
                 assert got.reason == reason(*pair)
-        # The battery seeks all three faults in one walk.
-        battery = checks._adjacent_faults(t, ("nfop", "hamming2", "ones"))
-        assert battery == (cases[2][0], cases[0][0], cases[1][0])
+        # The battery seeks all four faults in one walk.
+        sought = ("nfop", "hamming2", "ones", "nfop1")
+        walk = checks._adjacent_faults(t, sought)
+        assert walk == (cases[4][0], cases[0][0], cases[1][0], cases[2][0])
 
     @given(t=tables())
+    # Witnesses at the longest searchable length: u=0000 (balance) and u=000
+    # (extension exclusion), each with m = max_len = 6.
+    @example(t=sx.FactorTable("000000100001", 6))
+    @example(t=sx.FactorTable("01000100000", 6))
+    # Both witnesses are u=1: the candidates reach up to the next head.
+    @example(t=sx.FactorTable("0111010", 6))
+    # From length 3 on no factor begins 0 or 10: empty candidate ranges.
+    @example(t=sx.FactorTable("1111101", 4))
+    # Sturmian: every length is scanned and both searches find nothing.
+    @example(t=sx.FactorTable(prefix("fib", 256), 10))
     @settings(max_examples=150, deadline=None)
     def test_core_searches(self, t):
         hit = naive.minimal_imbalance(t.word, t.max_len)
@@ -577,3 +592,6 @@ class TestDifferentialNonBinary:
             assert (got.status, got.n, got.witness) == (status, n, pair)
             if pair is not None:
                 assert got.reason == naive.nfop_reason(*pair, k)
+        # One walk judges two variants independently.
+        walk = checks._adjacent_faults(t, ("nfop", "nfop1"), 2)
+        assert walk == (sx.check_nfop(t, 2), sx.check_nfop(t, 1))
