@@ -27,7 +27,7 @@ from .errors import (
     NonBinaryAlphabet,
     NotImbalanced,
 )
-from .factors import FactorTable
+from .factors import FactorTable, decode, newest_fits, window_counts
 from .words import PREFIX_BUDGET, Literal, WordSpec, generate_prefix
 
 # Verdict statuses.
@@ -105,15 +105,23 @@ def _least_core(table: FactorTable, lo_head: str, hi_head: str) -> str | None:
     """Shortest (then lex-least) u with lo_head+u+0 and hi_head+u+1 both present.
 
     Both heads have the same length and lo_head ends in 0.  The candidates
-    lo_head+u+0, in lex order of u, run from lo_head to the next head.
+    lo_head+u+0 are the codes from lo_head's up to the next head's, in lex
+    order of u; each partner hi_head+u+1 is looked up by bisection.
     """
     h = len(lo_head)
-    end = lo_head[:-1] + "1"
+    lo, hi = int(lo_head, 16), int(hi_head, 16)
     for m in range(h + 1, table.max_len + 1):
-        fs = table.factors(m)
-        for w in fs[bisect_left(fs, lo_head) : bisect_left(fs, end)]:
-            if w[-1] == "0" and table.is_factor(f"{hi_head}{w[h:-1]}1"):
-                return w[h:-1]
+        codes = table.level(m)[0]
+        shift = 4 * (m - h)
+        # lo_head+u+0 plus delta is hi_head+u+1.
+        delta = ((hi - lo) << shift) + 1
+        start = bisect_left(codes, lo << shift)
+        for c in codes[start : bisect_left(codes, (lo + 1) << shift, start)]:
+            if c & 15:
+                continue
+            i = bisect_left(codes, c + delta)
+            if i < len(codes) and codes[i] == c + delta:
+                return decode(c, m)[h:-1]
     return None
 
 
@@ -197,13 +205,14 @@ def _adjacent_faults(
 
     ``sought`` names checks among "nfop" (of ``variant``), "nfop1" (nfop of
     variant 1, reported as "nfop"), "hamming2" and "ones" (binary only).
-    Each factor of a saturated length is read once as a base-16 code, one
-    nibble per digit letter.  A pair whose codes differ by a step to the
-    next final letter (XOR 1) or by a 01 -> 10 swap fits every nfop variant,
-    differs in two letters at most and keeps the 1-count, so it passes
-    outright; any other pair gets the exact tests.  The first fault of a
-    check (shortest length, then lex-least pair) is its witness, and the
-    walk stops once every sought check has one.  A check with no fault is
+    The walk reads the table's sorted factor codes of each saturated length
+    (base 16, one nibble per digit letter).  A pair whose codes differ by a
+    step to the next final letter (XOR 1) or by a 01 -> 10 swap fits every
+    nfop variant, differs in two letters at most and keeps the 1-count, so it
+    passes outright; any other pair is formatted as text and gets the exact
+    tests.  The first fault of a check (shortest length, then lex-least
+    pair) is its witness, and the walk stops once every sought check has
+    one.  A check with no fault is
     Indeterminate when unsaturated lengths were skipped.
     """
     sat = table.saturated_lengths()
@@ -219,9 +228,8 @@ def _adjacent_faults(
         found[key] = verdict(key, status=VIOLATED, witness=(v, vp), n=n, reason=why)
 
     for n in sat:
-        fs = table.factors(n)
-        codes = [int(v, 16) for v in fs]
-        for v, vp, c, cp in zip(fs, fs[1:], codes, codes[1:]):
+        codes = table.level(n)[0]
+        for c, cp in zip(codes, codes[1:]):
             x = c ^ cp
             if x == 1:
                 continue
@@ -229,6 +237,7 @@ def _adjacent_faults(
             s = x.bit_length() - 5
             if s >= 0 and not s & 3 and x == 0x11 << s and (c >> s) & 0xFF == 1:
                 continue
+            v, vp = decode(c, n), decode(cp, n)
             if "nfop" in pending and (why := _nfop_shape(v, vp, variant)):
                 fault("nfop", v, vp, n, why)
             if "nfop1" in pending and (why := _nfop_shape(v, vp, 1)):
@@ -389,9 +398,10 @@ def recurrence_heuristic(table: FactorTable, known: bool | None = None) -> Verdi
 def _unioccurrent_early_factor(table: FactorTable) -> str | None:
     half = len(table.word) // 2
     for n in range(1, table.max_len + 1):
-        for v in table.factors(n):
-            if table.count(v) == 1 and table.first_occurrence(v) + n <= half:
-                return v
+        codes, counts, firsts = table.level(n)
+        for c, k, p in zip(codes, counts, firsts):
+            if k == 1 and p + n <= half:
+                return decode(c, n)
     return None
 
 
@@ -410,9 +420,11 @@ def saturated_table(
 ) -> FactorTable:
     """Generate a prefix and index it, doubling until all lengths saturate.
 
-    Doubling stops at PREFIX_BUDGET (or at the end of a literal), in which
-    case the table simply comes back with unsaturated lengths and downstream
-    checks degrade to Indeterminate.
+    Each candidate window is probed on its longest length alone, and only
+    the window kept is indexed, reusing the probe's windows.  Doubling stops
+    at PREFIX_BUDGET (or at the end of a literal), in which case the table
+    simply comes back with unsaturated lengths and downstream checks degrade
+    to Indeterminate.
     """
     target = prefix_len if prefix_len is not None else default_prefix_length(max_len)
     target = max(target, max_len)
@@ -423,10 +435,12 @@ def saturated_table(
         cap = min(cap, len(spec.word))
     while True:
         length = min(target, cap)
-        table = FactorTable(generate_prefix(spec, length), max_len)
-        # Each shorter factor lies in a length-max_len window: this saturates all.
-        if length >= cap or table.saturated(max_len):
-            return table
+        word = generate_prefix(spec, length)
+        windows = window_counts(word, max_len)
+        # Each shorter factor lies in a length-max_len window, so saturating
+        # max_len saturates every length: the probe needs only that length.
+        if length >= cap or newest_fits(word, windows):
+            return FactorTable(word, max_len, windows)
         target *= 2
 
 

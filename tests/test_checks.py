@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sturmlex as sx
-from sturmlex import checks
+from sturmlex import checks, factors
 from sturmlex.errors import (
     AlphabetTooLarge,
     BudgetExceeded,
@@ -242,6 +242,75 @@ class TestSaturatedTable:
             checks.saturated_table(
                 sx.parse_spec("fib"), checks.PREFIX_BUDGET + 1, prefix_len=1
             )
+
+    # (spec, max_len, prefix_len); fib at 10/32 and std:1,9,1,9 at 240/1024
+    # double before they saturate.
+    WINDOWS = [
+        ("fib", 10, 32),
+        ("fib", 40, None),
+        ("std:1,9,1,9", 240, 1024),
+        (TM_SPEC, 12, 16),
+        ("periodic:0010110", 20, 8),
+        ("morphic:0->012,1->02,2->1;seed=0", 30, 64),
+        ("literal:" + "0110" * 10, 8, 4),
+        ("literal:" + "0110" * 10, 30, None),
+    ]
+
+    @pytest.mark.parametrize("text,max_len,prefix_len", WINDOWS)
+    def test_same_window_as_full_tables(self, text, max_len, prefix_len):
+        spec = sx.parse_spec(text)
+        target = max(prefix_len or checks.default_prefix_length(max_len), max_len)
+        cap = len(spec.word) if isinstance(spec, sx.Literal) else checks.PREFIX_BUDGET
+        # The reference indexes every candidate window in full.
+        while True:
+            length = min(target, cap)
+            ref = sx.FactorTable(sx.generate_prefix(spec, length), max_len)
+            if length >= cap or ref.saturated(max_len):
+                break
+            target *= 2
+        t = checks.saturated_table(spec, max_len, prefix_len)
+        assert t.word == ref.word
+        assert t.saturation() == ref.saturation()
+        assert t.dump() == ref.dump()
+
+    @pytest.mark.parametrize("text,max_len,prefix_len", WINDOWS)
+    def test_one_index_per_window(self, monkeypatch, text, max_len, prefix_len):
+        builds, sliced = [], Counter()
+
+        def build(word, *args):
+            builds.append(len(word))
+            return factors.FactorTable(word, *args)
+
+        def slicing(word, n, _original=factors.window_counts):
+            sliced[len(word)] += 1
+            return _original(word, n)
+
+        monkeypatch.setattr(checks, "FactorTable", build)
+        monkeypatch.setattr(checks, "window_counts", slicing)
+        monkeypatch.setattr(factors, "window_counts", slicing)
+        t = checks.saturated_table(sx.parse_spec(text), max_len, prefix_len)
+        assert builds == [len(t.word)]
+        # Every candidate window's longest length is sliced once, the kept
+        # window's included.
+        assert set(sliced.values()) == {1}
+        assert len(t.word) in sliced
+        if (text, max_len) == ("fib", 10):
+            assert len(sliced) > 1
+
+    @given(
+        w=st.text(alphabet="012", min_size=2, max_size=80),
+        spec=st.sampled_from(["fib", TM_SPEC, "std:1,9,1,9", "ultper:0110|01"]),
+        size=st.integers(2, 200),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_saturation_is_monotone(self, w, spec, size, data):
+        # The window probe decides on the longest length alone because
+        # saturated(n) implies saturated(n-1).
+        for word in (w, prefix(spec, size)):
+            t = sx.FactorTable(word, data.draw(st.integers(1, len(word))))
+            for n in range(2, t.max_len + 1):
+                assert not t.saturated(n) or t.saturated(n - 1)
 
 
 class TestSturmianVerdict:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sturmlex import checks, words
+from sturmlex import checks, factors, words
 from sturmlex.cli import build_parser, main
 
 from conftest import FIB32, run_module
@@ -295,6 +295,15 @@ class TestNumericArguments:
         assert code == 64
         assert out == ""
         assert err.startswith("usage:") and f"argument {flag}:" in err
+
+
+class TestFactorBudget:
+    @pytest.mark.parametrize("command", ["factors", "check", "harness"])
+    def test_too_many_factors_is_an_input_error(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(factors, "FACTOR_BUDGET", 3)
+        code, out, err = run(capsys, *FULL_ARGV[command])
+        assert (code, out) == (65, "")
+        assert err.startswith("error: more than 3 distinct factors")
 
 
 class TestConsoleEntry:

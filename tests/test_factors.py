@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sturmlex as sx
-from sturmlex.errors import MalformedSpec, NotAFactor, WindowTooLarge
+from sturmlex import factors
+from sturmlex.errors import BudgetExceeded, MalformedSpec, NotAFactor, WindowTooLarge
 
 import naive
 from conftest import prefix
@@ -52,6 +53,41 @@ class TestBuild:
 
     def test_complexity_one_counts_letters(self):
         assert sx.FactorTable("0120", 1).complexity(1) == 3
+
+    # int(v, 16) would read each of these as a digit code: " 01" and "0_1"
+    # as 001, "\u0663" (an Arabic-Indic three) as 3 and "0a" as 0x0a.
+    @pytest.mark.parametrize("v", ["0a", " 01", "0_1", "\u0663"])
+    def test_non_digit_queries_are_no_factors(self, v):
+        t = sx.FactorTable("00123" * 4, 3)
+        assert t.is_factor("001") and t.is_factor("3")
+        assert not t.is_factor(v)
+        for query in (t.count, t.first_occurrence, t.successor):
+            with pytest.raises(NotAFactor):
+                query(v)
+
+
+class TestFactorBudget:
+    """FACTOR_BUDGET caps the distinct factors summed over a table's lengths."""
+
+    WORD = prefix("fib", 64)
+
+    def held(self):
+        t = sx.FactorTable(self.WORD, 8)
+        return sum(t.complexity(n) for n in range(1, 9))
+
+    def test_table_at_the_cap_builds(self, monkeypatch):
+        monkeypatch.setattr(factors, "FACTOR_BUDGET", self.held())
+        assert sx.FactorTable(self.WORD, 8).complexity(1) == 2
+
+    def test_one_factor_over_the_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(factors, "FACTOR_BUDGET", self.held() - 1)
+        with pytest.raises(BudgetExceeded):
+            sx.FactorTable(self.WORD, 8)
+
+    def test_longest_length_alone_is_checked(self, monkeypatch):
+        monkeypatch.setattr(factors, "FACTOR_BUDGET", 8)
+        with pytest.raises(BudgetExceeded, match="lengths 8..8"):
+            sx.FactorTable(self.WORD, 8)
 
 
 class TestSuccessor:
@@ -183,26 +219,52 @@ class TestAgainstBruteForce:
                     assert t.first_occurrence(v) == w.find(v)
                     assert t.successor(v) == naive.successor(w, v)
 
-    @given(data=st.data(), alphabet=st.sampled_from(["0", "01", "012"]))
-    @settings(max_examples=150, deadline=None)
-    def test_random_ternary_words(self, data, alphabet):
-        # max_len may equal len(w): the longest length then has a single
-        # window, and every shorter length gains one window at the tail.
-        w = data.draw(st.text(alphabet=alphabet, min_size=1, max_size=60))
-        max_len = data.draw(st.integers(1, len(w)))
+    @staticmethod
+    def agrees(w, max_len, lengths=None):
         t = sx.FactorTable(w, max_len)
         # Every factor lies in a longest window, so saturating max_len
         # saturates every shorter length.
         if t.saturated(max_len):
             assert len(t.saturated_lengths()) == max_len
-        for n in range(1, max_len + 1):
+        for n in lengths or range(1, max_len + 1):
             assert list(t.factors(n)) == naive.distinct_factors(w, n)
             assert t.saturated(n) == naive.saturated(w, n)
             assert t.last_new_position(n) == naive.last_new_position(w, n)
             for v in t.factors(n):
+                assert t.is_factor(v)
                 assert t.count(v) == naive.occurrences(w, v)
                 assert t.first_occurrence(v) == w.find(v)
                 assert t.successor(v) == naive.successor(w, v)
+
+    @given(
+        data=st.data(),
+        alphabet=st.sampled_from(["0", "01", "012", "0123456789"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_ternary_words(self, data, alphabet):
+        # max_len may equal len(w): the longest length then has a single
+        # window, and every shorter length gains one window at the tail.
+        w = data.draw(st.text(alphabet=alphabet, min_size=1, max_size=60))
+        self.agrees(w, data.draw(st.integers(1, len(w))))
+
+    @pytest.mark.parametrize(
+        "w,max_len",
+        [
+            ("0123456789" * 3 + "9876543210", 12),
+            ("0" * 40 + "1" + "0" * 30 + "10", 20),
+            ("0" * 25 + "9", 26),
+            ("0" * 30, 30),
+            ("3141592653589793238462643383279", 31),
+        ],
+        ids=["ten-digits", "leading-zero-runs", "zeros-then-nine", "all-zero", "pi"],
+    )
+    def test_edge_words(self, w, max_len):
+        self.agrees(w, max_len)
+
+    def test_lengths_past_the_int_digit_limit(self):
+        # Python limits int(s) to 4300 decimal digits; base 16 has no limit.
+        w = "0" * 10 + "01" * 2200
+        self.agrees(w, 4400, lengths=(1, 2, 4300, 4301, 4399, 4400))
 
     def test_long_random_word_builds_quickly(self):
         # The index is near-linear in len(w) * max_len; a quadratic pass over
