@@ -94,6 +94,11 @@ class ImbalanceWitness:
     extremal_kind: str | None = None
 
 
+def _stamped(table: FactorTable, check: str, status: str, **fields) -> Verdict:
+    """A verdict stamped with the table's saturated lengths."""
+    return Verdict(check, status, saturated_lengths=table.saturated_lengths(), **fields)
+
+
 def _require_binary(table: FactorTable, check: str) -> None:
     if not table.is_binary:
         raise NonBinaryAlphabet(
@@ -141,22 +146,11 @@ def check_balance(table: FactorTable) -> Verdict:
     Violated verdict here never carries a saturation caveat.
     """
     _require_binary(table, "balance")
-    sat = table.saturated_lengths()
     witness = minimal_imbalance(table)
     if witness is not None:
-        return Verdict(
-            "balance",
-            VIOLATED,
-            witness=witness.pair,
-            n=len(witness.pair[0]),
-            saturated_lengths=sat,
-        )
-    return Verdict(
-        "balance",
-        CONSISTENT,
-        up_to=max(table.max_len - 2, 0),
-        saturated_lengths=sat,
-    )
+        pair = witness.pair
+        return _stamped(table, "balance", VIOLATED, witness=pair, n=len(pair[0]))
+    return _stamped(table, "balance", CONSISTENT, up_to=max(table.max_len - 2, 0))
 
 
 def classify_imbalance(table: FactorTable) -> ImbalanceWitness:
@@ -212,22 +206,19 @@ def _adjacent_faults(
     passes outright; any other pair is formatted as text and gets the exact
     tests.  The first fault of a check (shortest length, then lex-least
     pair) is its witness, and the walk stops once every sought check has
-    one.  A check with no fault is
-    Indeterminate when unsaturated lengths were skipped.
+    one.  A check with no fault is Indeterminate when lengths past the
+    saturation frontier were skipped.
     """
-    sat = table.saturated_lengths()
     pending = set(sought)
-    found: dict[str, Verdict] = {}
-
-    def verdict(key, **fields):
-        check = "nfop" if key == "nfop1" else key
-        return Verdict(check, saturated_lengths=sat, **fields)
+    faults: dict[str, dict] = {}
 
     def fault(key, v, vp, n, why):
         pending.remove(key)
-        found[key] = verdict(key, status=VIOLATED, witness=(v, vp), n=n, reason=why)
+        faults[key] = {"status": VIOLATED, "witness": (v, vp), "n": n, "reason": why}
 
-    for n in sat:
+    for n in range(1, table.frontier + 1):
+        if not pending:
+            break
         codes = table.level(n)[0]
         for c, cp in zip(codes, codes[1:]):
             x = c ^ cp
@@ -247,15 +238,16 @@ def _adjacent_faults(
                 fault("hamming2", v, vp, n, _differ_reason(v, vp))
             if "ones" in pending and (a := c.bit_count()) > (b := cp.bit_count()):
                 fault("ones", v, vp, n, f"1-count drops from {a} to {b}")
-            if not pending:
-                return tuple(found[key] for key in sought)
-    skipped = [n for n in range(1, table.max_len + 1) if not table.saturated(n)]
-    if skipped:
-        why = "unsaturated lengths " + ",".join(str(n) for n in skipped)
+    if table.frontier < table.max_len:
+        skipped = range(table.frontier + 1, table.max_len + 1)
+        why = "unsaturated lengths " + ",".join(map(str, skipped))
         rest = {"status": INDETERMINATE, "reason": why}
     else:
         rest = {"status": CONSISTENT, "up_to": table.max_len}
-    return tuple(found.get(key) or verdict(key, **rest) for key in sought)
+    return tuple(
+        _stamped(table, "nfop" if key == "nfop1" else key, **faults.get(key, rest))
+        for key in sought
+    )
 
 
 def _first_mismatches(v: str, vp: str) -> list[int]:
@@ -348,20 +340,12 @@ def periodicity_certificate(table: FactorTable) -> Verdict:
     undersampled window can undercount factors, which is why unsaturated
     lengths are never used.
     """
-    sat = table.saturated_lengths()
-    for n in sat:
+    for n in range(1, table.frontier + 1):
         p = table.complexity(n)
         if p <= n:
-            return Verdict(
-                "complexity",
-                ULTIMATELY_PERIODIC,
-                n=n,
-                reason=f"complexity {p} <= {n}",
-                saturated_lengths=sat,
-            )
-    return Verdict(
-        "complexity", APPARENTLY_APERIODIC, up_to=table.max_len, saturated_lengths=sat
-    )
+            why = f"complexity {p} <= {n}"
+            return _stamped(table, "complexity", ULTIMATELY_PERIODIC, n=n, reason=why)
+    return _stamped(table, "complexity", APPARENTLY_APERIODIC, up_to=table.max_len)
 
 
 def recurrence_heuristic(table: FactorTable, known: bool | None = None) -> Verdict:
@@ -371,27 +355,20 @@ def recurrence_heuristic(table: FactorTable, known: bool | None = None) -> Verdi
     the word is not recurrent.  An a-priori flag from the generating spec,
     when available, overrides the heuristic.
     """
-    sat = table.saturated_lengths()
-    if known is True:
-        return Verdict(
-            "recurrence",
-            RECURRENT_CONSISTENT,
-            up_to=table.max_len,
-            reason="a-priori recurrent",
-            saturated_lengths=sat,
-        )
-    witness = _unioccurrent_early_factor(table)
-    if known is False or witness is not None:
-        return Verdict(
-            "recurrence",
-            NON_RECURRENT,
-            witness=(witness,) if witness is not None else None,
-            n=len(witness) if witness is not None else None,
-            reason="a-priori non-recurrent" if known is False else None,
-            saturated_lengths=sat,
-        )
-    return Verdict(
-        "recurrence", RECURRENT_CONSISTENT, up_to=table.max_len, saturated_lengths=sat
+    if known is not True:
+        witness = _unioccurrent_early_factor(table)
+        if known is False or witness is not None:
+            return _stamped(
+                table,
+                "recurrence",
+                NON_RECURRENT,
+                witness=(witness,) if witness is not None else None,
+                n=len(witness) if witness is not None else None,
+                reason="a-priori non-recurrent" if known is False else None,
+            )
+    why = "a-priori recurrent" if known else None
+    return _stamped(
+        table, "recurrence", RECURRENT_CONSISTENT, up_to=table.max_len, reason=why
     )
 
 
@@ -485,9 +462,8 @@ def _battery(spec: WordSpec, table: FactorTable) -> tuple[Verdict, ...]:
     else:
         (nfop,) = _adjacent_faults(table, ("nfop",), 1)
         nfop_1 = nfop
-        why, sat = "alphabet is not binary", table.saturated_lengths()
         balance, hamming, ones = (
-            Verdict(c, INDETERMINATE, reason=why, saturated_lengths=sat)
+            _stamped(table, c, INDETERMINATE, reason="alphabet is not binary")
             for c in ("balance", "hamming2", "ones")
         )
     complexity = periodicity_certificate(table)
@@ -517,46 +493,27 @@ def sturmian_verdict(
 
 
 def _combined_judgment(table, nfop, balance, complexity, hamming, ones) -> Verdict:
-    sat = table.saturated_lengths()
     for v in (nfop, balance, hamming, ones):
         if v.status == VIOLATED:
-            return Verdict(
-                "sturmian",
-                NOT_STURMIAN,
-                witness=v.witness,
-                n=v.n,
-                reason=f"{v.check} violated",
-                saturated_lengths=sat,
+            why = f"{v.check} violated"
+            return _stamped(
+                table, "sturmian", NOT_STURMIAN, witness=v.witness, n=v.n, reason=why
             )
     if complexity.status == ULTIMATELY_PERIODIC:
-        return Verdict(
-            "sturmian",
-            NOT_STURMIAN,
-            n=complexity.n,
-            reason=complexity.reason,
-            saturated_lengths=sat,
+        return _stamped(
+            table, "sturmian", NOT_STURMIAN, n=complexity.n, reason=complexity.reason
         )
     for n in range(1, table.max_len + 1):
         # Window counts never overshoot the word's true complexity, so an
         # excess over n+1 refutes regardless of saturation.
-        if table.complexity(n) > n + 1:
-            return Verdict(
-                "sturmian",
-                NOT_STURMIAN,
-                n=n,
-                reason=f"complexity {table.complexity(n)} > {n + 1}",
-                saturated_lengths=sat,
-            )
-    if nfop.status == CONSISTENT and all(table.complexity(n) == n + 1 for n in sat):
-        return Verdict(
-            "sturmian", STURMIAN_CONSISTENT, up_to=table.max_len, saturated_lengths=sat
-        )
-    return Verdict(
-        "sturmian",
-        INDETERMINATE,
-        reason="window could not certify all lengths",
-        saturated_lengths=sat,
-    )
+        if (p := table.complexity(n)) > n + 1:
+            why = f"complexity {p} > {n + 1}"
+            return _stamped(table, "sturmian", NOT_STURMIAN, n=n, reason=why)
+    saturated = range(1, table.frontier + 1)
+    if nfop.status == CONSISTENT and all(table.complexity(n) == n + 1 for n in saturated):
+        return _stamped(table, "sturmian", STURMIAN_CONSISTENT, up_to=table.max_len)
+    why = "window could not certify all lengths"
+    return _stamped(table, "sturmian", INDETERMINATE, reason=why)
 
 
 @dataclass(frozen=True)
@@ -616,67 +573,58 @@ def equivalence_harness(
         labels = [str(spec) for spec in corpus]
     elif len(labels) != len(corpus):
         raise ValueError("labels and corpus must have the same length")
-    outcomes: list[HarnessOutcome] = []
-
-    def record(label, assertion, result, detail=None):
-        outcomes.append(HarnessOutcome(label, assertion, result, detail))
-
-    def judge(label, assertion, ok, fail_detail):
-        record(label, assertion, "pass" if ok else "fail", None if ok else fail_detail)
-
-    for label, spec in zip(labels, corpus):
-        table = saturated_table(spec, max_len, prefix_len)
-        flags = spec.flags
-        flagged = flags.recurrent is True and flags.aperiodic is True
-        binary = table.is_binary
-        nfop, balance, cert, hamming, ones, _, nfop_1 = _battery(spec, table)
-
-        if nfop.status == CONSISTENT and binary:
-            ok = balance.status == CONSISTENT
-            judge(label, "nfop=>balance", ok, str(balance.witness))
-            excl = find_extension_exclusion(table)
-            judge(label, "nfop=>extension-exclusion", excl is None, f"u={excl!r}")
-            ok = cert.status == APPARENTLY_APERIODIC
-            judge(label, "nfop=>aperiodic", ok, cert.reason)
-        else:
-            detail = "non-binary table"
-            if nfop.status != CONSISTENT:
-                detail = f"nfop {nfop.status}"
-            record(label, "nfop=>balance", "skip", detail)
-            record(label, "nfop=>extension-exclusion", "skip", detail)
-            record(label, "nfop=>aperiodic", "skip", detail)
-
-        if flagged:
-            ok = nfop.status != VIOLATED
-            judge(label, "sturmian-generator-nfop", ok, str(nfop.witness))
-        else:
-            record(label, "sturmian-generator-nfop", "skip", "not a Sturmian generator")
-
-        if binary and flagged:
-            statuses = {nfop.status, hamming.status, ones.status}
-            if INDETERMINATE in statuses:
-                record(label, "recurrent-aperiodic-agreement", "skip", "indeterminate")
-            else:
-                record(
-                    label,
-                    "recurrent-aperiodic-agreement",
-                    "pass" if len(statuses) == 1 else "fail",
-                    f"nfop={nfop.status} hamming2={hamming.status} ones={ones.status}",
-                )
-        else:
-            record(
-                label,
-                "recurrent-aperiodic-agreement",
-                "skip",
-                "not flagged recurrent and aperiodic",
-            )
-
-        if binary:
-            # nfop is variant 3 here, and variant 2 differs from it only by
-            # the binary precondition, so it stands for both.
-            triples = [(v.status, v.witness, v.n) for v in (nfop_1, nfop, nfop)]
-            judge(label, "variant-agreement", triples[0] == triples[1], str(triples))
-        else:
-            record(label, "variant-agreement", "skip", "non-binary table")
-
+    outcomes = [
+        HarnessOutcome(label, *entry)
+        for label, spec in zip(labels, corpus)
+        for entry in _assertions(spec, saturated_table(spec, max_len, prefix_len))
+    ]
     return HarnessReport(tuple(outcomes))
+
+
+def _judged(assertion: str, ok: bool, detail: str) -> tuple[str, str, str | None]:
+    """A pass without detail, or a fail with ``detail``."""
+    return (assertion, "pass", None) if ok else (assertion, "fail", detail)
+
+
+def _assertions(spec: WordSpec, table: FactorTable):
+    """(assertion, result, detail) of each harness assertion on one word."""
+    flagged = spec.flags.recurrent is True and spec.flags.aperiodic is True
+    binary = table.is_binary
+    nfop, balance, cert, hamming, ones, _, nfop_1 = _battery(spec, table)
+
+    if nfop.status == CONSISTENT and binary:
+        balanced = balance.status == CONSISTENT
+        yield _judged("nfop=>balance", balanced, str(balance.witness))
+        # 10u0 and 01u1 contain 0u0 and 1u1, so a balanced table has no such u.
+        excl = None if balanced else find_extension_exclusion(table)
+        yield _judged("nfop=>extension-exclusion", excl is None, f"u={excl!r}")
+        ok = cert.status == APPARENTLY_APERIODIC
+        yield _judged("nfop=>aperiodic", ok, cert.reason)
+    else:
+        detail = f"nfop {nfop.status}" if nfop.status != CONSISTENT else "non-binary table"
+        for assertion in ("nfop=>balance", "nfop=>extension-exclusion", "nfop=>aperiodic"):
+            yield assertion, "skip", detail
+
+    if flagged:
+        ok = nfop.status != VIOLATED
+        yield _judged("sturmian-generator-nfop", ok, str(nfop.witness))
+    else:
+        yield "sturmian-generator-nfop", "skip", "not a Sturmian generator"
+
+    agreement = "recurrent-aperiodic-agreement"
+    statuses = {nfop.status, hamming.status, ones.status}
+    if not (binary and flagged):
+        yield agreement, "skip", "not flagged recurrent and aperiodic"
+    elif INDETERMINATE in statuses:
+        yield agreement, "skip", "indeterminate"
+    else:
+        detail = f"nfop={nfop.status} hamming2={hamming.status} ones={ones.status}"
+        yield agreement, "pass" if len(statuses) == 1 else "fail", detail
+
+    if binary:
+        # nfop is variant 3 here, and variant 2 differs from it only by
+        # the binary precondition, so it stands for both.
+        triples = [(v.status, v.witness, v.n) for v in (nfop_1, nfop, nfop)]
+        yield _judged("variant-agreement", triples[0] == triples[1], str(triples))
+    else:
+        yield "variant-agreement", "skip", "non-binary table"

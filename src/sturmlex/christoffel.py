@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotCoprime, SingularAmbiguous, SingularNotFound
+from .errors import BudgetExceeded, NotCoprime, SingularAmbiguous, SingularNotFound
 from .factors import FactorTable, is_unbordered
+from .words import PREFIX_BUDGET
 
 
 def lower_christoffel(p: int, q: int) -> str:
@@ -38,6 +39,9 @@ def conjugates(w: str) -> list[str]:
 
 def upper_christoffel(p: int, q: int) -> str:
     """The unbordered conjugate of the lower word, other than itself."""
+    # The p+q rotations searched hold (p+q)^2 letters.
+    if (p + q) ** 2 > PREFIX_BUDGET:
+        raise BudgetExceeded(f"p+q = {p + q}: (p+q)^2 exceeds budget {PREFIX_BUDGET}")
     lower = lower_christoffel(p, q)
     others = [c for c in conjugates(lower) if c != lower and is_unbordered(c)]
     if len(others) != 1:
@@ -61,8 +65,9 @@ class ChristoffelPair:
 
 
 def christoffel_pair(p: int, q: int) -> ChristoffelPair:
-    lower = lower_christoffel(p, q)
+    # The upper word first: it checks the length bound before any word is built.
     upper = upper_christoffel(p, q)
+    lower = lower_christoffel(p, q)
     core = lower[1:-1]
     if upper != "1" + core + "0":
         raise RuntimeError(f"derived upper word {upper} does not flank core {core!r}")

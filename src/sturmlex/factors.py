@@ -8,7 +8,9 @@ lexicographic order of factors.  Factor strings are formatted from the codes
 on the first ``factors(n)`` call and cached.  Length n is called *saturated*
 when every length-n factor first occurs entirely inside the first half of the
 prefix; only a saturated list is treated downstream as the word's complete
-length-n factor set, everything else stays advisory.
+length-n factor set, everything else stays advisory.  A length-n factor
+first occurs at the start of a length-(n+1) occurrence or at the very end, so
+the saturated lengths are 1..frontier, and a table stores only the frontier.
 
 The index is built in one pass over the prefix: only the longest windows
 are sliced from the word, and each shorter length is derived from the next
@@ -115,7 +117,8 @@ class FactorTable:
 
     ``windows``, when given, are the :func:`window_counts` of ``word`` at
     ``max_len``, so a caller that already sliced them for a saturation
-    probe need not slice them again.  Immutable after construction; all
+    probe need not slice them again.  ``frontier`` is the longest saturated
+    length, or 0 if there is none.  Immutable after construction; all
     queries are read-only.
     """
 
@@ -147,8 +150,8 @@ class FactorTable:
         )
         self._levels: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._strings: dict[int, tuple[str, ...]] = {}
-        self._saturated: dict[int, bool] = {}
         self._last_new: dict[int, int] = {}
+        self.frontier = 0
         half = len(word) // 2
         held = 0
         for n in range(max_len, 0, -1):
@@ -164,7 +167,8 @@ class FactorTable:
             last_new = max(level[2])
             self._last_new[n] = last_new
             # The newest factor must fit entirely inside the first half.
-            self._saturated[n] = last_new + n <= half
+            if not self.frontier and last_new + n <= half:
+                self.frontier = n
 
     def _require(self, n: int) -> None:
         if not 1 <= n <= self.max_len:
@@ -257,7 +261,7 @@ class FactorTable:
 
     def saturated(self, n: int) -> bool:
         self._require(n)
-        return self._saturated[n]
+        return n <= self.frontier
 
     def last_new_position(self, n: int) -> int:
         """Start of the final first occurrence among length-n factors."""
@@ -266,12 +270,12 @@ class FactorTable:
 
     def saturation(self) -> tuple[SaturationEntry, ...]:
         return tuple(
-            SaturationEntry(n, self._saturated[n], self._last_new[n])
+            SaturationEntry(n, n <= self.frontier, self._last_new[n])
             for n in range(1, self.max_len + 1)
         )
 
     def saturated_lengths(self) -> tuple[int, ...]:
-        return tuple(n for n in range(1, self.max_len + 1) if self._saturated[n])
+        return tuple(range(1, self.frontier + 1))
 
     def dump(self) -> str:
         """One line per factor: ``<n>\\t<factor>\\t<count>``, lengths then lex."""

@@ -39,6 +39,8 @@ def test_tracer_wraps_and_sees_every_layer():
         cli_names = {span.name for span in tracer.spans}
         sx.checks.sturmian_verdict(sx.parse_spec("fib"), max_len=6)
         sx.checks.equivalence_harness([sx.parse_spec("fib")], 6)
+        # fib is balanced, so only an unbalanced table runs the exclusion search.
+        sx.checks.equivalence_harness([sx.parse_spec("periodic:0011")], 2)
     finally:
         tracer.uninstall()
     for module, attr in wrapped:

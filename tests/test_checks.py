@@ -305,12 +305,11 @@ class TestSaturatedTable:
     )
     @settings(max_examples=150, deadline=None)
     def test_saturation_is_monotone(self, w, spec, size, data):
-        # The window probe decides on the longest length alone because
-        # saturated(n) implies saturated(n-1).
+        # The window probe decides on the longest length alone, and a table
+        # keeps only its frontier, because saturated(n) implies saturated(n-1).
         for word in (w, prefix(spec, size)):
-            t = sx.FactorTable(word, data.draw(st.integers(1, len(word))))
-            for n in range(2, t.max_len + 1):
-                assert not t.saturated(n) or t.saturated(n - 1)
+            for n in range(2, data.draw(st.integers(1, len(word))) + 1):
+                assert not naive.saturated(word, n) or naive.saturated(word, n - 1)
 
 
 class TestSturmianVerdict:
@@ -476,7 +475,19 @@ class TestEachCheckOncePerTable:
 
     def test_harness_on_a_binary_table(self, check_calls):
         sx.equivalence_harness([sx.parse_spec("std:2,1")], 8)
-        # the battery's walk also judges nfop variant 1 for variant-agreement
+        # the battery's walk also judges nfop variant 1 for variant-agreement;
+        # the table is balanced, so the exclusion search cannot find a u
+        assert check_calls == Counter(
+            _adjacent_faults=1,
+            check_balance=1,
+            periodicity_certificate=1,
+            recurrence_heuristic=1,
+        )
+
+    def test_harness_searches_an_unbalanced_table(self, check_calls):
+        # 00 and 11 both occur, and the only pair 01 -> 10 fits nfop
+        report = sx.equivalence_harness([sx.parse_spec("periodic:0011")], 2)
+        assert [o.result for o in report.outcomes[:2]] == ["fail", "pass"]
         assert check_calls == Counter(
             _adjacent_faults=1,
             check_balance=1,

@@ -188,6 +188,15 @@ class TestChristoffel:
         assert code == 65
         assert "gcd(2, 4)" in err
 
+    def test_length_bound(self, capsys):
+        # The p+q rotations hold (p+q)^2 letters: 2048^2 is PREFIX_BUDGET.
+        code, out, _ = run(capsys, "christoffel", "--p", "1", "--q", "2047", "--json")
+        assert code == 0
+        assert len(json.loads(out)["conjugates"]) == 2048
+        code, out, err = run(capsys, "christoffel", "--p", "1", "--q", "2048")
+        assert (code, out) == (65, "")
+        assert "p+q = 2049" in err and "exceeds budget" in err
+
 
 class TestHarness:
     def test_corpus_file(self, capsys, tmp_path):

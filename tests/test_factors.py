@@ -226,6 +226,9 @@ class TestAgainstBruteForce:
         # saturates every shorter length.
         if t.saturated(max_len):
             assert len(t.saturated_lengths()) == max_len
+        if lengths is None:
+            saturated = [n for n in range(1, max_len + 1) if naive.saturated(w, n)]
+            assert t.frontier == max(saturated, default=0)
         for n in lengths or range(1, max_len + 1):
             assert list(t.factors(n)) == naive.distinct_factors(w, n)
             assert t.saturated(n) == naive.saturated(w, n)

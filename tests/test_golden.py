@@ -41,6 +41,9 @@ CASES = [
                                     "--variant", "1", "--json", "--max-n", "8"]),
     ("harness-corpus", ["harness", "--corpus", str(GOLDEN / "corpus.txt"), "--json",
                         "--max-n", "20"]),
+    # Fails of nfop=>balance and nfop=>aperiodic, nfop Violated and non-binary skips.
+    ("harness-fails", ["harness", "--corpus", str(GOLDEN / "corpus-fails.txt"), "--json",
+                       "--max-n", "2"]),
     ("christoffel-5-8-plain", ["christoffel", "--p", "5", "--q", "8", "--json"]),
     ("christoffel-5-8", ["christoffel", "--p", "5", "--q", "8", "--verify", "--json"]),
     ("christoffel-5-8-fib", ["christoffel", "--p", "5", "--q", "8", "--verify",
@@ -63,6 +66,7 @@ EXIT_CODES = {
     "complexity-thue-morse": 0,
     "nfop-variant1-periodic-012": 1,
     "harness-corpus": 0,
+    "harness-fails": 1,
     "christoffel-5-8-plain": 0,
     "christoffel-5-8": 1,
     "christoffel-5-8-fib": 0,
