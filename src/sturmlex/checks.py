@@ -19,7 +19,6 @@ pairs, on integer factor codes, decides it together with hamming2 and ones.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 
 from .errors import (
     AlphabetTooLarge,
@@ -28,7 +27,7 @@ from .errors import (
     NotImbalanced,
 )
 from .factors import FactorTable, decode, newest_fits, window_counts
-from .words import PREFIX_BUDGET, Literal, WordSpec, generate_prefix
+from .words import PREFIX_BUDGET, Literal, Record, WordSpec, generate_prefix
 
 # Verdict statuses.
 CONSISTENT = "ConsistentUpTo"
@@ -47,8 +46,7 @@ PREFIX_CASE = "PrefixCase"
 WINDOW_INDETERMINATE = "WindowIndeterminate"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of one finite-window check."""
 
     check: str
@@ -72,8 +70,7 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
-class NfopViolation:
+class NfopViolation(Record):
     """An adjacent factor pair that fits none of the allowed shapes."""
 
     n: int
@@ -82,8 +79,7 @@ class NfopViolation:
     reason: str
 
 
-@dataclass(frozen=True)
-class ImbalanceWitness:
+class ImbalanceWitness(Record):
     """Shortest u with 0u0 and 1u1 both present, and how it sits in the word."""
 
     u: str
@@ -168,20 +164,19 @@ def classify_imbalance(table: FactorTable) -> ImbalanceWitness:
     u = witness.u
     if len(u) + 3 <= table.max_len:
         if table.is_factor(f"10{u}0") and table.is_factor(f"01{u}1"):
-            return replace(witness, case=BOTH_EXTENSIONS)
+            return witness.replace(case=BOTH_EXTENSIONS)
     for x, kind in (("0", "min"), ("1", "max")):
         xux = x + u + x
         if table.word.startswith(xux):
             if _prefixes_extremal(table, kind):
-                return replace(
-                    witness,
+                return witness.replace(
                     case=PREFIX_CASE,
                     prefix_letter=x,
                     occurrences=table.count(xux),
                     extremal_kind=kind,
                 )
             break
-    return replace(witness, case=WINDOW_INDETERMINATE)
+    return witness.replace(case=WINDOW_INDETERMINATE)
 
 
 def _prefixes_extremal(table: FactorTable, kind: str) -> bool:
@@ -421,8 +416,7 @@ def saturated_table(
         target *= 2
 
 
-@dataclass(frozen=True)
-class SturmianReport:
+class SturmianReport(Record):
     """All single-property verdicts for one word plus the combined judgment."""
 
     spec_text: str
@@ -516,16 +510,14 @@ def _combined_judgment(table, nfop, balance, complexity, hamming, ones) -> Verdi
     return _stamped(table, "sturmian", INDETERMINATE, reason=why)
 
 
-@dataclass(frozen=True)
-class HarnessOutcome:
+class HarnessOutcome(Record):
     spec_text: str
     assertion: str
     result: str  # "pass" | "fail" | "skip"
     detail: str | None = None
 
 
-@dataclass(frozen=True)
-class HarnessReport:
+class HarnessReport(Record):
     outcomes: tuple[HarnessOutcome, ...]
 
     @property

@@ -10,11 +10,10 @@ length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotCoprime, SingularAmbiguous, SingularNotFound
 from .factors import FactorTable, is_unbordered
-from .words import PREFIX_BUDGET
+from .words import PREFIX_BUDGET, Record
 
 
 def lower_christoffel(p: int, q: int) -> str:
@@ -51,8 +50,7 @@ def upper_christoffel(p: int, q: int) -> str:
     return others[0]
 
 
-@dataclass(frozen=True)
-class ChristoffelPair:
+class ChristoffelPair(Record):
     """The two unbordered words 0u1 and 1u0 of one conjugacy class."""
 
     lower: str
@@ -74,8 +72,7 @@ def christoffel_pair(p: int, q: int) -> ChristoffelPair:
     return ChristoffelPair(lower=lower, upper=upper, core=core)
 
 
-@dataclass(frozen=True)
-class SingularWord:
+class SingularWord(Record):
     """The non-conjugate factor xux at a Christoffel length."""
 
     word: str
@@ -115,15 +112,13 @@ def singular_word(p: int, q: int, table: FactorTable) -> SingularWord:
     return SingularWord(word=v, letter=v[0], extremal_kind=kind)
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
+class PropertyCheck(Record):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ChristoffelReport:
+class ChristoffelReport(Record):
     """Outcome of the five factor-structure assertions at one length."""
 
     p: int

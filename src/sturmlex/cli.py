@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import checks, christoffel, words
+from . import checks, words
 from .errors import SturmlexError
 from .factors import FactorTable
 
@@ -190,6 +190,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_christoffel(args) -> int:
+    from . import christoffel
+
     pair = christoffel.christoffel_pair(args.p, args.q)
     # Without --verify the report lists the pair and no items.
     report = christoffel.ChristoffelReport(args.p, args.q, pair, items=())

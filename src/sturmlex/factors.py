@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import BudgetExceeded, NotAFactor, WindowTooLarge
-from .words import _check_word
+from .words import Record, _check_word
 
 #: Cap on the distinct factors one table holds, summed over its lengths.
 #: A table takes about 80 bytes per distinct factor (77 measured on a random
@@ -105,8 +104,7 @@ def _shorter(
     return short, short_counts, short_firsts
 
 
-@dataclass(frozen=True)
-class SaturationEntry:
+class SaturationEntry(Record):
     n: int
     saturated: bool
     last_new_position: int

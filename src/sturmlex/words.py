@@ -15,8 +15,6 @@ the rational-slope codings in exact fraction arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BudgetExceeded, LiteralTooShort, MalformedSpec
 
@@ -29,6 +27,63 @@ PREFIX_BUDGET = 1 << 22
 FIBONACCI_RULES = {"0": "01", "1": "0"}
 
 
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass's annotated names are its fields, in order; a class
+    attribute of the same name is that field's default.  Records are built
+    from the fields by position or keyword, then ``__post_init__`` validates
+    and may normalise a field with ``object.__setattr__``.  Two records are
+    equal when they have the same class and equal fields, and the repr is
+    ``Name(field=value, ...)``.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        given = dict(zip(cls._fields, args))
+        if len(args) > len(cls._fields) or given.keys() & kwargs:
+            raise TypeError(f"{cls.__name__} got too many or repeated fields")
+        values = {**cls._defaults, **given, **kwargs}
+        if values.keys() != set(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {cls._fields}, got {tuple(values)}")
+        for name in cls._fields:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def replace(self, **changes):
+        """A copy with ``changes`` to some fields, validated like a new record."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _check_word(s: str, what: str, allow_empty: bool = False) -> None:
     if not allow_empty and not s:
         raise MalformedSpec(f"{what} must be nonempty")
@@ -37,8 +92,7 @@ def _check_word(s: str, what: str, allow_empty: bool = False) -> None:
             raise MalformedSpec(f"{what} contains {c!r}; letters are the digits 0-9")
 
 
-@dataclass(frozen=True)
-class KnownFlags:
+class KnownFlags(Record):
     """A-priori recurrence/aperiodicity knowledge; ``None`` means unknown."""
 
     recurrent: bool | None
@@ -72,8 +126,7 @@ class _EventuallyPeriodic:
         return KnownFlags(recurrent=w[:k] == w[d:], aperiodic=False)
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Record):
     """A finite window given verbatim.  No tail is implied beyond it."""
 
     word: str
@@ -93,8 +146,7 @@ class Literal:
         return self.word[:n]
 
 
-@dataclass(frozen=True)
-class Periodic(_EventuallyPeriodic):
+class Periodic(Record, _EventuallyPeriodic):
     """The purely periodic word seed^w."""
 
     seed: str
@@ -107,8 +159,7 @@ class Periodic(_EventuallyPeriodic):
         return f"periodic:{self.seed}"
 
 
-@dataclass(frozen=True)
-class UltimatelyPeriodic(_EventuallyPeriodic):
+class UltimatelyPeriodic(Record, _EventuallyPeriodic):
     """preperiod followed by seed^w."""
 
     preperiod: str
@@ -122,8 +173,7 @@ class UltimatelyPeriodic(_EventuallyPeriodic):
         return f"ultper:{self.preperiod}|{self.seed}"
 
 
-@dataclass(frozen=True)
-class Morphic:
+class Morphic(Record):
     """Fixed point of a substitution prolongable on its seed letter.
 
     ``rules[seed]`` must start with ``seed`` and be longer than one letter,
@@ -176,8 +226,7 @@ class Morphic:
         return w[:n]
 
 
-@dataclass(frozen=True)
-class StandardSequence:
+class StandardSequence(Record):
     """Limit of the standard recursion driven by a cycling directive.
 
     With s(-1) = 1, s(0) = 0 and s(m) = s(m-1)^d(m) s(m-2), the words s(m)
@@ -217,23 +266,24 @@ class StandardSequence:
         return cur[:n]
 
 
-@dataclass(frozen=True)
-class MechanicalRational(_EventuallyPeriodic):
+class MechanicalRational(Record):
     """Lower coding of the rotation with rational slope p/(p+q).
 
     Letter i is floor((i+1)a + rho) - floor(ia + rho) with a = p/(p+q),
     evaluated in exact rational arithmetic.  Shifting i by p+q adds the
     integer p to both floors, so the word repeats its first p+q letters,
-    its ``period``.  With rho = 0 and p, q >= 1 that period is the lower
-    Christoffel word of slope p/(p+q).
+    its ``period``, and is purely periodic.  With rho = 0 and p, q >= 1
+    that period is the lower Christoffel word of slope p/(p+q).
     """
 
     p: int
     q: int
-    rho: Fraction = Fraction(0)
-    preperiod = ""
+    rho: Fraction = 0  # a fractions.Fraction once built
+    flags = KnownFlags(recurrent=True, aperiodic=False)
 
     def __post_init__(self):
+        from fractions import Fraction
+
         rho = Fraction(self.rho)
         object.__setattr__(self, "rho", rho)
         if self.p < 0 or self.q < 1:
@@ -250,12 +300,17 @@ class MechanicalRational(_EventuallyPeriodic):
 
     @property
     def period(self) -> str:
+        return self.prefix(self.p + self.q)
+
+    def prefix(self, n: int) -> str:
+        # At most one period of letters is computed, then tiled.
         length = self.p + self.q
         num, den = self.rho.numerator, self.rho.denominator
         common = length * den
         base = num * length
-        floors = [(i * self.p * den + base) // common for i in range(length + 1)]
-        return "".join("0" if a == b else "1" for a, b in zip(floors, floors[1:]))
+        floors = [(i * self.p * den + base) // common for i in range(min(n, length) + 1)]
+        head = "".join("0" if a == b else "1" for a, b in zip(floors, floors[1:]))
+        return (head * (n // length + 1))[:n]
 
 
 WordSpec = (
@@ -355,6 +410,8 @@ def _parse_rules(text: str) -> dict[str, str]:
 
 
 def _parse_rational(text: str) -> Fraction:
+    from fractions import Fraction
+
     t = text.strip()
     try:
         if "/" in t:

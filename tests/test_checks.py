@@ -1,7 +1,6 @@
 """Single-property checks, composite verdicts, and the cross-check harness."""
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -420,7 +419,7 @@ class TestEquivalenceHarness:
         def skewed(table, sought, variant=3):
             verdicts = real(table, sought, variant)
             return tuple(
-                replace(v, status=checks.INDETERMINATE) if key == "nfop1" else v
+                v.replace(status=checks.INDETERMINATE) if key == "nfop1" else v
                 for key, v in zip(sought, verdicts)
             )
 

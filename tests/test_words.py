@@ -1,6 +1,7 @@
 """Generator behavior and the word-spec mini-language."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,31 @@ class TestMechanicalInvariants:
         ]
         for p, q in pairs:
             assert sx.MechanicalRational(p, q).period == sx.lower_christoffel(p, q)
+
+    def test_prefix_around_one_period(self):
+        # A prefix computes at most one period and tiles it: check the
+        # closed form just short of, at, and past the period length.
+        intercepts = [Fraction(0), Fraction(1, 2), Fraction(2, 7), Fraction(29, 30)]
+        for den in range(1, 31):
+            for num in range(den):
+                if math.gcd(num, den) != 1:
+                    continue
+                for rho in intercepts:
+                    spec = sx.MechanicalRational(num, den - num, rho)
+                    for n in (den - 1, den, den + 1, 3 * den + 2):
+                        expect = naive.mechanical_prefix(Fraction(num, den), rho, n)
+                        assert sx.generate_prefix(spec, n) == expect, (spec, n)
+
+    def test_short_prefix_of_a_long_period_stays_small(self):
+        spec = sx.parse_spec("mech:1/1000000@0")
+        tracemalloc.start()
+        try:
+            assert spec.prefix(10) == "0" * 10
+            assert spec.flags == sx.KnownFlags(recurrent=True, aperiodic=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestMalformedSpecs:
