@@ -15,18 +15,18 @@ _EXPORTS = {
         "NON_RECURRENT", "NOT_STURMIAN", "PREFIX_BUDGET", "PREFIX_CASE",
         "RECURRENT_CONSISTENT", "STURMIAN_CONSISTENT", "ULTIMATELY_PERIODIC",
         "VIOLATED", "WINDOW_INDETERMINATE", "HarnessOutcome", "HarnessReport",
-        "ImbalanceWitness", "NfopViolation", "SturmianReport", "Verdict",
-        "check_balance", "check_hamming2", "check_nfop", "check_ones_monotone",
-        "classify_imbalance", "equivalence_harness", "find_extension_exclusion",
-        "find_nfop_violation", "minimal_imbalance", "periodicity_certificate",
-        "recurrence_heuristic", "saturated_table", "sturmian_verdict",
+        "ImbalanceWitness", "SturmianReport", "Verdict", "check_balance",
+        "check_hamming2", "check_nfop", "check_ones_monotone", "classify_imbalance",
+        "equivalence_harness", "find_extension_exclusion", "minimal_imbalance",
+        "periodicity_certificate", "recurrence_heuristic", "saturated_table",
+        "sturmian_verdict",
     ),
     "christoffel": (
         "ChristoffelPair", "ChristoffelReport", "SingularWord", "christoffel_pair",
         "conjugates", "lower_christoffel", "singular_word", "upper_christoffel",
         "verify_christoffel_properties",
     ),
-    "factors": ("FactorTable", "SaturationEntry", "is_unbordered"),
+    "factors": ("FactorTable", "is_unbordered"),
     "words": (
         "FIBONACCI_RULES", "KnownFlags", "Literal", "MechanicalRational", "Morphic",
         "Periodic", "StandardSequence", "UltimatelyPeriodic", "WordSpec",

@@ -70,15 +70,6 @@ class Verdict(Record):
         }
 
 
-class NfopViolation(Record):
-    """An adjacent factor pair that fits none of the allowed shapes."""
-
-    n: int
-    pair: tuple[str, str]
-    variant: int
-    reason: str
-
-
 class ImbalanceWitness(Record):
     """Shortest u with 0u0 and 1u1 both present, and how it sits in the word."""
 
@@ -198,18 +189,19 @@ def _adjacent_faults(
     (base 16, one nibble per digit letter).  A pair whose codes differ by a
     step to the next final letter (XOR 1) or by a 01 -> 10 swap fits every
     nfop variant, differs in two letters at most and keeps the 1-count, so it
-    passes outright; any other pair is formatted as text and gets the exact
-    tests.  The first fault of a check (shortest length, then lex-least
-    pair) is its witness, and the walk stops once every sought check has
-    one.  A check with no fault is Indeterminate when lengths past the
-    saturation frontier were skipped.
+    passes outright; any other pair gets the exact tests, still on codes.
+    The first fault of a check (shortest length, then lex-least pair),
+    formatted as text, is its witness, and the walk stops once every sought
+    check has one.  A check with no fault is Indeterminate when lengths past
+    the saturation frontier were skipped.
     """
     pending = set(sought)
     faults: dict[str, dict] = {}
 
-    def fault(key, v, vp, n, why):
+    def fault(key, c, cp, n, why):
         pending.remove(key)
-        faults[key] = {"status": VIOLATED, "witness": (v, vp), "n": n, "reason": why}
+        witness = (decode(c, n), decode(cp, n))
+        faults[key] = {"status": VIOLATED, "witness": witness, "n": n, "reason": why}
 
     for n in range(1, table.frontier + 1):
         if not pending:
@@ -223,16 +215,15 @@ def _adjacent_faults(
             s = x.bit_length() - 5
             if s >= 0 and not s & 3 and x == 0x11 << s and (c >> s) & 0xFF == 1:
                 continue
-            v, vp = decode(c, n), decode(cp, n)
-            if "nfop" in pending and (why := _nfop_shape(v, vp, variant)):
-                fault("nfop", v, vp, n, why)
-            if "nfop1" in pending and (why := _nfop_shape(v, vp, 1)):
-                fault("nfop1", v, vp, n, why)
+            if "nfop" in pending and (why := _nfop_shape(c, cp, variant)):
+                fault("nfop", c, cp, n, why)
+            if "nfop1" in pending and (why := _nfop_shape(c, cp, 1)):
+                fault("nfop1", c, cp, n, why)
             # Binary codes: each differing letter is one bit of x, each 1 one bit.
             if "hamming2" in pending and x.bit_count() > 2:
-                fault("hamming2", v, vp, n, _differ_reason(v, vp))
+                fault("hamming2", c, cp, n, _differ_reason(x))
             if "ones" in pending and (a := c.bit_count()) > (b := cp.bit_count()):
-                fault("ones", v, vp, n, f"1-count drops from {a} to {b}")
+                fault("ones", c, cp, n, f"1-count drops from {a} to {b}")
     if table.frontier < table.max_len:
         skipped = range(table.frontier + 1, table.max_len + 1)
         why = "unsaturated lengths " + ",".join(map(str, skipped))
@@ -245,49 +236,39 @@ def _adjacent_faults(
     )
 
 
-def _first_mismatches(v: str, vp: str) -> list[int]:
-    """The first (at most three) positions where equal-length v and vp differ.
-
-    Read in base 16, each digit letter is one nibble, so the XOR of the words
-    is nonzero exactly where they differ; its top nonzero nibble is leftmost.
-    """
-    x = int(v, 16) ^ int(vp, 16)
-    found: list[int] = []
-    while x and len(found) < 3:
-        k = (x.bit_length() - 1) // 4
-        found.append(len(v) - 1 - k)
-        x &= (1 << 4 * k) - 1
-    return found
-
-
-def _differ_reason(v: str, vp: str) -> str:
-    d = sum(1 for a, b in zip(v, vp) if a != b)
+def _differ_reason(x: int) -> str:
+    """The reason for a pair whose codes XOR to ``x``: its nonzero nibbles."""
+    d = sum(1 for k in range(0, x.bit_length(), 4) if x >> k & 15)
     return f"differ in {d} positions"
 
 
-def _nfop_shape(v: str, vp: str, variant: int) -> str | None:
-    """Why the adjacent pair (v, vp) fits no allowed shape, or None if it fits."""
-    diffs = _first_mismatches(v, vp)
-    if len(diffs) == 1:
-        i = diffs[0]
-        if i != len(v) - 1:
+def _nfop_shape(c: int, cp: int, variant: int) -> str | None:
+    """Why the adjacent pair of codes c < cp fits no allowed shape, or None if it fits.
+
+    c ^ cp is nonzero exactly in the nibbles of the letters that differ; its
+    top nonzero nibble is the first mismatch, and the next one the second.
+    """
+    x = c ^ cp
+    k = (x.bit_length() - 1) // 4
+    rest = x & ((1 << 4 * k) - 1)
+    if not rest:
+        if k:
             return "single mismatch not at the last position"
-        if variant != 1 and ord(vp[i]) - ord(v[i]) != 1:
+        if variant != 1 and cp - c != 1:
             return "last letters are not consecutive"
         return None
-    if len(diffs) == 2:
-        i, j = diffs
-        if j != i + 1:
-            return "mismatch positions are not adjacent"
-        a, b = v[i], v[j]
-        if vp[i] != b or vp[j] != a:
-            return "adjacent mismatches are not a transposition"
-        if not a < b:
-            return "transposed letters are not ascending"
-        if variant != 1 and ord(b) - ord(a) != 1:
-            return "transposed letters are not consecutive"
-        return None
-    return _differ_reason(v, vp)
+    j = (rest.bit_length() - 1) // 4
+    if rest & ((1 << 4 * j) - 1):
+        return _differ_reason(x)
+    if j != k - 1:
+        return "mismatch positions are not adjacent"
+    a, b = c >> 4 * k & 15, c >> 4 * j & 15
+    if cp >> 4 * k & 15 != b or cp >> 4 * j & 15 != a:
+        return "adjacent mismatches are not a transposition"
+    # c < cp, so at the first mismatch a is below cp's letter there, b.
+    if variant != 1 and b - a != 1:
+        return "transposed letters are not consecutive"
+    return None
 
 
 def check_nfop(table: FactorTable, variant: int = 3) -> Verdict:
@@ -302,14 +283,6 @@ def check_nfop(table: FactorTable, variant: int = 3) -> Verdict:
             f"variant 3 needs letters within 01, table has {table.alphabet!r}"
         )
     return _adjacent_faults(table, ("nfop",), variant)[0]
-
-
-def find_nfop_violation(table: FactorTable, variant: int = 3) -> NfopViolation | None:
-    """Structured witness behind a Violated :func:`check_nfop` verdict."""
-    verdict = check_nfop(table, variant)
-    if verdict.status != VIOLATED:
-        return None
-    return NfopViolation(verdict.n, verdict.witness, variant, verdict.reason)
 
 
 def check_hamming2(table: FactorTable) -> Verdict:

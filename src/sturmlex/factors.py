@@ -27,12 +27,14 @@ from collections import Counter
 from itertools import repeat
 
 from .errors import BudgetExceeded, NotAFactor, WindowTooLarge
-from .words import Record, _check_word
+from .words import _check_word
 
 #: Cap on the distinct factors one table holds, summed over its lengths.
-#: A table takes about 80 bytes per distinct factor (77 measured on a random
-#: binary word of 10^5 letters at max_len 40), so the cap bounds it near
-#: 330 MB.  Only PREFIX_BUDGET bounds the windows of the longest length.
+#: A code is a 4n-bit int, so the bytes per factor grow with its length:
+#: tracemalloc on ``fib`` tables at default windows gives 72 at max_len 40,
+#: 123 at 200 and 229 at 500.  The cap bounds a table near 330 MB only for
+#: short factors and does not bound memory for long ones (ROADMAP item 2).
+#: Only PREFIX_BUDGET bounds the windows of the longest length.
 FACTOR_BUDGET = 1 << 22
 
 
@@ -104,12 +106,6 @@ def _shorter(
     return short, short_counts, short_firsts
 
 
-class SaturationEntry(Record):
-    n: int
-    saturated: bool
-    last_new_position: int
-
-
 class FactorTable:
     """Sorted factor lists of every length 1..max_len of a word prefix.
 
@@ -148,7 +144,6 @@ class FactorTable:
         )
         self._levels: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._strings: dict[int, tuple[str, ...]] = {}
-        self._last_new: dict[int, int] = {}
         self.frontier = 0
         half = len(word) // 2
         held = 0
@@ -162,10 +157,8 @@ class FactorTable:
                     f"{n}..{max_len}"
                 )
             level = self._levels[n] = tuple(map(tuple, level))
-            last_new = max(level[2])
-            self._last_new[n] = last_new
             # The newest factor must fit entirely inside the first half.
-            if not self.frontier and last_new + n <= half:
+            if not self.frontier and max(level[2]) + n <= half:
                 self.frontier = n
 
     def _require(self, n: int) -> None:
@@ -260,17 +253,6 @@ class FactorTable:
     def saturated(self, n: int) -> bool:
         self._require(n)
         return n <= self.frontier
-
-    def last_new_position(self, n: int) -> int:
-        """Start of the final first occurrence among length-n factors."""
-        self._require(n)
-        return self._last_new[n]
-
-    def saturation(self) -> tuple[SaturationEntry, ...]:
-        return tuple(
-            SaturationEntry(n, n <= self.frontier, self._last_new[n])
-            for n in range(1, self.max_len + 1)
-        )
 
     def saturated_lengths(self) -> tuple[int, ...]:
         return tuple(range(1, self.frontier + 1))

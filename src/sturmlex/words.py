@@ -103,19 +103,23 @@ class _EventuallyPeriodic:
     """Base of the kinds that are ``preperiod`` followed by ``period`` forever.
 
     Subclasses supply ``preperiod``; the periodic kinds name their period
-    ``seed``.
+    ``seed``, and ``prefix`` tiles at most one period of letters.
     """
 
     @property
     def period(self) -> str:
         return self.seed
 
+    def _head(self, m: int) -> str:
+        """The first min(m, period length) letters of the period."""
+        return self.period[:m]
+
     def prefix(self, n: int) -> str:
-        pre, period = self.preperiod, self.period
+        pre = self.preperiod
         if n <= len(pre):
             return pre[:n]
-        tail = n - len(pre)
-        return pre + (period * (tail // len(period) + 1))[:tail]
+        head = self._head(n - len(pre))
+        return (pre + head * (n // len(head) + 1))[:n]
 
     @property
     def flags(self) -> KnownFlags:
@@ -266,7 +270,7 @@ class StandardSequence(Record):
         return cur[:n]
 
 
-class MechanicalRational(Record):
+class MechanicalRational(Record, _EventuallyPeriodic):
     """Lower coding of the rotation with rational slope p/(p+q).
 
     Letter i is floor((i+1)a + rho) - floor(ia + rho) with a = p/(p+q),
@@ -279,6 +283,7 @@ class MechanicalRational(Record):
     p: int
     q: int
     rho: Fraction = 0  # a fractions.Fraction once built
+    preperiod = ""
     flags = KnownFlags(recurrent=True, aperiodic=False)
 
     def __post_init__(self):
@@ -300,17 +305,15 @@ class MechanicalRational(Record):
 
     @property
     def period(self) -> str:
-        return self.prefix(self.p + self.q)
+        return self._head(self.p + self.q)
 
-    def prefix(self, n: int) -> str:
-        # At most one period of letters is computed, then tiled.
+    def _head(self, m: int) -> str:
         length = self.p + self.q
         num, den = self.rho.numerator, self.rho.denominator
         common = length * den
         base = num * length
-        floors = [(i * self.p * den + base) // common for i in range(min(n, length) + 1)]
-        head = "".join("0" if a == b else "1" for a, b in zip(floors, floors[1:]))
-        return (head * (n // length + 1))[:n]
+        floors = [(i * self.p * den + base) // common for i in range(min(m, length) + 1)]
+        return "".join("0" if a == b else "1" for a, b in zip(floors, floors[1:]))
 
 
 WordSpec = (

@@ -25,11 +25,6 @@ def saturated(w, n):
     return all(w.find(v) + n <= half for v in distinct_factors(w, n))
 
 
-def last_new_position(w, n):
-    """Start of the latest first occurrence among the length-n factors."""
-    return max(w.find(v) for v in distinct_factors(w, n))
-
-
 def successor(w, v):
     fs = distinct_factors(w, len(v))
     i = fs.index(v)

@@ -174,15 +174,6 @@ class TestSaturation:
     def test_late_first_occurrence(self):
         t = sx.FactorTable("0001", 1)
         assert not t.saturated(1)
-        assert t.last_new_position(1) == 3
-
-    def test_report_shape(self):
-        t = sx.FactorTable("0101010101", 3)
-        entries = t.saturation()
-        assert [e.n for e in entries] == [1, 2, 3]
-        for e in entries:
-            assert e.saturated == t.saturated(e.n)
-            assert e.last_new_position == t.last_new_position(e.n)
 
 
 class TestDump:
@@ -232,7 +223,6 @@ class TestAgainstBruteForce:
         for n in lengths or range(1, max_len + 1):
             assert list(t.factors(n)) == naive.distinct_factors(w, n)
             assert t.saturated(n) == naive.saturated(w, n)
-            assert t.last_new_position(n) == naive.last_new_position(w, n)
             for v in t.factors(n):
                 assert t.is_factor(v)
                 assert t.count(v) == naive.occurrences(w, v)

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from sturmlex import checks, christoffel, factors, words
+from sturmlex import checks, christoffel, words
 from sturmlex.errors import MalformedSpec
 
 
@@ -46,8 +46,6 @@ SAMPLES = [
      "MechanicalRational(p=2, q=3, rho=Fraction(0, 1))"),
     (lambda: words.MechanicalRational(3, 5, Fraction(1, 2)),
      "MechanicalRational(p=3, q=5, rho=Fraction(1, 2))"),
-    (lambda: factors.SaturationEntry(3, True, 5),
-     "SaturationEntry(n=3, saturated=True, last_new_position=5)"),
     (_pair, "ChristoffelPair(lower='00101', upper='10100', core='010')"),
     (lambda: christoffel.SingularWord("00100", "0", "min"),
      "SingularWord(word='00100', letter='0', extremal_kind='min')"),
@@ -63,9 +61,6 @@ SAMPLES = [
                             n=3, reason="r"),
      "Verdict(check='balance', status='Violated', up_to=None, "
      "witness=('000', '111'), n=3, reason='r', saturated_lengths=())"),
-    (lambda: checks.NfopViolation(6, ("010100", "100101"), 3, "not a transposition"),
-     "NfopViolation(n=6, pair=('010100', '100101'), variant=3, "
-     "reason='not a transposition')"),
     (lambda: checks.ImbalanceWitness("0", ("000", "101")),
      "ImbalanceWitness(u='0', pair=('000', '101'), case=None, "
      "prefix_letter=None, occurrences=None, extremal_kind=None)"),
@@ -90,15 +85,14 @@ NAMES = [text.partition("(")[0] for _, text in SAMPLES]
 RECORD_TYPES = {
     words.KnownFlags, words.Literal, words.Periodic, words.UltimatelyPeriodic,
     words.Morphic, words.StandardSequence, words.MechanicalRational,
-    factors.SaturationEntry, christoffel.ChristoffelPair, christoffel.SingularWord,
-    christoffel.PropertyCheck, christoffel.ChristoffelReport, checks.Verdict,
-    checks.NfopViolation, checks.ImbalanceWitness, checks.SturmianReport,
-    checks.HarnessOutcome, checks.HarnessReport,
+    christoffel.ChristoffelPair, christoffel.SingularWord, christoffel.PropertyCheck,
+    christoffel.ChristoffelReport, checks.Verdict, checks.ImbalanceWitness,
+    checks.SturmianReport, checks.HarnessOutcome, checks.HarnessReport,
 }
 
 
 def test_samples_cover_every_record_type():
-    assert len(RECORD_TYPES) == 18
+    assert len(RECORD_TYPES) == 16
     assert {type(build()) for build in BUILDERS} == RECORD_TYPES
 
 
@@ -125,7 +119,8 @@ def test_a_changed_field_breaks_equality():
     assert words.Morphic({"0": "01", "1": "0"}, "0") != words.Morphic(
         {"0": "01", "1": "10"}, "0")
     assert words.MechanicalRational(1, 2) != words.MechanicalRational(1, 2, Fraction(1, 3))
-    assert factors.SaturationEntry(3, True, 5) != factors.SaturationEntry(3, False, 5)
+    assert christoffel.SingularWord("00100", "0", "min") != christoffel.SingularWord(
+        "00100", "0", "max")
     assert checks.HarnessOutcome("s", "a", "pass") != checks.HarnessOutcome("s", "a", "skip")
 
 
@@ -137,7 +132,7 @@ def test_equality_is_type_sensitive():
         a, b = build_a(), build_b()
         if type(a) is not type(b):
             assert a != b
-    assert factors.SaturationEntry(3, True, 5) != (3, True, 5)
+    assert christoffel.SingularWord("00100", "0", "min") != ("00100", "0", "min")
 
 
 @pytest.mark.parametrize("build", BUILDERS, ids=NAMES)
