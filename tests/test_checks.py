@@ -144,6 +144,23 @@ class TestCheckNfop:
         clean = sx.check_nfop(sx.FactorTable(prefix("fib", 4096), 12))
         assert (clean.n, clean.witness, clean.reason) == (None, None, None)
 
+    @pytest.mark.parametrize("text,max_len,variant", [
+        (TM_SPEC, 12, 3),
+        ("mech:2/5@0", 12, 3),
+        ("periodic:012", 12, 1),
+    ])
+    def test_reason_is_the_witness_shape(self, text, max_len, variant):
+        # The verdict alone carries the witness: a sorted adjacent pair of
+        # n-letter factors, with the oracle's reason for that pair.
+        t = sx.FactorTable(prefix(text, 4096), max_len)
+        hit = sx.check_nfop(t, variant)
+        v, vp = hit.witness
+        assert hit.status == checks.VIOLATED
+        assert len(v) == len(vp) == hit.n and v < vp
+        fs = list(t.factors(hit.n))
+        assert fs.index(vp) == fs.index(v) + 1
+        assert hit.reason == naive.nfop_reason(v, vp, variant)
+
 
 class TestCheckHamming2:
     def test_fibonacci(self, fib_table):

@@ -174,6 +174,14 @@ class TestSaturation:
     def test_late_first_occurrence(self):
         t = sx.FactorTable("0001", 1)
         assert not t.saturated(1)
+        assert (t.frontier, t.saturated_lengths()) == (0, ())
+
+    def test_frontier_is_the_report(self):
+        t = sx.FactorTable("0101010101", 3)
+        assert t.frontier == 3
+        assert t.saturated_lengths() == (1, 2, 3)
+        for n in (1, 2, 3):
+            assert t.saturated(n) == (n <= t.frontier)
 
 
 class TestDump:

@@ -74,6 +74,18 @@ class TestNamespace:
         with pytest.raises(ImportError):
             exec("from sturmlex import no_such_name", {})
 
+    # Names whose facts now have one carrier: the nfop Verdict holds the
+    # witness, and FactorTable.frontier holds saturation.
+    @pytest.mark.parametrize(
+        "name", ["NfopViolation", "SaturationEntry", "find_nfop_violation"]
+    )
+    def test_removed_name_stays_gone(self, name):
+        assert name not in dir(sx)
+        with pytest.raises(AttributeError):
+            getattr(sx, name)
+        for module in (sx.checks, sx.factors):
+            assert not hasattr(module, name)
+
     def test_submodules_resolve(self):
         for name in ("checks", "words", "cli", "christoffel", "factors", "errors"):
             assert getattr(sx, name).__name__ == f"sturmlex.{name}"

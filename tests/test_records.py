@@ -61,6 +61,11 @@ SAMPLES = [
                             n=3, reason="r"),
      "Verdict(check='balance', status='Violated', up_to=None, "
      "witness=('000', '111'), n=3, reason='r', saturated_lengths=())"),
+    (lambda: checks.Verdict("nfop", checks.VIOLATED, witness=("010100", "100101"),
+                            n=6, reason="not a transposition"),
+     "Verdict(check='nfop', status='Violated', up_to=None, "
+     "witness=('010100', '100101'), n=6, reason='not a transposition', "
+     "saturated_lengths=())"),
     (lambda: checks.ImbalanceWitness("0", ("000", "101")),
      "ImbalanceWitness(u='0', pair=('000', '101'), case=None, "
      "prefix_letter=None, occurrences=None, extremal_kind=None)"),
