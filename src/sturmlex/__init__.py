@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "checks": (
         "APPARENTLY_APERIODIC", "BOTH_EXTENSIONS", "CONSISTENT", "INDETERMINATE",
-        "NON_RECURRENT", "NOT_STURMIAN", "PREFIX_BUDGET", "PREFIX_CASE",
-        "RECURRENT_CONSISTENT", "STURMIAN_CONSISTENT", "ULTIMATELY_PERIODIC",
-        "VIOLATED", "WINDOW_INDETERMINATE", "HarnessOutcome", "HarnessReport",
+        "NON_RECURRENT", "NOT_STURMIAN", "PREFIX_CASE", "RECURRENT_CONSISTENT",
+        "STURMIAN_CONSISTENT", "ULTIMATELY_PERIODIC", "VIOLATED",
+        "WINDOW_INDETERMINATE", "HarnessOutcome", "HarnessReport",
         "ImbalanceWitness", "SturmianReport", "Verdict", "check_balance",
         "check_hamming2", "check_nfop", "check_ones_monotone", "classify_imbalance",
         "equivalence_harness", "find_extension_exclusion", "minimal_imbalance",
@@ -23,14 +23,14 @@ _EXPORTS = {
     ),
     "christoffel": (
         "ChristoffelPair", "ChristoffelReport", "SingularWord", "christoffel_pair",
-        "conjugates", "lower_christoffel", "singular_word", "upper_christoffel",
+        "conjugates", "lower_christoffel", "singular_word",
         "verify_christoffel_properties",
     ),
     "factors": ("FactorTable", "is_unbordered"),
     "words": (
         "FIBONACCI_RULES", "KnownFlags", "Literal", "MechanicalRational", "Morphic",
-        "Periodic", "StandardSequence", "UltimatelyPeriodic", "WordSpec",
-        "generate_prefix", "parse_spec",
+        "PREFIX_BUDGET", "Periodic", "StandardSequence", "UltimatelyPeriodic",
+        "WordSpec", "generate_prefix", "parse_spec",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

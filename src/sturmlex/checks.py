@@ -20,12 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .errors import (
-    AlphabetTooLarge,
-    BudgetExceeded,
-    NonBinaryAlphabet,
-    NotImbalanced,
-)
+from .errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced
 from .factors import FactorTable, decode, newest_fits, window_counts
 from .words import PREFIX_BUDGET, Literal, Record, WordSpec, generate_prefix
 
@@ -132,7 +127,6 @@ def check_balance(table: FactorTable) -> Verdict:
     Finding one refutes balance outright (both members really occur), so a
     Violated verdict here never carries a saturation caveat.
     """
-    _require_binary(table, "balance")
     witness = minimal_imbalance(table)
     if witness is not None:
         pair = witness.pair
@@ -278,10 +272,8 @@ def check_nfop(table: FactorTable, variant: int = 3) -> Verdict:
     """
     if variant not in (1, 2, 3):
         raise ValueError(f"variant must be 1, 2 or 3, got {variant}")
-    if variant == 3 and not table.is_binary:
-        raise AlphabetTooLarge(
-            f"variant 3 needs letters within 01, table has {table.alphabet!r}"
-        )
+    if variant == 3:
+        _require_binary(table, "variant 3")
     return _adjacent_faults(table, ("nfop",), variant)[0]
 
 

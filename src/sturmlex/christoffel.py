@@ -1,10 +1,10 @@
 """Christoffel words of rational slope and their factor-level structure.
 
 The lower Christoffel word of slope p/(p+q) is produced by one exact integer
-formula; the upper word is derived as the only other unbordered conjugate
-rather than constructed independently, so a single construction carries all
-the validation weight.  Slope convention: p counts the ones, p+q is the
-length.
+formula.  It is 0u1 around a palindromic core u, and the upper word is 1u0,
+the other unbordered conjugate; that it is one is checked against each table
+by :func:`verify_christoffel_properties`, not assumed.  Slope convention: p
+counts the ones, p+q is the length.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import BudgetExceeded, NotCoprime, SingularAmbiguous, SingularNotFound
-from .factors import FactorTable, is_unbordered
+from .factors import FactorTable
 from .words import PREFIX_BUDGET, Record
 
 
@@ -36,20 +36,6 @@ def conjugates(w: str) -> list[str]:
     return sorted({w[i:] + w[:i] for i in range(len(w))})
 
 
-def upper_christoffel(p: int, q: int) -> str:
-    """The unbordered conjugate of the lower word, other than itself."""
-    # The p+q rotations searched hold (p+q)^2 letters.
-    if (p + q) ** 2 > PREFIX_BUDGET:
-        raise BudgetExceeded(f"p+q = {p + q}: (p+q)^2 exceeds budget {PREFIX_BUDGET}")
-    lower = lower_christoffel(p, q)
-    others = [c for c in conjugates(lower) if c != lower and is_unbordered(c)]
-    if len(others) != 1:
-        raise RuntimeError(
-            f"expected exactly one other unbordered conjugate of {lower}, got {others}"
-        )
-    return others[0]
-
-
 class ChristoffelPair(Record):
     """The two unbordered words 0u1 and 1u0 of one conjugacy class."""
 
@@ -63,13 +49,12 @@ class ChristoffelPair(Record):
 
 
 def christoffel_pair(p: int, q: int) -> ChristoffelPair:
-    # The upper word first: it checks the length bound before any word is built.
-    upper = upper_christoffel(p, q)
+    # Callers list the p+q rotations of the pair, (p+q)^2 letters.
+    if (p + q) ** 2 > PREFIX_BUDGET:
+        raise BudgetExceeded(f"p+q = {p + q}: (p+q)^2 exceeds budget {PREFIX_BUDGET}")
     lower = lower_christoffel(p, q)
     core = lower[1:-1]
-    if upper != "1" + core + "0":
-        raise RuntimeError(f"derived upper word {upper} does not flank core {core!r}")
-    return ChristoffelPair(lower=lower, upper=upper, core=core)
+    return ChristoffelPair(lower=lower, upper="1" + core + "0", core=core)
 
 
 class SingularWord(Record):

@@ -25,10 +25,6 @@ class NonBinaryAlphabet(SturmlexError, ValueError):
     """A binary-only check was applied to a table over a larger alphabet."""
 
 
-class AlphabetTooLarge(NonBinaryAlphabet):
-    """Variant 3 of the ordering check is defined for binary tables only."""
-
-
 class NotImbalanced(SturmlexError, ValueError):
     """Imbalance classification was requested on a balanced table."""
 

@@ -15,6 +15,7 @@ the rational-slope codings in exact fraction arithmetic.
 from __future__ import annotations
 
 import math
+import types
 
 from .errors import BudgetExceeded, LiteralTooShort, MalformedSpec
 
@@ -183,13 +184,14 @@ class Morphic(Record):
     ``rules[seed]`` must start with ``seed`` and be longer than one letter,
     and every letter reachable through the images must itself have a rule, so
     iterating the substitution on the seed converges to an infinite word.
+    The validated rules are kept as a read-only copy.
     """
 
-    rules: dict[str, str]
+    rules: dict[str, str]  # a types.MappingProxyType once built
     seed: str
 
     def __post_init__(self):
-        rules = dict(self.rules)
+        rules = types.MappingProxyType(dict(self.rules))
         object.__setattr__(self, "rules", rules)
         if len(self.seed) != 1 or self.seed not in ALPHABET:
             raise MalformedSpec("seed must be a single letter 0-9")
@@ -221,13 +223,20 @@ class Morphic(Record):
         return f"morphic:{rules};seed={self.seed}"
 
     def prefix(self, n: int) -> str:
-        images = str.maketrans(self.rules)
-        w = self.seed
-        while len(w) < n:
-            # Images are nonempty, so the first n letters of the image depend
-            # only on the first n letters of w; cutting there bounds the work.
-            w = w[:n].translate(images)
-        return w[:n]
+        # The fixed point x is s(x0) s(x1) s(x2) ..., and s(x0) starts with
+        # x0 and is longer, so every letter is known before its image is
+        # needed.  Each chunk is the image of the letters of the one before
+        # it, starting with the letters of s(seed) after the seed.
+        images = str.maketrans(dict(self.rules))
+        chunks = [self.seed.translate(images)]
+        size, i, start = len(chunks[0]), 0, 1
+        while size < n:
+            # Images are nonempty, so n - size letters translated are enough.
+            image = chunks[i][start : start + n - size].translate(images)
+            chunks.append(image)
+            size += len(image)
+            i, start = i + 1, 0
+        return "".join(chunks)[:n]
 
 
 class StandardSequence(Record):

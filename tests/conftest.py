@@ -17,7 +17,7 @@ FIB32 = "01001010010010100101001001010010"
 SRC = str(Path(sx.__file__).resolve().parent.parent)
 
 
-def run_module(*argv: str) -> subprocess.CompletedProcess:
+def run_module(*argv: str, timeout: float = 60) -> subprocess.CompletedProcess:
     """Run ``python -m sturmlex *argv`` in a child process."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
@@ -25,7 +25,7 @@ def run_module(*argv: str) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "sturmlex", *argv],
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
         env=env,
     )
 

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 import sturmlex as sx
 from sturmlex import checks, factors
-from sturmlex.errors import (
-    AlphabetTooLarge,
-    BudgetExceeded,
-    NonBinaryAlphabet,
-    NotImbalanced,
-)
+from sturmlex.errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced
 
 import naive
 from conftest import TM_SPEC, prefix
@@ -118,7 +113,7 @@ class TestCheckNfop:
         assert (v.n, v.witness) == (2, ("01", "12"))
 
     def test_variant_three_needs_binary(self, ternary_table):
-        with pytest.raises(AlphabetTooLarge):
+        with pytest.raises(NonBinaryAlphabet, match="variant 3 needs letters"):
             sx.check_nfop(ternary_table, 3)
 
     def test_bad_variant(self, fib_table):

@@ -79,7 +79,7 @@ class TestChristoffelPair:
         assert pair.upper == "1" + pair.core + "0"
         assert sx.is_unbordered(pair.upper)
 
-    @pytest.mark.parametrize("p,q", coprime_pairs(16))
+    @pytest.mark.parametrize("p,q", coprime_pairs(40))
     def test_pair_are_the_only_unbordered_conjugates(self, p, q):
         pair = sx.christoffel_pair(p, q)
         unbordered = [c for c in sx.conjugates(pair.lower) if sx.is_unbordered(c)]

@@ -37,6 +37,16 @@ class TestGenerate:
         assert (code, out) == (65, "")
         assert err.startswith("error: ")
 
+    def test_linear_morphic_word_at_budget(self):
+        # The fixed point 01^w grows by one letter per expanded letter; each
+        # letter is expanded once, so the full budget takes well under a second.
+        proc = run_module(
+            "generate", "--spec", "morphic:0->01,1->1;seed=0",
+            "--len", str(words.PREFIX_BUDGET), timeout=30,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "0" + "1" * (words.PREFIX_BUDGET - 1) + "\n"
+
 
 class TestFactors:
     def test_complexities(self, capsys):
@@ -123,6 +133,14 @@ class TestCheck:
         )
         assert code == 1
         assert "witness=(01,12)" in out
+
+    def test_variant_three_on_ternary_is_an_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "check", "--spec", "literal:0120120120", "--what", "nfop",
+            "--max-n", "3", "--variant", "3",
+        )
+        assert (code, out) == (65, "")
+        assert err == "error: variant 3 needs letters within 01, table has '012'\n"
 
     def test_json_schema_and_stability(self, capsys):
         argv = ["check", "--spec", "fib", "--what", "nfop", "--max-n", "6", "--json"]

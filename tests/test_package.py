@@ -27,7 +27,7 @@ EXPORTED = [
     "periodicity_certificate", "recurrence_heuristic", "saturated_table",
     "sturmian_verdict",
     "ChristoffelPair", "ChristoffelReport", "SingularWord", "christoffel_pair",
-    "conjugates", "lower_christoffel", "singular_word", "upper_christoffel",
+    "conjugates", "lower_christoffel", "singular_word",
     "verify_christoffel_properties", "FactorTable",
     "is_unbordered", "FIBONACCI_RULES", "KnownFlags", "Literal",
     "MechanicalRational", "Morphic", "Periodic", "StandardSequence",
@@ -75,15 +75,20 @@ class TestNamespace:
             exec("from sturmlex import no_such_name", {})
 
     # Names whose facts now have one carrier: the nfop Verdict holds the
-    # witness, and FactorTable.frontier holds saturation.
+    # witness, FactorTable.frontier holds saturation, christoffel_pair(p, q)
+    # builds the upper word, and NonBinaryAlphabet is the binary precondition.
     @pytest.mark.parametrize(
-        "name", ["NfopViolation", "SaturationEntry", "find_nfop_violation"]
+        "name",
+        [
+            "AlphabetTooLarge", "NfopViolation", "SaturationEntry",
+            "find_nfop_violation", "upper_christoffel",
+        ],
     )
     def test_removed_name_stays_gone(self, name):
         assert name not in dir(sx)
         with pytest.raises(AttributeError):
             getattr(sx, name)
-        for module in (sx.checks, sx.factors):
+        for module in (sx.checks, sx.christoffel, sx.errors, sx.factors):
             assert not hasattr(module, name)
 
     def test_submodules_resolve(self):
@@ -134,6 +139,17 @@ class TestImportHygiene:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "['sturmlex']"
+
+    def test_prefix_budget_loads_only_words(self):
+        proc = run_python(
+            "-c",
+            "import sys, sturmlex as sx\n"
+            "sx.PREFIX_BUDGET\n"
+            "print(sorted(m for m in sys.modules if m.startswith('sturmlex')))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = "['sturmlex', 'sturmlex.errors', 'sturmlex.words']"
+        assert proc.stdout.strip() == loaded
 
     def test_lazy_paths_still_run(self):
         # The periodic word mech:2/5@0 has no singular factor, so the

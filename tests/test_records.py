@@ -13,6 +13,8 @@ import pytest
 from sturmlex import checks, christoffel, words
 from sturmlex.errors import MalformedSpec
 
+from conftest import FIB32
+
 
 def _pair():
     return christoffel.ChristoffelPair("00101", "10100", "010")
@@ -40,7 +42,7 @@ SAMPLES = [
     (lambda: words.UltimatelyPeriodic("0", "1"),
      "UltimatelyPeriodic(preperiod='0', seed='1')"),
     (lambda: words.Morphic({"0": "01", "1": "0"}, "0"),
-     "Morphic(rules={'0': '01', '1': '0'}, seed='0')"),
+     "Morphic(rules=mappingproxy({'0': '01', '1': '0'}), seed='0')"),
     (lambda: words.StandardSequence([1, 2]), "StandardSequence(directive=(1, 2))"),
     (lambda: words.MechanicalRational(2, 3),
      "MechanicalRational(p=2, q=3, rho=Fraction(0, 1))"),
@@ -111,7 +113,7 @@ def test_equal_within_a_type_and_hash_matches(build):
     a, b = build(), build()
     assert a == b and not a != b
     if isinstance(a, words.Morphic):
-        # Its rules are a dict, so a Morphic spec is unhashable.
+        # Its rules are a mapping, so a Morphic spec is unhashable.
         with pytest.raises(TypeError):
             hash(a)
     else:
@@ -173,6 +175,17 @@ def test_construction_normalises_fields():
     assert spec.rules == {"0": "01", "1": "0"}
     assert words.StandardSequence([1, 2]).directive == (1, 2)
     assert isinstance(words.MechanicalRational(1, 2, 0).rho, Fraction)
+
+
+def test_morphic_rules_refuse_item_assignment():
+    # A rule changed after validation could make the seed's image "0", whose
+    # fixed point never grows.
+    spec = words.parse_spec("fib")
+    with pytest.raises(TypeError):
+        spec.rules["0"] = "0"
+    with pytest.raises(TypeError):
+        del spec.rules["1"]
+    assert words.generate_prefix(spec, 32) == FIB32
 
 
 @pytest.mark.parametrize(
