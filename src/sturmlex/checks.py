@@ -19,6 +19,8 @@ pairs, on integer factor codes, decides it together with hamming2 and ones.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
+from itertools import chain
 
 from .errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced
 from .factors import FactorTable, decode, newest_fits, window_counts
@@ -91,24 +93,35 @@ def _require_binary(table: FactorTable, check: str) -> None:
 def _least_core(table: FactorTable, lo_head: str, hi_head: str) -> str | None:
     """Shortest (then lex-least) u with lo_head+u+0 and hi_head+u+1 both present.
 
-    Both heads have the same length and lo_head ends in 0.  The candidates
-    lo_head+u+0 are the codes from lo_head's up to the next head's, in lex
-    order of u; each partner hi_head+u+1 is looked up by bisection.
+    Both heads have the same length h and lo_head ends in 0.  On a binary
+    table every lo_head tail (an entry with its head cut off) below a
+    hi_head tail differs from it first by 0 against 1, so the LCP of the
+    lex-least lo_head tail and the lex-greatest hi_head tail is the
+    shortest u, and the only one of its length.  A hi_head tail that ends
+    inside the lo_head tail has no letter there and is passed over.  Other
+    alphabets are scanned length by length.
     """
-    h = len(lo_head)
-    lo, hi = int(lo_head, 16), int(hi_head, 16)
-    for m in range(h + 1, table.max_len + 1):
-        codes = table.level(m)[0]
-        shift = 4 * (m - h)
-        # lo_head+u+0 plus delta is hi_head+u+1.
-        delta = ((hi - lo) << shift) + 1
-        start = bisect_left(codes, lo << shift)
-        for c in codes[start : bisect_left(codes, (lo + 1) << shift, start)]:
-            if c & 15:
-                continue
-            i = bisect_left(codes, c + delta)
-            if i < len(codes) and codes[i] == c + delta:
-                return decode(c, m)[h:-1]
+    h, n = len(lo_head), table.max_len - len(lo_head)
+    if n < 1:
+        return None
+    if not table.is_binary:
+        for m in range(n):
+            for u in table.factors(m) if m else ("",):
+                if table.is_factor(f"{lo_head}{u}0") and table.is_factor(f"{hi_head}{u}1"):
+                    return u
+        return None
+    codes, lengths = table.codes, table.lengths
+    lo, hi = int(lo_head, 16) << 4 * n, int(hi_head, 16) << 4 * n
+    i = bisect_left(codes, lo)
+    if i == len(codes) or codes[i] >> 4 * n != lo >> 4 * n or lengths[i] == h:
+        return None
+    tail = codes[i] - lo
+    for k in reversed(range(bisect_left(codes, hi), bisect_left(codes, hi + (1 << 4 * n)))):
+        if codes[k] - hi <= tail:
+            return None
+        q = n - ((((codes[k] - hi) ^ tail).bit_length() + 3) >> 2)
+        if q < lengths[k] - h:
+            return decode(tail >> 4 * (n - q), q)
     return None
 
 
@@ -179,61 +192,66 @@ def _adjacent_faults(
 
     ``sought`` names checks among "nfop" (of ``variant``), "nfop1" (nfop of
     variant 1, reported as "nfop"), "hamming2" and "ones" (binary only).
-    The walk reads the table's sorted factor codes of each saturated length
-    (base 16, one nibble per digit letter).  A pair whose codes differ by a
-    step to the next final letter (XOR 1) or by a 01 -> 10 swap fits every
-    nfop variant, differs in two letters at most and keeps the 1-count, so it
-    passes outright; any other pair gets the exact tests, still on codes.
-    The first fault of a check (shortest length, then lex-least pair),
-    formatted as text, is its witness, and the walk stops once every sought
-    check has one.  A check with no fault is Indeterminate when lengths past
-    the saturation frontier were skipped.
+    The walk reads the entries that neighbour up to the saturation frontier
+    (:meth:`FactorTable.neighbours`).  A pair that neighbours at lengths
+    lo..hi, with first and third mismatches at lengths t1 and t3, first
+    fails nfop at lo, t1+1 or t3 (past a transposition), and hamming2 and
+    ones from t3 on.  A check's first fault (shortest, then lex-least pair)
+    is its witness; pairs go by ascending lo until none can beat one.  A
+    check with no fault is Indeterminate if lengths were skipped.
     """
-    pending = set(sought)
-    faults: dict[str, dict] = {}
-
-    def fault(key, c, cp, n, why):
-        pending.remove(key)
-        witness = (decode(c, n), decode(cp, n))
-        faults[key] = {"status": VIOLATED, "witness": witness, "n": n, "reason": why}
-
-    for n in range(1, table.frontier + 1):
-        if not pending:
+    size, codes = table.max_len, table.codes
+    rest = {"status": CONSISTENT, "up_to": size}
+    if table.frontier < size:
+        skipped = ",".join(map(str, range(table.frontier + 1, size + 1)))
+        rest = {"status": INDETERMINATE, "reason": "unsaturated lengths " + skipped}
+    # key -> (n, a, verdict fields) of its first fault so far
+    best = dict.fromkeys(sought, (size + 1, 0, rest))
+    for lo, hi, a, b in sorted(table.neighbours()):
+        if all(lo > best[key][0] for key in sought):
             break
-        codes = table.level(n)[0]
-        for c, cp in zip(codes, codes[1:]):
-            x = c ^ cp
-            if x == 1:
-                continue
-            # The swap: x is 0x11 on a nibble boundary and c holds 01 there.
-            s = x.bit_length() - 5
-            if s >= 0 and not s & 3 and x == 0x11 << s and (c >> s) & 0xFF == 1:
-                continue
-            if "nfop" in pending and (why := _nfop_shape(c, cp, variant)):
-                fault("nfop", c, cp, n, why)
-            if "nfop1" in pending and (why := _nfop_shape(c, cp, 1)):
-                fault("nfop1", c, cp, n, why)
-            # Binary codes: each differing letter is one bit of x, each 1 one bit.
-            if "hamming2" in pending and x.bit_count() > 2:
-                fault("hamming2", c, cp, n, _differ_reason(x))
-            if "ones" in pending and (a := c.bit_count()) > (b := cp.bit_count()):
-                fault("ones", c, cp, n, f"1-count drops from {a} to {b}")
-    if table.frontier < table.max_len:
-        skipped = range(table.frontier + 1, table.max_len + 1)
-        why = "unsaturated lengths " + ",".join(map(str, skipped))
-        rest = {"status": INDETERMINATE, "reason": why}
-    else:
-        rest = {"status": CONSISTENT, "up_to": table.max_len}
+        c, cp = codes[a], codes[b]
+        t1, _, t3 = _mismatch_lengths(c ^ cp, size)
+        for key in sought:
+            stop = min(hi, best[key][0])
+            tries = (lo, t1 + 1, t3) if "nfop" in key else range(max(lo, t3), stop + 1)
+            for n in (n for n in tries if lo <= n <= stop):
+                cut = c >> 4 * (size - n), cp >> 4 * (size - n)
+                # A fault that cannot beat the best one is at its length, the last tried.
+                if (why := _pair_fault(key, variant, *cut)) and (n, a) < best[key][:2]:
+                    pair = decode(cut[0], n), decode(cut[1], n)
+                    best[key] = n, a, dict(status=VIOLATED, witness=pair, n=n, reason=why)
+                    break
     return tuple(
-        _stamped(table, "nfop" if key == "nfop1" else key, **faults.get(key, rest))
-        for key in sought
+        _stamped(table, "nfop" if key == "nfop1" else key, **best[key][2]) for key in sought
     )
 
 
-def _differ_reason(x: int) -> str:
-    """The reason for a pair whose codes XOR to ``x``: its nonzero nibbles."""
+def _mismatch_lengths(x: int, size: int) -> list[int]:
+    """The lengths at which the first three mismatches of two size-letter
+    codes XORing to x enter, size+1 for each one missing."""
+    lengths = []
+    for _ in range(3):
+        k = (x.bit_length() - 1) >> 2
+        lengths.append(size - k)
+        x &= (1 << 4 * max(k, 0)) - 1
+    return lengths
+
+
+def _pair_fault(key: str, variant: int, c: int, cp: int) -> str | None:
+    """Why the adjacent pair of codes c < cp fails check ``key``, or None."""
+    if key == "hamming2":
+        return _differ_reason(c ^ cp)
+    if key == "ones":
+        a, b = c.bit_count(), cp.bit_count()
+        return f"1-count drops from {a} to {b}" if a > b else None
+    return _nfop_shape(c, cp, 1 if key == "nfop1" else variant)
+
+
+def _differ_reason(x: int) -> str | None:
+    """Why a pair whose codes XOR to ``x`` differs in more than two letters, or None."""
     d = sum(1 for k in range(0, x.bit_length(), 4) if x >> k & 15)
-    return f"differ in {d} positions"
+    return f"differ in {d} positions" if d > 2 else None
 
 
 def _nfop_shape(c: int, cp: int, variant: int) -> str | None:
@@ -333,12 +351,18 @@ def recurrence_heuristic(table: FactorTable, known: bool | None = None) -> Verdi
 
 
 def _unioccurrent_early_factor(table: FactorTable) -> str | None:
-    half = len(table.word) // 2
-    for n in range(1, table.max_len + 1):
-        codes, counts, firsts = table.level(n)
-        for c, k, p in zip(codes, counts, firsts):
-            if k == 1 and p + n <= half:
-                return decode(c, n)
+    """Shortest (then lex-least) factor occurring once, ending in the first half.
+
+    It begins one entry of count 1 and no other, so the shortest one of
+    entry i has length max(lcp_i, lcp_i+1) + 1.
+    """
+    half, lcps = len(table.word) // 2, table.lcps
+    alone = list(map(max, lcps, chain(lcps[1:], (0,))))
+    for i in sorted(range(len(alone)), key=alone.__getitem__):
+        if (s := alone[i]) >= half:
+            break
+        if table.counts[i] == 1 and s < table.lengths[i] and table.firsts[i] + s < half:
+            return decode(table.codes[i] >> 4 * (table.max_len - s - 1), s + 1)
     return None
 
 
@@ -357,8 +381,9 @@ def saturated_table(
 ) -> FactorTable:
     """Generate a prefix and index it, doubling until all lengths saturate.
 
-    Each candidate window is probed on its longest length alone, and only
-    the window kept is indexed, reusing the probe's windows.  Doubling stops
+    Each candidate window is probed on its longest length alone, each
+    window start is sliced once over all candidates, and only the window
+    kept is indexed, reusing the probe's windows.  Doubling stops
     at PREFIX_BUDGET (or at the end of a literal), in which case the table
     simply comes back with unsaturated lengths and downstream checks degrade
     to Indeterminate.
@@ -370,10 +395,13 @@ def saturated_table(
     cap = PREFIX_BUDGET
     if isinstance(spec, Literal):
         cap = min(cap, len(spec.word))
+    windows: Counter[str] = Counter()
     while True:
         length = min(target, cap)
         word = generate_prefix(spec, length)
-        windows = window_counts(word, max_len)
+        # Only the windows that start in the new letters: as many windows
+        # as were counted so far start before them.
+        windows.update(window_counts(word, max_len, windows.total()))
         # Each shorter factor lies in a length-max_len window, so saturating
         # max_len saturates every length: the probe needs only that length.
         if length >= cap or newest_fits(word, windows):

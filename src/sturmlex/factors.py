@@ -1,40 +1,38 @@
-"""Per-length factor index of a finite word prefix.
+"""Factor index of a finite word prefix: one sorted list of longest windows.
 
-The index keeps, for every length n up to a bound, the distinct length-n
-factors as sorted integer codes, with their occurrence counts and first
-occurrence positions in parallel lists.  A factor's code is the factor read
-in base 16, one nibble per digit letter, so the numeric order of codes is the
-lexicographic order of factors.  Factor strings are formatted from the codes
-on the first ``factors(n)`` call and cached.  Length n is called *saturated*
-when every length-n factor first occurs entirely inside the first half of the
-prefix; only a saturated list is treated downstream as the word's complete
-length-n factor set, everything else stays advisory.  A length-n factor
-first occurs at the start of a length-(n+1) occurrence or at the very end, so
-the saturated lengths are 1..frontier, and a table stores only the frontier.
+Every factor of length n <= max_len is the n-letter prefix of an *entry*:
+a distinct window of length max_len, or a short suffix ``word[-m:]`` (m <
+max_len), which reaches only the lengths n <= m.  An entry's code is its
+text read in base 16, one nibble per digit letter, a short suffix padded
+with nibbles f, so that numeric order is lexicographic order and a short
+suffix sorts after every entry it is a prefix of.  The table keeps the
+entries sorted, with their lengths, counts, first occurrences and the
+common-prefix length (LCP) of each entry with the one before it.  The
+sorted length-n factors are the runs of entries of length >= n whose
+n-letter prefixes agree, so p(n) is the number of entries with
+lcp < n <= length, one histogram for all n, and a factor's count and first
+occurrence come from the range of codes it begins, found by bisection.
 
-The index is built in one pass over the prefix: only the longest windows
-are sliced from the word, and each shorter length is derived from the next
-longer one by dropping the last nibble, which keeps the codes sorted, summing
-the counts of equal codes and keeping their smallest first occurrence, plus
-the single window that ends the prefix, placed by bisection.  The distinct
-factors a table holds, summed over its lengths, are capped at FACTOR_BUDGET.
+Length n is *saturated* when every length-n factor first occurs entirely
+inside the first half of the prefix, that is when the half has p(n)
+length-n factors too.  Saturating n saturates every shorter length, so the
+saturated lengths are 1..frontier, and a table stores only the frontier.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import repeat
+from itertools import accumulate, chain, compress, repeat
+from operator import ge, gt, xor
 
 from .errors import BudgetExceeded, NotAFactor, WindowTooLarge
 from .words import _check_word
 
-#: Cap on the distinct factors one table holds, summed over its lengths.
-#: A code is a 4n-bit int, so the bytes per factor grow with its length:
-#: tracemalloc on ``fib`` tables at default windows gives 72 at max_len 40,
-#: 123 at 200 and 229 at 500.  The cap bounds a table near 330 MB only for
-#: short factors and does not bound memory for long ones (ROADMAP item 2).
-#: Only PREFIX_BUDGET bounds the windows of the longest length.
+#: Cap on the distinct factors a table stands for, summed over its lengths.
+#: It no longer bounds memory, since a table holds only its entries (peak
+#: RSS of ``sturmlex check --spec fib --what sturmian --json``: 15.6 MB at
+#: max-n 40, 15.7 MB at 200, 18.5 MB at 1000); it keeps exit code 65 past it.
 FACTOR_BUDGET = 1 << 22
 
 
@@ -45,17 +43,17 @@ def is_unbordered(v: str) -> bool:
 
 def decode(code: int, n: int) -> str:
     """The length-n factor whose base-16 code is ``code``."""
-    return format(code, f"0{n}x")
+    return format(code, f"0{n}x") if n else ""
 
 
-def window_counts(word: str, n: int) -> Counter[str]:
-    """Occurrence counts of the length-n windows of ``word``.
+def window_counts(word: str, n: int, start: int = 0) -> Counter[str]:
+    """Occurrence counts of the length-n windows of ``word`` from ``start`` on.
 
     The keys come in order of first occurrence, so the last one is the
     newest factor.
     """
     size = len(word)
-    starts, ends = range(size - n + 1), range(n, size + 1)
+    starts, ends = range(start, size - n + 1), range(start + n, size + 1)
     return Counter(map(word.__getitem__, map(slice, starts, ends)))
 
 
@@ -69,51 +67,33 @@ def newest_fits(word: str, windows: Counter[str]) -> bool:
     return word.find(newest) + len(newest) <= len(word) // 2
 
 
-def _shorter(
-    codes: tuple[int, ...], counts: tuple[int, ...], firsts: tuple[int, ...],
-    word: str, n: int,
-) -> tuple[list[int], list[int], list[int]]:
-    """Codes, counts and first occurrences of the length-n factors, from length n+1.
+def _suffixes(word: str, n: int) -> list[str]:
+    """The suffixes of ``word`` shorter than n, padded with f to n letters."""
+    return [word[-m:].ljust(n, "f") for m in range(1, min(n - 1, len(word)) + 1)]
 
-    Every occurrence of a length-n factor is the start of a length-(n+1)
-    occurrence, except the one tail window, which starts at len(word)-n.
+
+def _histogram(codes, shorts: int, n: int) -> tuple[list[int], list[int]]:
+    """The LCPs and [p(0), ..., p(n)] of sorted n-nibble entry codes, the
+    ``shorts`` short suffixes among them of the lengths 1..shorts.
+
+    The first code is compared with f00...0, which differs from every entry
+    in its first letter.  An LCP never exceeds either entry's length: a
+    short suffix has an f where the other entry still has a letter.
     """
-    short: list[int] = []
-    short_counts: list[int] = []
-    short_firsts: list[int] = []
-    prev = -1
-    for c, k, p in zip(codes, counts, firsts):
-        c >>= 4
-        if c == prev:
-            short_counts[-1] += k
-            if p < short_firsts[-1]:
-                short_firsts[-1] = p
-        else:
-            short.append(c)
-            short_counts.append(k)
-            short_firsts.append(p)
-            prev = c
-    tail_start = len(word) - n
-    tail = int(word[tail_start:], 16)
-    i = bisect_left(short, tail)
-    if i < len(short) and short[i] == tail:
-        # Every other start is at most len(word)-n-1, so an earlier one wins.
-        short_counts[i] += 1
-    else:
-        short.insert(i, tail)
-        short_counts.insert(i, 1)
-        short_firsts.insert(i, tail_start)
-    return short, short_counts, short_firsts
+    before = chain((15 << 4 * (n - 1),), codes)
+    lcps = [n - ((x.bit_length() + 3) >> 2) for x in map(xor, codes, before)]
+    starts = Counter(lcps)
+    return lcps, [*accumulate((starts[k] - (0 < k <= shorts) for k in range(n)), initial=0)]
 
 
 class FactorTable:
-    """Sorted factor lists of every length 1..max_len of a word prefix.
+    """Sorted entries standing for the factors of lengths 1..max_len of a prefix.
 
     ``windows``, when given, are the :func:`window_counts` of ``word`` at
-    ``max_len``, so a caller that already sliced them for a saturation
-    probe need not slice them again.  ``frontier`` is the longest saturated
-    length, or 0 if there is none.  Immutable after construction; all
-    queries are read-only.
+    ``max_len``, so that a saturation probe's windows are not sliced twice.
+    ``codes``, ``lengths``, ``counts``, ``firsts`` and ``lcps`` are parallel
+    entry tuples in code order.  ``frontier`` is the longest saturated
+    length, or 0.  Immutable after construction.
     """
 
     def __init__(self, word: str, max_len: int, windows: Counter[str] | None = None):
@@ -129,109 +109,139 @@ class FactorTable:
             windows = window_counts(word, max_len)
         # The keys come in order of first occurrence, so each first
         # occurrence is found by searching on from the previous one.
-        firsts = []
-        p = -1
-        for v in windows:
-            p = word.find(v, p + 1)
-            firsts.append(p)
-        codes = list(map(int, windows, repeat(16)))
-        counts = list(windows.values())
-        order = sorted(range(len(codes)), key=codes.__getitem__)
-        level = (
-            [codes[i] for i in order],
-            [counts[i] for i in order],
-            [firsts[i] for i in order],
+        firsts = [*accumulate(windows, lambda p, v: word.find(v, p + 1), initial=-1)][1:]
+        size, half = len(word), len(word) // 2
+        shorts = range(1, max_len)
+        texts = [*windows, *_suffixes(word, max_len)]
+        order = sorted(range(len(texts)), key=texts.__getitem__)
+        self.codes = tuple(map(int, map(texts.__getitem__, order), repeat(16)))
+        self.lengths, self.counts, self.firsts = (
+            tuple(map(column.__getitem__, order))
+            for column in (
+                [*repeat(max_len, len(windows)), *shorts],
+                [*windows.values(), *repeat(1, len(shorts))],
+                [*firsts, *(size - m for m in shorts)],
+            )
         )
-        self._levels: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._strings: dict[int, tuple[str, ...]] = {}
-        self.frontier = 0
-        half = len(word) // 2
-        held = 0
-        for n in range(max_len, 0, -1):
-            if n < max_len:
-                level = _shorter(*level, word, n)
-            held += len(level[0])
-            if held > FACTOR_BUDGET:
-                raise BudgetExceeded(
-                    f"more than {FACTOR_BUDGET} distinct factors of lengths "
-                    f"{n}..{max_len}"
-                )
-            level = self._levels[n] = tuple(map(tuple, level))
-            # The newest factor must fit entirely inside the first half.
-            if not self.frontier and max(level[2]) + n <= half:
-                self.frontier = n
+        lcps, self._p = _histogram(self.codes, len(shorts), max_len)
+        self.lcps = tuple(lcps)
+        if sum(self._p) > FACTOR_BUDGET:
+            n = next(n for n in range(max_len, 0, -1) if sum(self._p[n:]) > FACTOR_BUDGET)
+            raise BudgetExceeded(
+                f"more than {FACTOR_BUDGET} distinct factors of lengths {n}..{max_len}"
+            )
+        self.frontier = max_len
+        if firsts[-1] + max_len > half:
+            # Compare with the first half's entries: the windows that fit in
+            # it (no short suffix starts that early) and its short suffixes.
+            fit = compress(self.codes, map(ge, repeat(half - max_len), self.firsts))
+            ends = _suffixes(word[:half], max_len)
+            halves = sorted(chain(fit, map(int, ends, repeat(16))))
+            _, in_half = _histogram(halves, len(ends), max_len)
+            short = (n - 1 for n in range(1, max_len + 1) if in_half[n] < self._p[n])
+            self.frontier = next(short, max_len)
 
     def _require(self, n: int) -> None:
         if not 1 <= n <= self.max_len:
             raise ValueError(f"length {n} outside the indexed range 1..{self.max_len}")
 
-    def _index(self, v: str) -> int | None:
-        """Position of ``v`` in its length's sorted lists, or None if absent."""
+    def _range(self, v: str, need: bool = False) -> tuple[int, int, int]:
+        """(i, j, shift): entries i..j-1 begin with ``v``; shift cuts them to it."""
         self._require(len(v))
+        shift = 4 * (self.max_len - len(v))
+        i = j = 0
         # int() would also read letters a-f, whitespace, underscores and
         # non-ASCII digits, none of which occurs in a factor.
-        if not (v.isascii() and v.isdigit()):
-            return None
-        codes = self._levels[len(v)][0]
-        c = int(v, 16)
-        i = bisect_left(codes, c)
-        return i if i < len(codes) and codes[i] == c else None
-
-    def _found(self, v: str) -> int:
-        i = self._index(v)
-        if i is None:
+        if v.isascii() and v.isdigit():
+            c = int(v, 16) << shift
+            i = bisect_left(self.codes, c)
+            j = bisect_left(self.codes, c + (1 << shift), i)
+        if need and i == j:
             raise NotAFactor(v)
-        return i
+        return i, j, shift
 
     @property
     def is_binary(self) -> bool:
         return set(self.alphabet) <= {"0", "1"}
 
     def level(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """(codes, counts, first occurrences) of the length-n factors.
-
-        Parallel tuples in lex order of the factors; a code is the factor
-        read in base 16 (see :func:`decode`).
-        """
+        """(codes, counts, first occurrences) of the length-n factors in lex
+        order, built from the entries on each call (see :func:`decode`)."""
         self._require(n)
-        return self._levels[n]
+        shift = 4 * (self.max_len - n)
+        codes, counts, firsts = [], [], []
+        entries = zip(self.codes, self.lengths, self.counts, self.firsts, self.lcps)
+        for c, m, k, p, lcp in entries:
+            if lcp >= n:
+                counts[-1] += k
+                firsts[-1] = min(firsts[-1], p)
+            elif m >= n:
+                codes.append(c >> shift)
+                counts.append(k)
+                firsts.append(p)
+        return tuple(codes), tuple(counts), tuple(firsts)
 
     def factors(self, n: int) -> tuple[str, ...]:
         """Distinct length-n factors, lexicographically ascending."""
-        self._require(n)
-        fs = self._strings.get(n)
-        if fs is None:
-            fs = self._strings[n] = tuple(decode(c, n) for c in self._levels[n][0])
-        return fs
+        return tuple(decode(c, n) for c in self.level(n)[0])
 
     def complexity(self, n: int) -> int:
         """Number of distinct length-n factors."""
         self._require(n)
-        return len(self._levels[n][0])
+        return self._p[n]
 
     def is_factor(self, v: str) -> bool:
-        return self._index(v) is not None
+        i, j, _ = self._range(v)
+        return i < j
 
     def count(self, v: str) -> int:
         """Number of occurrences of ``v`` in the prefix (overlaps included)."""
-        i = self._found(v)
-        return self._levels[len(v)][1][i]
+        i, j, _ = self._range(v, need=True)
+        return sum(self.counts[i:j])
 
     def first_occurrence(self, v: str) -> int:
-        i = self._found(v)
-        return self._levels[len(v)][2][i]
+        i, j, _ = self._range(v, need=True)
+        return min(self.firsts[i:j])
 
     def successor(self, v: str) -> str | None:
         """Next factor of the same length in lex order, or None if maximal."""
-        r = self._found(v) + 1
-        codes = self._levels[len(v)][0]
-        return decode(codes[r], len(v)) if r < len(codes) else None
+        _, j, shift = self._range(v, need=True)
+        after = (c for c, m in zip(self.codes[j:], self.lengths[j:]) if m >= len(v))
+        return next((decode(c >> shift, len(v)) for c in after), None)
 
     def extremal(self, n: int) -> tuple[str, str]:
         """(lex-minimal, lex-maximal) factor of length n."""
         self._require(n)
-        codes = self._levels[n][0]
-        return decode(codes[0], n), decode(codes[-1], n)
+        first = (c for c, m in zip(self.codes, self.lengths) if m >= n)
+        last = (c for c, m in zip(reversed(self.codes), reversed(self.lengths)) if m >= n)
+        shift = 4 * (self.max_len - n)
+        return decode(next(first) >> shift, n), decode(next(last) >> shift, n)
+
+    def neighbours(self) -> list[tuple[int, int, int, int]]:
+        """(lo, hi, a, b) for entries a < b whose n-letter prefixes are
+        neighbouring length-n factors exactly for lo <= n <= hi <= frontier.
+
+        Each neighbouring pair of saturated factors comes from one tuple.
+        An entry with lcp >= its length (cut to the frontier) starts no new
+        one and is passed over; past a short suffix's length, the entries on
+        either side of it become neighbours.
+        """
+        pairs, stack = [], []  # stack: (entry, length), lengths falling
+        for b in compress(range(len(self.lcps)), map(gt, repeat(self.frontier), self.lcps)):
+            lcp, m = self.lcps[b], min(self.lengths[b], self.frontier)
+            if lcp >= m:
+                continue
+            lo = lcp + 1
+            while stack:
+                a, la = stack[-1]
+                pairs.append((lo, min(la, m), a, b))
+                if la > m:
+                    break
+                stack.pop()
+                # Later pairs bridge a, the longest entry between them so far.
+                lo = la + 1
+            stack.append((b, m))
+        return pairs
 
     def left_special(self, n: int) -> list[str]:
         """Length-n factors with at least two distinct left extensions.
@@ -261,8 +271,9 @@ class FactorTable:
         """One line per factor: ``<n>\\t<factor>\\t<count>``, lengths then lex."""
         lines = []
         for n in range(1, self.max_len + 1):
-            for v, k in zip(self.factors(n), self._levels[n][1]):
-                lines.append(f"{n}\t{v}\t{k}")
+            codes, counts, _ = self.level(n)
+            for c, k in zip(codes, counts):
+                lines.append(f"{n}\t{decode(c, n)}\t{k}")
         return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:  # pragma: no cover

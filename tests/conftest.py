@@ -17,17 +17,43 @@ FIB32 = "01001010010010100101001001010010"
 SRC = str(Path(sx.__file__).resolve().parent.parent)
 
 
+def _env() -> dict:
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+
+
 def run_module(*argv: str, timeout: float = 60) -> subprocess.CompletedProcess:
     """Run ``python -m sturmlex *argv`` in a child process."""
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     return subprocess.run(
         [sys.executable, "-m", "sturmlex", *argv],
         capture_output=True,
         text=True,
         timeout=timeout,
-        env=env,
+        env=_env(),
     )
+
+
+# Runs its arguments as a process of its own and prints that process's exit
+# code and peak RSS in bytes (ru_maxrss is in KiB on Linux, bytes on macOS).
+_MEASURE = """
+import resource, subprocess, sys
+code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(code, peak if sys.platform == "darwin" else peak * 1024)
+"""
+
+
+def peak_rss(*argv: str, timeout: float = 60) -> tuple[int, float]:
+    """(exit code, peak RSS in MB) of ``python *argv`` run in a grandchild."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEASURE, sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=_env(),
+    )
+    code, peak = proc.stdout.split()
+    return int(code), int(peak) / 2**20
 
 
 def prefix(text: str, n: int) -> str:

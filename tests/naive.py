@@ -143,6 +143,25 @@ def extension_exclusion(w, max_len):
     return None
 
 
+def unioccurrent_early_factor(w, max_len):
+    """Shortest then lex-least factor of length <= max_len that occurs once
+    and ends inside the first half of w, or None."""
+    half = len(w) // 2
+    for n in range(1, max_len + 1):
+        for v in distinct_factors(w, n):
+            if occurrences(w, v) == 1 and w.find(v) + n <= half:
+                return v
+    return None
+
+
+def periodicity_length(w, max_len):
+    """The first saturated n with at most n distinct length-n factors, or None."""
+    for n in range(1, max_len + 1):
+        if saturated(w, n) and len(distinct_factors(w, n)) <= n:
+            return n
+    return None
+
+
 def mechanical_prefix(a, rho, n):
     """Letter i is floor((i+1)a + rho) - floor(ia + rho), a and rho Fractions."""
     return "".join(

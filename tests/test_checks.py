@@ -287,27 +287,28 @@ class TestSaturatedTable:
 
     @pytest.mark.parametrize("text,max_len,prefix_len", WINDOWS)
     def test_one_index_per_window(self, monkeypatch, text, max_len, prefix_len):
-        builds, sliced = [], Counter()
+        builds, sliced, sizes = [], Counter(), []
 
         def build(word, *args):
             builds.append(len(word))
             return factors.FactorTable(word, *args)
 
-        def slicing(word, n, _original=factors.window_counts):
-            sliced[len(word)] += 1
-            return _original(word, n)
+        def slicing(word, n, start=0, _original=factors.window_counts):
+            sizes.append(len(word))
+            sliced.update(range(start, len(word) - n + 1))
+            return _original(word, n, start)
 
         monkeypatch.setattr(checks, "FactorTable", build)
         monkeypatch.setattr(checks, "window_counts", slicing)
         monkeypatch.setattr(factors, "window_counts", slicing)
         t = checks.saturated_table(sx.parse_spec(text), max_len, prefix_len)
         assert builds == [len(t.word)]
-        # Every candidate window's longest length is sliced once, the kept
-        # window's included.
-        assert set(sliced.values()) == {1}
-        assert len(t.word) in sliced
+        # Over all candidate windows, each window start of the kept one is
+        # sliced exactly once.
+        assert sliced == Counter(range(len(t.word) - max_len + 1))
+        assert sizes[-1] == len(t.word)
         if (text, max_len) == ("fib", 10):
-            assert len(sliced) > 1
+            assert len(sizes) > 1
 
     @given(
         w=st.text(alphabet="012", min_size=2, max_size=80),
@@ -695,3 +696,92 @@ class TestDifferentialNonBinary:
         # One walk judges two variants independently.
         walk = checks._adjacent_faults(t, ("nfop", "nfop1"), 2)
         assert walk == (sx.check_nfop(t, 2), sx.check_nfop(t, 1))
+
+
+@st.composite
+def long_tables(draw):
+    """A word over 01, 012 or 0123456789, random or a repeated seed, with a
+    length bound up to the word's length, so that the index's short
+    suffixes reach every length and drop out between neighbours."""
+    alphabet = draw(st.sampled_from(["01", "012", "0123456789"]))
+    w = draw(
+        st.one_of(
+            st.text(alphabet=alphabet, min_size=1, max_size=40),
+            st.builds(
+                lambda seed, k: seed * k,
+                st.text(alphabet=alphabet, min_size=1, max_size=6),
+                st.integers(2, 10),
+            ),
+        )
+    )
+    return sx.FactorTable(w, draw(st.integers(1, len(w))))
+
+
+def oracle_battery(w, max_len):
+    """The verdicts of ``checks._battery`` on a literal word, from the oracle."""
+    sat = tuple(n for n in range(1, max_len + 1) if naive.saturated(w, n))
+    binary = set(w) <= set("01")
+
+    def verdict(check, status, **fields):
+        return checks.Verdict(check, status, saturated_lengths=sat, **fields)
+
+    def walk(check, outcome, reason):
+        status, n, pair = outcome
+        if status == checks.VIOLATED:
+            return verdict(check, status, witness=pair, n=n, reason=reason(*pair))
+        if status == checks.INDETERMINATE:
+            skipped = ",".join(str(n) for n in range(len(sat) + 1, max_len + 1))
+            return verdict(check, status, reason=f"unsaturated lengths {skipped}")
+        return verdict(check, status, up_to=max_len)
+
+    def nfop(variant):
+        outcome = naive.nfop_verdict(w, max_len, variant)
+        return walk("nfop", outcome, lambda v, vp: naive.nfop_reason(v, vp, variant))
+
+    if binary:
+        hit = naive.minimal_imbalance(w, max_len)
+        balance = (
+            verdict("balance", checks.VIOLATED, witness=hit[1], n=len(hit[1][0]))
+            if hit
+            else verdict("balance", checks.CONSISTENT, up_to=max(max_len - 2, 0))
+        )
+        hamming = walk("hamming2", naive.hamming2_verdict(w, max_len), naive.hamming_reason)
+        ones = walk("ones", naive.ones_verdict(w, max_len), naive.ones_reason)
+    else:
+        balance, hamming, ones = (
+            verdict(c, checks.INDETERMINATE, reason="alphabet is not binary")
+            for c in ("balance", "hamming2", "ones")
+        )
+    n = naive.periodicity_length(w, max_len)
+    if n is None:
+        complexity = verdict("complexity", checks.APPARENTLY_APERIODIC, up_to=max_len)
+    else:
+        p = len(naive.distinct_factors(w, n))
+        why = f"complexity {p} <= {n}"
+        complexity = verdict("complexity", checks.ULTIMATELY_PERIODIC, n=n, reason=why)
+    v = naive.unioccurrent_early_factor(w, max_len)
+    recurrence = (
+        verdict("recurrence", checks.NON_RECURRENT, witness=(v,), n=len(v))
+        if v is not None
+        else verdict("recurrence", checks.RECURRENT_CONSISTENT, up_to=max_len)
+    )
+    return nfop(3 if binary else 1), balance, complexity, hamming, ones, recurrence, nfop(1)
+
+
+class TestBatteryAgainstOracle:
+    """All six verdicts plus nfop variant 1, and the extension-exclusion
+    search, on tables whose length bound reaches the word's length."""
+
+    # Short suffixes that drop out between neighbours: 0110 at max_len 4
+    # keeps only its single window, and every other length gains tails.
+    @example(t=sx.FactorTable("0110", 4))
+    @example(t=sx.FactorTable("0100101001001", 13))
+    @example(t=sx.FactorTable("0120" * 5, 20))
+    @example(t=sx.FactorTable("9081726354" * 2, 11))
+    @given(t=long_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_battery_and_exclusion(self, t):
+        spec = sx.Literal(t.word)
+        assert checks._battery(spec, t) == oracle_battery(t.word, t.max_len)
+        want = naive.extension_exclusion(t.word, t.max_len)
+        assert sx.find_extension_exclusion(t) == want

