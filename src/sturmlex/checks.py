@@ -199,6 +199,16 @@ def _adjacent_faults(
     ones from t3 on.  A check's first fault (shortest, then lex-least pair)
     is its witness; pairs go by ascending lo until none can beat one.  A
     check with no fault is Indeterminate if lengths were skipped.
+
+    On a binary table most pairs are passed over after one test on x, the
+    XOR of their hi-letter prefixes, which is exact.  If x is 1 the
+    prefixes differ only in the last letter, 0 against 1, so they are
+    equal one letter earlier and lo = hi: a final-letter step.  If x is
+    0x11 << 4s and the left prefix holds 01 there, each n-letter prefix
+    pair for lo <= n <= hi is a 01 -> 10 swap (both letters in), or a
+    final 0 -> 1 step (one in; fewer make the prefixes equal).  Either
+    shape fits nfop of every variant, differs in at most two letters and
+    keeps the 1-count from falling.
     """
     size, codes = table.max_len, table.codes
     rest = {"status": CONSISTENT, "up_to": size}
@@ -207,8 +217,17 @@ def _adjacent_faults(
         rest = {"status": INDETERMINATE, "reason": "unsaturated lengths " + skipped}
     # key -> (n, a, verdict fields) of its first fault so far
     best = dict.fromkeys(sought, (size + 1, 0, rest))
-    for lo, hi, a, b in sorted(table.neighbours()):
-        if all(lo > best[key][0] for key in sought):
+    pairs = table.neighbours()
+    if table.is_binary:
+        pairs = [
+            (lo, hi, a, b)
+            for lo, hi, a, b in pairs
+            if not _fits_all(codes[a], codes[b], size - hi)
+        ]
+    # No pair that starts past every check's first fault so far can beat one.
+    reach = size + 1
+    for lo, hi, a, b in sorted(pairs):
+        if lo > reach:
             break
         c, cp = codes[a], codes[b]
         t1, _, t3 = _mismatch_lengths(c ^ cp, size)
@@ -221,10 +240,19 @@ def _adjacent_faults(
                 if (why := _pair_fault(key, variant, *cut)) and (n, a) < best[key][:2]:
                     pair = decode(cut[0], n), decode(cut[1], n)
                     best[key] = n, a, dict(status=VIOLATED, witness=pair, n=n, reason=why)
+                    reach = max(best[k][0] for k in sought)
                     break
     return tuple(
         _stamped(table, "nfop" if key == "nfop1" else key, **best[key][2]) for key in sought
     )
+
+
+def _fits_all(c: int, cp: int, cut: int) -> bool:
+    """Whether binary codes c < cp, with their last ``cut`` letters cut off,
+    are a final 0 -> 1 step or a 01 -> 10 swap (see :func:`_adjacent_faults`)."""
+    x = (c ^ cp) >> 4 * cut
+    s = x.bit_length() - 5
+    return x == 1 or x == 0x11 << s and (c >> 4 * cut + s) & 0xFF == 1
 
 
 def _mismatch_lengths(x: int, size: int) -> list[int]:
@@ -399,9 +427,7 @@ def saturated_table(
     while True:
         length = min(target, cap)
         word = generate_prefix(spec, length)
-        # Only the windows that start in the new letters: as many windows
-        # as were counted so far start before them.
-        windows.update(window_counts(word, max_len, windows.total()))
+        window_counts(word, max_len, windows)
         # Each shorter factor lies in a length-max_len window, so saturating
         # max_len saturates every length: the probe needs only that length.
         if length >= cap or newest_fits(word, windows):

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, chain, compress, repeat
-from operator import ge, gt, xor
+from itertools import accumulate, chain, compress, count, repeat
+from operator import ge, xor
 
 from .errors import BudgetExceeded, NotAFactor, WindowTooLarge
 from .words import _check_word
@@ -34,6 +34,13 @@ from .words import _check_word
 #: RSS of ``sturmlex check --spec fib --what sturmian --json``: 15.6 MB at
 #: max-n 40, 15.7 MB at 200, 18.5 MB at 1000); it keeps exit code 65 past it.
 FACTOR_BUDGET = 1 << 22
+
+#: Cap on the letters held by the distinct longest windows, checked while
+#: they are counted, so that it bounds a table's memory.  It is four times
+#: FACTOR_BUDGET: within that budget the windows hold under 2 letters per
+#: factor when p(n) = n + 1 (Sturmian words) and under 2.1 on Thue-Morse,
+#: so only words whose windows share long prefixes can exit here first.
+LETTER_BUDGET = 1 << 24
 
 
 def is_unbordered(v: str) -> bool:
@@ -46,15 +53,29 @@ def decode(code: int, n: int) -> str:
     return format(code, f"0{n}x") if n else ""
 
 
-def window_counts(word: str, n: int, start: int = 0) -> Counter[str]:
-    """Occurrence counts of the length-n windows of ``word`` from ``start`` on.
+def window_counts(
+    word: str, n: int, windows: Counter[str] | None = None
+) -> Counter[str]:
+    """Occurrence counts of the length-n windows of ``word``.
 
-    The keys come in order of first occurrence, so the last one is the
-    newest factor.
+    ``windows``, when given, are the counts of a shorter prefix of ``word``;
+    the windows that start after the ones they count are added to them in
+    place.  Counting goes in chunks of at most LETTER_BUDGET/16 letters and
+    raises BudgetExceeded once the distinct windows hold more than
+    LETTER_BUDGET letters, so it never holds much more.  The keys come in
+    order of first occurrence, so the last one is the newest factor.
     """
-    size = len(word)
-    starts, ends = range(start, size - n + 1), range(start + n, size + 1)
-    return Counter(map(word.__getitem__, map(slice, starts, ends)))
+    windows = Counter() if windows is None else windows
+    end, step = len(word) - n + 1, max(1, LETTER_BUDGET // (16 * n))
+    for start in range(windows.total(), end, step):
+        stop = min(start + step, end)
+        cuts = map(slice, range(start, stop), range(start + n, stop + n))
+        windows.update(map(word.__getitem__, cuts))
+        if len(windows) * n > LETTER_BUDGET:
+            raise BudgetExceeded(
+                f"distinct length-{n} windows hold more than {LETTER_BUDGET} letters"
+            )
+    return windows
 
 
 def newest_fits(word: str, windows: Counter[str]) -> bool:
@@ -221,27 +242,18 @@ class FactorTable:
         """(lo, hi, a, b) for entries a < b whose n-letter prefixes are
         neighbouring length-n factors exactly for lo <= n <= hi <= frontier.
 
-        Each neighbouring pair of saturated factors comes from one tuple.
-        An entry with lcp >= its length (cut to the frontier) starts no new
-        one and is passed over; past a short suffix's length, the entries on
-        either side of it become neighbours.
+        Each neighbouring pair of saturated factors comes from one tuple, and
+        hi is the frontier.  An entry whose lcp reaches its length (cut to
+        the frontier) starts no new factor and is passed over.  That takes
+        every short suffix v shorter than the frontier: v and one more letter
+        occur in the first half, so the entry right before v begins with v.
+        So the entries left reach the frontier, and each one neighbours the
+        one before it from its lcp + 1 on.
         """
-        pairs, stack = [], []  # stack: (entry, length), lengths falling
-        for b in compress(range(len(self.lcps)), map(gt, repeat(self.frontier), self.lcps)):
-            lcp, m = self.lcps[b], min(self.lengths[b], self.frontier)
-            if lcp >= m:
-                continue
-            lo = lcp + 1
-            while stack:
-                a, la = stack[-1]
-                pairs.append((lo, min(la, m), a, b))
-                if la > m:
-                    break
-                stack.pop()
-                # Later pairs bridge a, the longest entry between them so far.
-                lo = la + 1
-            stack.append((b, m))
-        return pairs
+        top = self.frontier
+        entries = zip(count(), self.lcps, self.lengths)
+        starts = [b for b, lcp, m in entries if lcp < m and lcp < top]
+        return [(self.lcps[b] + 1, top, a, b) for a, b in zip(starts, starts[1:])]
 
     def left_special(self, n: int) -> list[str]:
         """Length-n factors with at least two distinct left extensions.

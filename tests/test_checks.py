@@ -293,10 +293,11 @@ class TestSaturatedTable:
             builds.append(len(word))
             return factors.FactorTable(word, *args)
 
-        def slicing(word, n, start=0, _original=factors.window_counts):
+        def slicing(word, n, windows=None, _original=factors.window_counts):
             sizes.append(len(word))
+            start = 0 if windows is None else windows.total()
             sliced.update(range(start, len(word) - n + 1))
-            return _original(word, n, start)
+            return _original(word, n, windows)
 
         monkeypatch.setattr(checks, "FactorTable", build)
         monkeypatch.setattr(checks, "window_counts", slicing)
@@ -516,6 +517,35 @@ class TestEachCheckOncePerTable:
         )
 
 
+class TestBinarySkip:
+    """On a binary table the walk passes over a final 0 -> 1 step or a
+    01 -> 10 swap without its exact judge (``_pair_fault``)."""
+
+    @pytest.fixture
+    def judged(self, monkeypatch):
+        calls = []
+        real = checks._pair_fault
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(checks, "_pair_fault", counted)
+        return calls
+
+    @pytest.mark.parametrize("text", ["fib", "std:2,1", "std:3", "std:1,2,3"])
+    def test_sturmian_pairs_are_all_skipped(self, judged, text):
+        spec = sx.parse_spec(text)
+        table = checks.saturated_table(spec, 240, 1024)
+        assert checks._battery(spec, table)[0].status == checks.CONSISTENT
+        assert len(table.neighbours()) == 240
+        assert judged == []
+
+    def test_thue_morse_pairs_are_judged(self, judged, tm_table):
+        assert sx.check_nfop(tm_table).status == checks.VIOLATED
+        assert judged
+
+
 class TestCrossCheckInvariants:
     """Properties that tie the checks together on known words."""
 
@@ -606,9 +636,10 @@ def mismatched_pairs(draw):
 class TestPairReasons:
     """The pair predicate gives the oracle's reason string, or None, exactly."""
 
-    # Shapes the walk's fast path passes before the exact test, which must
-    # judge them right on its own: a final step, a 01 -> 10 swap, a 12 -> 21
-    # swap, and 03 -> 12, whose codes XOR to a swap's 0x11.
+    # Shapes at the edge of the walk's binary skip, which the predicate must
+    # judge right on its own: a final step and a 01 -> 10 swap (skipped on
+    # binary tables), a 12 -> 21 swap, and 03 -> 12, whose codes XOR to a
+    # swap's 0x11.
     @example(pair=("0110", "0111"))
     @example(pair=("0011", "0101"))
     @example(pair=("2120", "2210"))
@@ -629,6 +660,12 @@ class TestDifferentialRandomBinary:
     """Checks against the brute-force oracle on random binary words."""
 
     @given(t=tables())
+    # 000 -> 011 at n=3: its codes XOR to a swap's 0x11, but the left code
+    # holds 00 there, so the walk judges it (adjacent mismatches, no swap).
+    @example(t=sx.FactorTable("011000000000", 3))
+    # 0100 -> 1001 neighbour up to the frontier 3, where they are a swap,
+    # and bridge the short suffixes 010 and 0; their third mismatch is at 4.
+    @example(t=sx.FactorTable("0010010010", 4))
     @settings(max_examples=150, deadline=None)
     def test_adjacent_pair_checks(self, t):
         cases = [
@@ -701,8 +738,8 @@ class TestDifferentialNonBinary:
 @st.composite
 def long_tables(draw):
     """A word over 01, 012 or 0123456789, random or a repeated seed, with a
-    length bound up to the word's length, so that the index's short
-    suffixes reach every length and drop out between neighbours."""
+    length bound up to the word's length, so that the index holds short
+    suffixes of every length, which sit between neighbours."""
     alphabet = draw(st.sampled_from(["01", "012", "0123456789"]))
     w = draw(
         st.one_of(
@@ -772,12 +809,15 @@ class TestBatteryAgainstOracle:
     """All six verdicts plus nfop variant 1, and the extension-exclusion
     search, on tables whose length bound reaches the word's length."""
 
-    # Short suffixes that drop out between neighbours: 0110 at max_len 4
-    # keeps only its single window, and every other length gains tails.
+    # Short suffixes between neighbours: 0110 at max_len 4 keeps only its
+    # single window, and every other length gains tails.
     @example(t=sx.FactorTable("0110", 4))
     @example(t=sx.FactorTable("0100101001001", 13))
     @example(t=sx.FactorTable("0120" * 5, 20))
     @example(t=sx.FactorTable("9081726354" * 2, 11))
+    # 01 -> 10 bridges the short suffix 0 and is skipped as a swap.
+    @example(t=sx.FactorTable("101010", 2))
+    @example(t=sx.FactorTable("011000000000", 3))
     @given(t=long_tables())
     @settings(max_examples=200, deadline=None)
     def test_battery_and_exclusion(self, t):

@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -67,7 +68,8 @@ class TestBuild:
 
 
 class TestFactorBudget:
-    """FACTOR_BUDGET caps the distinct factors summed over a table's lengths."""
+    """FACTOR_BUDGET caps the distinct factors summed over a table's lengths,
+    and LETTER_BUDGET the letters of its distinct longest windows."""
 
     WORD = prefix("fib", 64)
 
@@ -88,6 +90,20 @@ class TestFactorBudget:
         monkeypatch.setattr(factors, "FACTOR_BUDGET", 8)
         with pytest.raises(BudgetExceeded, match="lengths 8..8"):
             sx.FactorTable(self.WORD, 8)
+
+    def test_windows_at_the_letter_cap_build(self, monkeypatch):
+        monkeypatch.setattr(factors, "LETTER_BUDGET", 9 * 8)
+        assert sx.FactorTable(self.WORD, 8).complexity(8) == 9
+
+    def test_counting_stops_past_the_letter_cap(self, monkeypatch):
+        monkeypatch.setattr(factors, "LETTER_BUDGET", 9 * 8 - 1)
+        windows = Counter()
+        with pytest.raises(BudgetExceeded, match="length-8 windows hold more than 71 letters"):
+            factors.window_counts(self.WORD, 8, windows)
+        # The cap is this small, so the chunks are single windows: counting
+        # stopped at the ninth distinct one.
+        assert len(windows) == 9
+        assert windows.total() == self.WORD.find(next(reversed(windows))) + 1
 
 
 class TestSuccessor:
@@ -236,6 +252,14 @@ class TestAgainstBruteForce:
                 assert t.count(v) == naive.occurrences(w, v)
                 assert t.first_occurrence(v) == w.find(v)
                 assert t.successor(v) == naive.successor(w, v)
+        # Each neighbouring pair of saturated factors comes from one tuple.
+        pairs = Counter(
+            tuple(factors.decode(t.codes[e] >> 4 * (max_len - n), n) for e in (a, b))
+            for lo, hi, a, b in t.neighbours()
+            for n in range(lo, hi + 1)
+        )
+        lists = [naive.distinct_factors(w, n) for n in range(1, t.frontier + 1)]
+        assert pairs == Counter(pair for fs in lists for pair in zip(fs, fs[1:]))
 
     @given(
         data=st.data(),
@@ -302,3 +326,15 @@ class TestBoundedMemory:
         code, peak = peak_rss(*argv, "--max-n", "3000", timeout=30)
         assert code == 65
         assert peak < 128, f"peak RSS {peak:.0f} MB"
+
+    # The distinct 1024-letter windows of a random word pass LETTER_BUDGET
+    # after 2^14 of its 2^16 windows, and counting stops there (measured 34 MB
+    # with Python 3.11 on Linux); counting them all before the FACTOR_BUDGET
+    # check peaked at 132 MB.
+    def test_letter_budget_exit_while_counting(self):
+        pytest.importorskip("resource")
+        word = format(random.Random(20261018).getrandbits(1 << 16), "065536b")
+        argv = ("-m", "sturmlex", "check", "--spec", "literal:" + word, "--what", "sturmian")
+        code, peak = peak_rss(*argv, "--max-n", "1024", timeout=30)
+        assert code == 65
+        assert peak < 64, f"peak RSS {peak:.0f} MB"
