@@ -342,14 +342,14 @@ def check_ones_monotone(table: FactorTable) -> Verdict:
 def periodicity_certificate(table: FactorTable) -> Verdict:
     """Complexity p(n) <= n at a saturated n certifies ultimate periodicity.
 
-    The certificate is only as good as the saturation heuristic: an
-    undersampled window can undercount factors, which is why unsaturated
-    lengths are never used.
+    An undersampled window can undercount factors, which is why unsaturated
+    lengths are never used; where saturation rests on the half-window
+    heuristic, so does the certificate.
     """
+    p = table.p
     for n in range(1, table.frontier + 1):
-        p = table.complexity(n)
-        if p <= n:
-            why = f"complexity {p} <= {n}"
+        if p[n] <= n:
+            why = f"complexity {p[n]} <= {n}"
             return _stamped(table, "complexity", ULTIMATELY_PERIODIC, n=n, reason=why)
     return _stamped(table, "complexity", APPARENTLY_APERIODIC, up_to=table.max_len)
 
@@ -410,11 +410,14 @@ def saturated_table(
     """Generate a prefix and index it, doubling until all lengths saturate.
 
     Each candidate window is probed on its longest length alone, each
-    window start is sliced once over all candidates, and only the window
-    kept is indexed, reusing the probe's windows.  Doubling stops
-    at PREFIX_BUDGET (or at the end of a literal), in which case the table
-    simply comes back with unsaturated lengths and downstream checks degrade
-    to Indeterminate.
+    window start is sliced at most once over all candidates, and only the
+    window kept is indexed, reusing the probe's windows.  When the spec
+    knows its exact complexities, the probe is a count: slicing stops as
+    soon as the window has all p(max_len) factors, which certifies every
+    length.  Otherwise (``literal:``, non-primitive ``morphic:``) the newest
+    window must fit in the first half.  Doubling stops at PREFIX_BUDGET (or
+    at the end of a literal), in which case the table simply comes back with
+    unsaturated lengths and downstream checks degrade to Indeterminate.
     """
     target = prefix_len if prefix_len is not None else default_prefix_length(max_len)
     target = max(target, max_len)
@@ -423,15 +426,18 @@ def saturated_table(
     cap = PREFIX_BUDGET
     if isinstance(spec, Literal):
         cap = min(cap, len(spec.word))
+    exact = spec.complexities(max_len)
+    full = None if exact is None else exact[max_len]
     windows: Counter[str] = Counter()
     while True:
         length = min(target, cap)
         word = generate_prefix(spec, length)
-        window_counts(word, max_len, windows)
+        window_counts(word, max_len, windows, full)
         # Each shorter factor lies in a length-max_len window, so saturating
         # max_len saturates every length: the probe needs only that length.
-        if length >= cap or newest_fits(word, windows):
-            return FactorTable(word, max_len, windows)
+        done = newest_fits(word, windows) if full is None else len(windows) == full
+        if length >= cap or done:
+            return FactorTable(word, max_len, windows, exact)
         target *= 2
 
 
@@ -516,14 +522,15 @@ def _combined_judgment(table, nfop, balance, complexity, hamming, ones) -> Verdi
         return _stamped(
             table, "sturmian", NOT_STURMIAN, n=complexity.n, reason=complexity.reason
         )
+    p = table.p
     for n in range(1, table.max_len + 1):
         # Window counts never overshoot the word's true complexity, so an
         # excess over n+1 refutes regardless of saturation.
-        if (p := table.complexity(n)) > n + 1:
-            why = f"complexity {p} > {n + 1}"
+        if p[n] > n + 1:
+            why = f"complexity {p[n]} > {n + 1}"
             return _stamped(table, "sturmian", NOT_STURMIAN, n=n, reason=why)
     saturated = range(1, table.frontier + 1)
-    if nfop.status == CONSISTENT and all(table.complexity(n) == n + 1 for n in saturated):
+    if nfop.status == CONSISTENT and all(p[n] == n + 1 for n in saturated):
         return _stamped(table, "sturmian", STURMIAN_CONSISTENT, up_to=table.max_len)
     why = "window could not certify all lengths"
     return _stamped(table, "sturmian", INDETERMINATE, reason=why)

@@ -13,8 +13,11 @@ n-letter prefixes agree, so p(n) is the number of entries with
 lcp < n <= length, one histogram for all n, and a factor's count and first
 occurrence come from the range of codes it begins, found by bisection.
 
-Length n is *saturated* when every length-n factor first occurs entirely
-inside the first half of the prefix, that is when the half has p(n)
+Length n is *saturated* when the table holds every length-n factor of the
+infinite word.  When the word's exact complexity is known, that is certified
+by a count: the prefix has as many length-n factors as the word.  Otherwise
+it is the half-window heuristic: every length-n factor first occurs
+entirely inside the first half of the prefix, that is the half has p(n)
 length-n factors too.  Saturating n saturates every shorter length, so the
 saturated lengths are 1..frontier, and a table stores only the frontier.
 """
@@ -23,7 +26,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, chain, compress, count, repeat
+from functools import cached_property
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import ge, xor
 
 from .errors import BudgetExceeded, NotAFactor, WindowTooLarge
@@ -54,20 +58,27 @@ def decode(code: int, n: int) -> str:
 
 
 def window_counts(
-    word: str, n: int, windows: Counter[str] | None = None
+    word: str, n: int, windows: Counter[str] | None = None, full: int | None = None
 ) -> Counter[str]:
     """Occurrence counts of the length-n windows of ``word``.
 
-    ``windows``, when given, are the counts of a shorter prefix of ``word``;
-    the windows that start after the ones they count are added to them in
-    place.  Counting goes in chunks of at most LETTER_BUDGET/16 letters and
-    raises BudgetExceeded once the distinct windows hold more than
-    LETTER_BUDGET letters, so it never holds much more.  The keys come in
-    order of first occurrence, so the last one is the newest factor.
+    ``windows``, when given, are the counts of the windows that start in
+    the first windows.total() positions of ``word``; the windows that start
+    after them are added to them in place.  With ``full``, counting stops
+    after the chunk (of at most ``full`` windows) in which the distinct
+    windows reach ``full``.  Counting goes in chunks of at most
+    LETTER_BUDGET/16 letters and raises BudgetExceeded once the distinct
+    windows hold more than LETTER_BUDGET letters, so it never holds much
+    more.  The keys come in order of first occurrence, so the last one is
+    the newest factor.
     """
     windows = Counter() if windows is None else windows
     end, step = len(word) - n + 1, max(1, LETTER_BUDGET // (16 * n))
+    if full is not None:
+        step = min(step, full)
     for start in range(windows.total(), end, step):
+        if full is not None and len(windows) >= full:
+            break
         stop = min(start + step, end)
         cuts = map(slice, range(start, stop), range(start + n, stop + n))
         windows.update(map(word.__getitem__, cuts))
@@ -76,6 +87,12 @@ def window_counts(
                 f"distinct length-{n} windows hold more than {LETTER_BUDGET} letters"
             )
     return windows
+
+
+def prefix_counts(codes, n: int) -> list[int]:
+    """[1, p(1), ..., p(n)], p(m) the number of distinct m-letter prefixes
+    among the n-letter factors with base-16 ``codes``."""
+    return [1, *_histogram(sorted(set(codes)), 0, n)[1][1:]]
 
 
 def newest_fits(word: str, windows: Counter[str]) -> bool:
@@ -111,13 +128,25 @@ class FactorTable:
     """Sorted entries standing for the factors of lengths 1..max_len of a prefix.
 
     ``windows``, when given, are the :func:`window_counts` of ``word`` at
-    ``max_len``, so that a saturation probe's windows are not sliced twice.
-    ``codes``, ``lengths``, ``counts``, ``firsts`` and ``lcps`` are parallel
-    entry tuples in code order.  ``frontier`` is the longest saturated
-    length, or 0.  Immutable after construction.
+    ``max_len``, so that a saturation probe's windows are not sliced twice;
+    they may stop early, once they hold every distinct window.  ``exact``,
+    when given, is the word's exact [p(0), ..., p(max_len)], and the
+    frontier is then the longest n at which the table has exact[n] factors;
+    otherwise it is the half-window heuristic's.  ``codes``, ``lengths``,
+    ``counts``, ``firsts`` and ``lcps`` are parallel entry tuples in code
+    order; with ``exact``, ``counts`` and ``firsts`` are built on first use,
+    ``counts`` by counting the windows left.  ``p[n]`` is the number of
+    length-n factors for 1 <= n <= max_len, ``frontier`` the longest
+    saturated length, or 0.  Immutable after construction.
     """
 
-    def __init__(self, word: str, max_len: int, windows: Counter[str] | None = None):
+    def __init__(
+        self,
+        word: str,
+        max_len: int,
+        windows: Counter[str] | None = None,
+        exact: list[int] | None = None,
+    ):
         if not 1 <= max_len <= len(word):
             raise WindowTooLarge(
                 f"need 1 <= max_len <= {len(word)}, got {max_len}"
@@ -128,39 +157,58 @@ class FactorTable:
         _check_word(self.alphabet, "word")
         if windows is None:
             windows = window_counts(word, max_len)
-        # The keys come in order of first occurrence, so each first
-        # occurrence is found by searching on from the previous one.
-        firsts = [*accumulate(windows, lambda p, v: word.find(v, p + 1), initial=-1)][1:]
-        size, half = len(word), len(word) // 2
-        shorts = range(1, max_len)
         texts = [*windows, *_suffixes(word, max_len)]
         order = sorted(range(len(texts)), key=texts.__getitem__)
+        self._windows, self._order = windows, order
         self.codes = tuple(map(int, map(texts.__getitem__, order), repeat(16)))
-        self.lengths, self.counts, self.firsts = (
-            tuple(map(column.__getitem__, order))
-            for column in (
-                [*repeat(max_len, len(windows)), *shorts],
-                [*windows.values(), *repeat(1, len(shorts))],
-                [*firsts, *(size - m for m in shorts)],
-            )
-        )
-        lcps, self._p = _histogram(self.codes, len(shorts), max_len)
+        self.lengths = self._entries(repeat(max_len, len(windows)), range(1, max_len))
+        if exact is None:
+            # The windows are all counted, and the checks of a word without a
+            # known language read both columns: build them and free the windows.
+            self.counts, self.firsts
+            del self._windows, self._order
+        lcps, self.p = _histogram(self.codes, max_len - 1, max_len)
         self.lcps = tuple(lcps)
-        if sum(self._p) > FACTOR_BUDGET:
-            n = next(n for n in range(max_len, 0, -1) if sum(self._p[n:]) > FACTOR_BUDGET)
+        if sum(self.p) > FACTOR_BUDGET:
+            n = next(n for n in range(max_len, 0, -1) if sum(self.p[n:]) > FACTOR_BUDGET)
             raise BudgetExceeded(
                 f"more than {FACTOR_BUDGET} distinct factors of lengths {n}..{max_len}"
             )
         self.frontier = max_len
-        if firsts[-1] + max_len > half:
+        if exact is not None:
+            # A window with all exact[n] length-n factors has every shorter one.
+            full = (n for n in range(max_len, 0, -1) if self.p[n] == exact[n])
+            self.frontier = next(full, 0)
+        elif not newest_fits(word, windows):
             # Compare with the first half's entries: the windows that fit in
             # it (no short suffix starts that early) and its short suffixes.
+            half = len(word) // 2
             fit = compress(self.codes, map(ge, repeat(half - max_len), self.firsts))
             ends = _suffixes(word[:half], max_len)
             halves = sorted(chain(fit, map(int, ends, repeat(16))))
             _, in_half = _histogram(halves, len(ends), max_len)
-            short = (n - 1 for n in range(1, max_len + 1) if in_half[n] < self._p[n])
+            short = (n - 1 for n in range(1, max_len + 1) if in_half[n] < self.p[n])
             self.frontier = next(short, max_len)
+
+    def _entries(self, windows, shorts) -> tuple:
+        """A column in entry order, from its values for the windows (in key
+        order) and for the short suffixes (by length)."""
+        column = [*windows, *shorts]
+        return tuple(map(column.__getitem__, self._order))
+
+    @cached_property
+    def counts(self) -> tuple[int, ...]:
+        windows = window_counts(self.word, self.max_len, self._windows)
+        return self._entries(windows.values(), repeat(1, self.max_len - 1))
+
+    @cached_property
+    def firsts(self) -> tuple[int, ...]:
+        # The keys come in order of first occurrence, so each first
+        # occurrence is found by searching on from the previous one.
+        word = self.word
+        found = accumulate(self._windows, lambda p, v: word.find(v, p + 1), initial=-1)
+        ends = (len(word) - m for m in range(1, self.max_len))
+        return self._entries(islice(found, 1, None), ends)
 
     def _require(self, n: int) -> None:
         if not 1 <= n <= self.max_len:
@@ -209,7 +257,7 @@ class FactorTable:
     def complexity(self, n: int) -> int:
         """Number of distinct length-n factors."""
         self._require(n)
-        return self._p[n]
+        return self.p[n]
 
     def is_factor(self, v: str) -> bool:
         i, j, _ = self._range(v)
@@ -246,7 +294,9 @@ class FactorTable:
         hi is the frontier.  An entry whose lcp reaches its length (cut to
         the frontier) starts no new factor and is passed over.  That takes
         every short suffix v shorter than the frontier: v and one more letter
-        occur in the first half, so the entry right before v begins with v.
+        occur in the prefix (a certified table holds every factor one letter
+        longer than v; under the heuristic v first occurs in the first half),
+        so the entry right before v begins with v.
         So the entries left reach the frontier, and each one neighbours the
         one before it from its lcp + 1 on.
         """

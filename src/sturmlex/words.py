@@ -122,6 +122,20 @@ class _EventuallyPeriodic:
         head = self._head(n - len(pre))
         return (pre + head * (n // len(head) + 1))[:n]
 
+    def _starts(self) -> int:
+        return len(self.preperiod) + len(self.period)
+
+    def complexities(self, n: int) -> list[int] | None:
+        """Exact [p(0), ..., p(n)], or None past PREFIX_BUDGET: every factor
+        starts, up to whole periods, in the first |preperiod|+|period| places."""
+        size = self._starts() + n - 1
+        if size > PREFIX_BUDGET:
+            return None
+        from .factors import prefix_counts, window_counts
+
+        windows = window_counts(self.prefix(size), n)
+        return prefix_counts((int(w, 16) for w in windows), n)
+
     @property
     def flags(self) -> KnownFlags:
         # Never aperiodic; recurrent exactly when the word is purely
@@ -149,6 +163,9 @@ class Literal(Record):
                 f"literal holds {len(self.word)} letters, {n} requested"
             )
         return self.word[:n]
+
+    def complexities(self, n: int) -> None:
+        return None  # a finite window fixes no language beyond itself
 
 
 class Periodic(Record, _EventuallyPeriodic):
@@ -222,6 +239,42 @@ class Morphic(Record):
         rules = ",".join(f"{a}->{img}" for a, img in sorted(self.rules.items()))
         return f"morphic:{rules};seed={self.seed}"
 
+    def complexities(self, n: int) -> list[int] | None:
+        """Exact [p(0), ..., p(n)] of the fixed point x, or None if the
+        substitution is not primitive or its images outgrow PREFIX_BUDGET.
+
+        Once every s^k(c) has n-1 letters, the length-n factors of x = s^k(x)
+        are the windows of s^k(a) s^k(b) that start in s^k(a), over the
+        two-letter factors ab of x (Queffelec, LNM 1294): those of s(seed),
+        closed under taking those of s(ab).
+        """
+        if not _is_primitive(self.rules):
+            return None
+        images = str.maketrans(dict(self.rules))
+        pairs, todo = set(), [self.rules[self.seed]]
+        while todo:
+            w = todo.pop()
+            for ab in {w[i : i + 2] for i in range(len(w) - 1)} - pairs:
+                pairs.add(ab)
+                todo.append(ab.translate(images))
+        power = dict(self.rules)
+        while min(map(len, power.values())) < n - 1:
+            power = {a: w.translate(images) for a, w in power.items()}
+            if sum(map(len, power.values())) > PREFIX_BUDGET:
+                return None
+        # The windows inside each image and across each boundary; a piece
+        # inside another one adds none.
+        edges = (power[a][1 - n :] + power[b][: n - 1] for a, b in pairs)
+        pieces = {*power.values(), *edges}
+        codes, mask = set(), (1 << 4 * n) - 1
+        for w in pieces:
+            if not any(w in v for v in pieces - {w}):
+                c = int(w, 16)
+                codes.update(c >> 4 * k & mask for k in range(len(w) - n + 1))
+        from .factors import prefix_counts
+
+        return prefix_counts(codes, n)
+
     def prefix(self, n: int) -> str:
         # The fixed point x is s(x0) s(x1) s(x2) ..., and s(x0) starts with
         # x0 and is longer, so every letter is known before its image is
@@ -263,6 +316,10 @@ class StandardSequence(Record):
 
     def __str__(self) -> str:
         return "std:" + ",".join(str(d) for d in self.directive)
+
+    def complexities(self, n: int) -> list[int]:
+        """Exact [p(0), ..., p(n)]: m + 1, as for every Sturmian word (Lothaire, ch. 2)."""
+        return list(range(1, n + 2))
 
     def prefix(self, n: int) -> str:
         prev, cur = "1", "0"
@@ -315,6 +372,9 @@ class MechanicalRational(Record, _EventuallyPeriodic):
     @property
     def period(self) -> str:
         return self._head(self.p + self.q)
+
+    def _starts(self) -> int:
+        return self.p + self.q
 
     def _head(self, m: int) -> str:
         length = self.p + self.q

@@ -1,5 +1,6 @@
 """Single-property checks, composite verdicts, and the cross-check harness."""
 
+import functools
 from collections import Counter
 
 import pytest
@@ -12,6 +13,10 @@ from sturmlex.errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced
 
 import naive
 from conftest import TM_SPEC, prefix
+
+
+# Not primitive (1 never reaches 0): its window follows the half-window rule.
+NON_PRIMITIVE = "morphic:0->010,1->11;seed=0"
 
 
 @pytest.fixture(scope="module")
@@ -234,10 +239,17 @@ class TestSaturatedTable:
         assert len(t.word) == checks.default_prefix_length(40) == 4096
         assert len(t.saturated_lengths()) == 40
 
-    def test_doubles_until_saturated(self):
-        t = checks.saturated_table(sx.parse_spec("fib"), 10, prefix_len=32)
-        assert len(t.word) > 32
-        assert len(t.saturated_lengths()) == 10
+    @pytest.mark.parametrize(
+        "text,max_len,prefix_len",
+        [
+            ("std:1,9,1,9", 240, 1024),  # certified by its exact complexity
+            (NON_PRIMITIVE, 8, 16),  # half-window heuristic
+        ],
+    )
+    def test_doubles_until_saturated(self, text, max_len, prefix_len):
+        t = checks.saturated_table(sx.parse_spec(text), max_len, prefix_len)
+        assert len(t.word) > prefix_len
+        assert len(t.saturated_lengths()) == max_len
 
     def test_literal_capped_at_its_length(self):
         t = checks.saturated_table(sx.Literal("01" * 8), 4)
@@ -255,8 +267,9 @@ class TestSaturatedTable:
                 sx.parse_spec("fib"), checks.PREFIX_BUDGET + 1, prefix_len=1
             )
 
-    # (spec, max_len, prefix_len); fib at 10/32 and std:1,9,1,9 at 240/1024
-    # double before they saturate.
+    # (spec, max_len, prefix_len); std:1,9,1,9 at 240/1024 and the
+    # non-primitive morphic word at 8/16 double before they saturate, the
+    # first by its exact complexity, the second by the half-window rule.
     WINDOWS = [
         ("fib", 10, 32),
         ("fib", 40, None),
@@ -264,6 +277,7 @@ class TestSaturatedTable:
         (TM_SPEC, 12, 16),
         ("periodic:0010110", 20, 8),
         ("morphic:0->012,1->02,2->1;seed=0", 30, 64),
+        (NON_PRIMITIVE, 8, 16),
         ("literal:" + "0110" * 10, 8, 4),
         ("literal:" + "0110" * 10, 30, None),
     ]
@@ -273,16 +287,23 @@ class TestSaturatedTable:
         spec = sx.parse_spec(text)
         target = max(prefix_len or checks.default_prefix_length(max_len), max_len)
         cap = len(spec.word) if isinstance(spec, sx.Literal) else checks.PREFIX_BUDGET
-        # The reference indexes every candidate window in full.
+        # The reference indexes every candidate window in full.  A kind that
+        # knows its language stops at the first window with every
+        # length-max_len factor of a 2^16-letter prefix; the others stop at
+        # the first whose newest factor fits in the first half.
+        certified = spec.complexities(max_len) is not None
+        if certified:
+            full = len(naive.distinct_factors(sx.generate_prefix(spec, 1 << 16), max_len))
         while True:
             length = min(target, cap)
             ref = sx.FactorTable(sx.generate_prefix(spec, length), max_len)
-            if length >= cap or ref.saturated(max_len):
+            done = ref.complexity(max_len) == full if certified else ref.saturated(max_len)
+            if length >= cap or done:
                 break
             target *= 2
         t = checks.saturated_table(spec, max_len, prefix_len)
         assert t.word == ref.word
-        assert t.frontier == ref.frontier
+        assert t.frontier == (max_len if certified else ref.frontier)
         assert t.dump() == ref.dump()
 
     @pytest.mark.parametrize("text,max_len,prefix_len", WINDOWS)
@@ -293,22 +314,34 @@ class TestSaturatedTable:
             builds.append(len(word))
             return factors.FactorTable(word, *args)
 
-        def slicing(word, n, windows=None, _original=factors.window_counts):
+        def slicing(word, n, windows=None, full=None, _original=factors.window_counts):
             sizes.append(len(word))
             start = 0 if windows is None else windows.total()
-            sliced.update(range(start, len(word) - n + 1))
-            return _original(word, n, windows)
+            windows = _original(word, n, windows, full)
+            sliced.update(range(start, windows.total()))
+            return windows
 
+        spec = sx.parse_spec(text)
+        # The eventually periodic kinds count windows for their exact
+        # complexity too; that count is taken first, apart from the window's.
+        exact = spec.complexities(max_len)
+        monkeypatch.setattr(type(spec), "complexities", lambda self, n: exact)
         monkeypatch.setattr(checks, "FactorTable", build)
         monkeypatch.setattr(checks, "window_counts", slicing)
         monkeypatch.setattr(factors, "window_counts", slicing)
-        t = checks.saturated_table(sx.parse_spec(text), max_len, prefix_len)
+        t = checks.saturated_table(spec, max_len, prefix_len)
         assert builds == [len(t.word)]
-        # Over all candidate windows, each window start of the kept one is
-        # sliced exactly once.
-        assert sliced == Counter(range(len(t.word) - max_len + 1))
+        # Over all candidate windows, each window start is sliced at most
+        # once and the sliced starts are 0..k.  The half-window rule slices
+        # every start of the kept window; a count stops once it has them all.
+        assert sliced == Counter(range(len(sliced)))
+        starts = len(t.word) - max_len + 1
+        if exact is None:
+            assert len(sliced) == starts
+        if (text, max_len) == ("fib", 40):
+            assert len(sliced) < starts
         assert sizes[-1] == len(t.word)
-        if (text, max_len) == ("fib", 10):
+        if (text, max_len) in (("std:1,9,1,9", 240), (NON_PRIMITIVE, 8)):
             assert len(sizes) > 1
 
     @given(
@@ -324,6 +357,104 @@ class TestSaturatedTable:
         for word in (w, prefix(spec, size)):
             for n in range(2, data.draw(st.integers(1, len(word))) + 1):
                 assert not naive.saturated(word, n) or naive.saturated(word, n - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def long_prefix(text):
+    return sx.generate_prefix(sx.parse_spec(text), 1 << 16)
+
+
+class TestCertifiedSaturation:
+    """Windows of the kinds that know their exact complexity."""
+
+    CERTIFIED = [
+        "fib",
+        TM_SPEC,
+        "morphic:0->012,1->02,2->1;seed=0",
+        "morphic:0->001,1->0;seed=0",
+        "std:1,9,1,9",
+        "std:2,1",
+        "std:1,2,3",
+        "periodic:0010110",
+        "ultper:0110|01",
+        "mech:2/7@1/3",
+        "mech:5/13@1/2",
+    ]
+
+    @given(
+        text=st.sampled_from(CERTIFIED),
+        max_len=st.integers(1, 60),
+        cap=st.sampled_from([None, 256]),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_certified_lengths_hold_every_factor(self, text, max_len, cap, data):
+        prefix_len = data.draw(st.integers(max_len, 256))
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                # A cap stops growth, so the frontier can fall short of max_len.
+                mp.setattr(checks, "PREFIX_BUDGET", cap)
+            t = checks.saturated_table(sx.parse_spec(text), max_len, prefix_len)
+        w = long_prefix(text)
+        for n in {t.frontier, data.draw(st.integers(0, t.frontier))} - {0}:
+            assert t.factors(n) == tuple(naive.distinct_factors(w, n))
+        # The frontier is the longest length the window has complete.
+        if t.frontier < max_len:
+            n = t.frontier + 1
+            assert len(t.factors(n)) < len(naive.distinct_factors(w, n))
+
+    def test_capped_window_certifies_the_lengths_it_has(self, monkeypatch):
+        monkeypatch.setattr(checks, "PREFIX_BUDGET", 256)
+        spec = sx.parse_spec("std:1,9,1,9")
+        t = checks.saturated_table(spec, 60, 64)
+        assert len(t.word) == 256
+        assert t.frontier == max(n for n in range(1, 61) if len(t.factors(n)) == n + 1)
+        assert 0 < t.frontier < 60
+        r = sx.sturmian_verdict(spec, prefix_len=64, max_len=60)
+        assert r.combined.status == checks.INDETERMINATE
+
+    @given(
+        directive=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+        max_len=st.integers(1, 120),
+        prefix_len=st.integers(1, 512),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_std_has_n_plus_1_factors_at_saturated_lengths(
+        self, directive, max_len, prefix_len
+    ):
+        spec = sx.StandardSequence(tuple(directive))
+        t = checks.saturated_table(spec, max_len, prefix_len)
+        assert t.frontier == max_len
+        assert [t.complexity(n) for n in t.saturated_lengths()] == [
+            n + 1 for n in t.saturated_lengths()
+        ]
+
+    @pytest.mark.parametrize(
+        "text,max_len",
+        [("fib", 40), ("std:1,9,1,9", 240), (TM_SPEC, 30), ("ultper:0110|01", 20)],
+    )
+    def test_counts_on_demand_are_exact(self, text, max_len):
+        # The window stops slicing once it has every factor; the counts of
+        # the rest of it are taken on first use.
+        t = checks.saturated_table(sx.parse_spec(text), max_len)
+        assert "counts" not in vars(t) and "firsts" not in vars(t)
+        ref = sx.FactorTable(t.word, max_len)
+        assert t.dump() == ref.dump()
+        assert t.firsts == ref.firsts
+
+    def test_harness_tall_specs_pass(self):
+        # std:1,9,1,9 failed two assertions here under the half-window rule.
+        specs = [sx.parse_spec(s) for s in ("fib", "std:2,1", "std:1,9,1,9", "std:3", "std:1,2,3")]
+        report = sx.equivalence_harness(specs, 240, prefix_len=1024)
+        assert report.failures() == []
+
+    def test_checks_read_the_complexities_once(self, monkeypatch):
+        def per_length(self, n):
+            raise AssertionError("complexity(n) called per length")
+
+        monkeypatch.setattr(factors.FactorTable, "complexity", per_length)
+        r = sx.sturmian_verdict(sx.parse_spec("fib"), max_len=40)
+        assert r.combined.status == checks.STURMIAN_CONSISTENT
 
 
 class TestSturmianVerdict:

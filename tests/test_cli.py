@@ -84,14 +84,27 @@ class TestCheck:
 
     @pytest.mark.parametrize("what", ["nfop", "sturmian"])
     def test_text_names_the_window_used(self, capsys, what):
+        # The window doubles twice before it holds all 241 factors.
         code, out, _ = run(
-            capsys, "check", "--spec", "fib", "--what", what,
-            "--max-n", "40", "--prefix-len", "100",
+            capsys, "check", "--spec", "std:1,9,1,9", "--what", what,
+            "--max-n", "240", "--prefix-len", "1024",
         )
         assert code == 0
-        used = len(checks.saturated_table(words.parse_spec("fib"), 40, 100).word)
-        assert used > 100
+        used = len(checks.saturated_table(words.parse_spec("std:1,9,1,9"), 240, 1024).word)
+        assert used > 1024
         assert out.splitlines()[0] == f"prefix: {used} letters"
+
+    def test_certified_window_decides_std_1_9_1_9(self, capsys):
+        # The half-window rule kept 1024 letters, missed factors of lengths
+        # 230..240 and printed NotSturmian.
+        code, out, _ = run(
+            capsys, "check", "--spec", "std:1,9,1,9", "--what", "sturmian",
+            "--max-n", "240", "--prefix-len", "1024", "--json",
+        )
+        combined = json.loads(out)[-1]
+        assert code == 0
+        assert combined["check"] == "sturmian"
+        assert (combined["status"], combined["upTo"]) == (checks.STURMIAN_CONSISTENT, 240)
 
     def test_periodic_not_sturmian(self, capsys):
         code, out, _ = run(

@@ -15,6 +15,54 @@ import naive
 from conftest import FIB32, TM_SPEC, prefix
 
 
+class TestExactComplexities:
+    """``spec.complexities(n)`` against the factors of a 2^16-letter prefix."""
+
+    SPECS = [
+        "fib",
+        TM_SPEC,
+        "morphic:0->012,1->02,2->1;seed=0",
+        "morphic:0->001,1->0;seed=0",
+        "std:1",
+        "std:2,1",
+        "std:3",
+        "std:1,9,1,9",
+        "std:1,2,3",
+        "periodic:0010110",
+        "periodic:0101",
+        "ultper:0110|01",
+        "ultper:|1",
+        "mech:3/8@0",
+        "mech:2/7@1/3",
+        "mech:5/13@1/2",
+    ]
+
+    @pytest.mark.parametrize("text", SPECS)
+    def test_equals_the_factors_of_a_long_prefix(self, text):
+        spec = sx.parse_spec(text)
+        w = sx.generate_prefix(spec, 1 << 16)
+        exact = spec.complexities(40)
+        assert exact[0] == 1
+        assert exact[1:] == sx.FactorTable(w, 40).p[1:]
+        assert exact[40] == len(naive.distinct_factors(w, 40))
+
+    def test_fibonacci_at_240(self):
+        w = prefix("fib", 1 << 16)
+        assert sx.parse_spec("fib").complexities(240)[1:] == sx.FactorTable(w, 240).p[1:]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "morphic:0->01,1->1;seed=0",  # not primitive
+            "morphic:0->010,1->11;seed=0",  # not primitive
+            "mech:1/10000000@0",  # its period alone exceeds PREFIX_BUDGET
+            "literal:0110",
+        ],
+    )
+    def test_unknown(self, text):
+        assert sx.parse_spec(text).complexities(40) is None
+
+
 class TestGeneratePrefix:
     def test_fibonacci_display(self):
         assert prefix("fib", 32) == FIB32
