@@ -435,8 +435,10 @@ def saturated_table(
         window_counts(word, max_len, windows, full)
         # Each shorter factor lies in a length-max_len window, so saturating
         # max_len saturates every length: the probe needs only that length.
-        done = newest_fits(word, windows) if full is None else len(windows) == full
-        if length >= cap or done:
+        # At the cap there is no probe: a literal may hold no window at all.
+        if length >= cap or (
+            newest_fits(word, windows) if full is None else len(windows) == full
+        ):
             return FactorTable(word, max_len, windows, exact)
         target *= 2
 

@@ -136,7 +136,7 @@ def cmd_factors(args) -> int:
     for n in range(1, args.max_n + 1):
         print(f"{n}\t{table.complexity(n)}")
     if args.dump:
-        sys.stdout.write(table.dump())
+        sys.stdout.writelines(table._dump_lengths())
     return EXIT_CONSISTENT
 
 

@@ -33,18 +33,9 @@ from operator import ge, xor
 from .errors import BudgetExceeded, NotAFactor, WindowTooLarge
 from .words import _check_word
 
-#: Cap on the distinct factors a table stands for, summed over its lengths.
-#: It no longer bounds memory, since a table holds only its entries (peak
-#: RSS of ``sturmlex check --spec fib --what sturmian --json``: 15.6 MB at
-#: max-n 40, 15.7 MB at 200, 18.5 MB at 1000); it keeps exit code 65 past it.
-FACTOR_BUDGET = 1 << 22
-
-#: Cap on the letters held by the distinct longest windows, checked while
-#: they are counted, so that it bounds a table's memory.  It is four times
-#: FACTOR_BUDGET: within that budget the windows hold under 2 letters per
-#: factor when p(n) = n + 1 (Sturmian words) and under 2.1 on Thue-Morse,
-#: so only words whose windows share long prefixes can exit here first.
-LETTER_BUDGET = 1 << 24
+#: Cap in bytes on a table's entries, each its letters plus a fixed overhead,
+#: so that short windows are bounded as well as long ones (see window_counts).
+TABLE_BUDGET = 1 << 25
 
 
 def is_unbordered(v: str) -> bool:
@@ -66,14 +57,18 @@ def window_counts(
     the first windows.total() positions of ``word``; the windows that start
     after them are added to them in place.  With ``full``, counting stops
     after the chunk (of at most ``full`` windows) in which the distinct
-    windows reach ``full``.  Counting goes in chunks of at most
-    LETTER_BUDGET/16 letters and raises BudgetExceeded once the distinct
-    windows hold more than LETTER_BUDGET letters, so it never holds much
-    more.  The keys come in order of first occurrence, so the last one is
-    the newest factor.
+    windows reach ``full``.  The keys come in order of first occurrence, so
+    the last one is the newest factor.  Counting goes in chunks of at most
+    TABLE_BUDGET/16 bytes and raises BudgetExceeded once the entries of a
+    table at max_len n, the distinct windows and n - 1 short suffixes, take
+    more than TABLE_BUDGET bytes, so no table past the cap is ever built.
     """
     windows = Counter() if windows is None else windows
-    end, step = len(word) - n + 1, max(1, LETTER_BUDGET // (16 * n))
+    # An entry costs its n letters and about 245 bytes more at a table's peak
+    # (tracemalloc of FactorTable on the 262144 distinct 18-letter windows
+    # of a random literal, Python 3.11).
+    entry = n + 245
+    end, step = len(word) - n + 1, max(1, TABLE_BUDGET // (16 * entry))
     if full is not None:
         step = min(step, full)
     for start in range(windows.total(), end, step):
@@ -82,9 +77,9 @@ def window_counts(
         stop = min(start + step, end)
         cuts = map(slice, range(start, stop), range(start + n, stop + n))
         windows.update(map(word.__getitem__, cuts))
-        if len(windows) * n > LETTER_BUDGET:
+        if (len(windows) + n - 1) * entry > TABLE_BUDGET:
             raise BudgetExceeded(
-                f"distinct length-{n} windows hold more than {LETTER_BUDGET} letters"
+                f"length-{n} table entries take more than {TABLE_BUDGET} bytes"
             )
     return windows
 
@@ -137,7 +132,8 @@ class FactorTable:
     order; with ``exact``, ``counts`` and ``firsts`` are built on first use,
     ``counts`` by counting the windows left.  ``p[n]`` is the number of
     length-n factors for 1 <= n <= max_len, ``frontier`` the longest
-    saturated length, or 0.  Immutable after construction.
+    saturated length, or 0.  Immutable after construction; its windows
+    come from :func:`window_counts`, which bounds its size by TABLE_BUDGET.
     """
 
     def __init__(
@@ -169,11 +165,6 @@ class FactorTable:
             del self._windows, self._order
         lcps, self.p = _histogram(self.codes, max_len - 1, max_len)
         self.lcps = tuple(lcps)
-        if sum(self.p) > FACTOR_BUDGET:
-            n = next(n for n in range(max_len, 0, -1) if sum(self.p[n:]) > FACTOR_BUDGET)
-            raise BudgetExceeded(
-                f"more than {FACTOR_BUDGET} distinct factors of lengths {n}..{max_len}"
-            )
         self.frontier = max_len
         if exact is not None:
             # A window with all exact[n] length-n factors has every shorter one.
@@ -331,12 +322,13 @@ class FactorTable:
 
     def dump(self) -> str:
         """One line per factor: ``<n>\\t<factor>\\t<count>``, lengths then lex."""
-        lines = []
+        return "".join(self._dump_lengths())
+
+    def _dump_lengths(self):
+        """The lines of :meth:`dump`, one string per length, to write out."""
         for n in range(1, self.max_len + 1):
             codes, counts, _ = self.level(n)
-            for c, k in zip(codes, counts):
-                lines.append(f"{n}\t{decode(c, n)}\t{k}")
-        return "\n".join(lines) + "\n"
+            yield "".join(f"{n}\t{decode(c, n)}\t{k}\n" for c, k in zip(codes, counts))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -122,13 +122,10 @@ class _EventuallyPeriodic:
         head = self._head(n - len(pre))
         return (pre + head * (n // len(head) + 1))[:n]
 
-    def _starts(self) -> int:
-        return len(self.preperiod) + len(self.period)
-
     def complexities(self, n: int) -> list[int] | None:
         """Exact [p(0), ..., p(n)], or None past PREFIX_BUDGET: every factor
         starts, up to whole periods, in the first |preperiod|+|period| places."""
-        size = self._starts() + n - 1
+        size = len(self.preperiod) + len(self.period) + n - 1
         if size > PREFIX_BUDGET:
             return None
         from .factors import prefix_counts, window_counts
@@ -373,8 +370,12 @@ class MechanicalRational(Record, _EventuallyPeriodic):
     def period(self) -> str:
         return self._head(self.p + self.q)
 
-    def _starts(self) -> int:
-        return self.p + self.q
+    def complexities(self, n: int) -> list[int] | None:
+        """p(m) = min(m + 1, p + q): the word is balanced with period p + q
+        (Lothaire ch. 2).  None past PREFIX_BUDGET: no prefix has every factor."""
+        if self.p + self.q + n - 1 > PREFIX_BUDGET:
+            return None
+        return [min(m + 1, self.p + self.q) for m in range(n + 1)]
 
     def _head(self, m: int) -> str:
         length = self.p + self.q

@@ -139,6 +139,14 @@ class TestCheck:
         assert code == 2
         assert "Indeterminate" in out
 
+    @pytest.mark.parametrize("what", ["nfop", "sturmian"])
+    def test_literal_shorter_than_max_n_is_an_input_error(self, capsys, what):
+        code, out, err = run(
+            capsys, "check", "--spec", "literal:0100", "--what", what, "--max-n", "5",
+        )
+        assert (code, out) == (65, "")
+        assert err == "error: need 1 <= max_len <= 4, got 5\n"
+
     def test_variant_flag(self, capsys):
         code, out, _ = run(
             capsys, "check", "--spec", "periodic:012", "--what", "nfop",
@@ -337,13 +345,13 @@ class TestNumericArguments:
         assert err.startswith("usage:") and f"argument {flag}:" in err
 
 
-class TestFactorBudget:
+class TestTableBudget:
     @pytest.mark.parametrize("command", ["factors", "check", "harness"])
-    def test_too_many_factors_is_an_input_error(self, capsys, monkeypatch, command):
-        monkeypatch.setattr(factors, "FACTOR_BUDGET", 3)
+    def test_a_table_past_the_cap_is_an_input_error(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(factors, "TABLE_BUDGET", 3)
         code, out, err = run(capsys, *FULL_ARGV[command])
         assert (code, out) == (65, "")
-        assert err.startswith("error: more than 3 distinct factors")
+        assert err.startswith("error: length-") and "take more than 3 bytes" in err
 
 
 class TestConsoleEntry:

@@ -67,43 +67,51 @@ class TestBuild:
                 query(v)
 
 
-class TestFactorBudget:
-    """FACTOR_BUDGET caps the distinct factors summed over a table's lengths,
-    and LETTER_BUDGET the letters of its distinct longest windows."""
+class TestTableBudget:
+    """TABLE_BUDGET caps a table's entries, its distinct longest windows and
+    its short suffixes, at n + 245 bytes each, while the windows are counted."""
 
     WORD = prefix("fib", 64)
-
-    def held(self):
-        t = sx.FactorTable(self.WORD, 8)
-        return sum(t.complexity(n) for n in range(1, 9))
+    # 9 distinct windows of 8 letters and 7 short suffixes.
+    HELD = (9 + 7) * (8 + 245)
 
     def test_table_at_the_cap_builds(self, monkeypatch):
-        monkeypatch.setattr(factors, "FACTOR_BUDGET", self.held())
-        assert sx.FactorTable(self.WORD, 8).complexity(1) == 2
-
-    def test_one_factor_over_the_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(factors, "FACTOR_BUDGET", self.held() - 1)
-        with pytest.raises(BudgetExceeded):
-            sx.FactorTable(self.WORD, 8)
-
-    def test_longest_length_alone_is_checked(self, monkeypatch):
-        monkeypatch.setattr(factors, "FACTOR_BUDGET", 8)
-        with pytest.raises(BudgetExceeded, match="lengths 8..8"):
-            sx.FactorTable(self.WORD, 8)
-
-    def test_windows_at_the_letter_cap_build(self, monkeypatch):
-        monkeypatch.setattr(factors, "LETTER_BUDGET", 9 * 8)
+        monkeypatch.setattr(factors, "TABLE_BUDGET", self.HELD)
         assert sx.FactorTable(self.WORD, 8).complexity(8) == 9
 
-    def test_counting_stops_past_the_letter_cap(self, monkeypatch):
-        monkeypatch.setattr(factors, "LETTER_BUDGET", 9 * 8 - 1)
+    def test_one_entry_over_the_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(factors, "TABLE_BUDGET", self.HELD - 1)
+        message = f"length-8 table entries take more than {self.HELD - 1} bytes"
+        with pytest.raises(BudgetExceeded, match=message):
+            sx.FactorTable(self.WORD, 8)
+
+    def test_short_suffixes_are_entries(self, monkeypatch):
+        # One distinct window, but 1 + 7 entries.
+        monkeypatch.setattr(factors, "TABLE_BUDGET", 8 * (8 + 245))
+        assert sx.FactorTable("0" * 64, 8).complexity(8) == 1
+        monkeypatch.setattr(factors, "TABLE_BUDGET", 8 * (8 + 245) - 1)
+        with pytest.raises(BudgetExceeded):
+            sx.FactorTable("0" * 64, 8)
+
+    def test_counting_stops_at_the_first_window_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(factors, "TABLE_BUDGET", self.HELD - 1)
         windows = Counter()
-        with pytest.raises(BudgetExceeded, match="length-8 windows hold more than 71 letters"):
+        with pytest.raises(BudgetExceeded):
             factors.window_counts(self.WORD, 8, windows)
         # The cap is this small, so the chunks are single windows: counting
         # stopped at the ninth distinct one.
         assert len(windows) == 9
         assert windows.total() == self.WORD.find(next(reversed(windows))) + 1
+
+    def test_counting_stops_at_the_first_chunk_past_the_cap(self, monkeypatch):
+        # Chunks of 4 windows, and room for 16 * 4 entries: 57 windows.
+        monkeypatch.setattr(factors, "TABLE_BUDGET", 16 * 4 * (8 + 245))
+        word = format(random.Random(20261018).getrandbits(1000), "01000b")
+        windows = Counter()
+        with pytest.raises(BudgetExceeded):
+            factors.window_counts(word, 8, windows)
+        assert len(windows) > 57 and windows.total() % 4 == 0
+        assert len(naive.distinct_factors(word[: windows.total() + 3], 8)) <= 57
 
 
 class TestSuccessor:
@@ -317,24 +325,54 @@ class TestBoundedMemory:
         assert code == 0
         assert peak < 64, f"peak RSS {peak:.0f} MB"
 
-    # Sum of p(n) = n + 1 over n <= 3000 is past FACTOR_BUDGET, so the call
-    # exits 65 (measured 0.2 s and 43 MB); a per-length index reached 4.8 GB
-    # before it exited.
-    def test_factor_budget_exit_stays_small(self):
+    # The 3000 + 1 windows and 2999 short suffixes of fib at 3000 are within
+    # TABLE_BUDGET (measured 0.13 s and 43 MB with Python 3.11 on Linux); a
+    # per-length index reached 4.8 GB here, and a cap on the factors summed
+    # over all lengths made it exit 65.
+    def test_fib_at_3000_stays_small(self):
         pytest.importorskip("resource")
         argv = ("-m", "sturmlex", "check", "--spec", "fib", "--what", "sturmian")
         code, peak = peak_rss(*argv, "--max-n", "3000", timeout=30)
-        assert code == 65
+        assert code == 0
         assert peak < 128, f"peak RSS {peak:.0f} MB"
 
-    # The distinct 1024-letter windows of a random word pass LETTER_BUDGET
-    # after 2^14 of its 2^16 windows, and counting stops there (measured 34 MB
-    # with Python 3.11 on Linux); counting them all before the FACTOR_BUDGET
-    # check peaked at 132 MB.
-    def test_letter_budget_exit_while_counting(self):
+    # The distinct 1024-letter windows of a random word pass TABLE_BUDGET
+    # after about 25000 of its 2^16 windows, and counting stops there
+    # (measured 44 MB with Python 3.11 on Linux); counting them all before
+    # checking a cap peaked at 132 MB.
+    def test_table_budget_exit_while_counting(self):
         pytest.importorskip("resource")
         word = format(random.Random(20261018).getrandbits(1 << 16), "065536b")
         argv = ("-m", "sturmlex", "check", "--spec", "literal:" + word, "--what", "sturmian")
         code, peak = peak_rss(*argv, "--max-n", "1024", timeout=30)
         assert code == 65
+        assert peak < 64, f"peak RSS {peak:.0f} MB"
+
+    # A check of a random 2^21-letter literal, generated in the child: an
+    # argv of 2 MB is past the kernel's limit on one argument.
+    LITERAL_CHECK = (
+        "import random, sys; from sturmlex.cli import main; "
+        "word = format(random.Random(20261018).getrandbits(1 << 21), '02097152b'); "
+        "sys.exit(main(['check', '--spec', 'literal:' + word, '--what', 'sturmian', "
+        "'--max-n', sys.argv[1]]))"
+    )
+
+    # Short windows are bounded too: each distinct window costs far more than
+    # its letters.  Both exit 65 once about 125000 windows are counted
+    # (measured 38 MB with Python 3.11 on Linux); a cap on window letters
+    # alone let N=24 reach 122 MB and N=18 count all 2^18 windows at 97 MB.
+    @pytest.mark.parametrize("max_n", ["18", "24"])
+    def test_short_windows_of_a_long_literal(self, max_n):
+        pytest.importorskip("resource")
+        code, peak = peak_rss("-c", self.LITERAL_CHECK, max_n, timeout=60)
+        assert code == 65
+        assert peak < 64, f"peak RSS {peak:.0f} MB"
+
+    # The dump is written one length at a time (measured 17 MB with Python
+    # 3.11 on Linux); joining all 74 MB of its lines first peaked at 239 MB.
+    def test_factor_dump_streams(self):
+        pytest.importorskip("resource")
+        argv = ("-m", "sturmlex", "factors", "--spec", "fib", "--len", "8192")
+        code, peak = peak_rss(*argv, "--max-n", "600", "--dump", timeout=60)
+        assert code == 0
         assert peak < 64, f"peak RSS {peak:.0f} MB"

@@ -46,6 +46,17 @@ class TestExactComplexities:
         assert exact[1:] == sx.FactorTable(w, 40).p[1:]
         assert exact[40] == len(naive.distinct_factors(w, 40))
 
+    # Every coprime slope p/(p+q) with period below 40: the closed form
+    # min(m + 1, p + q) against the factors of a prefix in which every
+    # length-60 factor starts, generated by the naive floor formula.
+    @pytest.mark.parametrize("rho", [Fraction(0), Fraction(1, 3), Fraction(5, 7)])
+    def test_mechanical_sweep(self, rho):
+        slopes = [(p, q) for q in range(1, 40) for p in range(40 - q) if math.gcd(p, q) == 1]
+        for p, q in slopes:
+            w = naive.mechanical_prefix(Fraction(p, p + q), rho, p + q + 59)
+            exact = sx.MechanicalRational(p, q, rho).complexities(60)
+            assert exact[1:] == sx.FactorTable(w, 60).p[1:], (p, q, rho)
+
     def test_fibonacci_at_240(self):
         w = prefix("fib", 1 << 16)
         assert sx.parse_spec("fib").complexities(240)[1:] == sx.FactorTable(w, 240).p[1:]
