@@ -382,15 +382,18 @@ def _unioccurrent_early_factor(table: FactorTable) -> str | None:
     """Shortest (then lex-least) factor occurring once, ending in the first half.
 
     It begins one entry of count 1 and no other, so the shortest one of
-    entry i has length max(lcp_i, lcp_i+1) + 1.
+    entry i has length max(lcp_i, lcp_i+1) + 1, and it occurs once, where
+    the entry does: only such candidates are looked up in the word.
     """
-    half, lcps = len(table.word) // 2, table.lcps
+    word, half, lcps = table.word, len(table.word) // 2, table.lcps
     alone = list(map(max, lcps, chain(lcps[1:], (0,))))
     for i in sorted(range(len(alone)), key=alone.__getitem__):
         if (s := alone[i]) >= half:
             break
-        if table.counts[i] == 1 and s < table.lengths[i] and table.firsts[i] + s < half:
-            return decode(table.codes[i] >> 4 * (table.max_len - s - 1), s + 1)
+        if table.counts[i] == 1 and s < table.lengths[i]:
+            v = decode(table.codes[i] >> 4 * (table.max_len - s - 1), s + 1)
+            if word.find(v, 0, half) >= 0:
+                return v
     return None
 
 
@@ -410,9 +413,9 @@ def saturated_table(
     """Generate a prefix and index it, doubling until all lengths saturate.
 
     Each candidate window is probed on its longest length alone, each
-    window start is sliced at most once over all candidates, and only the
+    window start is read at most once over all candidates, and only the
     window kept is indexed, reusing the probe's windows.  When the spec
-    knows its exact complexities, the probe is a count: slicing stops as
+    knows its exact complexities, the probe is a count: reading stops as
     soon as the window has all p(max_len) factors, which certifies every
     length.  Otherwise (``literal:``, non-primitive ``morphic:``) the newest
     window must fit in the first half.  Doubling stops at PREFIX_BUDGET (or
@@ -428,7 +431,7 @@ def saturated_table(
         cap = min(cap, len(spec.word))
     exact = spec.complexities(max_len)
     full = None if exact is None else exact[max_len]
-    windows: Counter[str] = Counter()
+    windows: Counter[int] = Counter()
     while True:
         length = min(target, cap)
         word = generate_prefix(spec, length)
@@ -437,7 +440,7 @@ def saturated_table(
         # max_len saturates every length: the probe needs only that length.
         # At the cap there is no probe: a literal may hold no window at all.
         if length >= cap or (
-            newest_fits(word, windows) if full is None else len(windows) == full
+            newest_fits(word, max_len, windows) if full is None else len(windows) == full
         ):
             return FactorTable(word, max_len, windows, exact)
         target *= 2

@@ -5,8 +5,10 @@ a distinct window of length max_len, or a short suffix ``word[-m:]`` (m <
 max_len), which reaches only the lengths n <= m.  An entry's code is its
 text read in base 16, one nibble per digit letter, a short suffix padded
 with nibbles f, so that numeric order is lexicographic order and a short
-suffix sorts after every entry it is a prefix of.  The table keeps the
-entries sorted, with their lengths, counts, first occurrences and the
+suffix sorts after every entry it is a prefix of.  Words are digit-only,
+and a window is a code from the moment it is counted: a shift of one int
+read for a block of starts.  The table keeps the entries sorted, with
+their lengths, counts, first occurrences (built on first use) and the
 common-prefix length (LCP) of each entry with the one before it.  The
 sorted length-n factors are the runs of entries of length >= n whose
 n-letter prefixes agree, so p(n) is the number of entries with
@@ -27,8 +29,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import ge, xor
+from itertools import accumulate, chain, count, repeat
+from operator import and_, rshift, xor
 
 from .errors import BudgetExceeded, NotAFactor, WindowTooLarge
 from .words import _check_word
@@ -48,10 +50,28 @@ def decode(code: int, n: int) -> str:
     return format(code, f"0{n}x") if n else ""
 
 
+def _codes(word: str, n: int, start: int, stop: int):
+    """The codes of the length-n windows of ``word`` at start..stop-1, in order."""
+    def block(a: int):
+        # One int per block of (at most 256) starts, and each window a shift
+        # of it: shifting one int of the whole word would be quadratic.
+        b = min(a + 256, stop)
+        x, shifts = int(word[a : b + n - 1], 16), range(4 * (b - a - 1), -1, -4)
+        return map(and_, map(rshift, repeat(x), shifts), repeat((1 << 4 * n) - 1))
+
+    return chain.from_iterable(map(block, range(start, stop, 256)))
+
+
+def _short_codes(word: str, n: int):
+    """Codes of the suffixes of ``word`` shorter than n, f-padded, longest first."""
+    tail = word[max(0, len(word) - n + 1) :]
+    return _codes(tail + "f" * (n - 1), n, 0, len(tail))
+
+
 def window_counts(
-    word: str, n: int, windows: Counter[str] | None = None, full: int | None = None
-) -> Counter[str]:
-    """Occurrence counts of the length-n windows of ``word``.
+    word: str, n: int, windows: Counter[int] | None = None, full: int | None = None
+) -> Counter[int]:
+    """Occurrence counts of the length-n windows of digit word ``word``, by code.
 
     ``windows``, when given, are the counts of the windows that start in
     the first windows.total() positions of ``word``; the windows that start
@@ -64,9 +84,10 @@ def window_counts(
     more than TABLE_BUDGET bytes, so no table past the cap is ever built.
     """
     windows = Counter() if windows is None else windows
-    # An entry costs its n letters and about 245 bytes more at a table's peak
-    # (tracemalloc of FactorTable on the 262144 distinct 18-letter windows
-    # of a random literal, Python 3.11).
+    # An entry peaks at its n letters and at most 245 bytes more while a table
+    # is built, and holds less once it is (tracemalloc, Python 3.11: 219 B more
+    # and 140 B held at n=18 on a random 2^21-letter literal; -6 B more and
+    # 677 B held at n=1024 on a 2^16-letter one, whose codes take n/2 bytes).
     entry = n + 245
     end, step = len(word) - n + 1, max(1, TABLE_BUDGET // (16 * entry))
     if full is not None:
@@ -74,9 +95,7 @@ def window_counts(
     for start in range(windows.total(), end, step):
         if full is not None and len(windows) >= full:
             break
-        stop = min(start + step, end)
-        cuts = map(slice, range(start, stop), range(start + n, stop + n))
-        windows.update(map(word.__getitem__, cuts))
+        windows.update(_codes(word, n, start, min(start + step, end)))
         if (len(windows) + n - 1) * entry > TABLE_BUDGET:
             raise BudgetExceeded(
                 f"length-{n} table entries take more than {TABLE_BUDGET} bytes"
@@ -90,19 +109,13 @@ def prefix_counts(codes, n: int) -> list[int]:
     return [1, *_histogram(sorted(set(codes)), 0, n)[1][1:]]
 
 
-def newest_fits(word: str, windows: Counter[str]) -> bool:
-    """Whether the windows' length is saturated in ``word``.
+def newest_fits(word: str, n: int, windows: Counter[int]) -> bool:
+    """Whether the windows' length n is saturated in ``word``.
 
     ``windows`` are the counts of :func:`window_counts`; the length is
-    saturated when its newest factor fits entirely inside the first half.
+    saturated when its newest factor (the one key decoded) fits in the first half.
     """
-    newest = next(reversed(windows))
-    return word.find(newest) + len(newest) <= len(word) // 2
-
-
-def _suffixes(word: str, n: int) -> list[str]:
-    """The suffixes of ``word`` shorter than n, padded with f to n letters."""
-    return [word[-m:].ljust(n, "f") for m in range(1, min(n - 1, len(word)) + 1)]
+    return word.find(decode(next(reversed(windows)), n), 0, len(word) // 2) >= 0
 
 
 def _histogram(codes, shorts: int, n: int) -> tuple[list[int], list[int]]:
@@ -122,15 +135,16 @@ def _histogram(codes, shorts: int, n: int) -> tuple[list[int], list[int]]:
 class FactorTable:
     """Sorted entries standing for the factors of lengths 1..max_len of a prefix.
 
-    ``windows``, when given, are the :func:`window_counts` of ``word`` at
-    ``max_len``, so that a saturation probe's windows are not sliced twice;
-    they may stop early, once they hold every distinct window.  ``exact``,
-    when given, is the word's exact [p(0), ..., p(max_len)], and the
-    frontier is then the longest n at which the table has exact[n] factors;
-    otherwise it is the half-window heuristic's.  ``codes``, ``lengths``,
-    ``counts``, ``firsts`` and ``lcps`` are parallel entry tuples in code
-    order; with ``exact``, ``counts`` and ``firsts`` are built on first use,
-    ``counts`` by counting the windows left.  ``p[n]`` is the number of
+    ``word`` is digit-only.  ``windows``, when given, are the
+    :func:`window_counts` of ``word`` at ``max_len``, keyed by code, so that
+    a saturation probe's windows are not counted twice; they may stop early,
+    once they hold every distinct window.  ``exact``, when given, is the
+    word's exact [p(0), ..., p(max_len)], and the frontier is then the
+    longest n at which the table has exact[n] factors; otherwise it is the
+    half-window heuristic's.  ``codes``, ``lengths``, ``counts``, ``firsts``
+    and ``lcps`` are parallel entry tuples in code order; ``counts`` and
+    ``firsts`` are built on first use, ``counts`` by counting the windows
+    left and ``firsts`` by decoding each window.  ``p[n]`` is the number of
     length-n factors for 1 <= n <= max_len, ``frontier`` the longest
     saturated length, or 0.  Immutable after construction; its windows
     come from :func:`window_counts`, which bounds its size by TABLE_BUDGET.
@@ -153,16 +167,12 @@ class FactorTable:
         _check_word(self.alphabet, "word")
         if windows is None:
             windows = window_counts(word, max_len)
-        texts = [*windows, *_suffixes(word, max_len)]
-        order = sorted(range(len(texts)), key=texts.__getitem__)
+        keys = [*windows, *_short_codes(word, max_len)]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
         self._windows, self._order = windows, order
-        self.codes = tuple(map(int, map(texts.__getitem__, order), repeat(16)))
-        self.lengths = self._entries(repeat(max_len, len(windows)), range(1, max_len))
-        if exact is None:
-            # The windows are all counted, and the checks of a word without a
-            # known language read both columns: build them and free the windows.
-            self.counts, self.firsts
-            del self._windows, self._order
+        self.codes = tuple(map(keys.__getitem__, order))
+        shorts = range(max_len - 1, 0, -1)
+        self.lengths = self._entries(repeat(max_len, len(windows)), shorts)
         lcps, self.p = _histogram(self.codes, max_len - 1, max_len)
         self.lcps = tuple(lcps)
         self.frontier = max_len
@@ -170,20 +180,19 @@ class FactorTable:
             # A window with all exact[n] length-n factors has every shorter one.
             full = (n for n in range(max_len, 0, -1) if self.p[n] == exact[n])
             self.frontier = next(full, 0)
-        elif not newest_fits(word, windows):
+        elif not newest_fits(word, max_len, windows):
             # Compare with the first half's entries: the windows that fit in
-            # it (no short suffix starts that early) and its short suffixes.
+            # it and its short suffixes.
             half = len(word) // 2
-            fit = compress(self.codes, map(ge, repeat(half - max_len), self.firsts))
-            ends = _suffixes(word[:half], max_len)
-            halves = sorted(chain(fit, map(int, ends, repeat(16))))
+            ends = [*_short_codes(word[:half], max_len)]
+            halves = sorted({*_codes(word, max_len, 0, half - max_len + 1), *ends})
             _, in_half = _histogram(halves, len(ends), max_len)
             short = (n - 1 for n in range(1, max_len + 1) if in_half[n] < self.p[n])
             self.frontier = next(short, max_len)
 
     def _entries(self, windows, shorts) -> tuple:
         """A column in entry order, from its values for the windows (in key
-        order) and for the short suffixes (by length)."""
+        order) and for the short suffixes (longest first)."""
         column = [*windows, *shorts]
         return tuple(map(column.__getitem__, self._order))
 
@@ -194,12 +203,11 @@ class FactorTable:
 
     @cached_property
     def firsts(self) -> tuple[int, ...]:
-        # The keys come in order of first occurrence, so each first
-        # occurrence is found by searching on from the previous one.
-        word = self.word
-        found = accumulate(self._windows, lambda p, v: word.find(v, p + 1), initial=-1)
-        ends = (len(word) - m for m in range(1, self.max_len))
-        return self._entries(islice(found, 1, None), ends)
+        # Keys come in first-occurrence order, so each is found by searching on
+        # from the one before; the only column that decodes every entry.
+        word, n, p = self.word, self.max_len, -1
+        found = [p := word.find(decode(c, n), p + 1) for c in self._windows]
+        return self._entries(found, range(len(word) - n + 1, len(word)))
 
     def _require(self, n: int) -> None:
         if not 1 <= n <= self.max_len:
@@ -243,7 +251,9 @@ class FactorTable:
 
     def factors(self, n: int) -> tuple[str, ...]:
         """Distinct length-n factors, lexicographically ascending."""
-        return tuple(decode(c, n) for c in self.level(n)[0])
+        self._require(n)
+        shift, entries = 4 * (self.max_len - n), zip(self.codes, self.lengths, self.lcps)
+        return tuple(decode(c >> shift, n) for c, m, lcp in entries if lcp < n <= m)
 
     def complexity(self, n: int) -> int:
         """Number of distinct length-n factors."""

@@ -88,6 +88,8 @@ class Record:
 def _check_word(s: str, what: str, allow_empty: bool = False) -> None:
     if not allow_empty and not s:
         raise MalformedSpec(f"{what} must be nonempty")
+    if s.isascii() and s.isdigit():
+        return  # the loop below only names the first bad letter
     for c in s:
         if c not in ALPHABET:
             raise MalformedSpec(f"{what} contains {c!r}; letters are the digits 0-9")
@@ -130,8 +132,7 @@ class _EventuallyPeriodic:
             return None
         from .factors import prefix_counts, window_counts
 
-        windows = window_counts(self.prefix(size), n)
-        return prefix_counts((int(w, 16) for w in windows), n)
+        return prefix_counts(window_counts(self.prefix(size), n), n)
 
     @property
     def flags(self) -> KnownFlags:

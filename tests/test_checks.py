@@ -442,6 +442,49 @@ class TestCertifiedSaturation:
         assert t.dump() == ref.dump()
         assert t.firsts == ref.firsts
 
+    @pytest.mark.parametrize(
+        "text,max_len",
+        [
+            ("fib", 30),
+            ("ultper:0110|01", 20),
+            (TM_SPEC, 12),
+            ("morphic:0->001,1->1;seed=0", 12),
+            ("literal:" + format(3**400, "b"), 9),
+        ],
+        ids=["fib", "ultper", "thue-morse", "non-primitive", "literal"],
+    )
+    def test_lazy_firsts_match_brute_force(self, text, max_len):
+        # Certified and heuristic tables alike build firsts only when read.
+        spec = sx.parse_spec(text)
+        t = checks.saturated_table(spec, max_len, 512)
+        w = t.word
+        witness = checks._unioccurrent_early_factor(t)
+        assert witness == naive.unioccurrent_early_factor(w, max_len)
+        assert "firsts" not in vars(t)
+        # A short suffix entry stands for the tail of the word alone.
+        want = [
+            w.find(factors.decode(c, m)) if m == max_len else len(w) - m
+            for c, m in zip(t.codes, t.lengths)
+        ]
+        assert list(t.firsts) == want
+        for n in range(1, max_len + 1):
+            for v in t.factors(n):
+                assert t.first_occurrence(v) == w.find(v)
+
+    @pytest.mark.parametrize(
+        "word", [prefix("fib", 4096), format(3**2583, "b")], ids=["fib", "dense"]
+    )
+    def test_literal_verdict_reads_no_firsts(self, monkeypatch, word):
+        built = []
+
+        def build(*args):
+            built.append(factors.FactorTable(*args))
+            return built[-1]
+
+        monkeypatch.setattr(checks, "FactorTable", build)
+        sx.sturmian_verdict(sx.parse_spec("literal:" + word), max_len=16)
+        assert len(built) == 1 and "firsts" not in vars(built[0])
+
     def test_harness_tall_specs_pass(self):
         # std:1,9,1,9 failed two assertions here under the half-window rule.
         specs = [sx.parse_spec(s) for s in ("fib", "std:2,1", "std:1,9,1,9", "std:3", "std:1,2,3")]

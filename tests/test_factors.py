@@ -101,7 +101,8 @@ class TestTableBudget:
         # The cap is this small, so the chunks are single windows: counting
         # stopped at the ninth distinct one.
         assert len(windows) == 9
-        assert windows.total() == self.WORD.find(next(reversed(windows))) + 1
+        newest = factors.decode(next(reversed(windows)), 8)
+        assert windows.total() == self.WORD.find(newest) + 1
 
     def test_counting_stops_at_the_first_chunk_past_the_cap(self, monkeypatch):
         # Chunks of 4 windows, and room for 16 * 4 entries: 57 windows.
@@ -112,6 +113,51 @@ class TestTableBudget:
             factors.window_counts(word, 8, windows)
         assert len(windows) > 57 and windows.total() % 4 == 0
         assert len(naive.distinct_factors(word[: windows.total() + 3], 8)) <= 57
+
+
+class TestWindowCodes:
+    """Window codes come from one int per block of 256 starts; they agree
+    with reading each window, and each padded short suffix, on its own."""
+
+    WORD = format(random.Random(20261018).getrandbits(1200), "01200b")
+    DIGITS = "".join(random.Random(7).choice("0123456789") for _ in range(700))
+
+    @pytest.mark.parametrize(
+        "word,n,start,stop",
+        [
+            (WORD, 7, 3, 700),
+            (WORD, 7, 256, 512),
+            (WORD, 300, 10, 601),
+            (WORD, 1, 0, 1200),
+            (WORD, 1200, 0, 1),
+            (DIGITS, 11, 255, 690),
+            (DIGITS[:50], 5, 0, 46),
+            (DIGITS[:50], 50, 0, 1),
+        ],
+        ids=["off-blocks", "one-block", "n-past-a-block", "n=1", "n=len", "digits",
+             "short-word", "short-word-n=len"],
+    )
+    def test_codes_read_each_window(self, word, n, start, stop):
+        want = [int(word[i : i + n], 16) for i in range(start, stop)]
+        assert list(factors._codes(word, n, start, stop)) == want
+
+    @pytest.mark.parametrize("n,counted", [(1, 0), (7, 300), (300, 257), (1200, 0)])
+    def test_counts_in_first_occurrence_order(self, n, counted):
+        # Counting resumes from the windows of the first ``counted`` starts.
+        word = self.WORD
+        codes = [int(word[i : i + n], 16) for i in range(len(word) - n + 1)]
+        windows = Counter(codes[:counted])
+        assert factors.window_counts(word, n, windows) is windows
+        assert list(windows.items()) == list(Counter(codes).items())
+
+    @pytest.mark.parametrize(
+        "word,n",
+        [(WORD, 1), (WORD, 8), (WORD, 300), (WORD, 1200), ("0120", 9)],
+        ids=["n=1", "n=8", "n=300", "n=len", "word-shorter-than-n"],
+    )
+    def test_short_codes_are_padded_suffixes(self, word, n):
+        want = [int(word[-m:].ljust(n, "f"), 16) for m in range(min(n - 1, len(word)), 0, -1)]
+        assert list(factors._short_codes(word, n)) == want
 
 
 class TestSuccessor:
@@ -315,9 +361,9 @@ class TestBoundedMemory:
     """The index holds about two entries per length on a Sturmian word, so
     long factors cost memory linear in max_len and the window."""
 
-    # The child's peak RSS (measured 17 MB with Python 3.11 on Linux, of
-    # which about 14 MB is the bare interpreter); a per-length factor index
-    # peaked at 216 MB here.
+    # The child's peak RSS (measured 15 MB with Python 3.11 on Linux, of
+    # which about 14 MB is the bare interpreter; 17 MB while windows were
+    # sliced as strings); a per-length factor index peaked at 216 MB here.
     def test_long_sturmian_verdict(self):
         pytest.importorskip("resource")
         job = "import sturmlex as sx; sx.sturmian_verdict(sx.parse_spec('fib'), max_len=1000)"
@@ -326,9 +372,10 @@ class TestBoundedMemory:
         assert peak < 64, f"peak RSS {peak:.0f} MB"
 
     # The 3000 + 1 windows and 2999 short suffixes of fib at 3000 are within
-    # TABLE_BUDGET (measured 0.13 s and 43 MB with Python 3.11 on Linux); a
-    # per-length index reached 4.8 GB here, and a cap on the factors summed
-    # over all lengths made it exit 65.
+    # TABLE_BUDGET (measured 0.11 s and 26 MB with Python 3.11 on Linux; 0.13 s
+    # and 43 MB while windows were sliced as strings); a per-length index
+    # reached 4.8 GB here, and a cap on the factors summed over all lengths
+    # made it exit 65.
     def test_fib_at_3000_stays_small(self):
         pytest.importorskip("resource")
         argv = ("-m", "sturmlex", "check", "--spec", "fib", "--what", "sturmian")
@@ -336,10 +383,21 @@ class TestBoundedMemory:
         assert code == 0
         assert peak < 128, f"peak RSS {peak:.0f} MB"
 
+    # 3975 is the longest length fib finishes under TABLE_BUDGET (measured
+    # 0.12 s and 34 MB with Python 3.11 on Linux): windows are codes from the
+    # start, never strings, which peaked at 64 MB here.
+    def test_fib_at_3975_stays_small(self):
+        pytest.importorskip("resource")
+        argv = ("-m", "sturmlex", "check", "--spec", "fib", "--what", "sturmian")
+        code, peak = peak_rss(*argv, "--max-n", "3975", timeout=30)
+        assert code == 0
+        assert peak < 48, f"peak RSS {peak:.0f} MB"
+
     # The distinct 1024-letter windows of a random word pass TABLE_BUDGET
     # after about 25000 of its 2^16 windows, and counting stops there
-    # (measured 44 MB with Python 3.11 on Linux); counting them all before
-    # checking a cap peaked at 132 MB.
+    # (measured 32 MB with Python 3.11 on Linux, 44 MB while windows were
+    # sliced as strings); counting them all before checking a cap peaked at
+    # 132 MB.
     def test_table_budget_exit_while_counting(self):
         pytest.importorskip("resource")
         word = format(random.Random(20261018).getrandbits(1 << 16), "065536b")
@@ -359,8 +417,9 @@ class TestBoundedMemory:
 
     # Short windows are bounded too: each distinct window costs far more than
     # its letters.  Both exit 65 once about 125000 windows are counted
-    # (measured 38 MB with Python 3.11 on Linux); a cap on window letters
-    # alone let N=24 reach 122 MB and N=18 count all 2^18 windows at 97 MB.
+    # (measured 35 MB with Python 3.11 on Linux, 38 MB while windows were
+    # sliced as strings); a cap on window letters alone let N=24 reach
+    # 122 MB and N=18 count all 2^18 windows at 97 MB.
     @pytest.mark.parametrize("max_n", ["18", "24"])
     def test_short_windows_of_a_long_literal(self, max_n):
         pytest.importorskip("resource")
