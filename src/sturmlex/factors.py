@@ -8,12 +8,12 @@ with nibbles f, so that numeric order is lexicographic order and a short
 suffix sorts after every entry it is a prefix of.  Words are digit-only,
 and a window is a code from the moment it is counted: a shift of one int
 read for a block of starts.  The table keeps the entries sorted, with
-their lengths, counts, first occurrences (built on first use) and the
-common-prefix length (LCP) of each entry with the one before it.  The
-sorted length-n factors are the runs of entries of length >= n whose
-n-letter prefixes agree, so p(n) is the number of entries with
-lcp < n <= length, one histogram for all n, and a factor's count and first
-occurrence come from the range of codes it begins, found by bisection.
+their lengths, counts and the common-prefix length (LCP) of each entry
+with the one before it.  The sorted length-n factors are the runs of
+entries of length >= n whose n-letter prefixes agree, so p(n) is the
+number of entries with lcp < n <= length, one histogram for all n, and a
+factor's count comes from the range of codes it begins, found by
+bisection.  Its first occurrence is a search of the word.
 
 Length n is *saturated* when the table holds every length-n factor of the
 infinite word.  When the word's exact complexity is known, that is certified
@@ -141,10 +141,9 @@ class FactorTable:
     once they hold every distinct window.  ``exact``, when given, is the
     word's exact [p(0), ..., p(max_len)], and the frontier is then the
     longest n at which the table has exact[n] factors; otherwise it is the
-    half-window heuristic's.  ``codes``, ``lengths``, ``counts``, ``firsts``
-    and ``lcps`` are parallel entry tuples in code order; ``counts`` and
-    ``firsts`` are built on first use, ``counts`` by counting the windows
-    left and ``firsts`` by decoding each window.  ``p[n]`` is the number of
+    half-window heuristic's.  ``codes``, ``lengths``, ``counts`` and
+    ``lcps`` are parallel entry tuples in code order; ``counts`` is built
+    on first use, by counting the windows left.  ``p[n]`` is the number of
     length-n factors for 1 <= n <= max_len, ``frontier`` the longest
     saturated length, or 0.  Immutable after construction; its windows
     come from :func:`window_counts`, which bounds its size by TABLE_BUDGET.
@@ -201,14 +200,6 @@ class FactorTable:
         windows = window_counts(self.word, self.max_len, self._windows)
         return self._entries(windows.values(), repeat(1, self.max_len - 1))
 
-    @cached_property
-    def firsts(self) -> tuple[int, ...]:
-        # Keys come in first-occurrence order, so each is found by searching on
-        # from the one before; the only column that decodes every entry.
-        word, n, p = self.word, self.max_len, -1
-        found = [p := word.find(decode(c, n), p + 1) for c in self._windows]
-        return self._entries(found, range(len(word) - n + 1, len(word)))
-
     def _require(self, n: int) -> None:
         if not 1 <= n <= self.max_len:
             raise ValueError(f"length {n} outside the indexed range 1..{self.max_len}")
@@ -232,23 +223,6 @@ class FactorTable:
     def is_binary(self) -> bool:
         return set(self.alphabet) <= {"0", "1"}
 
-    def level(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """(codes, counts, first occurrences) of the length-n factors in lex
-        order, built from the entries on each call (see :func:`decode`)."""
-        self._require(n)
-        shift = 4 * (self.max_len - n)
-        codes, counts, firsts = [], [], []
-        entries = zip(self.codes, self.lengths, self.counts, self.firsts, self.lcps)
-        for c, m, k, p, lcp in entries:
-            if lcp >= n:
-                counts[-1] += k
-                firsts[-1] = min(firsts[-1], p)
-            elif m >= n:
-                codes.append(c >> shift)
-                counts.append(k)
-                firsts.append(p)
-        return tuple(codes), tuple(counts), tuple(firsts)
-
     def factors(self, n: int) -> tuple[str, ...]:
         """Distinct length-n factors, lexicographically ascending."""
         self._require(n)
@@ -270,8 +244,8 @@ class FactorTable:
         return sum(self.counts[i:j])
 
     def first_occurrence(self, v: str) -> int:
-        i, j, _ = self._range(v, need=True)
-        return min(self.firsts[i:j])
+        self._range(v, need=True)
+        return self.word.find(v)
 
     def successor(self, v: str) -> str | None:
         """Next factor of the same length in lex order, or None if maximal."""
@@ -336,8 +310,16 @@ class FactorTable:
 
     def _dump_lengths(self):
         """The lines of :meth:`dump`, one string per length, to write out."""
+        # A length-n factor is a run of entries: one with lcp < n <= length,
+        # then those whose lcp reaches n.  Its count is the run's sum.
         for n in range(1, self.max_len + 1):
-            codes, counts, _ = self.level(n)
+            shift, codes, counts = 4 * (self.max_len - n), [], []
+            for c, m, k, lcp in zip(self.codes, self.lengths, self.counts, self.lcps):
+                if lcp >= n:
+                    counts[-1] += k
+                elif m >= n:
+                    codes.append(c >> shift)
+                    counts.append(k)
             yield "".join(f"{n}\t{decode(c, n)}\t{k}\n" for c, k in zip(codes, counts))
 
     def __repr__(self) -> str:  # pragma: no cover

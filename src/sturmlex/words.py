@@ -260,18 +260,13 @@ class Morphic(Record):
             power = {a: w.translate(images) for a, w in power.items()}
             if sum(map(len, power.values())) > PREFIX_BUDGET:
                 return None
-        # The windows inside each image and across each boundary; a piece
-        # inside another one adds none.
+        from .factors import _codes, prefix_counts
+
+        # The windows inside each image and across each boundary.
         edges = (power[a][1 - n :] + power[b][: n - 1] for a, b in pairs)
         pieces = {*power.values(), *edges}
-        codes, mask = set(), (1 << 4 * n) - 1
-        for w in pieces:
-            if not any(w in v for v in pieces - {w}):
-                c = int(w, 16)
-                codes.update(c >> 4 * k & mask for k in range(len(w) - n + 1))
-        from .factors import prefix_counts
-
-        return prefix_counts(codes, n)
+        windows = {c for w in pieces for c in _codes(w, n, 0, len(w) - n + 1)}
+        return prefix_counts(windows, n)
 
     def prefix(self, n: int) -> str:
         # The fixed point x is s(x0) s(x1) s(x2) ..., and s(x0) starts with

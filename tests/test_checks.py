@@ -437,10 +437,9 @@ class TestCertifiedSaturation:
         # The window stops slicing once it has every factor; the counts of
         # the rest of it are taken on first use.
         t = checks.saturated_table(sx.parse_spec(text), max_len)
-        assert "counts" not in vars(t) and "firsts" not in vars(t)
+        assert "counts" not in vars(t)
         ref = sx.FactorTable(t.word, max_len)
         assert t.dump() == ref.dump()
-        assert t.firsts == ref.firsts
 
     @pytest.mark.parametrize(
         "text,max_len",
@@ -453,37 +452,16 @@ class TestCertifiedSaturation:
         ],
         ids=["fib", "ultper", "thue-morse", "non-primitive", "literal"],
     )
-    def test_lazy_firsts_match_brute_force(self, text, max_len):
-        # Certified and heuristic tables alike build firsts only when read.
+    def test_first_occurrences_match_brute_force(self, text, max_len):
+        # Certified and heuristic tables alike.
         spec = sx.parse_spec(text)
         t = checks.saturated_table(spec, max_len, 512)
         w = t.word
         witness = checks._unioccurrent_early_factor(t)
         assert witness == naive.unioccurrent_early_factor(w, max_len)
-        assert "firsts" not in vars(t)
-        # A short suffix entry stands for the tail of the word alone.
-        want = [
-            w.find(factors.decode(c, m)) if m == max_len else len(w) - m
-            for c, m in zip(t.codes, t.lengths)
-        ]
-        assert list(t.firsts) == want
         for n in range(1, max_len + 1):
             for v in t.factors(n):
                 assert t.first_occurrence(v) == w.find(v)
-
-    @pytest.mark.parametrize(
-        "word", [prefix("fib", 4096), format(3**2583, "b")], ids=["fib", "dense"]
-    )
-    def test_literal_verdict_reads_no_firsts(self, monkeypatch, word):
-        built = []
-
-        def build(*args):
-            built.append(factors.FactorTable(*args))
-            return built[-1]
-
-        monkeypatch.setattr(checks, "FactorTable", build)
-        sx.sturmian_verdict(sx.parse_spec("literal:" + word), max_len=16)
-        assert len(built) == 1 and "firsts" not in vars(built[0])
 
     def test_harness_tall_specs_pass(self):
         # std:1,9,1,9 failed two assertions here under the half-window rule.
@@ -527,6 +505,15 @@ class TestSturmianVerdict:
         assert r.combined.status == checks.NOT_STURMIAN
         assert r.verdict("balance").status == checks.INDETERMINATE
         assert r.verdict("nfop").status == checks.VIOLATED
+
+    def test_complexity_excess_refutes_without_saturation(self):
+        # Window counts never overshoot the word's complexity, so p(1) = 3
+        # refutes although no length is saturated and no check is violated.
+        r = sx.sturmian_verdict(sx.parse_spec("literal:012"), max_len=1)
+        assert r.combined.status == checks.NOT_STURMIAN
+        assert (r.combined.n, r.combined.reason) == (1, "complexity 3 > 2")
+        assert r.combined.saturated_lengths == ()
+        assert checks.VIOLATED not in {v.status for v in r.verdicts}
 
     def test_non_binary_nfop_is_variant_one(self):
         # The step 0 -> 2 and the swap 02 -> 20 fit variant 1, not variant 2.

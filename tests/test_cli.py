@@ -115,6 +115,14 @@ class TestCheck:
         assert "witness=(010,101)" in out
         assert "n=3" in out
 
+    def test_complexity_excess_exit(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "--spec", "literal:012", "--what", "sturmian",
+            "--max-n", "1",
+        )
+        assert code == 1
+        assert out.splitlines()[-1] == "sturmian: NotSturmian n=1 [complexity 3 > 2]"
+
     def test_balance_violation_exit(self, capsys):
         code, out, _ = run(
             capsys, "check", "--spec", "morphic:0->01,1->10;seed=0",

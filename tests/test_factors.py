@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sturmlex as sx
-from sturmlex import factors
+from sturmlex import checks, factors
 from sturmlex.errors import BudgetExceeded, MalformedSpec, NotAFactor, WindowTooLarge
 
 import naive
-from conftest import peak_rss, prefix
+from conftest import TM_SPEC, peak_rss, prefix
 
 
 class TestBuild:
@@ -269,6 +269,43 @@ class TestDump:
         rows = [line.split("\t") for line in tm_table.dump().splitlines()]
         keys = [(int(n), v) for n, v, _ in rows]
         assert keys == sorted(keys)
+
+    @staticmethod
+    def agrees(t):
+        # Lengths ascending, factors in lex order within a length.
+        w = t.word
+        assert t.dump() == "".join(
+            f"{n}\t{v}\t{naive.occurrences(w, v)}\n"
+            for n in range(1, t.max_len + 1)
+            for v in naive.distinct_factors(w, n)
+        )
+
+    @given(
+        word=st.sampled_from(["01", "012", "0123456789"]).flatmap(
+            lambda letters: st.text(letters, min_size=1, max_size=60)
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, word, data):
+        self.agrees(sx.FactorTable(word, data.draw(st.integers(1, len(word)))))
+
+    @pytest.mark.parametrize(
+        "text,max_len",
+        [
+            ("fib", 40),
+            ("std:1,9,1,9", 30),
+            (TM_SPEC, 12),
+            ("ultper:0110|01", 20),
+            ("mech:2/7@1/3", 20),
+        ],
+    )
+    def test_certified_tables_match_brute_force(self, text, max_len):
+        # The window count stopped once it held p(max_len) windows; the dump
+        # counts the rest of them.
+        t = checks.saturated_table(sx.parse_spec(text), max_len, 256)
+        assert t._windows.total() < len(t.word) - max_len + 1
+        self.agrees(t)
 
 
 class TestAgainstBruteForce:

@@ -73,6 +73,20 @@ class TestExactComplexities:
     def test_unknown(self, text):
         assert sx.parse_spec(text).complexities(40) is None
 
+    @pytest.mark.parametrize(
+        "spec,n",
+        [
+            (lambda: sx.Periodic("01" * 2**21), 2),
+            (lambda: sx.UltimatelyPeriodic("0" * 2**22, "1"), 2),
+            # Primitive, but s^3(0) outgrows PREFIX_BUDGET before s^k(1)
+            # reaches n - 1 letters.
+            (lambda: sx.Morphic({"0": "0" + "1" * 3000, "1": "0"}, "0"), 4000),
+        ],
+        ids=["periodic", "ultper", "morphic"],
+    )
+    def test_past_the_prefix_budget(self, spec, n):
+        assert spec().complexities(n) is None
+
 
 class TestGeneratePrefix:
     def test_fibonacci_display(self):
