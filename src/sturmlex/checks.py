@@ -194,11 +194,11 @@ def _adjacent_faults(
     variant 1, reported as "nfop"), "hamming2" and "ones" (binary only).
     The walk reads the entries that neighbour up to the saturation frontier
     (:meth:`FactorTable.neighbours`).  A pair that neighbours at lengths
-    lo..hi, with first and third mismatches at lengths t1 and t3, first
-    fails nfop at lo, t1+1 or t3 (past a transposition), and hamming2 and
-    ones from t3 on.  A check's first fault (shortest, then lex-least pair)
-    is its witness; pairs go by ascending lo until none can beat one.  A
-    check with no fault is Indeterminate if lengths were skipped.
+    lo..hi has its first mismatch at length lo; with its third at length
+    t3, it first fails nfop at lo, lo+1 or t3 (past a transposition), and
+    hamming2 and ones from t3 on.  A check's first fault (shortest, then
+    lex-least pair) is its witness; pairs go by ascending lo until none can
+    beat one.  A check with no fault is Indeterminate if lengths were skipped.
 
     On a binary table most pairs are passed over after one test on x, the
     XOR of their hi-letter prefixes, which is exact.  If x is 1 the
@@ -230,10 +230,10 @@ def _adjacent_faults(
         if lo > reach:
             break
         c, cp = codes[a], codes[b]
-        t1, _, t3 = _mismatch_lengths(c ^ cp, size)
+        t3 = _third_mismatch(c ^ cp, size)
         for key in sought:
             stop = min(hi, best[key][0])
-            tries = (lo, t1 + 1, t3) if "nfop" in key else range(max(lo, t3), stop + 1)
+            tries = (lo, lo + 1, t3) if "nfop" in key else range(max(lo, t3), stop + 1)
             for n in (n for n in tries if lo <= n <= stop):
                 cut = c >> 4 * (size - n), cp >> 4 * (size - n)
                 # A fault that cannot beat the best one is at its length, the last tried.
@@ -255,15 +255,12 @@ def _fits_all(c: int, cp: int, cut: int) -> bool:
     return x == 1 or x == 0x11 << s and (c >> 4 * cut + s) & 0xFF == 1
 
 
-def _mismatch_lengths(x: int, size: int) -> list[int]:
-    """The lengths at which the first three mismatches of two size-letter
-    codes XORing to x enter, size+1 for each one missing."""
-    lengths = []
-    for _ in range(3):
-        k = (x.bit_length() - 1) >> 2
-        lengths.append(size - k)
-        x &= (1 << 4 * max(k, 0)) - 1
-    return lengths
+def _third_mismatch(x: int, size: int) -> int:
+    """The length at which the third mismatch of two size-letter codes XORing
+    to x enters, or size+1 if they have fewer."""
+    for _ in range(2):
+        x &= (1 << 4 * max((x.bit_length() - 1) >> 2, 0)) - 1
+    return size - ((x.bit_length() - 1) >> 2)
 
 
 def _pair_fault(key: str, variant: int, c: int, cp: int) -> str | None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import BudgetExceeded, NotCoprime, SingularAmbiguous, SingularNotFound
-from .factors import FactorTable
+from .factors import FactorTable, is_unbordered
 from .words import PREFIX_BUDGET, Record
 
 
@@ -68,14 +68,13 @@ class SingularWord(Record):
 def singular_word(p: int, q: int, table: FactorTable) -> SingularWord:
     """The unique length-(p+q) table factor that is not a conjugate.
 
-    The factor must have the shape x u x around the Christoffel core u and
-    must be lex-extremal at its length; anything else means the table does
-    not match the slope.
+    The factor must have the shape x u x around the Christoffel core u;
+    anything else means the table does not match the slope.
     """
     pair = christoffel_pair(p, q)
     length = pair.length
-    conj = set(conjugates(pair.lower))
-    extra = [v for v in table.factors(length) if v not in conj]
+    conj, factors = set(conjugates(pair.lower)), table.factors(length)
+    extra = [v for v in factors if v not in conj]
     if not extra:
         raise SingularNotFound(
             f"every length-{length} factor is a conjugate of {pair.lower}"
@@ -87,13 +86,11 @@ def singular_word(p: int, q: int, table: FactorTable) -> SingularWord:
     v = extra[0]
     if v[-1] != v[0] or v[1:-1] != pair.core:
         raise SingularNotFound(f"{v} does not have the shape x{pair.core}x")
-    lo, hi = table.extremal(length)
-    if v == lo:
-        kind = "min"
-    elif v == hi:
-        kind = "max"
-    else:
-        raise SingularNotFound(f"{v} is not extremal at length {length}")
+    # Every other factor is a conjugate, and 0u1 and 1u0 are the least and
+    # greatest conjugates (Berstel, Lauve, Reutenauer and Saliola, 2008), so
+    # 0u0 is the least factor and xux the greatest for any other x; a lone
+    # factor is both, and counts as the least.
+    kind = "min" if v == factors[0] else "max"
     return SingularWord(word=v, letter=v[0], extremal_kind=kind)
 
 
@@ -148,9 +145,10 @@ def verify_christoffel_properties(
         )
     conj = conjugates(pair.lower)
     factors = table.factors(length)
+    found = set(factors)
     items = []
 
-    unbordered = table.unbordered_factors(length)
+    unbordered = [v for v in factors if is_unbordered(v)]
     expected_pair = sorted((pair.lower, pair.upper))
     items.append(
         PropertyCheck(
@@ -168,7 +166,7 @@ def verify_christoffel_properties(
         )
     )
 
-    missing = [c for c in conj if not table.is_factor(c)]
+    missing = [c for c in conj if c not in found]
     items.append(
         PropertyCheck(
             "conjugates-present",
@@ -178,14 +176,11 @@ def verify_christoffel_properties(
     )
 
     lo_sing, hi_sing = "0" + pair.core + "0", "1" + pair.core + "1"
-    present = [v for v in (lo_sing, hi_sing) if table.is_factor(v)]
-    extremal_ok = False
-    if len(present) == 1:
-        extremal_ok = present[0] in table.extremal(length)
+    present = [v for v in (lo_sing, hi_sing) if v in found]
     items.append(
         PropertyCheck(
             "singular-extremal",
-            len(present) == 1 and extremal_ok,
+            len(present) == 1 and present[0] in (factors[0], factors[-1]),
             f"singular candidates present: {present or 'none'}",
         )
     )

@@ -136,7 +136,7 @@ def cmd_factors(args) -> int:
     for n in range(1, args.max_n + 1):
         print(f"{n}\t{table.complexity(n)}")
     if args.dump:
-        sys.stdout.writelines(table._dump_lengths())
+        sys.stdout.writelines(table.dump())
     return EXIT_CONSISTENT
 
 
@@ -256,7 +256,3 @@ def main(argv=None) -> int:
     except SturmlexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -84,6 +84,13 @@ def window_counts(
     more than TABLE_BUDGET bytes, so no table past the cap is ever built.
     """
     windows = Counter() if windows is None else windows
+    return _add_windows(windows, word, n, windows.total(), full)
+
+
+def _add_windows(windows, word: str, n: int, start: int, full: int | None = None):
+    """Add the length-n windows of ``word`` from ``start`` on to ``windows``,
+    a Counter or a set of codes, in the chunks and under the cap of
+    :func:`window_counts`."""
     # An entry peaks at its n letters and at most 245 bytes more while a table
     # is built, and holds less once it is (tracemalloc, Python 3.11: 219 B more
     # and 140 B held at n=18 on a random 2^21-letter literal; -6 B more and
@@ -92,7 +99,7 @@ def window_counts(
     end, step = len(word) - n + 1, max(1, TABLE_BUDGET // (16 * entry))
     if full is not None:
         step = min(step, full)
-    for start in range(windows.total(), end, step):
+    for start in range(start, end, step):
         if full is not None and len(windows) >= full:
             break
         windows.update(_codes(word, n, start, min(start + step, end)))
@@ -103,10 +110,14 @@ def window_counts(
     return windows
 
 
-def prefix_counts(codes, n: int) -> list[int]:
+def prefix_counts(pieces, n: int) -> list[int]:
     """[1, p(1), ..., p(n)], p(m) the number of distinct m-letter prefixes
-    among the n-letter factors with base-16 ``codes``."""
-    return [1, *_histogram(sorted(set(codes)), 0, n)[1][1:]]
+    among the length-n windows of the digit words ``pieces``.  Their
+    distinct windows count against TABLE_BUDGET as a table's entries do."""
+    codes = set()
+    for w in pieces:
+        _add_windows(codes, w, n, 0)
+    return [1, *_histogram(sorted(codes), 0, n)[1][1:]]
 
 
 def newest_fits(word: str, n: int, windows: Counter[int]) -> bool:
@@ -153,7 +164,7 @@ class FactorTable:
         self,
         word: str,
         max_len: int,
-        windows: Counter[str] | None = None,
+        windows: Counter[int] | None = None,
         exact: list[int] | None = None,
     ):
         if not 1 <= max_len <= len(word):
@@ -293,10 +304,6 @@ class FactorTable:
             if sum(self.is_factor(x + v) for x in self.alphabet) >= 2
         ]
 
-    def unbordered_factors(self, n: int) -> list[str]:
-        """Length-n factors with no proper nonempty border."""
-        return [v for v in self.factors(n) if is_unbordered(v)]
-
     def saturated(self, n: int) -> bool:
         self._require(n)
         return n <= self.frontier
@@ -304,12 +311,9 @@ class FactorTable:
     def saturated_lengths(self) -> tuple[int, ...]:
         return tuple(range(1, self.frontier + 1))
 
-    def dump(self) -> str:
-        """One line per factor: ``<n>\\t<factor>\\t<count>``, lengths then lex."""
-        return "".join(self._dump_lengths())
-
-    def _dump_lengths(self):
-        """The lines of :meth:`dump`, one string per length, to write out."""
+    def dump(self):
+        """One line per factor, ``<n>\\t<factor>\\t<count>``, lengths then lex,
+        yielded as one string per length."""
         # A length-n factor is a run of entries: one with lcp < n <= length,
         # then those whose lcp reaches n.  Its count is the run's sum.
         for n in range(1, self.max_len + 1):

@@ -130,9 +130,9 @@ class _EventuallyPeriodic:
         size = len(self.preperiod) + len(self.period) + n - 1
         if size > PREFIX_BUDGET:
             return None
-        from .factors import prefix_counts, window_counts
+        from .factors import prefix_counts
 
-        return prefix_counts(window_counts(self.prefix(size), n), n)
+        return prefix_counts([self.prefix(size)], n)
 
     @property
     def flags(self) -> KnownFlags:
@@ -260,13 +260,11 @@ class Morphic(Record):
             power = {a: w.translate(images) for a, w in power.items()}
             if sum(map(len, power.values())) > PREFIX_BUDGET:
                 return None
-        from .factors import _codes, prefix_counts
+        from .factors import prefix_counts
 
         # The windows inside each image and across each boundary.
         edges = (power[a][1 - n :] + power[b][: n - 1] for a, b in pairs)
-        pieces = {*power.values(), *edges}
-        windows = {c for w in pieces for c in _codes(w, n, 0, len(w) - n + 1)}
-        return prefix_counts(windows, n)
+        return prefix_counts({*power.values(), *edges}, n)
 
     def prefix(self, n: int) -> str:
         # The fixed point x is s(x0) s(x1) s(x2) ..., and s(x0) starts with

@@ -304,7 +304,7 @@ class TestSaturatedTable:
         t = checks.saturated_table(spec, max_len, prefix_len)
         assert t.word == ref.word
         assert t.frontier == (max_len if certified else ref.frontier)
-        assert t.dump() == ref.dump()
+        assert "".join(t.dump()) == "".join(ref.dump())
 
     @pytest.mark.parametrize("text,max_len,prefix_len", WINDOWS)
     def test_one_index_per_window(self, monkeypatch, text, max_len, prefix_len):
@@ -412,6 +412,11 @@ class TestCertifiedSaturation:
         assert 0 < t.frontier < 60
         r = sx.sturmian_verdict(spec, prefix_len=64, max_len=60)
         assert r.combined.status == checks.INDETERMINATE
+        # The harness demands no agreement of verdicts cut short by the cap.
+        report = sx.equivalence_harness([spec], 60, prefix_len=64)
+        byname = {o.assertion: o for o in report.outcomes}
+        agreement = byname["recurrent-aperiodic-agreement"]
+        assert (agreement.result, agreement.detail) == ("skip", "indeterminate")
 
     @given(
         directive=st.lists(st.integers(1, 9), min_size=1, max_size=4),
@@ -439,7 +444,7 @@ class TestCertifiedSaturation:
         t = checks.saturated_table(sx.parse_spec(text), max_len)
         assert "counts" not in vars(t)
         ref = sx.FactorTable(t.word, max_len)
-        assert t.dump() == ref.dump()
+        assert "".join(t.dump()) == "".join(ref.dump())
 
     @pytest.mark.parametrize(
         "text,max_len",
@@ -522,6 +527,8 @@ class TestSturmianVerdict:
 
     def test_json_shape(self):
         r = sx.sturmian_verdict(sx.parse_spec("fib"), max_len=8)
+        with pytest.raises(KeyError):
+            r.verdict("nope")
         payload = r.to_json()
         assert payload["spec"] == "morphic:0->01,1->0;seed=0"
         assert [c["check"] for c in payload["checks"]] == [
@@ -562,6 +569,8 @@ class TestEquivalenceHarness:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             sx.equivalence_harness([], 10)
+        with pytest.raises(ValueError, match="same length"):
+            sx.equivalence_harness([sx.parse_spec("fib")], 8, labels=["a", "b"])
 
     def test_non_binary_table_skips_the_binary_implications(self):
         # nfop variant 1 holds on {0,1,2} at length 1, but balance, the

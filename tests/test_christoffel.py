@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sturmlex as sx
 from sturmlex.errors import NotCoprime, SingularAmbiguous, SingularNotFound
@@ -60,6 +62,19 @@ class TestConjugates:
     def test_power_collapses(self):
         assert sx.conjugates("0000") == ["0000"]
 
+    def test_empty_word(self):
+        with pytest.raises(ValueError):
+            sx.conjugates("")
+
+    def test_pair_are_the_least_and_greatest(self):
+        # singular_word relies on this to name the extremal kind.
+        for p in range(1, 40):
+            for q in range(1, 40):
+                if math.gcd(p, q) == 1:
+                    pair = sx.christoffel_pair(p, q)
+                    rotations = sx.conjugates(pair.lower)
+                    assert (rotations[0], rotations[-1]) == (pair.lower, pair.upper)
+
     @pytest.mark.parametrize("p,q", coprime_pairs(20))
     def test_christoffel_words_are_primitive(self, p, q):
         assert len(sx.conjugates(sx.lower_christoffel(p, q))) == p + q
@@ -109,6 +124,34 @@ class TestSingularWord:
         table = sx.FactorTable(prefix("mech:2/5@0", 4096), 5)
         with pytest.raises(SingularNotFound):
             sx.singular_word(2, 3, table)
+
+    def test_wrong_core(self):
+        with pytest.raises(SingularNotFound, match="000 does not have the shape x1x"):
+            sx.singular_word(2, 1, sx.FactorTable("000", 3))
+
+    def test_lone_factor_counts_as_least(self):
+        s = sx.singular_word(1, 1, sx.FactorTable("111", 2))
+        assert (s.word, s.extremal_kind) == ("11", "min")
+
+    # Slices of Sturmian words carry a singular word at many lengths.
+    HOSTS = [prefix(text, 300) for text in ("fib", "std:2,1", "std:1,3", "mech:3/7@0")]
+
+    @given(
+        word=st.one_of(
+            st.text("01", min_size=2, max_size=40),
+            st.tuples(st.sampled_from(HOSTS), st.integers(0, 200), st.integers(2, 100))
+            .map(lambda h: h[0][h[1] : h[1] + h[2]]),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_singular_is_the_extremal_factor_of_its_kind(self, word):
+        table = sx.FactorTable(word, min(len(word), 8))
+        for p, q in coprime_pairs(table.max_len):
+            try:
+                s = sx.singular_word(p, q, table)
+            except (SingularNotFound, SingularAmbiguous):
+                continue
+            assert s.word == table.extremal(p + q)[0 if s.extremal_kind == "min" else 1]
 
     def test_singular_is_one_letter_from_each_unbordered_conjugate(self, fib_table):
         # x u x differs from 0u1 and from 1u0 in exactly one position each

@@ -302,18 +302,29 @@ class TestUsageErrors:
     def test_no_command(self, capsys):
         assert run(capsys, )[0] == 64
 
-    def test_unknown_choice(self, capsys):
+    @pytest.mark.parametrize("what,max_n,message", [
+        ("nope", "5", "invalid choice"),
+        ("nfop", "abc", "invalid int value: 'abc'"),
+    ])
+    def test_bad_argument(self, capsys, what, max_n, message):
         code, _, err = run(
-            capsys, "check", "--spec", "fib", "--what", "nope", "--max-n", "5"
+            capsys, "check", "--spec", "fib", "--what", what, "--max-n", max_n
         )
         assert code == 64
-        assert "invalid choice" in err
+        assert message in err
 
-    def test_bad_spec(self, capsys):
+    @pytest.mark.parametrize("spec,message", [
+        ("bogus:1", "unknown spec kind 'bogus'"),
+        ("morphic:00->01,1->0;seed=0", "rule key '00' is not a letter"),
+        ("morphic:0->01,1->0;seed=2", "no rule for the seed letter"),
+        ("mech:1-2@0", "bad slope '1-2'"),
+        ("morphic:0-01;seed=0", "bad rule '0-01', want letter->image"),
+    ])
+    def test_bad_spec(self, capsys, spec, message):
         code, _, err = run(
-            capsys, "check", "--spec", "bogus:1", "--what", "nfop", "--max-n", "5"
+            capsys, "check", "--spec", spec, "--what", "nfop", "--max-n", "5"
         )
-        assert code == 65
+        assert (code, err) == (65, f"error: {message}\n")
 
 
 CORPUS = str(Path(__file__).parent / "golden" / "corpus.txt")
