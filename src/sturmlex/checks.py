@@ -383,7 +383,7 @@ def _unioccurrent_early_factor(table: FactorTable) -> str | None:
     the entry does: only such candidates are looked up in the word.
     """
     word, half, lcps = table.word, len(table.word) // 2, table.lcps
-    alone = list(map(max, lcps, chain(lcps[1:], (0,))))
+    alone = [a if a > b else b for a, b in zip(lcps, chain(lcps[1:], (0,)))]
     for i in sorted(range(len(alone)), key=alone.__getitem__):
         if (s := alone[i]) >= half:
             break

@@ -20,8 +20,12 @@ infinite word.  When the word's exact complexity is known, that is certified
 by a count: the prefix has as many length-n factors as the word.  Otherwise
 it is the half-window heuristic: every length-n factor first occurs
 entirely inside the first half of the prefix, that is the half has p(n)
-length-n factors too.  Saturating n saturates every shorter length, so the
-saturated lengths are 1..frontier, and a table stores only the frontier.
+length-n factors too.  The half's entries come from the table's own: the
+windows are counted in order of first occurrence, so those that fit in the
+half are the first ones counted, found by bisecting on first occurrences,
+and they join the half's own short suffixes.  Saturating n saturates every
+shorter length, so the saturated lengths are 1..frontier, and a table
+stores only the frontier.
 """
 
 from __future__ import annotations
@@ -152,12 +156,16 @@ class FactorTable:
     once they hold every distinct window.  ``exact``, when given, is the
     word's exact [p(0), ..., p(max_len)], and the frontier is then the
     longest n at which the table has exact[n] factors; otherwise it is the
-    half-window heuristic's.  ``codes``, ``lengths``, ``counts`` and
-    ``lcps`` are parallel entry tuples in code order; ``counts`` is built
-    on first use, by counting the windows left.  ``p[n]`` is the number of
-    length-n factors for 1 <= n <= max_len, ``frontier`` the longest
-    saturated length, or 0.  Immutable after construction; its windows
-    come from :func:`window_counts`, which bounds its size by TABLE_BUDGET.
+    half-window heuristic's: max_len when the newest window fits in the
+    first half, else one less than the first n at which the half has fewer
+    factors.  The half's entries are its short suffixes and the windows
+    counted before the first that does not fit in it.  ``codes``,
+    ``lengths``, ``counts`` and ``lcps`` are parallel entry tuples in code
+    order; ``counts`` is built on first use, by counting the windows left.
+    ``p[n]`` is the number of length-n factors for 1 <= n <= max_len,
+    ``frontier`` the longest saturated length, or 0.  Immutable after
+    construction; its windows come from :func:`window_counts`, which bounds
+    its size by TABLE_BUDGET.
     """
 
     def __init__(
@@ -192,10 +200,15 @@ class FactorTable:
             self.frontier = next(full, 0)
         elif not newest_fits(word, max_len, windows):
             # Compare with the first half's entries: the windows that fit in
-            # it and its short suffixes.
+            # it, which are the first `early` keys (keys come in order of
+            # first occurrence), and its short suffixes.
             half = len(word) // 2
+            early = bisect_left(
+                keys, half - max_len + 1, 0, len(windows),
+                key=lambda c: word.find(decode(c, max_len)),
+            )
             ends = [*_short_codes(word[:half], max_len)]
-            halves = sorted({*_codes(word, max_len, 0, half - max_len + 1), *ends})
+            halves = sorted([c for c, k in zip(self.codes, order) if k < early] + ends)
             _, in_half = _histogram(halves, len(ends), max_len)
             short = (n - 1 for n in range(1, max_len + 1) if in_half[n] < self.p[n])
             self.frontier = next(short, max_len)

@@ -1,9 +1,11 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import sturmlex as sx
 
@@ -58,6 +60,28 @@ def peak_rss(*argv: str, timeout: float = 60) -> tuple[int, float]:
 
 def prefix(text: str, n: int) -> str:
     return sx.generate_prefix(sx.parse_spec(text), n)
+
+
+@st.composite
+def literals(draw, min_size: int, max_size: int, alphabets=("01", "012")):
+    """A seeded word of min_size..max_size letters over one of ``alphabets``:
+    uniform (the shape of the dense-literal benchmark words), biased toward
+    its first letter, or a repeated block with a few letters changed."""
+    alphabet = draw(st.sampled_from(alphabets))
+    short = st.integers(min_size, min(min_size + 40, max_size))
+    size = draw(st.one_of(short, st.integers(min_size, max_size)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["uniform", "biased", "noisy-period"]))
+    if kind == "uniform":
+        letters = [rng.choice(alphabet) for _ in range(size)]
+    elif kind == "biased":
+        letters = [alphabet[0] if rng.random() < 0.8 else rng.choice(alphabet) for _ in range(size)]
+    else:
+        block = [rng.choice(alphabet) for _ in range(rng.randint(1, 12))]
+        letters = (block * size)[:size]
+        for _ in range(rng.randint(1, 3)):
+            letters[rng.randrange(size)] = rng.choice(alphabet)
+    return "".join(letters)
 
 
 @pytest.fixture(scope="session")

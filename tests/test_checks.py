@@ -12,7 +12,7 @@ from sturmlex import checks, factors
 from sturmlex.errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced
 
 import naive
-from conftest import TM_SPEC, prefix
+from conftest import TM_SPEC, literals, prefix
 
 
 # Not primitive (1 never reaches 0): its window follows the half-window rule.
@@ -231,6 +231,31 @@ class TestRecurrenceHeuristic:
         v = sx.recurrence_heuristic(zerozero_fib_table, known=True)
         assert v.status == checks.RECURRENT_CONSISTENT
         assert v.reason == "a-priori recurrent"
+
+    # The search on long literals with max_len far below their length, the
+    # shape of the dense-literal benchmark words.
+    @given(w=literals(64, 2048), max_len=st.integers(4, 16))
+    @settings(max_examples=100, deadline=None)
+    def test_literal_witness_matches_the_oracle(self, w, max_len):
+        t = sx.FactorTable(w, max_len)
+        want = naive.unioccurrent_early_factor(w, max_len)
+        assert checks._unioccurrent_early_factor(t) == want
+        v = sx.recurrence_heuristic(t)
+        assert v.witness == (None if want is None else (want,))
+
+    @given(pre=literals(64, 1024), seed=st.text("01", min_size=1, max_size=8),
+           max_len=st.integers(4, 16))
+    @settings(max_examples=40, deadline=None)
+    def test_non_recurrent_flag_reports_the_search(self, pre, seed, max_len):
+        # ultper: is flagged non-recurrent, so its verdict runs the search and
+        # reports what it found, or none.
+        spec = sx.UltimatelyPeriodic(pre, seed)
+        assume(spec.flags.recurrent is False)
+        report = sx.sturmian_verdict(spec, max_len=max_len, prefix_len=len(pre))
+        want = naive.unioccurrent_early_factor(prefix(str(spec), report.prefix_length), max_len)
+        v = report.verdict("recurrence")
+        assert v.status == checks.NON_RECURRENT
+        assert v.witness == (None if want is None else (want,))
 
 
 class TestSaturatedTable:

@@ -13,7 +13,7 @@ from sturmlex import checks, factors
 from sturmlex.errors import BudgetExceeded, MalformedSpec, NotAFactor, WindowTooLarge
 
 import naive
-from conftest import TM_SPEC, peak_rss, prefix
+from conftest import TM_SPEC, literals, peak_rss, prefix
 
 
 class TestBuild:
@@ -256,6 +256,43 @@ class TestSaturation:
         assert t.saturated_lengths() == (1, 2, 3)
         for n in (1, 2, 3):
             assert t.saturated(n) == (n <= t.frontier)
+
+
+def oracle_frontier(w, max_len):
+    """The largest m <= max_len with lengths 1..m saturated, by the oracle."""
+    m = 0
+    while m < max_len and naive.saturated(w, m + 1):
+        m += 1
+    return m
+
+
+class TestHeuristicFrontier:
+    """The half-window frontier of literal windows against the oracle.  The
+    table reads the half's windows as the first keys of the window counts,
+    which come in order of first occurrence; the words cover odd lengths,
+    halves too short for any window, three letters, windows resumed over
+    doublings and counting in chunks of a few windows."""
+
+    @given(chunked=st.booleans(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_frontier_matches_the_oracle(self, chunked, data):
+        w = data.draw(literals(1, 64 if chunked else 600))
+        max_len = data.draw(st.integers(1, min(len(w), 40)))
+        with pytest.MonkeyPatch.context() as mp:
+            if chunked:
+                # Chunks of at most 4 windows, and room for all len(w) entries.
+                chunk = -(-len(w) // 16)
+                mp.setattr(factors, "TABLE_BUDGET", 16 * chunk * (max_len + 245))
+            assert sx.FactorTable(w, max_len).frontier == oracle_frontier(w, max_len)
+            if max_len < len(w):
+                prefix_len = data.draw(st.integers(max_len, len(w) - 1))
+                t = checks.saturated_table(sx.Literal(w), max_len, prefix_len)
+                assert t.frontier == oracle_frontier(t.word, max_len)
+
+    @pytest.mark.parametrize("length", [4095, 4096, 8193])
+    def test_dense_literal_frontier(self, length):
+        w = format(random.Random(length).getrandbits(length), f"0{length}b")
+        assert sx.FactorTable(w, 16).frontier == oracle_frontier(w, 16)
 
 
 class TestDump:
