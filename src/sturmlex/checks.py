@@ -193,46 +193,44 @@ def _adjacent_faults(
     ``sought`` names checks among "nfop" (of ``variant``), "nfop1" (nfop of
     variant 1, reported as "nfop"), "hamming2" and "ones" (binary only).
     The walk reads the entries that neighbour up to the saturation frontier
-    (:meth:`FactorTable.neighbours`).  A pair that neighbours at lengths
-    lo..hi has its first mismatch at length lo; with its third at length
+    top (:meth:`FactorTable.neighbours`).  A pair that neighbours at lengths
+    lo..top has its first mismatch at length lo; with its third at length
     t3, it first fails nfop at lo, lo+1 or t3 (past a transposition), and
     hamming2 and ones from t3 on.  A check's first fault (shortest, then
     lex-least pair) is its witness; pairs go by ascending lo until none can
     beat one.  A check with no fault is Indeterminate if lengths were skipped.
 
     On a binary table most pairs are passed over after one test on x, the
-    XOR of their hi-letter prefixes, which is exact.  If x is 1 the
+    XOR of their top-letter prefixes, which is exact.  If x is 1 the
     prefixes differ only in the last letter, 0 against 1, so they are
-    equal one letter earlier and lo = hi: a final-letter step.  If x is
+    equal one letter earlier and lo = top: a final-letter step.  If x is
     0x11 << 4s and the left prefix holds 01 there, each n-letter prefix
-    pair for lo <= n <= hi is a 01 -> 10 swap (both letters in), or a
+    pair for lo <= n <= top is a 01 -> 10 swap (both letters in), or a
     final 0 -> 1 step (one in; fewer make the prefixes equal).  Either
     shape fits nfop of every variant, differs in at most two letters and
     keeps the 1-count from falling.
     """
-    size, codes = table.max_len, table.codes
+    size, codes, top = table.max_len, table.codes, table.frontier
     rest = {"status": CONSISTENT, "up_to": size}
-    if table.frontier < size:
-        skipped = ",".join(map(str, range(table.frontier + 1, size + 1)))
+    if top < size:
+        skipped = ",".join(map(str, range(top + 1, size + 1)))
         rest = {"status": INDETERMINATE, "reason": "unsaturated lengths " + skipped}
     # key -> (n, a, verdict fields) of its first fault so far
     best = dict.fromkeys(sought, (size + 1, 0, rest))
     pairs = table.neighbours()
     if table.is_binary:
         pairs = [
-            (lo, hi, a, b)
-            for lo, hi, a, b in pairs
-            if not _fits_all(codes[a], codes[b], size - hi)
+            (lo, a, b) for lo, a, b in pairs if not _fits_all(codes[a], codes[b], size - top)
         ]
     # No pair that starts past every check's first fault so far can beat one.
     reach = size + 1
-    for lo, hi, a, b in sorted(pairs):
+    for lo, a, b in sorted(pairs):
         if lo > reach:
             break
         c, cp = codes[a], codes[b]
         t3 = _third_mismatch(c ^ cp, size)
         for key in sought:
-            stop = min(hi, best[key][0])
+            stop = min(top, best[key][0])
             tries = (lo, lo + 1, t3) if "nfop" in key else range(max(lo, t3), stop + 1)
             for n in (n for n in tries if lo <= n <= stop):
                 cut = c >> 4 * (size - n), cp >> 4 * (size - n)
@@ -387,7 +385,7 @@ def _unioccurrent_early_factor(table: FactorTable) -> str | None:
     for i in sorted(range(len(alone)), key=alone.__getitem__):
         if (s := alone[i]) >= half:
             break
-        if table.counts[i] == 1 and s < table.lengths[i]:
+        if s < table.lengths[i] and table.counts.get(table.codes[i], 1) == 1:
             v = decode(table.codes[i] >> 4 * (table.max_len - s - 1), s + 1)
             if word.find(v, 0, half) >= 0:
                 return v

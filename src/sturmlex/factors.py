@@ -8,12 +8,13 @@ with nibbles f, so that numeric order is lexicographic order and a short
 suffix sorts after every entry it is a prefix of.  Words are digit-only,
 and a window is a code from the moment it is counted: a shift of one int
 read for a block of starts.  The table keeps the entries sorted, with
-their lengths, counts and the common-prefix length (LCP) of each entry
-with the one before it.  The sorted length-n factors are the runs of
-entries of length >= n whose n-letter prefixes agree, so p(n) is the
-number of entries with lcp < n <= length, one histogram for all n, and a
-factor's count comes from the range of codes it begins, found by
-bisection.  Its first occurrence is a search of the word.
+their lengths and the common-prefix length (LCP) of each entry with the
+one before it; occurrence counts stay with the windows, keyed by code.
+The sorted length-n factors are the runs of entries of length >= n whose
+n-letter prefixes agree, so p(n) is the number of entries with lcp < n <=
+length, one histogram for all n, and a factor's count is the sum of the
+counts of the range of codes it begins, found by bisection (a short
+suffix occurs once).  Its first occurrence is a search of the word.
 
 Length n is *saturated* when the table holds every length-n factor of the
 infinite word.  When the word's exact complexity is known, that is certified
@@ -160,12 +161,14 @@ class FactorTable:
     first half, else one less than the first n at which the half has fewer
     factors.  The half's entries are its short suffixes and the windows
     counted before the first that does not fit in it.  ``codes``,
-    ``lengths``, ``counts`` and ``lcps`` are parallel entry tuples in code
-    order; ``counts`` is built on first use, by counting the windows left.
-    ``p[n]`` is the number of length-n factors for 1 <= n <= max_len,
-    ``frontier`` the longest saturated length, or 0.  Immutable after
-    construction; its windows come from :func:`window_counts`, which bounds
-    its size by TABLE_BUDGET.
+    ``lengths`` and ``lcps`` are parallel entry tuples in code order.
+    ``counts`` is the Counter of every window's occurrences, keyed by code,
+    built on first use by counting the windows left on a copy of
+    ``windows``; a short suffix is not in it and occurs once.  ``p[n]`` is
+    the number of length-n factors for 1 <= n <= max_len, ``frontier`` the
+    longest saturated length, or 0.  Nothing is written after construction
+    but that cache, and ``windows`` stay as given; they come from
+    :func:`window_counts`, which bounds the table's size by TABLE_BUDGET.
     """
 
     def __init__(
@@ -187,10 +190,10 @@ class FactorTable:
             windows = window_counts(word, max_len)
         keys = [*windows, *_short_codes(word, max_len)]
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        self._windows, self._order = windows, order
+        self._windows = windows
         self.codes = tuple(map(keys.__getitem__, order))
-        shorts = range(max_len - 1, 0, -1)
-        self.lengths = self._entries(repeat(max_len, len(windows)), shorts)
+        lengths = [*repeat(max_len, len(windows)), *range(max_len - 1, 0, -1)]
+        self.lengths = tuple(map(lengths.__getitem__, order))
         lcps, self.p = _histogram(self.codes, max_len - 1, max_len)
         self.lcps = tuple(lcps)
         self.frontier = max_len
@@ -213,16 +216,10 @@ class FactorTable:
             short = (n - 1 for n in range(1, max_len + 1) if in_half[n] < self.p[n])
             self.frontier = next(short, max_len)
 
-    def _entries(self, windows, shorts) -> tuple:
-        """A column in entry order, from its values for the windows (in key
-        order) and for the short suffixes (longest first)."""
-        column = [*windows, *shorts]
-        return tuple(map(column.__getitem__, self._order))
-
     @cached_property
-    def counts(self) -> tuple[int, ...]:
-        windows = window_counts(self.word, self.max_len, self._windows)
-        return self._entries(windows.values(), repeat(1, self.max_len - 1))
+    def counts(self) -> Counter[int]:
+        # Counted on a copy: the probe's windows stay as they were built.
+        return window_counts(self.word, self.max_len, Counter(self._windows))
 
     def _require(self, n: int) -> None:
         if not 1 <= n <= self.max_len:
@@ -265,7 +262,7 @@ class FactorTable:
     def count(self, v: str) -> int:
         """Number of occurrences of ``v`` in the prefix (overlaps included)."""
         i, j, _ = self._range(v, need=True)
-        return sum(self.counts[i:j])
+        return sum(map(self.counts.get, self.codes[i:j], repeat(1)))
 
     def first_occurrence(self, v: str) -> int:
         self._range(v, need=True)
@@ -285,24 +282,25 @@ class FactorTable:
         shift = 4 * (self.max_len - n)
         return decode(next(first) >> shift, n), decode(next(last) >> shift, n)
 
-    def neighbours(self) -> list[tuple[int, int, int, int]]:
-        """(lo, hi, a, b) for entries a < b whose n-letter prefixes are
-        neighbouring length-n factors exactly for lo <= n <= hi <= frontier.
+    def neighbours(self) -> list[tuple[int, int, int]]:
+        """(lo, a, b) for entries a < b whose n-letter prefixes are
+        neighbouring length-n factors exactly for the n from lo up to the
+        frontier.
 
-        Each neighbouring pair of saturated factors comes from one tuple, and
-        hi is the frontier.  An entry whose lcp reaches its length (cut to
-        the frontier) starts no new factor and is passed over.  That takes
-        every short suffix v shorter than the frontier: v and one more letter
-        occur in the prefix (a certified table holds every factor one letter
-        longer than v; under the heuristic v first occurs in the first half),
-        so the entry right before v begins with v.
+        Each neighbouring pair of saturated factors comes from one tuple.  An
+        entry whose lcp reaches its length (cut to the frontier) starts no
+        new factor and is passed over.  That takes every short suffix v
+        shorter than the frontier: v and one more letter occur in the prefix
+        (a certified table holds every factor one letter longer than v; under
+        the heuristic v first occurs in the first half), so the entry right
+        before v begins with v.
         So the entries left reach the frontier, and each one neighbours the
         one before it from its lcp + 1 on.
         """
         top = self.frontier
         entries = zip(count(), self.lcps, self.lengths)
         starts = [b for b, lcp, m in entries if lcp < m and lcp < top]
-        return [(self.lcps[b] + 1, top, a, b) for a, b in zip(starts, starts[1:])]
+        return [(self.lcps[b] + 1, a, b) for a, b in zip(starts, starts[1:])]
 
     def left_special(self, n: int) -> list[str]:
         """Length-n factors with at least two distinct left extensions.
@@ -329,9 +327,10 @@ class FactorTable:
         yielded as one string per length."""
         # A length-n factor is a run of entries: one with lcp < n <= length,
         # then those whose lcp reaches n.  Its count is the run's sum.
+        entry_counts = [*map(self.counts.get, self.codes, repeat(1))]
         for n in range(1, self.max_len + 1):
             shift, codes, counts = 4 * (self.max_len - n), [], []
-            for c, m, k, lcp in zip(self.codes, self.lengths, self.counts, self.lcps):
+            for c, m, k, lcp in zip(self.codes, self.lengths, entry_counts, self.lcps):
                 if lcp >= n:
                     counts[-1] += k
                 elif m >= n:

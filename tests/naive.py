@@ -121,6 +121,25 @@ def minimal_imbalance(w, max_len):
     return None
 
 
+def classify_imbalance(w, max_len):
+    """(case, prefix letter, occurrences, extremal kind) of the minimal
+    imbalance of w, as the real classifier reports them, or None when w is
+    balanced up to max_len."""
+    hit = minimal_imbalance(w, max_len)
+    if hit is None:
+        return None
+    u = hit[0]
+    if len(u) + 3 <= max_len and "10" + u + "0" in w and "01" + u + "1" in w:
+        return "BothExtensions", None, None, None
+    for x, kind, pick in (("0", "min", 0), ("1", "max", -1)):
+        xux = x + u + x
+        if w.startswith(xux):
+            if all(w[:n] == distinct_factors(w, n)[pick] for n in range(1, max_len + 1)):
+                return "PrefixCase", x, occurrences(w, xux), kind
+            break
+    return "WindowIndeterminate", None, None, None
+
+
 def balance_verdict(w, max_len):
     """(status, pair) matching the real check's outcome fields."""
     hit = minimal_imbalance(w, max_len)

@@ -96,6 +96,31 @@ class TestClassifyImbalance:
         t = sx.FactorTable("010011", 3)
         assert sx.classify_imbalance(t).case == checks.BOTH_EXTENSIONS
 
+    # Random words are mostly BothExtensions; a letter or two before a
+    # Sturmian prefix (as 00 + fib above) reaches the prefix case.
+    @given(
+        w=st.one_of(
+            st.text("01", min_size=2, max_size=40),
+            st.builds(
+                lambda head, spec, n: head + prefix(spec, n),
+                st.text("01", min_size=1, max_size=2),
+                st.sampled_from(["fib", "std:2,1", "std:1,3"]),
+                st.integers(1, 38),
+            ),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, w, data):
+        max_len = data.draw(st.integers(1, len(w)))
+        t, want = sx.FactorTable(w, max_len), naive.classify_imbalance(w, max_len)
+        if want is None:
+            with pytest.raises(NotImbalanced):
+                sx.classify_imbalance(t)
+        else:
+            got = sx.classify_imbalance(t)
+            assert (got.case, got.prefix_letter, got.occurrences, got.extremal_kind) == want
+
 
 class TestCheckNfop:
     def test_fibonacci_consistent(self, fib_table):
@@ -1013,6 +1038,8 @@ class TestBatteryAgainstOracle:
     # 01 -> 10 bridges the short suffix 0 and is skipped as a swap.
     @example(t=sx.FactorTable("101010", 2))
     @example(t=sx.FactorTable("011000000000", 3))
+    # A ternary word whose extension exclusion is the empty core: 100 and 011.
+    @example(t=sx.FactorTable("1000112", 4))
     @given(t=long_tables())
     @settings(max_examples=200, deadline=None)
     def test_battery_and_exclusion(self, t):

@@ -1,6 +1,7 @@
 """Factor index construction and queries, checked against brute force."""
 
 import random
+import threading
 import time
 from collections import Counter
 
@@ -343,8 +344,32 @@ class TestDump:
         # The window count stopped once it held p(max_len) windows; the dump
         # counts the rest of them.
         t = checks.saturated_table(sx.parse_spec(text), max_len, 256)
-        assert t._windows.total() < len(t.word) - max_len + 1
+        counted = t._windows.total()
+        assert counted < len(t.word) - max_len + 1
         self.agrees(t)
+        # The rest are counted on a copy: the probe's windows stay as built.
+        assert t._windows.total() == counted
+
+
+class TestCountsShared:
+    def test_first_reads_in_parallel(self):
+        # Threads that read the counts first, all at once, each see the
+        # word's counts: none of them adds the windows left to another's.
+        # From Python 3.12 on, cached_property takes no lock.
+        t = checks.saturated_table(sx.parse_spec("fib"), 40, 200_000)
+        vs = ["0", "1", "0010", "01001"]
+        barrier, got = threading.Barrier(len(vs), timeout=60), {}
+
+        def read(v):
+            barrier.wait()
+            got[v] = t.count(v)
+
+        threads = [threading.Thread(target=read, args=(v,)) for v in vs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert got == {v: naive.occurrences(t.word, v) for v in vs}
 
 
 class TestAgainstBruteForce:
@@ -385,8 +410,8 @@ class TestAgainstBruteForce:
         # Each neighbouring pair of saturated factors comes from one tuple.
         pairs = Counter(
             tuple(factors.decode(t.codes[e] >> 4 * (max_len - n), n) for e in (a, b))
-            for lo, hi, a, b in t.neighbours()
-            for n in range(lo, hi + 1)
+            for lo, a, b in t.neighbours()
+            for n in range(lo, t.frontier + 1)
         )
         lists = [naive.distinct_factors(w, n) for n in range(1, t.frontier + 1)]
         assert pairs == Counter(pair for fs in lists for pair in zip(fs, fs[1:]))
