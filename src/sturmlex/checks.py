@@ -23,7 +23,7 @@ from collections import Counter
 from itertools import chain
 
 from .errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced
-from .factors import FactorTable, decode, newest_fits, window_counts
+from .factors import FactorTable, _width, decode, newest_fits, window_counts
 from .words import PREFIX_BUDGET, Literal, Record, WordSpec, generate_prefix
 
 # Verdict statuses.
@@ -99,7 +99,7 @@ def _least_core(table: FactorTable, lo_head: str, hi_head: str) -> str | None:
     lex-least lo_head tail and the lex-greatest hi_head tail is the
     shortest u, and the only one of its length.  A hi_head tail that ends
     inside the lo_head tail has no letter there and is passed over.  Other
-    alphabets are scanned length by length.
+    alphabets are scanned length by length.  Binary codes take 2 bits a letter.
     """
     h, n = len(lo_head), table.max_len - len(lo_head)
     if n < 1:
@@ -111,17 +111,17 @@ def _least_core(table: FactorTable, lo_head: str, hi_head: str) -> str | None:
                     return u
         return None
     codes, lengths = table.codes, table.lengths
-    lo, hi = int(lo_head, 16) << 4 * n, int(hi_head, 16) << 4 * n
+    lo, hi = int(lo_head, 4) << 2 * n, int(hi_head, 4) << 2 * n
     i = bisect_left(codes, lo)
-    if i == len(codes) or codes[i] >> 4 * n != lo >> 4 * n or lengths[i] == h:
+    if i == len(codes) or codes[i] >> 2 * n != lo >> 2 * n or lengths[i] == h:
         return None
     tail = codes[i] - lo
-    for k in reversed(range(bisect_left(codes, hi), bisect_left(codes, hi + (1 << 4 * n)))):
+    for k in reversed(range(bisect_left(codes, hi), bisect_left(codes, hi + (1 << 2 * n)))):
         if codes[k] - hi <= tail:
             return None
-        q = n - ((((codes[k] - hi) ^ tail).bit_length() + 3) >> 2)
+        q = n - ((((codes[k] - hi) ^ tail).bit_length() + 1) >> 1)
         if q < lengths[k] - h:
-            return decode(tail >> 4 * (n - q), q)
+            return decode(tail >> 2 * (n - q), q, 2)
     return None
 
 
@@ -204,13 +204,13 @@ def _adjacent_faults(
     XOR of their top-letter prefixes, which is exact.  If x is 1 the
     prefixes differ only in the last letter, 0 against 1, so they are
     equal one letter earlier and lo = top: a final-letter step.  If x is
-    0x11 << 4s and the left prefix holds 01 there, each n-letter prefix
+    0b101 << 2s and the left prefix holds 01 there, each n-letter prefix
     pair for lo <= n <= top is a 01 -> 10 swap (both letters in), or a
     final 0 -> 1 step (one in; fewer make the prefixes equal).  Either
     shape fits nfop of every variant, differs in at most two letters and
     keeps the 1-count from falling.
     """
-    size, codes, top = table.max_len, table.codes, table.frontier
+    size, codes, top, w = table.max_len, table.codes, table.frontier, table.width
     rest = {"status": CONSISTENT, "up_to": size}
     if top < size:
         skipped = ",".join(map(str, range(top + 1, size + 1)))
@@ -228,15 +228,15 @@ def _adjacent_faults(
         if lo > reach:
             break
         c, cp = codes[a], codes[b]
-        t3 = _third_mismatch(c ^ cp, size)
+        t3 = _third_mismatch(c ^ cp, size, w)
         for key in sought:
             stop = min(top, best[key][0])
             tries = (lo, lo + 1, t3) if "nfop" in key else range(max(lo, t3), stop + 1)
             for n in (n for n in tries if lo <= n <= stop):
-                cut = c >> 4 * (size - n), cp >> 4 * (size - n)
+                cut = c >> w * (size - n), cp >> w * (size - n)
                 # A fault that cannot beat the best one is at its length, the last tried.
-                if (why := _pair_fault(key, variant, *cut)) and (n, a) < best[key][:2]:
-                    pair = decode(cut[0], n), decode(cut[1], n)
+                if (why := _pair_fault(key, variant, w, *cut)) and (n, a) < best[key][:2]:
+                    pair = decode(cut[0], n, w), decode(cut[1], n, w)
                     best[key] = n, a, dict(status=VIOLATED, witness=pair, n=n, reason=why)
                     reach = max(best[k][0] for k in sought)
                     break
@@ -246,59 +246,62 @@ def _adjacent_faults(
 
 
 def _fits_all(c: int, cp: int, cut: int) -> bool:
-    """Whether binary codes c < cp, with their last ``cut`` letters cut off,
-    are a final 0 -> 1 step or a 01 -> 10 swap (see :func:`_adjacent_faults`)."""
-    x = (c ^ cp) >> 4 * cut
-    s = x.bit_length() - 5
-    return x == 1 or x == 0x11 << s and (c >> 4 * cut + s) & 0xFF == 1
+    """Whether 2-bit binary codes c < cp, with their last ``cut`` letters cut
+    off, are a final 0 -> 1 step or a 01 -> 10 swap (see :func:`_adjacent_faults`)."""
+    x = (c ^ cp) >> 2 * cut
+    s = x.bit_length() - 3
+    return x == 1 or x == 0b101 << s and (c >> 2 * cut + s) & 0xF == 1
 
 
-def _third_mismatch(x: int, size: int) -> int:
-    """The length at which the third mismatch of two size-letter codes XORing
-    to x enters, or size+1 if they have fewer."""
+def _third_mismatch(x: int, size: int, w: int) -> int:
+    """The length at which the third mismatch of two size-letter width-w codes
+    XORing to x enters, or size+1 if they have fewer."""
     for _ in range(2):
-        x &= (1 << 4 * max((x.bit_length() - 1) >> 2, 0)) - 1
-    return size - ((x.bit_length() - 1) >> 2)
+        x &= (1 << w * max((x.bit_length() - 1) // w, 0)) - 1
+    return size - (x.bit_length() - 1) // w
 
 
-def _pair_fault(key: str, variant: int, c: int, cp: int) -> str | None:
-    """Why the adjacent pair of codes c < cp fails check ``key``, or None."""
+def _pair_fault(key: str, variant: int, w: int, c: int, cp: int) -> str | None:
+    """Why the adjacent pair of width-w codes c < cp fails check ``key``, or None."""
     if key == "hamming2":
-        return _differ_reason(c ^ cp)
+        return _differ_reason(c ^ cp, w)
     if key == "ones":
         a, b = c.bit_count(), cp.bit_count()
         return f"1-count drops from {a} to {b}" if a > b else None
-    return _nfop_shape(c, cp, 1 if key == "nfop1" else variant)
+    return _nfop_shape(c, cp, 1 if key == "nfop1" else variant, w)
 
 
-def _differ_reason(x: int) -> str | None:
-    """Why a pair whose codes XOR to ``x`` differs in more than two letters, or None."""
-    d = sum(1 for k in range(0, x.bit_length(), 4) if x >> k & 15)
+def _differ_reason(x: int, w: int) -> str | None:
+    """Why a pair whose width-w codes XOR to ``x`` differs in more than two
+    letters, or None."""
+    m = (1 << w) - 1
+    d = sum(1 for k in range(0, x.bit_length(), w) if x >> k & m)
     return f"differ in {d} positions" if d > 2 else None
 
 
-def _nfop_shape(c: int, cp: int, variant: int) -> str | None:
-    """Why the adjacent pair of codes c < cp fits no allowed shape, or None if it fits.
+def _nfop_shape(c: int, cp: int, variant: int, w: int) -> str | None:
+    """Why the adjacent pair of width-w codes c < cp fits no allowed shape, or
+    None if it fits.
 
-    c ^ cp is nonzero exactly in the nibbles of the letters that differ; its
-    top nonzero nibble is the first mismatch, and the next one the second.
+    c ^ cp is nonzero exactly in the digits of the letters that differ; its
+    top nonzero digit is the first mismatch, and the next one the second.
     """
-    x = c ^ cp
-    k = (x.bit_length() - 1) // 4
-    rest = x & ((1 << 4 * k) - 1)
+    x, m = c ^ cp, (1 << w) - 1
+    k = (x.bit_length() - 1) // w
+    rest = x & ((1 << w * k) - 1)
     if not rest:
         if k:
             return "single mismatch not at the last position"
         if variant != 1 and cp - c != 1:
             return "last letters are not consecutive"
         return None
-    j = (rest.bit_length() - 1) // 4
-    if rest & ((1 << 4 * j) - 1):
-        return _differ_reason(x)
+    j = (rest.bit_length() - 1) // w
+    if rest & ((1 << w * j) - 1):
+        return _differ_reason(x, w)
     if j != k - 1:
         return "mismatch positions are not adjacent"
-    a, b = c >> 4 * k & 15, c >> 4 * j & 15
-    if cp >> 4 * k & 15 != b or cp >> 4 * j & 15 != a:
+    a, b = c >> w * k & m, c >> w * j & m
+    if cp >> w * k & m != b or cp >> w * j & m != a:
         return "adjacent mismatches are not a transposition"
     # c < cp, so at the first mismatch a is below cp's letter there, b.
     if variant != 1 and b - a != 1:
@@ -386,7 +389,8 @@ def _unioccurrent_early_factor(table: FactorTable) -> str | None:
         if (s := alone[i]) >= half:
             break
         if s < table.lengths[i] and table.counts.get(table.codes[i], 1) == 1:
-            v = decode(table.codes[i] >> 4 * (table.max_len - s - 1), s + 1)
+            w = table.width
+            v = decode(table.codes[i] >> w * (table.max_len - s - 1), s + 1, w)
             if word.find(v, 0, half) >= 0:
                 return v
     return None
@@ -426,16 +430,20 @@ def saturated_table(
         cap = min(cap, len(spec.word))
     exact = spec.complexities(max_len)
     full = None if exact is None else exact[max_len]
-    windows: Counter[int] = Counter()
+    width = 0
     while True:
         length = min(target, cap)
         word = generate_prefix(spec, length)
+        if (w := _width(word)) != width:
+            # A doubled prefix that gained a letter past 1 is read at a new
+            # width, and codes of two widths never mix: its count starts over.
+            width, windows = w, Counter()
         window_counts(word, max_len, windows, full)
         # Each shorter factor lies in a length-max_len window, so saturating
         # max_len saturates every length: the probe needs only that length.
         # At the cap there is no probe: a literal may hold no window at all.
         if length >= cap or (
-            newest_fits(word, max_len, windows) if full is None else len(windows) == full
+            newest_fits(word, max_len, windows, width) if full is None else len(windows) == full
         ):
             return FactorTable(word, max_len, windows, exact)
         target *= 2

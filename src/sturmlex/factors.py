@@ -3,13 +3,16 @@
 Every factor of length n <= max_len is the n-letter prefix of an *entry*:
 a distinct window of length max_len, or a short suffix ``word[-m:]`` (m <
 max_len), which reaches only the lengths n <= m.  An entry's code is its
-text read in base 16, one nibble per digit letter, a short suffix padded
-with nibbles f, so that numeric order is lexicographic order and a short
-suffix sorts after every entry it is a prefix of.  Words are digit-only,
-and a window is a code from the moment it is counted: a shift of one int
-read for a block of starts.  The table keeps the entries sorted, with
-their lengths and the common-prefix length (LCP) of each entry with the
-one before it; occurrence counts stay with the windows, keyed by code.
+text read as one digit of w bits per letter, a short suffix padded with
+the digit 2^w - 1, so that numeric order is lexicographic order and a
+short suffix sorts after every entry it is a prefix of.  The width w is 2
+(base 4, pad 3) when the letters are within 01 and 4 (base 16, pad f)
+otherwise; it comes from the letters, and codes of two widths never mix.
+Words are digit-only, and a window is a code from the moment it is
+counted: a shift of one int read for a block of starts.  The table keeps
+the entries sorted, with their lengths and the common-prefix length (LCP)
+of each entry with the one before it; occurrence counts stay with the
+windows, keyed by code.
 The sorted length-n factors are the runs of entries of length >= n whose
 n-letter prefixes agree, so p(n) is the number of entries with lcp < n <=
 length, one histogram for all n, and a factor's count is the sum of the
@@ -50,56 +53,68 @@ def is_unbordered(v: str) -> bool:
     return not any(v[:b] == v[-b:] for b in range(1, len(v)))
 
 
-def decode(code: int, n: int) -> str:
-    """The length-n factor whose base-16 code is ``code``."""
+def _width(word: str) -> int:
+    """Bits per letter in the codes of digit word ``word``: 2 when its letters
+    are within 01, else 4."""
+    return 4 if word.encode().translate(None, b"01") else 2
+
+
+def decode(code: int, n: int, w: int) -> str:
+    """The length-n factor whose code at width ``w`` is ``code``."""
+    if w == 2:
+        # Each letter is the low bit of its two.
+        return format(code, f"0{2 * n}b")[1::2]
     return format(code, f"0{n}x") if n else ""
 
 
-def _codes(word: str, n: int, start: int, stop: int):
-    """The codes of the length-n windows of ``word`` at start..stop-1, in order."""
+def _codes(word: str, n: int, start: int, stop: int, w: int):
+    """The width-w codes of the length-n windows of ``word`` at start..stop-1, in order."""
     def block(a: int):
         # One int per block of (at most 256) starts, and each window a shift
         # of it: shifting one int of the whole word would be quadratic.
         b = min(a + 256, stop)
-        x, shifts = int(word[a : b + n - 1], 16), range(4 * (b - a - 1), -1, -4)
-        return map(and_, map(rshift, repeat(x), shifts), repeat((1 << 4 * n) - 1))
+        x, shifts = int(word[a : b + n - 1], 1 << w), range(w * (b - a - 1), -1, -w)
+        return map(and_, map(rshift, repeat(x), shifts), repeat((1 << w * n) - 1))
 
     return chain.from_iterable(map(block, range(start, stop, 256)))
 
 
-def _short_codes(word: str, n: int):
-    """Codes of the suffixes of ``word`` shorter than n, f-padded, longest first."""
+def _short_codes(word: str, n: int, w: int):
+    """Width-w codes of the suffixes of ``word`` shorter than n, padded, longest first."""
     tail = word[max(0, len(word) - n + 1) :]
-    return _codes(tail + "f" * (n - 1), n, 0, len(tail))
+    return _codes(tail + format((1 << w) - 1, "x") * (n - 1), n, 0, len(tail), w)
 
 
 def window_counts(
     word: str, n: int, windows: Counter[int] | None = None, full: int | None = None
 ) -> Counter[int]:
-    """Occurrence counts of the length-n windows of digit word ``word``, by code.
+    """Occurrence counts of the length-n windows of digit word ``word``, by
+    code at the width of its letters.
 
-    ``windows``, when given, are the counts of the windows that start in
-    the first windows.total() positions of ``word``; the windows that start
-    after them are added to them in place.  With ``full``, counting stops
-    after the chunk (of at most ``full`` windows) in which the distinct
-    windows reach ``full``.  The keys come in order of first occurrence, so
-    the last one is the newest factor.  Counting goes in chunks of at most
-    TABLE_BUDGET/16 bytes and raises BudgetExceeded once the entries of a
-    table at max_len n, the distinct windows and n - 1 short suffixes, take
-    more than TABLE_BUDGET bytes, so no table past the cap is ever built.
+    ``windows``, when given, are the counts, at that width, of the windows
+    that start in the first windows.total() positions of ``word``; those
+    that start after them are added to them in place.  With ``full``,
+    counting stops after the chunk (of at most ``full`` windows) in which
+    the distinct windows reach ``full``.  The keys come in order of first
+    occurrence, so the last one is the newest factor.  Counting goes in
+    chunks of at most TABLE_BUDGET/16 bytes and raises BudgetExceeded once
+    the entries of a table at max_len n, the distinct windows and n - 1
+    short suffixes, take more than TABLE_BUDGET bytes, so no table past the
+    cap is ever built.
     """
     windows = Counter() if windows is None else windows
-    return _add_windows(windows, word, n, windows.total(), full)
+    return _add_windows(windows, word, n, windows.total(), full, _width(word))
 
 
-def _add_windows(windows, word: str, n: int, start: int, full: int | None = None):
-    """Add the length-n windows of ``word`` from ``start`` on to ``windows``,
-    a Counter or a set of codes, in the chunks and under the cap of
-    :func:`window_counts`."""
+def _add_windows(windows, word: str, n: int, start: int, full: int | None, w: int):
+    """Add the width-w codes of the length-n windows of ``word`` from
+    ``start`` on to ``windows``, a Counter or a set of codes, in the chunks
+    and under the cap of :func:`window_counts`."""
     # An entry peaks at its n letters and at most 245 bytes more while a table
-    # is built, and holds less once it is (tracemalloc, Python 3.11: 219 B more
-    # and 140 B held at n=18 on a random 2^21-letter literal; -6 B more and
-    # 677 B held at n=1024 on a 2^16-letter one, whose codes take n/2 bytes).
+    # is built, and holds less once it is (tracemalloc, Python 3.11, with 4-bit
+    # codes: 219 B more and 140 B held at n=18 on a random 2^21-letter
+    # literal; -6 B more and 677 B held at n=1024 on a 2^16-letter one, whose
+    # codes took n/2 bytes).  Binary codes take n/4 bytes under the same charge.
     entry = n + 245
     end, step = len(word) - n + 1, max(1, TABLE_BUDGET // (16 * entry))
     if full is not None:
@@ -107,7 +122,7 @@ def _add_windows(windows, word: str, n: int, start: int, full: int | None = None
     for start in range(start, end, step):
         if full is not None and len(windows) >= full:
             break
-        windows.update(_codes(word, n, start, min(start + step, end)))
+        windows.update(_codes(word, n, start, min(start + step, end), w))
         if (len(windows) + n - 1) * entry > TABLE_BUDGET:
             raise BudgetExceeded(
                 f"length-{n} table entries take more than {TABLE_BUDGET} bytes"
@@ -117,33 +132,35 @@ def _add_windows(windows, word: str, n: int, start: int, full: int | None = None
 
 def prefix_counts(pieces, n: int) -> list[int]:
     """[1, p(1), ..., p(n)], p(m) the number of distinct m-letter prefixes
-    among the length-n windows of the digit words ``pieces``.  Their
-    distinct windows count against TABLE_BUDGET as a table's entries do."""
-    codes = set()
-    for w in pieces:
-        _add_windows(codes, w, n, 0)
-    return [1, *_histogram(sorted(codes), 0, n)[1][1:]]
+    among the length-n windows of the digit words ``pieces`` (a collection,
+    read at the width of all their letters).  Their distinct windows count
+    against TABLE_BUDGET as a table's entries do."""
+    codes, w = set(), max(map(_width, pieces), default=2)
+    for piece in pieces:
+        _add_windows(codes, piece, n, 0, None, w)
+    return [1, *_histogram(sorted(codes), 0, n, w)[1][1:]]
 
 
-def newest_fits(word: str, n: int, windows: Counter[int]) -> bool:
+def newest_fits(word: str, n: int, windows: Counter[int], w: int) -> bool:
     """Whether the windows' length n is saturated in ``word``.
 
-    ``windows`` are the counts of :func:`window_counts`; the length is
+    ``windows`` are the width-w counts of :func:`window_counts`; the length is
     saturated when its newest factor (the one key decoded) fits in the first half.
     """
-    return word.find(decode(next(reversed(windows)), n), 0, len(word) // 2) >= 0
+    return word.find(decode(next(reversed(windows)), n, w), 0, len(word) // 2) >= 0
 
 
-def _histogram(codes, shorts: int, n: int) -> tuple[list[int], list[int]]:
-    """The LCPs and [p(0), ..., p(n)] of sorted n-nibble entry codes, the
-    ``shorts`` short suffixes among them of the lengths 1..shorts.
+def _histogram(codes, shorts: int, n: int, w: int) -> tuple[list[int], list[int]]:
+    """The LCPs and [p(0), ..., p(n)] of sorted n-letter width-w entry codes,
+    the ``shorts`` short suffixes among them of the lengths 1..shorts.
 
-    The first code is compared with f00...0, which differs from every entry
-    in its first letter.  An LCP never exceeds either entry's length: a
-    short suffix has an f where the other entry still has a letter.
+    The first code is compared with the pad followed by zeros, which differs
+    from every entry in its first letter.  An LCP never exceeds either
+    entry's length: a short suffix has a pad where the other entry still has
+    a letter.
     """
-    before = chain((15 << 4 * (n - 1),), codes)
-    lcps = [n - ((x.bit_length() + 3) >> 2) for x in map(xor, codes, before)]
+    before, r = chain((((1 << w) - 1) << w * (n - 1),), codes), w - 1
+    lcps = [n - (x.bit_length() + r) // w for x in map(xor, codes, before)]
     starts = Counter(lcps)
     return lcps, [*accumulate((starts[k] - (0 < k <= shorts) for k in range(n)), initial=0)]
 
@@ -160,13 +177,14 @@ class FactorTable:
     half-window heuristic's: max_len when the newest window fits in the
     first half, else one less than the first n at which the half has fewer
     factors.  The half's entries are its short suffixes and the windows
-    counted before the first that does not fit in it.  ``codes``,
+    counted before the first that does not fit in it.  ``width`` is the
+    bits per letter of the codes: 2 on a binary table, else 4.  ``codes``,
     ``lengths`` and ``lcps`` are parallel entry tuples in code order.
-    ``counts`` is the Counter of every window's occurrences, keyed by code,
-    built on first use by counting the windows left on a copy of
-    ``windows``; a short suffix is not in it and occurs once.  ``p[n]`` is
-    the number of length-n factors for 1 <= n <= max_len, ``frontier`` the
-    longest saturated length, or 0.  Nothing is written after construction
+    ``counts`` is the Counter of every window's occurrences, keyed by code:
+    ``windows`` themselves when they hold every window, else a copy of them
+    with the windows left counted on first use; a short suffix is not in it
+    and occurs once.  ``p[n]`` is the number of length-n factors for 1 <= n
+    <= max_len, ``frontier`` the longest saturated length, or 0.  Nothing is written after construction
     but that cache, and ``windows`` stay as given; they come from
     :func:`window_counts`, which bounds the table's size by TABLE_BUDGET.
     """
@@ -186,40 +204,44 @@ class FactorTable:
         self.max_len = max_len
         self.alphabet = "".join(sorted(set(word)))
         _check_word(self.alphabet, "word")
+        self.width = w = _width(self.alphabet)
         if windows is None:
             windows = window_counts(word, max_len)
-        keys = [*windows, *_short_codes(word, max_len)]
+        keys = [*windows, *_short_codes(word, max_len, w)]
         order = sorted(range(len(keys)), key=keys.__getitem__)
         self._windows = windows
         self.codes = tuple(map(keys.__getitem__, order))
         lengths = [*repeat(max_len, len(windows)), *range(max_len - 1, 0, -1)]
         self.lengths = tuple(map(lengths.__getitem__, order))
-        lcps, self.p = _histogram(self.codes, max_len - 1, max_len)
+        lcps, self.p = _histogram(self.codes, max_len - 1, max_len, w)
         self.lcps = tuple(lcps)
         self.frontier = max_len
         if exact is not None:
             # A window with all exact[n] length-n factors has every shorter one.
             full = (n for n in range(max_len, 0, -1) if self.p[n] == exact[n])
             self.frontier = next(full, 0)
-        elif not newest_fits(word, max_len, windows):
+        elif not newest_fits(word, max_len, windows, w):
             # Compare with the first half's entries: the windows that fit in
             # it, which are the first `early` keys (keys come in order of
             # first occurrence), and its short suffixes.
             half = len(word) // 2
             early = bisect_left(
                 keys, half - max_len + 1, 0, len(windows),
-                key=lambda c: word.find(decode(c, max_len)),
+                key=lambda c: word.find(decode(c, max_len, w)),
             )
-            ends = [*_short_codes(word[:half], max_len)]
+            ends = [*_short_codes(word[:half], max_len, w)]
             halves = sorted([c for c, k in zip(self.codes, order) if k < early] + ends)
-            _, in_half = _histogram(halves, len(ends), max_len)
+            _, in_half = _histogram(halves, len(ends), max_len, w)
             short = (n - 1 for n in range(1, max_len + 1) if in_half[n] < self.p[n])
             self.frontier = next(short, max_len)
 
     @cached_property
     def counts(self) -> Counter[int]:
+        windows = self._windows
+        if windows.total() == len(self.word) - self.max_len + 1:
+            return windows
         # Counted on a copy: the probe's windows stay as they were built.
-        return window_counts(self.word, self.max_len, Counter(self._windows))
+        return window_counts(self.word, self.max_len, Counter(windows))
 
     def _require(self, n: int) -> None:
         if not 1 <= n <= self.max_len:
@@ -228,12 +250,13 @@ class FactorTable:
     def _range(self, v: str, need: bool = False) -> tuple[int, int, int]:
         """(i, j, shift): entries i..j-1 begin with ``v``; shift cuts them to it."""
         self._require(len(v))
-        shift = 4 * (self.max_len - len(v))
+        shift = self.width * (self.max_len - len(v))
         i = j = 0
         # int() would also read letters a-f, whitespace, underscores and
-        # non-ASCII digits, none of which occurs in a factor.
-        if v.isascii() and v.isdigit():
-            c = int(v, 16) << shift
+        # non-ASCII digits, none of which occurs in a factor, and a digit
+        # past the greatest letter may be the pad.
+        if v.isascii() and v.isdigit() and max(v) <= self.alphabet[-1]:
+            c = int(v, 1 << self.width) << shift
             i = bisect_left(self.codes, c)
             j = bisect_left(self.codes, c + (1 << shift), i)
         if need and i == j:
@@ -242,13 +265,14 @@ class FactorTable:
 
     @property
     def is_binary(self) -> bool:
-        return set(self.alphabet) <= {"0", "1"}
+        return self.width == 2
 
     def factors(self, n: int) -> tuple[str, ...]:
         """Distinct length-n factors, lexicographically ascending."""
         self._require(n)
-        shift, entries = 4 * (self.max_len - n), zip(self.codes, self.lengths, self.lcps)
-        return tuple(decode(c >> shift, n) for c, m, lcp in entries if lcp < n <= m)
+        w, entries = self.width, zip(self.codes, self.lengths, self.lcps)
+        shift = w * (self.max_len - n)
+        return tuple(decode(c >> shift, n, w) for c, m, lcp in entries if lcp < n <= m)
 
     def complexity(self, n: int) -> int:
         """Number of distinct length-n factors."""
@@ -272,15 +296,16 @@ class FactorTable:
         """Next factor of the same length in lex order, or None if maximal."""
         _, j, shift = self._range(v, need=True)
         after = (c for c, m in zip(self.codes[j:], self.lengths[j:]) if m >= len(v))
-        return next((decode(c >> shift, len(v)) for c in after), None)
+        return next((decode(c >> shift, len(v), self.width) for c in after), None)
 
     def extremal(self, n: int) -> tuple[str, str]:
         """(lex-minimal, lex-maximal) factor of length n."""
         self._require(n)
         first = (c for c, m in zip(self.codes, self.lengths) if m >= n)
         last = (c for c, m in zip(reversed(self.codes), reversed(self.lengths)) if m >= n)
-        shift = 4 * (self.max_len - n)
-        return decode(next(first) >> shift, n), decode(next(last) >> shift, n)
+        w = self.width
+        shift = w * (self.max_len - n)
+        return decode(next(first) >> shift, n, w), decode(next(last) >> shift, n, w)
 
     def neighbours(self) -> list[tuple[int, int, int]]:
         """(lo, a, b) for entries a < b whose n-letter prefixes are
@@ -326,17 +351,20 @@ class FactorTable:
         """One line per factor, ``<n>\\t<factor>\\t<count>``, lengths then lex,
         yielded as one string per length."""
         # A length-n factor is a run of entries: one with lcp < n <= length,
-        # then those whose lcp reaches n.  Its count is the run's sum.
+        # then those whose lcp reaches n.  Its text is the first entry's cut
+        # to n letters, and its count is the run's sum.
+        w, size, lengths = self.width, self.max_len, self.lengths
+        texts = [decode(c >> w * (size - m), m, w) for c, m in zip(self.codes, lengths)]
         entry_counts = [*map(self.counts.get, self.codes, repeat(1))]
-        for n in range(1, self.max_len + 1):
-            shift, codes, counts = 4 * (self.max_len - n), [], []
-            for c, m, k, lcp in zip(self.codes, self.lengths, entry_counts, self.lcps):
+        for n in range(1, size + 1):
+            heads, counts = [], []
+            for v, m, k, lcp in zip(texts, lengths, entry_counts, self.lcps):
                 if lcp >= n:
                     counts[-1] += k
                 elif m >= n:
-                    codes.append(c >> shift)
+                    heads.append(v)
                     counts.append(k)
-            yield "".join(f"{n}\t{decode(c, n)}\t{k}\n" for c, k in zip(codes, counts))
+            yield "".join(f"{n}\t{v[:n]}\t{k}\n" for v, k in zip(heads, counts))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -1,6 +1,7 @@
 """Single-property checks, composite verdicts, and the cross-check harness."""
 
 import functools
+import random
 from collections import Counter
 
 import pytest
@@ -316,6 +317,20 @@ class TestSaturatedTable:
             checks.saturated_table(
                 sx.parse_spec("fib"), checks.PREFIX_BUDGET + 1, prefix_len=1
             )
+
+    def test_a_prefix_gaining_a_letter_counts_anew(self):
+        # The windows of 1024 and 2048 letters are binary, 2 bits a letter;
+        # that of 4096 holds a 2, 4 bits a letter, so the probe starts its
+        # count over rather than mix the widths.
+        rng = random.Random(20261019)
+        word = format(rng.getrandbits(3000), "03000b") + "2"
+        word += "".join(rng.choice("012") for _ in range(3000))
+        spec = sx.Literal(word)
+        t = checks.saturated_table(spec, 16, 1024)
+        ref = sx.FactorTable(t.word, 16)
+        assert t.word == word and t.width == ref.width == 4
+        assert (t.codes, t.frontier, t.counts) == (ref.codes, ref.frontier, ref.counts)
+        assert checks._battery(spec, t) == checks._battery(spec, ref)
 
     # (spec, max_len, prefix_len); std:1,9,1,9 at 240/1024 and the
     # non-primitive morphic word at 8/16 double before they saturate, the
@@ -840,7 +855,7 @@ def mismatched_pairs(draw):
     """Equal-length words with 0-5 differing positions, ends favoured, or
     with two neighbouring letters swapped."""
     alphabet = draw(st.sampled_from(["01", "012", "0123456789"]))
-    # Up to 300 letters, so each word's base-16 integer spans many machine words.
+    # Up to 300 letters, so each word's code spans many machine words.
     v = draw(st.text(alphabet=alphabet, min_size=1, max_size=300))
     last = len(v) - 1
     if last and draw(st.booleans()):
@@ -858,8 +873,8 @@ class TestPairReasons:
 
     # Shapes at the edge of the walk's binary skip, which the predicate must
     # judge right on its own: a final step and a 01 -> 10 swap (skipped on
-    # binary tables), a 12 -> 21 swap, and 03 -> 12, whose codes XOR to a
-    # swap's 0x11.
+    # binary tables), a 12 -> 21 swap, and 03 -> 12, whose 4-bit codes XOR
+    # to a swap's 0x11.  A binary pair is judged at both widths.
     @example(pair=("0110", "0111"))
     @example(pair=("0011", "0101"))
     @example(pair=("2120", "2210"))
@@ -870,10 +885,11 @@ class TestPairReasons:
         # The walk pairs distinct neighbours of a sorted list.
         v, vp = sorted(pair)
         assume(v != vp)
-        c, cp = int(v, 16), int(vp, 16)
-        for variant in (1, 2, 3):
-            want = naive.nfop_reason(v, vp, variant)
-            assert checks._nfop_shape(c, cp, variant) == want
+        for w in {factors._width(v + vp), 4}:
+            c, cp = int(v, 1 << w), int(vp, 1 << w)
+            for variant in (1, 2, 3):
+                want = naive.nfop_reason(v, vp, variant)
+                assert checks._nfop_shape(c, cp, variant, w) == want
 
 
 class TestDifferentialRandomBinary:

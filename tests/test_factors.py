@@ -6,7 +6,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sturmlex as sx
@@ -67,6 +67,16 @@ class TestBuild:
             with pytest.raises(NotAFactor):
                 query(v)
 
+    # A binary table's codes are base 4, its pad 3: a query with a letter
+    # past 1 is no factor, and "13" does not begin the padded suffix "1".
+    @pytest.mark.parametrize("v", ["2", "3", "13"])
+    def test_letters_past_a_binary_alphabet_are_no_factors(self, v):
+        t = sx.FactorTable("0110100110010111", 4)
+        assert t.width == 2 and t.is_factor("1") and t.is_factor("111")
+        assert not t.is_factor(v)
+        with pytest.raises(NotAFactor):
+            t.count(v)
+
 
 class TestTableBudget:
     """TABLE_BUDGET caps a table's entries, its distinct longest windows and
@@ -102,7 +112,7 @@ class TestTableBudget:
         # The cap is this small, so the chunks are single windows: counting
         # stopped at the ninth distinct one.
         assert len(windows) == 9
-        newest = factors.decode(next(reversed(windows)), 8)
+        newest = factors.decode(next(reversed(windows)), 8, factors._width(self.WORD))
         assert windows.total() == self.WORD.find(newest) + 1
 
     def test_counting_stops_at_the_first_chunk_past_the_cap(self, monkeypatch):
@@ -118,7 +128,8 @@ class TestTableBudget:
 
 class TestWindowCodes:
     """Window codes come from one int per block of 256 starts; they agree
-    with reading each window, and each padded short suffix, on its own."""
+    with reading each window, and each padded short suffix, on its own, at
+    the width of the word's letters and (a binary word) at 4 bits too."""
 
     WORD = format(random.Random(20261018).getrandbits(1200), "01200b")
     DIGITS = "".join(random.Random(7).choice("0123456789") for _ in range(700))
@@ -139,14 +150,16 @@ class TestWindowCodes:
              "short-word", "short-word-n=len"],
     )
     def test_codes_read_each_window(self, word, n, start, stop):
-        want = [int(word[i : i + n], 16) for i in range(start, stop)]
-        assert list(factors._codes(word, n, start, stop)) == want
+        for w in {factors._width(word), 4}:
+            want = [int(word[i : i + n], 1 << w) for i in range(start, stop)]
+            assert list(factors._codes(word, n, start, stop, w)) == want
 
     @pytest.mark.parametrize("n,counted", [(1, 0), (7, 300), (300, 257), (1200, 0)])
     def test_counts_in_first_occurrence_order(self, n, counted):
         # Counting resumes from the windows of the first ``counted`` starts.
         word = self.WORD
-        codes = [int(word[i : i + n], 16) for i in range(len(word) - n + 1)]
+        base = 1 << factors._width(word)
+        codes = [int(word[i : i + n], base) for i in range(len(word) - n + 1)]
         windows = Counter(codes[:counted])
         assert factors.window_counts(word, n, windows) is windows
         assert list(windows.items()) == list(Counter(codes).items())
@@ -157,8 +170,36 @@ class TestWindowCodes:
         ids=["n=1", "n=8", "n=300", "n=len", "word-shorter-than-n"],
     )
     def test_short_codes_are_padded_suffixes(self, word, n):
-        want = [int(word[-m:].ljust(n, "f"), 16) for m in range(min(n - 1, len(word)), 0, -1)]
-        assert list(factors._short_codes(word, n)) == want
+        for w in {factors._width(word), 4}:
+            pad = {2: "3", 4: "f"}[w]
+            suffixes = (word[-m:] for m in range(min(n - 1, len(word)), 0, -1))
+            want = [int(v.ljust(n, pad), 1 << w) for v in suffixes]
+            assert list(factors._short_codes(word, n, w)) == want
+
+
+class TestWidths:
+    """A binary word is read 2 bits a letter; relabelled 1 -> 2 it is read 4
+    bits a letter.  Both tables describe the same factors, up to the label."""
+
+    RELABEL = str.maketrans("1", "2")
+
+    @given(w=literals(1, 300, alphabets=("01",)), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_binary_and_relabelled_tables_agree(self, w, data):
+        assume("1" in w)
+        n = data.draw(st.integers(1, min(len(w), 40)))
+        t, u = sx.FactorTable(w, n), sx.FactorTable(w.translate(self.RELABEL), n)
+        assert (t.width, u.width) == (2, 4)
+        for attr in ("lengths", "lcps", "p", "frontier"):
+            assert getattr(t, attr) == getattr(u, attr)
+        assert t.neighbours() == u.neighbours()
+        assert [t.counts.get(c, 1) for c in t.codes] == [u.counts.get(c, 1) for c in u.codes]
+        for m in range(1, n + 1):
+            assert tuple(v.translate(self.RELABEL) for v in t.factors(m)) == u.factors(m)
+        nfop = sx.check_nfop(t, 1)
+        if nfop.witness is not None:
+            nfop = nfop.replace(witness=tuple(v.translate(self.RELABEL) for v in nfop.witness))
+        assert nfop == sx.check_nfop(u, 1)
 
 
 class TestSuccessor:
@@ -352,6 +393,22 @@ class TestDump:
 
 
 class TestCountsShared:
+    def test_a_full_count_is_the_windows(self):
+        # A literal's probe counts every window, and so does a table built alone.
+        for t in (
+            checks.saturated_table(sx.Literal(prefix("fib", 500)), 8, 400),
+            sx.FactorTable(prefix("fib", 500), 8),
+        ):
+            assert t.counts is t._windows
+            assert t.count("0") == naive.occurrences(t.word, "0")
+
+    def test_an_early_stop_counts_the_rest_on_a_copy(self):
+        t = checks.saturated_table(sx.parse_spec("fib"), 40, 256)
+        counted = t._windows.total()
+        assert counted < len(t.word) - 40 + 1
+        assert t.count("0") == naive.occurrences(t.word, "0")
+        list(t.dump())
+        assert t._windows.total() == counted and t.counts is not t._windows
     def test_first_reads_in_parallel(self):
         # Threads that read the counts first, all at once, each see the
         # word's counts: none of them adds the windows left to another's.
@@ -408,8 +465,9 @@ class TestAgainstBruteForce:
                 assert t.first_occurrence(v) == w.find(v)
                 assert t.successor(v) == naive.successor(w, v)
         # Each neighbouring pair of saturated factors comes from one tuple.
+        width = t.width
         pairs = Counter(
-            tuple(factors.decode(t.codes[e] >> 4 * (max_len - n), n) for e in (a, b))
+            tuple(factors.decode(t.codes[e] >> width * (max_len - n), n, width) for e in (a, b))
             for lo, a, b in t.neighbours()
             for n in range(lo, t.frontier + 1)
         )
@@ -473,10 +531,10 @@ class TestBoundedMemory:
         assert peak < 64, f"peak RSS {peak:.0f} MB"
 
     # The 3000 + 1 windows and 2999 short suffixes of fib at 3000 are within
-    # TABLE_BUDGET (measured 0.11 s and 26 MB with Python 3.11 on Linux; 0.13 s
-    # and 43 MB while windows were sliced as strings); a per-length index
-    # reached 4.8 GB here, and a cap on the factors summed over all lengths
-    # made it exit 65.
+    # TABLE_BUDGET (measured 21 MB with Python 3.11 on Linux; 26 MB while
+    # binary codes took 4 bits a letter, 43 MB while windows were sliced as
+    # strings); a per-length index reached 4.8 GB here, and a cap on the
+    # factors summed over all lengths made it exit 65.
     def test_fib_at_3000_stays_small(self):
         pytest.importorskip("resource")
         argv = ("-m", "sturmlex", "check", "--spec", "fib", "--what", "sturmian")
@@ -485,14 +543,15 @@ class TestBoundedMemory:
         assert peak < 128, f"peak RSS {peak:.0f} MB"
 
     # 3975 is the longest length fib finishes under TABLE_BUDGET (measured
-    # 0.12 s and 34 MB with Python 3.11 on Linux): windows are codes from the
-    # start, never strings, which peaked at 64 MB here.
+    # 25 MB with Python 3.11 on Linux; 33 MB while binary codes took 4 bits a
+    # letter): windows are codes from the start, never strings, which peaked
+    # at 64 MB here.
     def test_fib_at_3975_stays_small(self):
         pytest.importorskip("resource")
         argv = ("-m", "sturmlex", "check", "--spec", "fib", "--what", "sturmian")
         code, peak = peak_rss(*argv, "--max-n", "3975", timeout=30)
         assert code == 0
-        assert peak < 48, f"peak RSS {peak:.0f} MB"
+        assert peak < 36, f"peak RSS {peak:.0f} MB"
 
     # The distinct 1024-letter windows of a random word pass TABLE_BUDGET
     # after about 25000 of its 2^16 windows, and counting stops there
