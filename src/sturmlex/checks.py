@@ -381,10 +381,13 @@ def _unioccurrent_early_factor(table: FactorTable) -> str | None:
 
     It begins one entry of count 1 and no other, so the shortest one of
     entry i has length max(lcp_i, lcp_i+1) + 1, and it occurs once, where
-    the entry does: only such candidates are looked up in the word.
+    the entry does: only such candidates are looked up in the word.  A short
+    suffix of length m attached to entry i would follow it with lcp m.
     """
     word, half, lcps = table.word, len(table.word) // 2, table.lcps
     alone = [a if a > b else b for a, b in zip(lcps, chain(lcps[1:], (0,)))]
+    for m, i in enumerate(table._attached, 1):
+        alone[i] = max(alone[i], m)
     for i in sorted(range(len(alone)), key=alone.__getitem__):
         if (s := alone[i]) >= half:
             break
@@ -430,14 +433,16 @@ def saturated_table(
         cap = min(cap, len(spec.word))
     exact = spec.complexities(max_len)
     full = None if exact is None else exact[max_len]
-    width = 0
+    width, windows = 0, Counter()
     while True:
         length = min(target, cap)
         word = generate_prefix(spec, length)
         if (w := _width(word)) != width:
             # A doubled prefix that gained a letter past 1 is read at a new
-            # width, and codes of two widths never mix: its count starts over.
-            width, windows = w, Counter()
+            # width, and codes of two widths never mix: its windows so far
+            # are re-keyed, in order, from base 4 to base 16.
+            rekeyed = {int(decode(c, max_len, 2), 16): k for c, k in windows.items()}
+            width, windows = w, Counter(rekeyed)
         window_counts(word, max_len, windows, full)
         # Each shorter factor lies in a length-max_len window, so saturating
         # max_len saturates every length: the probe needs only that length.

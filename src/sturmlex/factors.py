@@ -21,7 +21,11 @@ suffix occurs once).  Its first occurrence is a search of the word.
 
 Length n is *saturated* when the table holds every length-n factor of the
 infinite word.  When the word's exact complexity is known, that is certified
-by a count: the prefix has as many length-n factors as the word.  Otherwise
+by a count: the prefix has as many length-n factors as the word.  A table
+whose windows number exact[max_len] holds every length-max_len factor, and
+each factor of the word is a prefix of one of them, so its short suffixes
+add no factor: its entries are its windows alone, and a short suffix counts
+where it *attaches*, on the last window that begins with it.  Otherwise
 it is the half-window heuristic: every length-n factor first occurs
 entirely inside the first half of the prefix, that is the half has p(n)
 length-n factors too.  The half's entries come from the table's own: the
@@ -179,13 +183,19 @@ class FactorTable:
     factors.  The half's entries are its short suffixes and the windows
     counted before the first that does not fit in it.  ``width`` is the
     bits per letter of the codes: 2 on a binary table, else 4.  ``codes``,
-    ``lengths`` and ``lcps`` are parallel entry tuples in code order.
+    ``lengths`` and ``lcps`` are parallel entry tuples in code order: the
+    windows alone on a *certified* table, one whose windows number
+    exact[max_len], else the windows and the short suffixes.
     ``counts`` is the Counter of every window's occurrences, keyed by code:
     ``windows`` themselves when they hold every window, else a copy of them
     with the windows left counted on first use; a short suffix is not in it
-    and occurs once.  ``p[n]`` is the number of length-n factors for 1 <= n
-    <= max_len, ``frontier`` the longest saturated length, or 0.  Nothing is written after construction
-    but that cache, and ``windows`` stay as given; they come from
+    and occurs once.  ``_attached`` lists, for m = 1..max_len-1, the entry
+    that the short suffix of length m attaches to on a certified table (the
+    last window that begins with it), found on first use; it is empty on a
+    table that keeps its suffixes.  ``p[n]`` is the number of length-n
+    factors for 1 <= n <= max_len, ``frontier`` the longest saturated
+    length, or 0.  Nothing is written after construction but those two
+    caches, and ``windows`` stay as given; they come from
     :func:`window_counts`, which bounds the table's size by TABLE_BUDGET.
     """
 
@@ -207,13 +217,16 @@ class FactorTable:
         self.width = w = _width(self.alphabet)
         if windows is None:
             windows = window_counts(word, max_len)
-        keys = [*windows, *_short_codes(word, max_len, w)]
+        # A certified table's short suffixes begin its windows: none is kept.
+        certified = exact is not None and len(windows) == exact[max_len]
+        shorts = 0 if certified else max_len - 1
+        keys = [*windows, *_short_codes(word, shorts + 1, w)]
         order = sorted(range(len(keys)), key=keys.__getitem__)
         self._windows = windows
         self.codes = tuple(map(keys.__getitem__, order))
-        lengths = [*repeat(max_len, len(windows)), *range(max_len - 1, 0, -1)]
+        lengths = [*repeat(max_len, len(windows)), *range(shorts, 0, -1)]
         self.lengths = tuple(map(lengths.__getitem__, order))
-        lcps, self.p = _histogram(self.codes, max_len - 1, max_len, w)
+        lcps, self.p = _histogram(self.codes, shorts, max_len, w)
         self.lcps = tuple(lcps)
         self.frontier = max_len
         if exact is not None:
@@ -242,6 +255,14 @@ class FactorTable:
             return windows
         # Counted on a copy: the probe's windows stay as they were built.
         return window_counts(self.word, self.max_len, Counter(windows))
+
+    @cached_property
+    def _attached(self) -> list[int]:
+        if len(self.codes) > len(self._windows):
+            return []  # the suffixes are entries of their own
+        # Each would sort right after the last window that begins with it.
+        codes, shorts = self.codes, _short_codes(self.word, self.max_len, self.width)
+        return [bisect_left(codes, c) - 1 for c in shorts][::-1]
 
     def _require(self, n: int) -> None:
         if not 1 <= n <= self.max_len:
@@ -286,7 +307,8 @@ class FactorTable:
     def count(self, v: str) -> int:
         """Number of occurrences of ``v`` in the prefix (overlaps included)."""
         i, j, _ = self._range(v, need=True)
-        return sum(map(self.counts.get, self.codes[i:j], repeat(1)))
+        tail = sum(i <= k < j for k in self._attached[len(v) - 1 :])
+        return sum(map(self.counts.get, self.codes[i:j], repeat(1))) + tail
 
     def first_occurrence(self, v: str) -> int:
         self._range(v, need=True)
@@ -352,10 +374,14 @@ class FactorTable:
         yielded as one string per length."""
         # A length-n factor is a run of entries: one with lcp < n <= length,
         # then those whose lcp reaches n.  Its text is the first entry's cut
-        # to n letters, and its count is the run's sum.
+        # to n letters, and its count is the run's sum.  An attached suffix
+        # counts on its entry up to its own length.
         w, size, lengths = self.width, self.max_len, self.lengths
         texts = [decode(c >> w * (size - m), m, w) for c, m in zip(self.codes, lengths)]
         entry_counts = [*map(self.counts.get, self.codes, repeat(1))]
+        ends = self._attached
+        for k in ends:
+            entry_counts[k] += 1
         for n in range(1, size + 1):
             heads, counts = [], []
             for v, m, k, lcp in zip(texts, lengths, entry_counts, self.lcps):
@@ -365,6 +391,8 @@ class FactorTable:
                     heads.append(v)
                     counts.append(k)
             yield "".join(f"{n}\t{v[:n]}\t{k}\n" for v, k in zip(heads, counts))
+            if n <= len(ends):
+                entry_counts[ends[n - 1]] -= 1
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -239,15 +239,23 @@ class Morphic(Record):
 
     def complexities(self, n: int) -> list[int] | None:
         """Exact [p(0), ..., p(n)] of the fixed point x, or None if the
-        substitution is not primitive or its images outgrow PREFIX_BUDGET.
+        substitution is not primitive, or is not Sturmian and its images
+        outgrow PREFIX_BUDGET.
 
-        Once every s^k(c) has n-1 letters, the length-n factors of x = s^k(x)
+        A primitive Sturmian morphism (see :func:`_is_sturmian`) has a
+        Sturmian fixed point, p(m) = m + 1: x is balanced, as a limit of
+        Sturmian words, and aperiodic, as the incidence matrix is primitive
+        with determinant +-1, so the letter frequencies are irrational
+        (Lothaire, Algebraic Combinatorics on Words, ch. 2).  Otherwise,
+        once every s^k(c) has n-1 letters, the length-n factors of x = s^k(x)
         are the windows of s^k(a) s^k(b) that start in s^k(a), over the
         two-letter factors ab of x (Queffelec, LNM 1294): those of s(seed),
         closed under taking those of s(ab).
         """
         if not _is_primitive(self.rules):
             return None
+        if _is_sturmian(self.rules):
+            return list(range(1, n + 2))
         images = str.maketrans(dict(self.rules))
         pairs, todo = set(), [self.rules[self.seed]]
         while todo:
@@ -411,6 +419,32 @@ def _is_primitive(rules: dict[str, str]) -> bool:
             return True
         power = {a: frozenset().union(*(reach[b] for b in power[a])) for a in letters}
     return False
+
+
+def _is_sturmian(rules: dict[str, str]) -> bool:
+    """Whether the substitution on 01 is Sturmian.
+
+    Sturmian morphisms are the monoid generated by the exchange 0 <-> 1,
+    (01, 0) and (10, 0) (Mignosi and Seebold 1993; Lothaire, Algebraic
+    Combinatorics on Words, ch. 2), so they are peeled off the right: the
+    shorter image b is stripped from the front of the longer one a, then
+    from its back, every copy in one pass as Euclid's algorithm divides,
+    which keeps the test linear in the images' length.  The substitution is
+    Sturmian exactly when that ends at two distinct letters.
+    """
+    if sorted(rules) != ["0", "1"]:
+        return False
+    b, a = sorted(rules.values(), key=len)
+    while len(a) > 1:
+        i, j = 0, len(a)
+        while a.startswith(b, i):
+            i += len(b)
+        while a.endswith(b, i, j):
+            j -= len(b)
+        if i == j or j - i == len(a):
+            return False
+        b, a = sorted((b, a[i:j]), key=len)
+    return a != b
 
 
 def parse_spec(text: str) -> WordSpec:

@@ -58,6 +58,15 @@ def peak_rss(*argv: str, timeout: float = 60) -> tuple[int, float]:
     return int(code), int(peak) / 2**20
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """Assert ``got == want``, reporting the first differing line and its
+    number: pytest's own diff of two long texts can run for many minutes."""
+    if got != want:
+        a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        k = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        raise AssertionError(f"texts differ first at line {k + 1}: {a[k:k + 1]} != {b[k:k + 1]}")
+
+
 def prefix(text: str, n: int) -> str:
     return sx.generate_prefix(sx.parse_spec(text), n)
 

@@ -1,8 +1,10 @@
 """Single-property checks, composite verdicts, and the cross-check harness."""
 
 import functools
+import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,7 +15,7 @@ from sturmlex import checks, factors
 from sturmlex.errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced
 
 import naive
-from conftest import TM_SPEC, literals, prefix
+from conftest import TM_SPEC, assert_same_text, literals, prefix
 
 
 # Not primitive (1 never reaches 0): its window follows the half-window rule.
@@ -284,6 +286,24 @@ class TestRecurrenceHeuristic:
         assert v.witness == (None if want is None else (want,))
 
 
+def count_slices(monkeypatch) -> tuple[Counter, list[int]]:
+    """(starts, sizes), filled in as window_counts runs: how often each window
+    start is sliced, counted on from the windows it is given, and the length
+    of each word it reads."""
+    sliced, sizes = Counter(), []
+
+    def slicing(word, n, windows=None, full=None, _original=factors.window_counts):
+        sizes.append(len(word))
+        start = 0 if windows is None else windows.total()
+        windows = _original(word, n, windows, full)
+        sliced.update(range(start, windows.total()))
+        return windows
+
+    monkeypatch.setattr(checks, "window_counts", slicing)
+    monkeypatch.setattr(factors, "window_counts", slicing)
+    return sliced, sizes
+
+
 class TestSaturatedTable:
     def test_default_policy(self):
         t = checks.saturated_table(sx.parse_spec("fib"), 40)
@@ -318,18 +338,24 @@ class TestSaturatedTable:
                 sx.parse_spec("fib"), checks.PREFIX_BUDGET + 1, prefix_len=1
             )
 
-    def test_a_prefix_gaining_a_letter_counts_anew(self):
+    def test_a_prefix_gaining_a_letter_counts_anew(self, monkeypatch):
         # The windows of 1024 and 2048 letters are binary, 2 bits a letter;
-        # that of 4096 holds a 2, 4 bits a letter, so the probe starts its
-        # count over rather than mix the widths.
+        # that of 4096 holds a 2, 4 bits a letter, so the probe re-keys the
+        # windows it has counted rather than mix the widths or read their
+        # starts again.
         rng = random.Random(20261019)
         word = format(rng.getrandbits(3000), "03000b") + "2"
         word += "".join(rng.choice("012") for _ in range(3000))
         spec = sx.Literal(word)
+        sliced, sizes = count_slices(monkeypatch)
         t = checks.saturated_table(spec, 16, 1024)
+        assert sizes == [1024, 2048, 4096, len(word)]
+        assert sliced == Counter(range(len(word) - 16 + 1))
+        monkeypatch.undo()
         ref = sx.FactorTable(t.word, 16)
         assert t.word == word and t.width == ref.width == 4
         assert (t.codes, t.frontier, t.counts) == (ref.codes, ref.frontier, ref.counts)
+        assert list(t.counts) == list(ref.counts)  # in order of first occurrence
         assert checks._battery(spec, t) == checks._battery(spec, ref)
 
     # (spec, max_len, prefix_len); std:1,9,1,9 at 240/1024 and the
@@ -369,22 +395,15 @@ class TestSaturatedTable:
         t = checks.saturated_table(spec, max_len, prefix_len)
         assert t.word == ref.word
         assert t.frontier == (max_len if certified else ref.frontier)
-        assert "".join(t.dump()) == "".join(ref.dump())
+        assert_same_text("".join(t.dump()), "".join(ref.dump()))
 
     @pytest.mark.parametrize("text,max_len,prefix_len", WINDOWS)
     def test_one_index_per_window(self, monkeypatch, text, max_len, prefix_len):
-        builds, sliced, sizes = [], Counter(), []
+        builds = []
 
         def build(word, *args):
             builds.append(len(word))
             return factors.FactorTable(word, *args)
-
-        def slicing(word, n, windows=None, full=None, _original=factors.window_counts):
-            sizes.append(len(word))
-            start = 0 if windows is None else windows.total()
-            windows = _original(word, n, windows, full)
-            sliced.update(range(start, windows.total()))
-            return windows
 
         spec = sx.parse_spec(text)
         # The eventually periodic kinds count windows for their exact
@@ -392,8 +411,7 @@ class TestSaturatedTable:
         exact = spec.complexities(max_len)
         monkeypatch.setattr(type(spec), "complexities", lambda self, n: exact)
         monkeypatch.setattr(checks, "FactorTable", build)
-        monkeypatch.setattr(checks, "window_counts", slicing)
-        monkeypatch.setattr(factors, "window_counts", slicing)
+        sliced, sizes = count_slices(monkeypatch)
         t = checks.saturated_table(spec, max_len, prefix_len)
         assert builds == [len(t.word)]
         # Over all candidate windows, each window start is sliced at most
@@ -468,6 +486,55 @@ class TestCertifiedSaturation:
             n = t.frontier + 1
             assert len(t.factors(n)) < len(naive.distinct_factors(w, n))
 
+    @given(
+        spec=st.one_of(
+            st.lists(st.integers(1, 9), min_size=1, max_size=4).map(
+                lambda d: sx.StandardSequence(tuple(d))),
+            st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(0, 5)).filter(
+                lambda t: math.gcd(t[0], t[1]) == 1).map(
+                lambda t: sx.MechanicalRational(t[0], t[1], Fraction(t[2], 6))),
+            st.text("012", min_size=1, max_size=9).map(sx.Periodic),
+            st.tuples(st.text("01", max_size=9), st.text("01", min_size=1, max_size=6)).map(
+                lambda t: sx.UltimatelyPeriodic(*t)),
+            # Primitive substitutions on 01, Sturmian and not, and one on 012.
+            st.tuples(st.text("01", min_size=1, max_size=4), st.text("01", min_size=1, max_size=4))
+            .map(lambda ab: {"0": "0" + ab[0], "1": ab[1]})
+            .filter(sx.words._is_primitive)
+            .map(lambda rules: sx.Morphic(rules, "0")),
+            st.just(sx.parse_spec("morphic:0->012,1->02,2->1;seed=0")),
+        ),
+        max_len=st.integers(1, 40),
+        cap=st.sampled_from([None, 256]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_windows_only_tables_read_as_full_ones(self, spec, max_len, cap, data):
+        # A certified table indexes its windows alone; one that keeps its
+        # short suffixes, given the same frontier, answers every reader alike.
+        prefix_len = data.draw(st.integers(max_len, 256))
+        exact = spec.complexities(max_len)
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                # A cap can stop the window before it holds every factor.
+                mp.setattr(checks, "PREFIX_BUDGET", cap)
+            t = checks.saturated_table(spec, max_len, prefix_len)
+        ref = sx.FactorTable(t.word, max_len)
+        certified = len(t._windows) == exact[max_len]
+        assert len(t.codes) == (t.p[max_len] if certified else len(ref.codes))
+        assert t.p == ref.p
+        assert t.frontier == next((n for n in range(max_len, 0, -1) if t.p[n] == exact[n]), 0)
+        ref.frontier = t.frontier
+        for n in {1, max_len, data.draw(st.integers(1, max_len))}:
+            assert t.factors(n) == ref.factors(n)
+            assert [*map(t.count, t.factors(n))] == [*map(ref.count, ref.factors(n))]
+        assert_same_text("".join(t.dump()), "".join(ref.dump()))
+        pairs = [[(lo, x.codes[a], x.codes[b]) for lo, a, b in x.neighbours()] for x in (t, ref)]
+        assert pairs[0] == pairs[1]
+        assert checks._battery(spec, t) == checks._battery(spec, ref)
+        for heads in (("0", "1"), ("10", "01")):
+            assert checks._least_core(t, *heads) == checks._least_core(ref, *heads)
+        assert checks._unioccurrent_early_factor(t) == checks._unioccurrent_early_factor(ref)
+
     def test_capped_window_certifies_the_lengths_it_has(self, monkeypatch):
         monkeypatch.setattr(checks, "PREFIX_BUDGET", 256)
         spec = sx.parse_spec("std:1,9,1,9")
@@ -509,7 +576,7 @@ class TestCertifiedSaturation:
         t = checks.saturated_table(sx.parse_spec(text), max_len)
         assert "counts" not in vars(t)
         ref = sx.FactorTable(t.word, max_len)
-        assert "".join(t.dump()) == "".join(ref.dump())
+        assert_same_text("".join(t.dump()), "".join(ref.dump()))
 
     @pytest.mark.parametrize(
         "text,max_len",

@@ -372,6 +372,18 @@ class TestTableBudget:
         assert (code, out) == (65, "")
         assert err.startswith("error: length-") and "take more than 3 bytes" in err
 
+    def test_fib_finishes_up_to_3975(self, capsys):
+        # fib's 3977 windows and 3975 short suffixes at 3976 are charged
+        # 3976 + 245 bytes each, just past TABLE_BUDGET; at 3975 they fit.
+        # fib's complexity comes in closed form, so the window's own count
+        # meets the cap.
+        code, out, err = run(capsys, "check", "--spec", "fib", "--what", "sturmian",
+                             "--max-n", "3976")
+        assert (code, out) == (65, "")
+        assert err == "error: length-3976 table entries take more than 33554432 bytes\n"
+        assert (3977 + 3975) * (3976 + 245) > factors.TABLE_BUDGET
+        assert (3976 + 3974) * (3975 + 245) <= factors.TABLE_BUDGET
+
 
 class TestConsoleEntry:
     def test_module_invocation(self):

@@ -14,7 +14,7 @@ from sturmlex import checks, factors
 from sturmlex.errors import BudgetExceeded, MalformedSpec, NotAFactor, WindowTooLarge
 
 import naive
-from conftest import TM_SPEC, literals, peak_rss, prefix
+from conftest import TM_SPEC, assert_same_text, literals, peak_rss, prefix
 
 
 class TestBuild:
@@ -52,6 +52,23 @@ class TestBuild:
     def test_letters_are_digits(self, word):
         with pytest.raises(MalformedSpec):
             sx.FactorTable(word, 1)
+
+    @pytest.mark.parametrize("size", [30, 200])
+    def test_a_certified_table_keeps_its_windows_alone(self, size):
+        # fib's 21 length-20 factors fit in 200 letters, not in 30: a table
+        # whose windows fall short of the exact count keeps its suffixes.
+        word, exact = prefix("fib", size), sx.parse_spec("fib").complexities(20)
+        t, ref = sx.FactorTable(word, 20, exact=exact), sx.FactorTable(word, 20)
+        certified = len(t._windows) == exact[20]
+        assert certified == (size == 200)
+        if certified:
+            assert len(t.codes) == t.p[20] == 21 and set(t.lengths) == {20}
+            assert len(t._attached) == 19
+        else:
+            assert (t.codes, t.lengths, t.lcps) == (ref.codes, ref.lengths, ref.lcps)
+            assert t._attached == [] and t.frontier < 20
+        assert t.p == ref.p
+        assert_same_text("".join(t.dump()), "".join(ref.dump()))
 
     def test_complexity_one_counts_letters(self):
         assert sx.FactorTable("0120", 1).complexity(1) == 3
@@ -355,11 +372,11 @@ class TestDump:
     def agrees(t):
         # Lengths ascending, factors in lex order within a length.
         w = t.word
-        assert "".join(t.dump()) == "".join(
+        assert_same_text("".join(t.dump()), "".join(
             f"{n}\t{v}\t{naive.occurrences(w, v)}\n"
             for n in range(1, t.max_len + 1)
             for v in naive.distinct_factors(w, n)
-        )
+        ))
 
     @given(
         word=st.sampled_from(["01", "012", "0123456789"]).flatmap(
@@ -517,8 +534,9 @@ class TestAgainstBruteForce:
 
 
 class TestBoundedMemory:
-    """The index holds about two entries per length on a Sturmian word, so
-    long factors cost memory linear in max_len and the window."""
+    """The index holds about one entry per length on a certified Sturmian
+    window (two on one that keeps its short suffixes), so long factors cost
+    memory linear in max_len and the window."""
 
     # The child's peak RSS (measured 15 MB with Python 3.11 on Linux, of
     # which about 14 MB is the bare interpreter; 17 MB while windows were
@@ -530,11 +548,13 @@ class TestBoundedMemory:
         assert code == 0
         assert peak < 64, f"peak RSS {peak:.0f} MB"
 
-    # The 3000 + 1 windows and 2999 short suffixes of fib at 3000 are within
-    # TABLE_BUDGET (measured 21 MB with Python 3.11 on Linux; 26 MB while
-    # binary codes took 4 bits a letter, 43 MB while windows were sliced as
-    # strings); a per-length index reached 4.8 GB here, and a cap on the
-    # factors summed over all lengths made it exit 65.
+    # The 3000 + 1 windows of fib at 3000, charged with 2999 short suffixes,
+    # are within TABLE_BUDGET, and the certified table indexes the windows
+    # alone (measured 18 MB with Python 3.11 on Linux; 21 MB while it kept
+    # the suffixes, 26 MB while binary codes took 4 bits a letter, 43 MB
+    # while windows were sliced as strings); a per-length index reached
+    # 4.8 GB here, and a cap on the factors summed over all lengths made it
+    # exit 65.
     def test_fib_at_3000_stays_small(self):
         pytest.importorskip("resource")
         argv = ("-m", "sturmlex", "check", "--spec", "fib", "--what", "sturmian")
@@ -543,15 +563,16 @@ class TestBoundedMemory:
         assert peak < 128, f"peak RSS {peak:.0f} MB"
 
     # 3975 is the longest length fib finishes under TABLE_BUDGET (measured
-    # 25 MB with Python 3.11 on Linux; 33 MB while binary codes took 4 bits a
-    # letter): windows are codes from the start, never strings, which peaked
-    # at 64 MB here.
+    # 20.5 MB with Python 3.11 on Linux; 25 MB while certified tables kept
+    # their short suffixes and fib's complexity was counted from its images,
+    # 33 MB while binary codes took 4 bits a letter): windows are codes from
+    # the start, never strings, which peaked at 64 MB here.
     def test_fib_at_3975_stays_small(self):
         pytest.importorskip("resource")
         argv = ("-m", "sturmlex", "check", "--spec", "fib", "--what", "sturmian")
         code, peak = peak_rss(*argv, "--max-n", "3975", timeout=30)
         assert code == 0
-        assert peak < 36, f"peak RSS {peak:.0f} MB"
+        assert peak < 28, f"peak RSS {peak:.0f} MB"
 
     # The distinct 1024-letter windows of a random word pass TABLE_BUDGET
     # after about 25000 of its 2^16 windows, and counting stops there

@@ -44,6 +44,10 @@ CASES = [
     # Fails of nfop=>balance and nfop=>aperiodic, nfop Violated and non-binary skips.
     ("harness-fails", ["harness", "--corpus", str(GOLDEN / "corpus-fails.txt"), "--json",
                        "--max-n", "2"]),
+    # The harness-tall benchmark words at its size: certified tables of
+    # their windows alone.
+    ("harness-sturmian", ["harness", "--corpus", str(GOLDEN / "corpus-sturmian.txt"),
+                          "--json", "--max-n", "240", "--prefix-len", "1024"]),
     ("christoffel-5-8-plain", ["christoffel", "--p", "5", "--q", "8", "--json"]),
     ("christoffel-5-8", ["christoffel", "--p", "5", "--q", "8", "--verify", "--json"]),
     ("christoffel-5-8-fib", ["christoffel", "--p", "5", "--q", "8", "--verify",
@@ -67,6 +71,7 @@ EXIT_CODES = {
     "nfop-variant1-periodic-012": 1,
     "harness-corpus": 0,
     "harness-fails": 1,
+    "harness-sturmian": 0,
     "christoffel-5-8-plain": 0,
     "christoffel-5-8": 1,
     "christoffel-5-8-fib": 0,

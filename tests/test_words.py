@@ -1,7 +1,10 @@
 """Generator behavior and the word-spec mini-language."""
 
+import itertools
 import math
+import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sturmlex as sx
+from sturmlex import factors, words
 from sturmlex.errors import BudgetExceeded, LiteralTooShort, MalformedSpec
 
 import naive
@@ -86,6 +90,41 @@ class TestExactComplexities:
     )
     def test_past_the_prefix_budget(self, spec, n):
         assert spec().complexities(n) is None
+
+    def test_sturmian_morphisms_take_the_closed_form(self, monkeypatch):
+        # Every primitive substitution on 01 with images of at most 5
+        # letters, prolongable on 0 or 1: the closed form n + 1 is taken,
+        # with no window counted, exactly when the count of image windows
+        # gives n + 1 up to 60.
+        calls, count = [], factors.prefix_counts
+        monkeypatch.setattr(factors, "prefix_counts", lambda *a: calls.append(a) or count(*a))
+        images = ["".join(p) for k in range(1, 6) for p in itertools.product("01", repeat=k)]
+        closed = Counter()
+        for a, b in itertools.product(images, repeat=2):
+            rules = {"0": a, "1": b}
+            if not words._is_primitive(rules):
+                continue
+            for seed in (c for c in "01" if rules[c][0] == c and len(rules[c]) > 1):
+                spec = sx.Morphic(rules, seed)
+                calls.clear()
+                exact, closed_form = spec.complexities(60), not calls
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(words, "_is_sturmian", lambda rules: False)
+                    counted = spec.complexities(60)
+                closed[seed, closed_form] += 1
+                assert closed_form == (counted == list(range(1, 62))), spec
+                assert exact == counted
+        # 72 of the 1482 prolongable on 0 are Sturmian.
+        assert closed == {("0", True): 72, ("0", False): 1410, ("1", True): 72,
+                          ("1", False): 1410}
+
+    def test_a_long_image_is_decided_at_once(self):
+        start = time.perf_counter()
+        spec = sx.Morphic({"0": "0" * (2**20 - 1) + "1", "1": "0"}, "0")
+        assert spec.complexities(240) == list(range(1, 242))
+        assert not words._is_sturmian({"0": "0" * 2**19 + "1" * 2**19, "1": "0"})
+        took = time.perf_counter() - start
+        assert took < 2, f"took {took:.1f} s"
 
 
 class TestGeneratePrefix:
