@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import chain
+from itertools import accumulate, chain, compress, count, repeat
+from operator import mul, ne, rshift, sub
 
 from .errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced
 from .factors import FactorTable, _width, decode, newest_fits, window_counts
@@ -200,15 +201,14 @@ def _adjacent_faults(
     lex-least pair) is its witness; pairs go by ascending lo until none can
     beat one.  A check with no fault is Indeterminate if lengths were skipped.
 
-    On a binary table most pairs are passed over after one test on x, the
-    XOR of their top-letter prefixes, which is exact.  If x is 1 the
-    prefixes differ only in the last letter, 0 against 1, so they are
-    equal one letter earlier and lo = top: a final-letter step.  If x is
-    0b101 << 2s and the left prefix holds 01 there, each n-letter prefix
-    pair for lo <= n <= top is a 01 -> 10 swap (both letters in), or a
-    final 0 -> 1 step (one in; fewer make the prefixes equal).  Either
-    shape fits nfop of every variant, differs in at most two letters and
-    keeps the 1-count from falling.
+    On a binary table most pairs are passed over after one exact test
+    (:func:`_fitting_steps`).  The 2-bit codes c < cp of two top-letter
+    prefixes differ by base-4 digits in {-1, 0, 1}, which write a number one
+    way only, so cp - c is 3 << 2*(top-lo-1) exactly for 01 against 10 at
+    lo, lo+1 and no other mismatch, and 1 exactly for a final 0 -> 1 step
+    at lo = top.  Cut to n letters, lo <= n <= top, either is a swap or a
+    final step, which fits nfop of every variant, differs in at most two
+    letters and keeps the 1-count from falling.
     """
     size, codes, top, w = table.max_len, table.codes, table.frontier, table.width
     rest = {"status": CONSISTENT, "up_to": size}
@@ -217,11 +217,18 @@ def _adjacent_faults(
         rest = {"status": INDETERMINATE, "reason": "unsaturated lengths " + skipped}
     # key -> (n, a, verdict fields) of its first fault so far
     best = dict.fromkeys(sought, (size + 1, 0, rest))
-    pairs = table.neighbours()
     if table.is_binary:
-        pairs = [
-            (lo, a, b) for lo, a, b in pairs if not _fits_all(codes[a], codes[b], size - top)
-        ]
+        starts, lcps, cut = table.starts(), table.lcps, 2 * (size - top)
+        heads, los = codes, lcps
+        if cut or len(starts) < len(codes):
+            heads = [*map(rshift, map(codes.__getitem__, starts), repeat(cut))]
+            los = [*map(lcps.__getitem__, starts)]
+        diffs = [*map(sub, heads[1:], heads)]
+        fits = [*map(_fitting_steps(top).__getitem__, los[1:])]
+        odd = () if diffs == fits else compress(count(1), map(ne, diffs, fits))
+        pairs = [(los[k] + 1, starts[k - 1], starts[k]) for k in odd]
+    else:
+        pairs = table.neighbours()
     # No pair that starts past every check's first fault so far can beat one.
     reach = size + 1
     for lo, a, b in sorted(pairs):
@@ -245,12 +252,10 @@ def _adjacent_faults(
     )
 
 
-def _fits_all(c: int, cp: int, cut: int) -> bool:
-    """Whether 2-bit binary codes c < cp, with their last ``cut`` letters cut
-    off, are a final 0 -> 1 step or a 01 -> 10 swap (see :func:`_adjacent_faults`)."""
-    x = (c ^ cp) >> 2 * cut
-    s = x.bit_length() - 3
-    return x == 1 or x == 0b101 << s and (c >> 2 * cut + s) & 0xF == 1
+def _fitting_steps(top: int) -> list[int]:
+    """By lcp lo - 1, cp - c for top-letter codes c < cp that fit every pair
+    check: 3 << 2*(top-lo-1), a 01 -> 10 swap, and 1 at lo = top, a final step."""
+    return [1, *accumulate(repeat(4, top), mul, initial=3)][top - 1 :: -1]
 
 
 def _third_mismatch(x: int, size: int, w: int) -> int:

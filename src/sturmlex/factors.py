@@ -6,34 +6,28 @@ max_len), which reaches only the lengths n <= m.  An entry's code is its
 text read as one digit of w bits per letter, a short suffix padded with
 the digit 2^w - 1, so that numeric order is lexicographic order and a
 short suffix sorts after every entry it is a prefix of.  The width w is 2
-(base 4, pad 3) when the letters are within 01 and 4 (base 16, pad f)
-otherwise; it comes from the letters, and codes of two widths never mix.
-Words are digit-only, and a window is a code from the moment it is
+(base 4, pad 3) when the letters are within 01, else 4 (base 16, pad f);
+codes of two widths never mix.  A window is a code from the moment it is
 counted: a shift of one int read for a block of starts.  The table keeps
 the entries sorted, with their lengths and the common-prefix length (LCP)
 of each entry with the one before it; occurrence counts stay with the
-windows, keyed by code.
-The sorted length-n factors are the runs of entries of length >= n whose
-n-letter prefixes agree, so p(n) is the number of entries with lcp < n <=
-length, one histogram for all n, and a factor's count is the sum of the
-counts of the range of codes it begins, found by bisection (a short
-suffix occurs once).  Its first occurrence is a search of the word.
+windows, keyed by code.  The sorted length-n factors are the runs of
+entries of length >= n whose n-letter prefixes agree, so p(n) is the
+number of entries with lcp < n <= length, one histogram for all n, and a
+factor's count sums the counts of the codes it begins (a short suffix
+occurs once).
 
 Length n is *saturated* when the table holds every length-n factor of the
-infinite word.  When the word's exact complexity is known, that is certified
-by a count: the prefix has as many length-n factors as the word.  A table
-whose windows number exact[max_len] holds every length-max_len factor, and
-each factor of the word is a prefix of one of them, so its short suffixes
-add no factor: its entries are its windows alone, and a short suffix counts
-where it *attaches*, on the last window that begins with it.  Otherwise
-it is the half-window heuristic: every length-n factor first occurs
-entirely inside the first half of the prefix, that is the half has p(n)
-length-n factors too.  The half's entries come from the table's own: the
-windows are counted in order of first occurrence, so those that fit in the
-half are the first ones counted, found by bisecting on first occurrences,
-and they join the half's own short suffixes.  Saturating n saturates every
-shorter length, so the saturated lengths are 1..frontier, and a table
-stores only the frontier.
+infinite word, and then so is every shorter length: a table stores only
+the frontier, the longest.  When the word's exact complexity is known, a
+count certifies it: the prefix has as many length-n factors as the word.
+A *certified* table, whose windows number exact[max_len], has every factor
+as a prefix of a window, so its entries are its windows alone, and a
+short suffix counts where it *attaches*, on the last window that begins
+with it.  Otherwise it is the half-window heuristic: every length-n factor
+first occurs inside the first half of the prefix.  The windows are counted
+in order of first occurrence, so those that fit in the half are the first
+ones, found by bisection, and join the half's own short suffixes.
 """
 
 from __future__ import annotations
@@ -41,8 +35,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
-from itertools import accumulate, chain, count, repeat
-from operator import and_, rshift, xor
+from itertools import accumulate, chain, compress, count, repeat
+from operator import and_, lt, rshift, sub, xor
 
 from .errors import BudgetExceeded, NotAFactor, WindowTooLarge
 from .words import _check_word
@@ -165,38 +159,31 @@ def _histogram(codes, shorts: int, n: int, w: int) -> tuple[list[int], list[int]
     """
     before, r = chain((((1 << w) - 1) << w * (n - 1),), codes), w - 1
     lcps = [n - (x.bit_length() + r) // w for x in map(xor, codes, before)]
-    starts = Counter(lcps)
-    return lcps, [*accumulate((starts[k] - (0 < k <= shorts) for k in range(n)), initial=0)]
+    starts, ends = Counter(lcps), chain((0,), repeat(1, shorts), repeat(0))
+    return lcps, [*accumulate(map(sub, map(starts.get, range(n), repeat(0)), ends), initial=0)]
 
 
 class FactorTable:
     """Sorted entries standing for the factors of lengths 1..max_len of a prefix.
 
     ``word`` is digit-only.  ``windows``, when given, are the
-    :func:`window_counts` of ``word`` at ``max_len``, keyed by code, so that
-    a saturation probe's windows are not counted twice; they may stop early,
-    once they hold every distinct window.  ``exact``, when given, is the
-    word's exact [p(0), ..., p(max_len)], and the frontier is then the
-    longest n at which the table has exact[n] factors; otherwise it is the
-    half-window heuristic's: max_len when the newest window fits in the
-    first half, else one less than the first n at which the half has fewer
-    factors.  The half's entries are its short suffixes and the windows
-    counted before the first that does not fit in it.  ``width`` is the
-    bits per letter of the codes: 2 on a binary table, else 4.  ``codes``,
-    ``lengths`` and ``lcps`` are parallel entry tuples in code order: the
-    windows alone on a *certified* table, one whose windows number
-    exact[max_len], else the windows and the short suffixes.
-    ``counts`` is the Counter of every window's occurrences, keyed by code:
-    ``windows`` themselves when they hold every window, else a copy of them
-    with the windows left counted on first use; a short suffix is not in it
-    and occurs once.  ``_attached`` lists, for m = 1..max_len-1, the entry
-    that the short suffix of length m attaches to on a certified table (the
-    last window that begins with it), found on first use; it is empty on a
-    table that keeps its suffixes.  ``p[n]`` is the number of length-n
-    factors for 1 <= n <= max_len, ``frontier`` the longest saturated
-    length, or 0.  Nothing is written after construction but those two
-    caches, and ``windows`` stay as given; they come from
-    :func:`window_counts`, which bounds the table's size by TABLE_BUDGET.
+    :func:`window_counts` of ``word`` at ``max_len``, so that a saturation
+    probe's windows are not counted twice; they may stop early, once they
+    hold every distinct window.  ``exact``, when given, is the word's exact
+    [p(0), ..., p(max_len)], and the frontier is the longest n at which the
+    table has exact[n] factors; otherwise it is max_len when the newest
+    window fits in the first half, else one less than the first n at which
+    the half has fewer factors.  ``width`` is 2 on a binary table, else 4.
+    ``codes``, ``lengths`` and ``lcps`` are parallel entry tuples in code
+    order (the windows alone on a certified table), ``p[n]`` is the number
+    of length-n factors, ``frontier`` the longest saturated length, or 0.
+    ``counts`` is every window's occurrences, keyed by code: ``windows``
+    when they hold every window, else a copy completed on first use.
+    ``_attached`` lists, for m = 1..max_len-1, the entry that the short
+    suffix of length m attaches to on a certified table, found on first use
+    (empty on a table that keeps its suffixes).  Only those caches and the
+    saturated lengths are written after construction; ``windows`` stay as
+    given, bounded by TABLE_BUDGET in :func:`window_counts`.
     """
 
     def __init__(
@@ -220,12 +207,15 @@ class FactorTable:
         # A certified table's short suffixes begin its windows: none is kept.
         certified = exact is not None and len(windows) == exact[max_len]
         shorts = 0 if certified else max_len - 1
-        keys = [*windows, *_short_codes(word, shorts + 1, w)]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
         self._windows = windows
-        self.codes = tuple(map(keys.__getitem__, order))
-        lengths = [*repeat(max_len, len(windows)), *range(shorts, 0, -1)]
-        self.lengths = tuple(map(lengths.__getitem__, order))
+        if certified:
+            self.codes, self.lengths = tuple(sorted(windows)), (max_len,) * len(windows)
+        else:
+            keys = [*windows, *_short_codes(word, max_len, w)]
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            self.codes = tuple(map(keys.__getitem__, order))
+            lengths = [*repeat(max_len, len(windows)), *range(shorts, 0, -1)]
+            self.lengths = tuple(map(lengths.__getitem__, order))
         lcps, self.p = _histogram(self.codes, shorts, max_len, w)
         self.lcps = tuple(lcps)
         self.frontier = max_len
@@ -329,24 +319,23 @@ class FactorTable:
         shift = w * (self.max_len - n)
         return decode(next(first) >> shift, n, w), decode(next(last) >> shift, n, w)
 
-    def neighbours(self) -> list[tuple[int, int, int]]:
-        """(lo, a, b) for entries a < b whose n-letter prefixes are
-        neighbouring length-n factors exactly for the n from lo up to the
-        frontier.
+    def starts(self) -> list[int]:
+        """The entries that start a new factor at a saturated length, in order:
+        those whose lcp is below the frontier and their length.  No short
+        suffix v shorter than the frontier is one: v and one more letter
+        occur in the prefix, as length |v| + 1 is saturated (under the
+        heuristic, as v first occurs in the first half), so the entry right
+        before v begins with v.  So each start reaches the frontier and
+        neighbours the one before it from its lcp + 1 on."""
+        lcps, starts = self.lcps, compress(count(), map(lt, self.lcps, repeat(self.frontier)))
+        if len(self.codes) == len(self._windows):
+            return [*starts]
+        return [b for b in starts if lcps[b] < self.lengths[b]]
 
-        Each neighbouring pair of saturated factors comes from one tuple.  An
-        entry whose lcp reaches its length (cut to the frontier) starts no
-        new factor and is passed over.  That takes every short suffix v
-        shorter than the frontier: v and one more letter occur in the prefix
-        (a certified table holds every factor one letter longer than v; under
-        the heuristic v first occurs in the first half), so the entry right
-        before v begins with v.
-        So the entries left reach the frontier, and each one neighbours the
-        one before it from its lcp + 1 on.
-        """
-        top = self.frontier
-        entries = zip(count(), self.lcps, self.lengths)
-        starts = [b for b, lcp, m in entries if lcp < m and lcp < top]
+    def neighbours(self) -> list[tuple[int, int, int]]:
+        """(lo, a, b) for consecutive :meth:`starts` a < b, lo the lcp of b
+        plus one: their n-letter prefixes neighbour for lo <= n <= frontier."""
+        starts = self.starts()
         return [(self.lcps[b] + 1, a, b) for a, b in zip(starts, starts[1:])]
 
     def left_special(self, n: int) -> list[str]:
@@ -367,6 +356,10 @@ class FactorTable:
         return n <= self.frontier
 
     def saturated_lengths(self) -> tuple[int, ...]:
+        return self._saturated
+
+    @cached_property
+    def _saturated(self) -> tuple[int, ...]:
         return tuple(range(1, self.frontier + 1))
 
     def dump(self):

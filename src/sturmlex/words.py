@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import types
+from bisect import bisect_left
 
 from .errors import BudgetExceeded, LiteralTooShort, MalformedSpec
 
@@ -42,6 +43,7 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
+        cls._field_set = frozenset(cls._fields)
         cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
 
     def __init__(self, *args, **kwargs):
@@ -50,10 +52,9 @@ class Record:
         if len(args) > len(cls._fields) or given.keys() & kwargs:
             raise TypeError(f"{cls.__name__} got too many or repeated fields")
         values = {**cls._defaults, **given, **kwargs}
-        if values.keys() != set(cls._fields):
+        if values.keys() != cls._field_set:
             raise TypeError(f"{cls.__name__} takes {cls._fields}, got {tuple(values)}")
-        for name in cls._fields:
-            object.__setattr__(self, name, values[name])
+        self.__dict__.update(values)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -256,18 +257,20 @@ class Morphic(Record):
             return None
         if _is_sturmian(self.rules):
             return list(range(1, n + 2))
-        images = str.maketrans(dict(self.rules))
+        images, rules = str.maketrans(dict(self.rules)), self.rules.items()
+        power = dict(self.rules)
+        while min(map(len, power.values())) < n - 1:
+            # |s(w)| sums |s(b)| over the letters b of w: checked before s(w) is built.
+            sizes = [w.count(b) * len(img) for w in power.values() for b, img in rules]
+            if sum(sizes) > PREFIX_BUDGET:
+                return None
+            power = {a: w.translate(images) for a, w in power.items()}
         pairs, todo = set(), [self.rules[self.seed]]
         while todo:
             w = todo.pop()
             for ab in {w[i : i + 2] for i in range(len(w) - 1)} - pairs:
                 pairs.add(ab)
                 todo.append(ab.translate(images))
-        power = dict(self.rules)
-        while min(map(len, power.values())) < n - 1:
-            power = {a: w.translate(images) for a, w in power.items()}
-            if sum(map(len, power.values())) > PREFIX_BUDGET:
-                return None
         from .factors import prefix_counts
 
         # The windows inside each image and across each boundary.
@@ -278,13 +281,18 @@ class Morphic(Record):
         # The fixed point x is s(x0) s(x1) s(x2) ..., and s(x0) starts with
         # x0 and is longer, so every letter is known before its image is
         # needed.  Each chunk is the image of the letters of the one before
-        # it, starting with the letters of s(seed) after the seed.
+        # it, starting with the letters of s(seed) after the seed, and only
+        # of those whose images the n - size missing letters need.
         images = str.maketrans(dict(self.rules))
-        chunks = [self.seed.translate(images)]
+        sizes = {a: len(w) for a, w in self.rules.items()}
+        longest, chunks = max(sizes.values()), [self.seed.translate(images)]
         size, i, start = len(chunks[0]), 0, 1
         while size < n:
-            # Images are nonempty, so n - size letters translated are enough.
-            image = chunks[i][start : start + n - size].translate(images)
+            piece = chunks[i][start : start + n - size]  # images are nonempty
+            if len(piece) * longest > n - size:
+                grown = lambda t: sum(piece.count(a, 0, t) * k for a, k in sizes.items())
+                piece = piece[: bisect_left(range(len(piece) + 1), n - size, key=grown)]
+            image = piece.translate(images)
             chunks.append(image)
             size += len(image)
             i, start = i + 1, 0
@@ -421,6 +429,13 @@ def _is_primitive(rules: dict[str, str]) -> bool:
     return False
 
 
+def _copies(a: str, b: str) -> int:
+    """Letters in the run of copies of ``b`` that begins ``a``: b times the
+    greatest k with a.startswith(b * k), bisected."""
+    k = bisect_left(range(len(a) // len(b) + 1), True, key=lambda k: not a.startswith(b * k))
+    return len(b) * (k - 1)
+
+
 def _is_sturmian(rules: dict[str, str]) -> bool:
     """Whether the substitution on 01 is Sturmian.
 
@@ -428,19 +443,16 @@ def _is_sturmian(rules: dict[str, str]) -> bool:
     (01, 0) and (10, 0) (Mignosi and Seebold 1993; Lothaire, Algebraic
     Combinatorics on Words, ch. 2), so they are peeled off the right: the
     shorter image b is stripped from the front of the longer one a, then
-    from its back, every copy in one pass as Euclid's algorithm divides,
-    which keeps the test linear in the images' length.  The substitution is
-    Sturmian exactly when that ends at two distinct letters.
+    from its back, every copy at once as Euclid's algorithm divides, by a
+    bisection of C-level comparisons (:func:`_copies`).  The substitution
+    is Sturmian exactly when that ends at two distinct letters.
     """
     if sorted(rules) != ["0", "1"]:
         return False
     b, a = sorted(rules.values(), key=len)
     while len(a) > 1:
-        i, j = 0, len(a)
-        while a.startswith(b, i):
-            i += len(b)
-        while a.endswith(b, i, j):
-            j -= len(b)
+        i = _copies(a, b)
+        j = len(a) - _copies(a[i:][::-1], b[::-1])
         if i == j or j - i == len(a):
             return False
         b, a = sorted((b, a[i:j]), key=len)

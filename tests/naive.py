@@ -81,12 +81,14 @@ def ones_reason(v, vp):
     return f"1-count drops from {a} to {b}" if a > b else None
 
 
-def adjacent_verdict(w, max_len, pair_ok):
+def adjacent_verdict(w, max_len, pair_ok, top=None):
     """(status, violation length or None, pair or None) for a property of
-    adjacent sorted factor pairs, same scan order as the real checks."""
+    adjacent sorted factor pairs, same scan order as the real checks.  The
+    saturated lengths are 1..top when ``top`` is given (a window certified
+    by a count), else those of the half-window rule."""
     skipped = False
     for n in range(1, max_len + 1):
-        if not saturated(w, n):
+        if not (n <= top if top is not None else saturated(w, n)):
             skipped = True
             continue
         fs = distinct_factors(w, n)
@@ -98,16 +100,16 @@ def adjacent_verdict(w, max_len, pair_ok):
     return "ConsistentUpTo", None, None
 
 
-def nfop_verdict(w, max_len, variant=3):
-    return adjacent_verdict(w, max_len, lambda v, vp: nfop_pair_ok(v, vp, variant))
+def nfop_verdict(w, max_len, variant=3, top=None):
+    return adjacent_verdict(w, max_len, lambda v, vp: nfop_pair_ok(v, vp, variant), top)
 
 
-def hamming2_verdict(w, max_len):
-    return adjacent_verdict(w, max_len, lambda v, vp: hamming(v, vp) <= 2)
+def hamming2_verdict(w, max_len, top=None):
+    return adjacent_verdict(w, max_len, lambda v, vp: hamming(v, vp) <= 2, top)
 
 
-def ones_verdict(w, max_len):
-    return adjacent_verdict(w, max_len, lambda v, vp: v.count("1") <= vp.count("1"))
+def ones_verdict(w, max_len, top=None):
+    return adjacent_verdict(w, max_len, lambda v, vp: v.count("1") <= vp.count("1"), top)
 
 
 def minimal_imbalance(w, max_len):

@@ -1,6 +1,7 @@
 """Single-property checks, composite verdicts, and the cross-check harness."""
 
 import functools
+import itertools
 import math
 import random
 from collections import Counter
@@ -846,6 +847,92 @@ class TestBinarySkip:
     def test_thue_morse_pairs_are_judged(self, judged, tm_table):
         assert sx.check_nfop(tm_table).status == checks.VIOLATED
         assert judged
+
+
+def shape_fits(c, cp, cut):
+    """The shape test that the fitting difference replaced: whether 2-bit
+    binary codes c < cp, their last ``cut`` letters cut off, XOR to a final
+    0 -> 1 step, or to a 01 -> 10 swap with 01 in the left code."""
+    x = (c ^ cp) >> 2 * cut
+    s = x.bit_length() - 3
+    return x == 1 or x == 0b101 << s and (c >> 2 * cut + s) & 0xF == 1
+
+
+@st.composite
+def certified_tables(draw):
+    """The saturated table of a std:, mech: or fib spec, certified by its count."""
+    mech = st.tuples(st.integers(1, 20), st.integers(1, 20), st.integers(0, 6), st.integers(1, 7))
+    spec = draw(
+        st.one_of(
+            st.just(sx.parse_spec("fib")),
+            st.lists(st.integers(1, 5), min_size=1, max_size=4).map(sx.StandardSequence),
+            mech.filter(lambda m: math.gcd(m[0], m[1]) == 1 and m[2] < m[3]).map(
+                lambda m: sx.MechanicalRational(m[0], m[1], Fraction(m[2], m[3]))
+            ),
+        )
+    )
+    max_len = draw(st.integers(1, 40))
+    t = checks.saturated_table(spec, max_len, draw(st.integers(max_len, 512)))
+    assert len(t._windows) == spec.complexities(max_len)[max_len]
+    return t
+
+
+def assert_walk_as_oracle(t, top=None):
+    """One walk's four pair verdicts against the oracle's, saturated up to
+    ``top`` (or by the half-window rule)."""
+    w, size = t.word, t.max_len
+    want = [
+        (naive.nfop_verdict(w, size, 3, top), lambda v, vp: naive.nfop_reason(v, vp, 3)),
+        (naive.hamming2_verdict(w, size, top), naive.hamming_reason),
+        (naive.ones_verdict(w, size, top), naive.ones_reason),
+        (naive.nfop_verdict(w, size, 1, top), lambda v, vp: naive.nfop_reason(v, vp, 1)),
+    ]
+    walk = checks._adjacent_faults(t, ("nfop", "hamming2", "ones", "nfop1"))
+    for got, ((status, n, pair), reason) in zip(walk, want):
+        assert (got.status, got.n, got.witness) == (status, n, pair)
+        if pair is not None:
+            assert got.reason == reason(*pair)
+
+
+class TestFittingDifference:
+    """A binary pair is passed over when cp - c, both cut to the frontier
+    top, is the fitting difference of its lcp (``checks._fitting_steps``)."""
+
+    def test_same_pairs_as_the_shape_test(self):
+        # Every binary pair v < vp of up to 8 letters, at every cut that
+        # keeps their first mismatch lo.
+        steps = {top: checks._fitting_steps(top) for top in range(1, 9)}
+        fits = Counter()
+        for n in range(1, 9):
+            words = ["".join(p) for p in itertools.product("01", repeat=n)]
+            for v, vp in itertools.combinations(words, 2):
+                c, cp = int(v, 4), int(vp, 4)
+                lo = next(k for k in range(n) if v[k] != vp[k]) + 1
+                for top in range(lo, n + 1):
+                    cut = n - top
+                    fit = (cp >> 2 * cut) - (c >> 2 * cut) == steps[top][lo - 1]
+                    assert fit == shape_fits(c, cp, cut), (v, vp, top)
+                    fits[fit] += 1
+                    # A fitting pair fits every pair check at each length lo..top.
+                    for m in range(lo, top + 1) if fit else ():
+                        a, b = v[:m], vp[:m]
+                        assert naive.nfop_pair_ok(a, b, 2) and naive.hamming(a, b) <= 2
+                        assert a.count("1") <= b.count("1")
+        assert fits[True] and fits[False]
+
+    @given(t=certified_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_certified_tables_against_the_oracle(self, t):
+        assert_walk_as_oracle(t, t.frontier)
+
+    @given(w=literals(20, 300, alphabets=("01",)), max_len=st.integers(2, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_half_window_tables_against_the_oracle(self, w, max_len):
+        # Random literals keep their short suffixes, and most stop short of max_len.
+        t = sx.FactorTable(w, max_len)
+        assume(t.frontier < max_len)
+        assert len(t.codes) > len(t._windows)
+        assert_walk_as_oracle(t)
 
 
 class TestCrossCheckInvariants:

@@ -16,7 +16,7 @@ from sturmlex import factors, words
 from sturmlex.errors import BudgetExceeded, LiteralTooShort, MalformedSpec
 
 import naive
-from conftest import FIB32, TM_SPEC, prefix
+from conftest import FIB32, TM_SPEC, peak_rss, prefix
 
 
 class TestExactComplexities:
@@ -125,6 +125,124 @@ class TestExactComplexities:
         assert not words._is_sturmian({"0": "0" * 2**19 + "1" * 2**19, "1": "0"})
         took = time.perf_counter() - start
         assert took < 2, f"took {took:.1f} s"
+
+
+def peeled_by_copies(rules):
+    """``words._is_sturmian`` as it stripped one copy of the shorter image at a time."""
+    if sorted(rules) != ["0", "1"]:
+        return False
+    b, a = sorted(rules.values(), key=len)
+    while len(a) > 1:
+        i, j = 0, len(a)
+        while a.startswith(b, i):
+            i += len(b)
+        while a.endswith(b, i, j):
+            j -= len(b)
+        if i == j or j - i == len(a):
+            return False
+        b, a = sorted((b, a[i:j]), key=len)
+    return a != b
+
+
+class TestLongImages:
+    """Substitutions whose images hold up to 2^20 letters: lengths are
+    predicted before any power is built, a prefix translates only the
+    letters it needs, and the Sturmian test compares blocks of copies."""
+
+    # Each family's count of image windows (the Sturmian test left out) says
+    # the same at every small m, and the Sturmian test says it at 2^20.
+    @pytest.mark.parametrize(
+        "family",
+        [
+            lambda m: {"0": "0" * m + "1", "1": "0"},
+            lambda m: {"0": "0" * m + "1" * m, "1": "0"},
+            lambda m: {"0": "0" * m + "1", "1": "10"},
+            lambda m: {"0": "01" * m + "0", "1": "01"},
+            lambda m: {"0": "0" * m + "10", "1": "0" * m + "1"},
+        ],
+    )
+    def test_long_images_agree_with_the_count(self, family, monkeypatch):
+        answers = {words._is_sturmian(family(m)) for m in (2**20 - 1, 2**20)}
+        monkeypatch.setattr(words, "_is_sturmian", lambda rules: False)
+        counted = {
+            sx.Morphic(family(m), "0").complexities(40) == list(range(1, 42))
+            for m in range(2, 7)
+        }
+        assert answers == counted and len(counted) == 1
+
+    @given(
+        b=st.text(alphabet="01", min_size=1, max_size=3),
+        copies=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+        core=st.text(alphabet="01", max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sturmian_test_against_one_copy_at_a_time(self, b, copies, core):
+        a = b * copies[0] + core + b * copies[1]
+        for rules in ({"0": a, "1": b}, {"0": b, "1": a}):
+            if a:
+                assert words._is_sturmian(rules) == peeled_by_copies(rules)
+        # The runs of copies at each end of a, the front one first.
+        front = next(k for k in itertools.count() if not a.startswith(b * (k + 1)))
+        back = next(k for k in itertools.count() if not a[front * len(b):].endswith(b * (k + 1)))
+        assert words._copies(a, b) == front * len(b)
+        assert words._copies(a[front * len(b) :][::-1], b[::-1]) == back * len(b)
+
+    def test_powers_are_measured_before_they_are_built(self):
+        # s^2(0) would hold about 9e8 letters, past PREFIX_BUDGET.
+        spec = sx.parse_spec("morphic:0->" + "0" * 30000 + "1,1->10;seed=0")
+        tracemalloc.start()
+        try:
+            assert spec.complexities(40) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_prefix_past_the_first_long_image(self):
+        # x = s(x) is 0^k 1 followed by s(0^(k-1) 1): (0^k 1)^(k-1) 10.
+        k, n = 100000, 300000
+        spec = sx.parse_spec(f"morphic:0->{'0' * k}1,1->10;seed=0")
+        assert sx.generate_prefix(spec, n) == ("0" * k + "1") * 2 + "0" * (n - 2 * k - 2)
+
+    @given(
+        letters=st.sampled_from(["01", "012"]),
+        data=st.data(),
+        n=st.integers(0, 1500),
+    )
+    @example(letters="01", data=None, n=1000)
+    @settings(max_examples=100, deadline=None)
+    def test_prefix_against_iteration(self, letters, data, n):
+        if data is None:
+            rules, seed = {"0": "0" * 300 + "1", "1": "10"}, "0"
+        else:
+            short = st.text(alphabet=letters, min_size=1, max_size=3)
+            rules = {a: data.draw(short) for a in letters}
+            rules[data.draw(st.sampled_from(letters))] = data.draw(
+                st.text(alphabet=letters, min_size=20, max_size=300)
+            )
+            seed = data.draw(st.sampled_from(letters))
+            if not rules[seed].startswith(seed) or len(rules[seed]) < 2:
+                rules[seed] = seed + rules[seed]
+        assert sx.Morphic(rules, seed).prefix(n) == naive.morphic_prefix(rules, seed, n)
+
+    # The child's peak RSS (measured 16-18 MB with Python 3.11 on Linux);
+    # building s^2(0) before checking its length peaked at 873 MB at
+    # k=30000, and at k=100000 the check and the generation (which
+    # translated 10^5 letters of 10^5 each) ran out of memory.
+    @pytest.mark.parametrize(
+        "k,argv",
+        [
+            (30000, ("check", "--what", "sturmian", "--max-n", "40")),
+            (100000, ("check", "--what", "sturmian", "--max-n", "40")),
+            (100000, ("generate", "--len", "300000")),
+        ],
+    )
+    def test_long_images_stay_small(self, k, argv):
+        pytest.importorskip("resource")
+        spec = f"morphic:0->{'0' * k}1,1->10;seed=0"
+        code, peak = peak_rss("-m", "sturmlex", *argv, "--spec", spec, timeout=60)
+        assert code == (1 if argv[0] == "check" else 0)
+        assert peak < 40, f"peak RSS {peak:.0f} MB"
 
 
 class TestGeneratePrefix:
