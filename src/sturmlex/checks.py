@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from functools import lru_cache
 from itertools import accumulate, chain, compress, count, repeat
 from operator import mul, ne, rshift, sub
 
 from .errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced
-from .factors import FactorTable, _width, decode, newest_fits, window_counts
+from .factors import FactorTable, _add_windows, _width, decode, newest_fits
 from .words import PREFIX_BUDGET, Literal, Record, WordSpec, generate_prefix
 
 # Verdict statuses.
@@ -252,10 +253,12 @@ def _adjacent_faults(
     )
 
 
-def _fitting_steps(top: int) -> list[int]:
+@lru_cache(maxsize=8)
+def _fitting_steps(top: int) -> tuple[int, ...]:
     """By lcp lo - 1, cp - c for top-letter codes c < cp that fit every pair
-    check: 3 << 2*(top-lo-1), a 01 -> 10 swap, and 1 at lo = top, a final step."""
-    return [1, *accumulate(repeat(4, top), mul, initial=3)][top - 1 :: -1]
+    check: 3 << 2*(top-lo-1), a 01 -> 10 swap, and 1 at lo = top, a final step.
+    Kept for the last few frontiers, as tables of one run mostly share one."""
+    return (1, *accumulate(repeat(4, top), mul, initial=3))[top - 1 :: -1]
 
 
 def _third_mismatch(x: int, size: int, w: int) -> int:
@@ -422,12 +425,14 @@ def saturated_table(
     Each candidate window is probed on its longest length alone, each
     window start is read at most once over all candidates, and only the
     window kept is indexed, reusing the probe's windows.  When the spec
-    knows its exact complexities, the probe is a count: reading stops as
-    soon as the window has all p(max_len) factors, which certifies every
-    length.  Otherwise (``literal:``, non-primitive ``morphic:``) the newest
-    window must fit in the first half.  Doubling stops at PREFIX_BUDGET (or
-    at the end of a literal), in which case the table simply comes back with
-    unsaturated lengths and downstream checks degrade to Indeterminate.
+    knows its exact complexities, the probe is a set of the distinct
+    window codes: reading stops soon after the window that completes all
+    p(max_len) factors, which certifies every length.  Otherwise
+    (``literal:``, non-primitive ``morphic:``) the probe counts every
+    window in order of first occurrence, and the newest must fit in the
+    first half.  Doubling stops at PREFIX_BUDGET (or at the end of a
+    literal), in which case the table simply comes back with unsaturated
+    lengths and downstream checks degrade to Indeterminate.
     """
     target = prefix_len if prefix_len is not None else default_prefix_length(max_len)
     target = max(target, max_len)
@@ -438,17 +443,18 @@ def saturated_table(
         cap = min(cap, len(spec.word))
     exact = spec.complexities(max_len)
     full = None if exact is None else exact[max_len]
-    width, windows = 0, Counter()
+    width, start, windows = 0, 0, Counter() if full is None else set()
     while True:
         length = min(target, cap)
         word = generate_prefix(spec, length)
         if (w := _width(word)) != width:
             # A doubled prefix that gained a letter past 1 is read at a new
             # width, and codes of two widths never mix: its windows so far
-            # are re-keyed, in order, from base 4 to base 16.
-            rekeyed = {int(decode(c, max_len, 2), 16): k for c, k in windows.items()}
-            width, windows = w, Counter(rekeyed)
-        window_counts(word, max_len, windows, full)
+            # are re-keyed, a count in order, from base 4 to base 16.
+            keys = [int(decode(c, max_len, 2), 16) for c in windows]
+            width = w
+            windows = Counter(dict(zip(keys, windows.values()))) if full is None else set(keys)
+        start = _add_windows(windows, word, max_len, start, full, width)
         # Each shorter factor lies in a length-max_len window, so saturating
         # max_len saturates every length: the probe needs only that length.
         # At the cap there is no probe: a literal may hold no window at all.

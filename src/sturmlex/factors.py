@@ -8,7 +8,7 @@ the digit 2^w - 1, so that numeric order is lexicographic order and a
 short suffix sorts after every entry it is a prefix of.  The width w is 2
 (base 4, pad 3) when the letters are within 01, else 4 (base 16, pad f);
 codes of two widths never mix.  A window is a code from the moment it is
-counted: a shift of one int read for a block of starts.  The table keeps
+read: a shift of one int read for a block of starts.  The table keeps
 the entries sorted, with their lengths and the common-prefix length (LCP)
 of each entry with the one before it; occurrence counts stay with the
 windows, keyed by code.  The sorted length-n factors are the runs of
@@ -21,10 +21,12 @@ Length n is *saturated* when the table holds every length-n factor of the
 infinite word, and then so is every shorter length: a table stores only
 the frontier, the longest.  When the word's exact complexity is known, a
 count certifies it: the prefix has as many length-n factors as the word.
-A *certified* table, whose windows number exact[max_len], has every factor
-as a prefix of a window, so its entries are its windows alone, and a
-short suffix counts where it *attaches*, on the last window that begins
-with it.  Otherwise it is the half-window heuristic: every length-n factor
+Such a count needs only the distinct windows, a set of codes, read up to
+the one that completes it.  A *certified* table, whose windows number
+exact[max_len], has every factor as a prefix of a window, so its entries
+are its windows alone, its p is the certificate itself, and a short
+suffix counts where it *attaches*, on the last window that begins with
+it.  Otherwise it is the half-window heuristic: every length-n factor
 first occurs inside the first half of the prefix.  The windows are counted
 in order of first occurrence, so those that fit in the half are the first
 ones, found by bisection, and join the half's own short suffixes.
@@ -44,6 +46,10 @@ from .words import _check_word
 #: Cap in bytes on a table's entries, each its letters plus a fixed overhead,
 #: so that short windows are bounded as well as long ones (see window_counts).
 TABLE_BUDGET = 1 << 25
+
+# The least chunk a count that stops at ``full`` reads: a chunk of fewer
+# windows would not pay for the int() read of its block.
+_CHUNK_FLOOR = 64
 
 
 def is_unbordered(v: str) -> bool:
@@ -83,49 +89,52 @@ def _short_codes(word: str, n: int, w: int):
     return _codes(tail + format((1 << w) - 1, "x") * (n - 1), n, 0, len(tail), w)
 
 
-def window_counts(
-    word: str, n: int, windows: Counter[int] | None = None, full: int | None = None
-) -> Counter[int]:
+def window_counts(word: str, n: int, windows: Counter[int] | None = None) -> Counter[int]:
     """Occurrence counts of the length-n windows of digit word ``word``, by
     code at the width of its letters.
 
     ``windows``, when given, are the counts, at that width, of the windows
     that start in the first windows.total() positions of ``word``; those
-    that start after them are added to them in place.  With ``full``,
-    counting stops after the chunk (of at most ``full`` windows) in which
-    the distinct windows reach ``full``.  The keys come in order of first
-    occurrence, so the last one is the newest factor.  Counting goes in
-    chunks of at most TABLE_BUDGET/16 bytes and raises BudgetExceeded once
-    the entries of a table at max_len n, the distinct windows and n - 1
-    short suffixes, take more than TABLE_BUDGET bytes, so no table past the
-    cap is ever built.
+    that start after them are added to them in place.  The keys come in
+    order of first occurrence, so the last one is the newest factor.
+    Counting goes in chunks of at most TABLE_BUDGET/16 bytes and raises
+    BudgetExceeded once the entries of a table at max_len n, the distinct
+    windows and n - 1 short suffixes, take more than TABLE_BUDGET bytes, so
+    no table past the cap is ever built.
     """
     windows = Counter() if windows is None else windows
-    return _add_windows(windows, word, n, windows.total(), full, _width(word))
+    _add_windows(windows, word, n, windows.total(), None, _width(word))
+    return windows
 
 
-def _add_windows(windows, word: str, n: int, start: int, full: int | None, w: int):
+def _add_windows(windows, word: str, n: int, start: int, full: int | None, w: int) -> int:
     """Add the width-w codes of the length-n windows of ``word`` from
     ``start`` on to ``windows``, a Counter or a set of codes, in the chunks
-    and under the cap of :func:`window_counts`."""
+    and under the cap of :func:`window_counts`, and return the start after
+    the last window read.
+
+    With ``full``, reading stops once the distinct windows reach ``full``:
+    each chunk holds at most the windows still missing, ``full`` less the
+    distinct ones so far, but no fewer than 64, so it ends fewer than 64
+    windows past the one that completes the count.
+    """
     # An entry peaks at its n letters and at most 245 bytes more while a table
     # is built, and holds less once it is (tracemalloc, Python 3.11, with 4-bit
     # codes: 219 B more and 140 B held at n=18 on a random 2^21-letter
     # literal; -6 B more and 677 B held at n=1024 on a 2^16-letter one, whose
     # codes took n/2 bytes).  Binary codes take n/4 bytes under the same charge.
     entry = n + 245
-    end, step = len(word) - n + 1, max(1, TABLE_BUDGET // (16 * entry))
-    if full is not None:
-        step = min(step, full)
-    for start in range(start, end, step):
-        if full is not None and len(windows) >= full:
-            break
-        windows.update(_codes(word, n, start, min(start + step, end), w))
+    end, most = len(word) - n + 1, max(1, TABLE_BUDGET // (16 * entry))
+    while start < end and (full is None or len(windows) < full):
+        step = most if full is None else min(most, max(full - len(windows), _CHUNK_FLOOR))
+        stop = min(start + step, end)
+        windows.update(_codes(word, n, start, stop, w))
+        start = stop
         if (len(windows) + n - 1) * entry > TABLE_BUDGET:
             raise BudgetExceeded(
                 f"length-{n} table entries take more than {TABLE_BUDGET} bytes"
             )
-    return windows
+    return start
 
 
 def prefix_counts(pieces, n: int) -> list[int]:
@@ -148,9 +157,8 @@ def newest_fits(word: str, n: int, windows: Counter[int], w: int) -> bool:
     return word.find(decode(next(reversed(windows)), n, w), 0, len(word) // 2) >= 0
 
 
-def _histogram(codes, shorts: int, n: int, w: int) -> tuple[list[int], list[int]]:
-    """The LCPs and [p(0), ..., p(n)] of sorted n-letter width-w entry codes,
-    the ``shorts`` short suffixes among them of the lengths 1..shorts.
+def _lcps(codes, n: int, w: int) -> list[int]:
+    """The LCPs of sorted n-letter width-w entry codes.
 
     The first code is compared with the pad followed by zeros, which differs
     from every entry in its first letter.  An LCP never exceeds either
@@ -158,7 +166,13 @@ def _histogram(codes, shorts: int, n: int, w: int) -> tuple[list[int], list[int]
     a letter.
     """
     before, r = chain((((1 << w) - 1) << w * (n - 1),), codes), w - 1
-    lcps = [n - (x.bit_length() + r) // w for x in map(xor, codes, before)]
+    return [n - (x.bit_length() + r) // w for x in map(xor, codes, before)]
+
+
+def _histogram(codes, shorts: int, n: int, w: int) -> tuple[list[int], list[int]]:
+    """The LCPs and [p(0), ..., p(n)] of sorted n-letter width-w entry codes,
+    the ``shorts`` short suffixes among them of the lengths 1..shorts."""
+    lcps = _lcps(codes, n, w)
     starts, ends = Counter(lcps), chain((0,), repeat(1, shorts), repeat(0))
     return lcps, [*accumulate(map(sub, map(starts.get, range(n), repeat(0)), ends), initial=0)]
 
@@ -166,31 +180,34 @@ def _histogram(codes, shorts: int, n: int, w: int) -> tuple[list[int], list[int]
 class FactorTable:
     """Sorted entries standing for the factors of lengths 1..max_len of a prefix.
 
-    ``word`` is digit-only.  ``windows``, when given, are the
-    :func:`window_counts` of ``word`` at ``max_len``, so that a saturation
-    probe's windows are not counted twice; they may stop early, once they
-    hold every distinct window.  ``exact``, when given, is the word's exact
-    [p(0), ..., p(max_len)], and the frontier is the longest n at which the
-    table has exact[n] factors; otherwise it is max_len when the newest
-    window fits in the first half, else one less than the first n at which
-    the half has fewer factors.  ``width`` is 2 on a binary table, else 4.
-    ``codes``, ``lengths`` and ``lcps`` are parallel entry tuples in code
-    order (the windows alone on a certified table), ``p[n]`` is the number
-    of length-n factors, ``frontier`` the longest saturated length, or 0.
-    ``counts`` is every window's occurrences, keyed by code: ``windows``
-    when they hold every window, else a copy completed on first use.
-    ``_attached`` lists, for m = 1..max_len-1, the entry that the short
-    suffix of length m attaches to on a certified table, found on first use
-    (empty on a table that keeps its suffixes).  Only those caches and the
-    saturated lengths are written after construction; ``windows`` stay as
-    given, bounded by TABLE_BUDGET in :func:`window_counts`.
+    ``word`` is digit-only.  ``windows``, when given, are the windows of
+    ``word`` at ``max_len`` that a saturation probe read, so that they are
+    not read twice: their :func:`window_counts`, or, from a probe that
+    stops once it has every distinct window, the set of their codes, as a
+    certified table needs no counts.  ``exact``, when given, is
+    the word's exact [p(0), ..., p(max_len)], and the frontier is the
+    longest n at which the table has exact[n] factors; otherwise it is
+    max_len when the newest window fits in the first half, else one less
+    than the first n at which the half has fewer factors.  ``width`` is 2 on
+    a binary table, else 4.  ``codes``, ``lengths`` and ``lcps`` are
+    parallel entry tuples in code order (the windows alone on a certified
+    table), ``p[n]`` is the number of length-n factors (on a certified
+    table its certificate: exact[n] for n >= 1, and p[0] = 0), ``frontier``
+    the longest saturated length, or 0.  ``counts`` is every window's
+    occurrences, keyed by code: ``windows`` when they count every window,
+    else counted from the word on first use.  ``_attached`` lists, for m = 1..max_len-1, the entry that
+    the short suffix of length m attaches to on a certified table, found
+    on first use (empty on a table that keeps its suffixes).  Only those
+    caches and the saturated lengths are written after construction;
+    ``windows`` stay as given, bounded by TABLE_BUDGET in
+    :func:`window_counts`.
     """
 
     def __init__(
         self,
         word: str,
         max_len: int,
-        windows: Counter[int] | None = None,
+        windows: Counter[int] | set[int] | None = None,
         exact: list[int] | None = None,
     ):
         if not 1 <= max_len <= len(word):
@@ -204,21 +221,22 @@ class FactorTable:
         self.width = w = _width(self.alphabet)
         if windows is None:
             windows = window_counts(word, max_len)
-        # A certified table's short suffixes begin its windows: none is kept.
-        certified = exact is not None and len(windows) == exact[max_len]
-        shorts = 0 if certified else max_len - 1
         self._windows = windows
-        if certified:
-            self.codes, self.lengths = tuple(sorted(windows)), (max_len,) * len(windows)
-        else:
-            keys = [*windows, *_short_codes(word, max_len, w)]
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            self.codes = tuple(map(keys.__getitem__, order))
-            lengths = [*repeat(max_len, len(windows)), *range(shorts, 0, -1)]
-            self.lengths = tuple(map(lengths.__getitem__, order))
-        lcps, self.p = _histogram(self.codes, shorts, max_len, w)
-        self.lcps = tuple(lcps)
         self.frontier = max_len
+        if exact is not None and len(windows) == exact[max_len]:
+            # Certified: every factor begins a window, so the windows alone
+            # are the entries (a short suffix is none), and p is the certificate.
+            self.codes, self.lengths = tuple(sorted(windows)), (max_len,) * len(windows)
+            self.lcps = tuple(_lcps(self.codes, max_len, w))
+            self.p = [0, *exact[1 : max_len + 1]]
+            return
+        keys = [*windows, *_short_codes(word, max_len, w)]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self.codes = tuple(map(keys.__getitem__, order))
+        lengths = [*repeat(max_len, len(windows)), *range(max_len - 1, 0, -1)]
+        self.lengths = tuple(map(lengths.__getitem__, order))
+        lcps, self.p = _histogram(self.codes, max_len - 1, max_len, w)
+        self.lcps = tuple(lcps)
         if exact is not None:
             # A window with all exact[n] length-n factors has every shorter one.
             full = (n for n in range(max_len, 0, -1) if self.p[n] == exact[n])
@@ -241,10 +259,10 @@ class FactorTable:
     @cached_property
     def counts(self) -> Counter[int]:
         windows = self._windows
-        if windows.total() == len(self.word) - self.max_len + 1:
+        if isinstance(windows, Counter) and windows.total() == len(self.word) - self.max_len + 1:
             return windows
-        # Counted on a copy: the probe's windows stay as they were built.
-        return window_counts(self.word, self.max_len, Counter(windows))
+        # Counted anew: the probe's windows stay as they were built.
+        return window_counts(self.word, self.max_len)
 
     @cached_property
     def _attached(self) -> list[int]:

@@ -288,20 +288,18 @@ class TestRecurrenceHeuristic:
 
 
 def count_slices(monkeypatch) -> tuple[Counter, list[int]]:
-    """(starts, sizes), filled in as window_counts runs: how often each window
-    start is sliced, counted on from the windows it is given, and the length
-    of each word it reads."""
+    """(starts, sizes), filled in as windows are read: how often each window
+    start is sliced, and the length of each word read."""
     sliced, sizes = Counter(), []
 
-    def slicing(word, n, windows=None, full=None, _original=factors.window_counts):
+    def slicing(windows, word, n, start, full, w, _original=factors._add_windows):
         sizes.append(len(word))
-        start = 0 if windows is None else windows.total()
-        windows = _original(word, n, windows, full)
-        sliced.update(range(start, windows.total()))
-        return windows
+        stop = _original(windows, word, n, start, full, w)
+        sliced.update(range(start, stop))
+        return stop
 
-    monkeypatch.setattr(checks, "window_counts", slicing)
-    monkeypatch.setattr(factors, "window_counts", slicing)
+    monkeypatch.setattr(checks, "_add_windows", slicing)
+    monkeypatch.setattr(factors, "_add_windows", slicing)
     return sliced, sizes
 
 
@@ -358,6 +356,49 @@ class TestSaturatedTable:
         assert (t.codes, t.frontier, t.counts) == (ref.codes, ref.frontier, ref.counts)
         assert list(t.counts) == list(ref.counts)  # in order of first occurrence
         assert checks._battery(spec, t) == checks._battery(spec, ref)
+
+    # The starts up to the window that completes each count of p(240) = 241
+    # windows, on the harness-tall specs at prefix_len 1024.
+    COMPLETING = {"fib": 377, "std:2,1": 571, "std:1,9,1,9": 2269, "std:3": 469, "std:1,2,3": 266}
+
+    def test_a_count_stops_at_its_certificate(self, monkeypatch):
+        # A certified probe reads chunks of at most the windows still
+        # missing, and at least 64, so it reads fewer than 64 starts past
+        # the window that completes its count.
+        sliced, _ = count_slices(monkeypatch)
+        for text, needed in self.COMPLETING.items():
+            sliced.clear()
+            t = checks.saturated_table(sx.parse_spec(text), 240, 1024)
+            newest = max(map(t.word.find, naive.distinct_factors(t.word, 240)))
+            assert newest + 1 == needed
+            assert sliced == Counter(range(len(sliced)))
+            assert needed <= len(sliced) < needed + 64
+            # It stopped early; the counts are the word's all the same.
+            assert len(sliced) < len(t.word) - 240 + 1
+            want = {c: naive.occurrences(t.word, factors.decode(c, 240, 2)) for c in t.codes}
+            assert t.counts == Counter(want)
+
+    @pytest.mark.parametrize("pre", ["0" * 2000 + "1", prefix("fib", 2001)], ids=["zeros", "fib"])
+    def test_a_certified_probe_gaining_a_letter_rekeys_its_set(self, monkeypatch, pre):
+        # The 1024-letter window is binary, 2 bits a letter; the 2048-letter
+        # one holds a 2, 4 bits a letter, and every factor.
+        spec = sx.UltimatelyPeriodic(pre, "2")
+        exact = spec.complexities(16)
+        # The exact complexity is counted first, apart from the window's.
+        monkeypatch.setattr(sx.UltimatelyPeriodic, "complexities", lambda self, n: exact)
+        sliced, sizes = count_slices(monkeypatch)
+        t = checks.saturated_table(spec, 16, 1024)
+        assert sizes == [1024, 2048] and sliced == Counter(range(len(sliced)))
+        monkeypatch.undo()
+        ref = sx.FactorTable(t.word, 16, exact=exact)
+        assert isinstance(t._windows, set) and t.width == ref.width == 4
+        assert (t.codes, t.lcps, t.p, t.frontier) == (ref.codes, ref.lcps, ref.p, ref.frontier)
+        assert t.frontier == 16
+        want = {c: naive.occurrences(t.word, factors.decode(c, 16, 4)) for c in t.codes}
+        assert t.counts == Counter(want)
+        report = sx.sturmian_verdict(spec, prefix_len=1024, max_len=16).to_json()
+        monkeypatch.setattr(checks, "saturated_table", lambda *args: ref)
+        assert sx.sturmian_verdict(spec, prefix_len=1024, max_len=16).to_json() == report
 
     # (spec, max_len, prefix_len); std:1,9,1,9 at 240/1024 and the
     # non-primitive morphic word at 8/16 double before they saturate, the

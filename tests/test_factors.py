@@ -399,14 +399,14 @@ class TestDump:
         ],
     )
     def test_certified_tables_match_brute_force(self, text, max_len):
-        # The window count stopped once it held p(max_len) windows; the dump
-        # counts the rest of them.
+        # The probe kept the p(max_len) distinct windows, a set with no
+        # counts; the dump counts the word's windows.
         t = checks.saturated_table(sx.parse_spec(text), max_len, 256)
-        counted = t._windows.total()
-        assert counted < len(t.word) - max_len + 1
+        probe = set(t._windows)
+        assert isinstance(t._windows, set) and len(probe) == t.p[max_len]
         self.agrees(t)
-        # The rest are counted on a copy: the probe's windows stay as built.
-        assert t._windows.total() == counted
+        # They are counted apart: the probe's windows stay as built.
+        assert t._windows == probe and t.counts is not t._windows
 
 
 class TestCountsShared:
@@ -419,13 +419,17 @@ class TestCountsShared:
             assert t.counts is t._windows
             assert t.count("0") == naive.occurrences(t.word, "0")
 
-    def test_an_early_stop_counts_the_rest_on_a_copy(self):
+    def test_a_certified_probe_is_counted_anew(self):
+        # The probe kept a set of the distinct windows, with no counts.
         t = checks.saturated_table(sx.parse_spec("fib"), 40, 256)
-        counted = t._windows.total()
-        assert counted < len(t.word) - 40 + 1
+        probe = set(t._windows)
+        assert isinstance(t._windows, set) and len(probe) == 41
         assert t.count("0") == naive.occurrences(t.word, "0")
+        want = {c: naive.occurrences(t.word, factors.decode(c, 40, 2)) for c in t.codes}
+        assert t.counts == Counter(want)
         list(t.dump())
-        assert t._windows.total() == counted and t.counts is not t._windows
+        assert t._windows == probe and t.counts is not t._windows
+
     def test_first_reads_in_parallel(self):
         # Threads that read the counts first, all at once, each see the
         # word's counts: none of them adds the windows left to another's.
