@@ -25,7 +25,7 @@ from itertools import accumulate, chain, compress, count, repeat
 from operator import mul, ne, rshift, sub
 
 from .errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced
-from .factors import FactorTable, _add_windows, _width, decode, newest_fits
+from .factors import FactorTable, _add_windows, _width, decode
 from .words import PREFIX_BUDGET, Literal, Record, WordSpec, generate_prefix
 
 # Verdict statuses.
@@ -430,9 +430,10 @@ def saturated_table(
     p(max_len) factors, which certifies every length.  Otherwise
     (``literal:``, non-primitive ``morphic:``) the probe counts every
     window in order of first occurrence, and the newest must fit in the
-    first half.  Doubling stops at PREFIX_BUDGET (or at the end of a
-    literal), in which case the table simply comes back with unsaturated
-    lengths and downstream checks degrade to Indeterminate.
+    first half: its count at the half's edge, noted as the read passes
+    it, is every window.  Doubling stops at PREFIX_BUDGET (or at the end
+    of a literal), in which case the table simply comes back with
+    unsaturated lengths and downstream checks degrade to Indeterminate.
     """
     target = prefix_len if prefix_len is not None else default_prefix_length(max_len)
     target = max(target, max_len)
@@ -443,6 +444,10 @@ def saturated_table(
         cap = min(cap, len(spec.word))
     exact = spec.complexities(max_len)
     full = None if exact is None else exact[max_len]
+    # The half edge of every candidate, target * 2^k capped, for a count by
+    # first occurrence to note; a certified probe stops at its count instead.
+    halves = (min(target << k, cap) // 2 for k in range(cap.bit_length() + 1))
+    early = {} if full is not None else dict.fromkeys(max(0, h - max_len + 1) for h in halves)
     width, start, windows = 0, 0, Counter() if full is None else set()
     while True:
         length = min(target, cap)
@@ -454,14 +459,13 @@ def saturated_table(
             keys = [int(decode(c, max_len, 2), 16) for c in windows]
             width = w
             windows = Counter(dict(zip(keys, windows.values()))) if full is None else set(keys)
-        start = _add_windows(windows, word, max_len, start, full, width)
+        start = _add_windows(windows, word, max_len, start, full, width, early)
         # Each shorter factor lies in a length-max_len window, so saturating
         # max_len saturates every length: the probe needs only that length.
         # At the cap there is no probe: a literal may hold no window at all.
-        if length >= cap or (
-            newest_fits(word, max_len, windows, width) if full is None else len(windows) == full
-        ):
-            return FactorTable(word, max_len, windows, exact)
+        edge = max(0, length // 2 - max_len + 1)
+        if length >= cap or len(windows) == (early[edge] if full is None else full):
+            return FactorTable(word, max_len, windows, exact, early.get(edge))
         target *= 2
 
 

@@ -28,8 +28,10 @@ are its windows alone, its p is the certificate itself, and a short
 suffix counts where it *attaches*, on the last window that begins with
 it.  Otherwise it is the half-window heuristic: every length-n factor
 first occurs inside the first half of the prefix.  The windows are counted
-in order of first occurrence, so those that fit in the half are the first
-ones, found by bisection, and join the half's own short suffixes.
+in order of first occurrence, and the read notes how many it has at the
+half's edge, the first start whose window ends past the half: those that
+fit in the half are the first that many, max_len is saturated when they
+are all of them, and sorted first they are a run of the table's one sort.
 """
 
 from __future__ import annotations
@@ -96,18 +98,17 @@ def window_counts(word: str, n: int, windows: Counter[int] | None = None) -> Cou
     ``windows``, when given, are the counts, at that width, of the windows
     that start in the first windows.total() positions of ``word``; those
     that start after them are added to them in place.  The keys come in
-    order of first occurrence, so the last one is the newest factor.
-    Counting goes in chunks of at most TABLE_BUDGET/16 bytes and raises
-    BudgetExceeded once the entries of a table at max_len n, the distinct
-    windows and n - 1 short suffixes, take more than TABLE_BUDGET bytes, so
-    no table past the cap is ever built.
+    order of first occurrence.  Counting goes in chunks of at most
+    TABLE_BUDGET/16 bytes and raises BudgetExceeded once the entries of a
+    table at max_len n, the distinct windows and n - 1 short suffixes, take
+    more than TABLE_BUDGET bytes, so no table past the cap is ever built.
     """
     windows = Counter() if windows is None else windows
     _add_windows(windows, word, n, windows.total(), None, _width(word))
     return windows
 
 
-def _add_windows(windows, word: str, n: int, start: int, full: int | None, w: int) -> int:
+def _add_windows(windows, word: str, n: int, start: int, full, w: int, edges=()) -> int:
     """Add the width-w codes of the length-n windows of ``word`` from
     ``start`` on to ``windows``, a Counter or a set of codes, in the chunks
     and under the cap of :func:`window_counts`, and return the start after
@@ -116,7 +117,9 @@ def _add_windows(windows, word: str, n: int, start: int, full: int | None, w: in
     With ``full``, reading stops once the distinct windows reach ``full``:
     each chunk holds at most the windows still missing, ``full`` less the
     distinct ones so far, but no fewer than 64, so it ends fewer than 64
-    windows past the one that completes the count.
+    windows past the one that completes the count.  ``edges``, a dict keyed
+    by starts, ends a chunk at each key, and each key the read reaches is
+    set to the number of distinct windows read before it.
     """
     # An entry peaks at its n letters and at most 245 bytes more while a table
     # is built, and holds less once it is (tracemalloc, Python 3.11, with 4-bit
@@ -125,15 +128,18 @@ def _add_windows(windows, word: str, n: int, start: int, full: int | None, w: in
     # codes took n/2 bytes).  Binary codes take n/4 bytes under the same charge.
     entry = n + 245
     end, most = len(word) - n + 1, max(1, TABLE_BUDGET // (16 * entry))
-    while start < end and (full is None or len(windows) < full):
-        step = most if full is None else min(most, max(full - len(windows), _CHUNK_FLOOR))
-        stop = min(start + step, end)
-        windows.update(_codes(word, n, start, stop, w))
-        start = stop
-        if (len(windows) + n - 1) * entry > TABLE_BUDGET:
-            raise BudgetExceeded(
-                f"length-{n} table entries take more than {TABLE_BUDGET} bytes"
-            )
+    for edge in [*sorted(e for e in edges if start <= e < end), end]:
+        while start < edge and (full is None or len(windows) < full):
+            step = most if full is None else min(most, max(full - len(windows), _CHUNK_FLOOR))
+            stop = min(start + step, edge)
+            windows.update(_codes(word, n, start, stop, w))
+            start = stop
+            if (len(windows) + n - 1) * entry > TABLE_BUDGET:
+                raise BudgetExceeded(
+                    f"length-{n} table entries take more than {TABLE_BUDGET} bytes"
+                )
+        if start in edges:
+            edges[start] = len(windows)
     return start
 
 
@@ -146,15 +152,6 @@ def prefix_counts(pieces, n: int) -> list[int]:
     for piece in pieces:
         _add_windows(codes, piece, n, 0, None, w)
     return [1, *_histogram(sorted(codes), 0, n, w)[1][1:]]
-
-
-def newest_fits(word: str, n: int, windows: Counter[int], w: int) -> bool:
-    """Whether the windows' length n is saturated in ``word``.
-
-    ``windows`` are the width-w counts of :func:`window_counts`; the length is
-    saturated when its newest factor (the one key decoded) fits in the first half.
-    """
-    return word.find(decode(next(reversed(windows)), n, w), 0, len(word) // 2) >= 0
 
 
 def _lcps(codes, n: int, w: int) -> list[int]:
@@ -182,25 +179,26 @@ class FactorTable:
 
     ``word`` is digit-only.  ``windows``, when given, are the windows of
     ``word`` at ``max_len`` that a saturation probe read, so that they are
-    not read twice: their :func:`window_counts`, or, from a probe that
-    stops once it has every distinct window, the set of their codes, as a
-    certified table needs no counts.  ``exact``, when given, is
-    the word's exact [p(0), ..., p(max_len)], and the frontier is the
-    longest n at which the table has exact[n] factors; otherwise it is
-    max_len when the newest window fits in the first half, else one less
-    than the first n at which the half has fewer factors.  ``width`` is 2 on
-    a binary table, else 4.  ``codes``, ``lengths`` and ``lcps`` are
-    parallel entry tuples in code order (the windows alone on a certified
-    table), ``p[n]`` is the number of length-n factors (on a certified
-    table its certificate: exact[n] for n >= 1, and p[0] = 0), ``frontier``
-    the longest saturated length, or 0.  ``counts`` is every window's
-    occurrences, keyed by code: ``windows`` when they count every window,
-    else counted from the word on first use.  ``_attached`` lists, for m = 1..max_len-1, the entry that
-    the short suffix of length m attaches to on a certified table, found
-    on first use (empty on a table that keeps its suffixes).  Only those
-    caches and the saturated lengths are written after construction;
-    ``windows`` stay as given, bounded by TABLE_BUDGET in
-    :func:`window_counts`.
+    not read twice: their :func:`window_counts`, or, from a probe that stops
+    once it has every distinct window, the set of their codes, as a
+    certified table needs no counts.  ``exact``, when given, is the word's
+    exact [p(0), ..., p(max_len)], and the frontier is the longest n at
+    which the table has exact[n] factors; otherwise ``early`` is the probe's
+    count of the windows that fit in the first half (read here when
+    ``windows`` are not given), and the frontier is max_len when they are
+    all of them, else one less than the first n at which the half has fewer
+    factors.  ``width`` is 2 on a binary table, else 4.  ``codes``,
+    ``lengths`` and ``lcps`` are parallel entry tuples in code order (the
+    windows alone on a certified table), ``p[n]`` is the number of length-n
+    factors (on a certified table its certificate: exact[n] for n >= 1, and
+    p[0] = 0), ``frontier`` the longest saturated length, or 0.  ``counts``
+    is every window's occurrences, keyed by code: ``windows`` when they
+    count every window, else counted from the word on first
+    use.  ``_attached`` lists, for m = 1..max_len-1, the entry that the short
+    suffix of length m attaches to on a certified table, found on first use
+    (empty on a table that keeps its suffixes).  Only those caches and the
+    saturated lengths are written after construction; ``windows`` stay as
+    given, bounded by TABLE_BUDGET in :func:`window_counts`.
     """
 
     def __init__(
@@ -209,18 +207,19 @@ class FactorTable:
         max_len: int,
         windows: Counter[int] | set[int] | None = None,
         exact: list[int] | None = None,
+        early: int | None = None,
     ):
         if not 1 <= max_len <= len(word):
-            raise WindowTooLarge(
-                f"need 1 <= max_len <= {len(word)}, got {max_len}"
-            )
+            raise WindowTooLarge(f"need 1 <= max_len <= {len(word)}, got {max_len}")
         self.word = word
         self.max_len = max_len
         self.alphabet = "".join(sorted(set(word)))
         _check_word(self.alphabet, "word")
         self.width = w = _width(self.alphabet)
         if windows is None:
-            windows = window_counts(word, max_len)
+            windows, edges = Counter(), {max(0, len(word) // 2 - max_len + 1): None}
+            _add_windows(windows, word, max_len, 0, None, w, edges)
+            (early,) = edges.values()
         self._windows = windows
         self.frontier = max_len
         if exact is not None and len(windows) == exact[max_len]:
@@ -230,29 +229,26 @@ class FactorTable:
             self.lcps = tuple(_lcps(self.codes, max_len, w))
             self.p = [0, *exact[1 : max_len + 1]]
             return
-        keys = [*windows, *_short_codes(word, max_len, w)]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        self.codes = tuple(map(keys.__getitem__, order))
-        lengths = [*repeat(max_len, len(windows)), *range(max_len - 1, 0, -1)]
-        self.lengths = tuple(map(lengths.__getitem__, order))
-        lcps, self.p = _histogram(self.codes, max_len - 1, max_len, w)
+        # One sort, of which the half's windows, the first `early` keys, sorted
+        # first are one run; the short suffixes land by bisection.
+        keys, shorts = [*windows], [*_short_codes(word, max_len, w)]
+        early = len(keys) if exact is not None else early
+        inner = sorted(keys[:early])
+        codes = sorted(inner + keys[early:] + shorts)
+        lengths = [max_len] * len(codes)
+        for m, c in zip(range(max_len - 1, 0, -1), shorts):
+            lengths[bisect_left(codes, c)] = m
+        self.codes, self.lengths = tuple(codes), tuple(lengths)
+        lcps, self.p = _histogram(codes, max_len - 1, max_len, w)
         self.lcps = tuple(lcps)
         if exact is not None:
             # A window with all exact[n] length-n factors has every shorter one.
             full = (n for n in range(max_len, 0, -1) if self.p[n] == exact[n])
             self.frontier = next(full, 0)
-        elif not newest_fits(word, max_len, windows, w):
-            # Compare with the first half's entries: the windows that fit in
-            # it, which are the first `early` keys (keys come in order of
-            # first occurrence), and its short suffixes.
-            half = len(word) // 2
-            early = bisect_left(
-                keys, half - max_len + 1, 0, len(windows),
-                key=lambda c: word.find(decode(c, max_len, w)),
-            )
-            ends = [*_short_codes(word[:half], max_len, w)]
-            halves = sorted([c for c, k in zip(self.codes, order) if k < early] + ends)
-            _, in_half = _histogram(halves, len(ends), max_len, w)
+        elif early < len(keys):
+            # A window ends past the half: compare with the half's entries.
+            ends = [*_short_codes(word[: len(word) // 2], max_len, w)]
+            _, in_half = _histogram(sorted(inner + ends), len(ends), max_len, w)
             short = (n - 1 for n in range(1, max_len + 1) if in_half[n] < self.p[n])
             self.frontier = next(short, max_len)
 

@@ -292,9 +292,9 @@ def count_slices(monkeypatch) -> tuple[Counter, list[int]]:
     start is sliced, and the length of each word read."""
     sliced, sizes = Counter(), []
 
-    def slicing(windows, word, n, start, full, w, _original=factors._add_windows):
+    def slicing(windows, word, n, start, full, w, edges=(), _original=factors._add_windows):
         sizes.append(len(word))
-        stop = _original(windows, word, n, start, full, w)
+        stop = _original(windows, word, n, start, full, w, edges)
         sliced.update(range(start, stop))
         return stop
 
@@ -482,6 +482,69 @@ class TestSaturatedTable:
         for word in (w, prefix(spec, size)):
             for n in range(2, data.draw(st.integers(1, len(word))) + 1):
                 assert not naive.saturated(word, n) or naive.saturated(word, n - 1)
+
+
+class TestProbeHalfCount:
+    """The half-window probe's count at each candidate's half edge, against
+    the oracle: it is the number of distinct windows in the first half, and
+    they are every window exactly when the candidate is saturated.  The
+    words cover doubled rounds, a capped last round whose edge lies inside
+    an earlier round, halves too short for any window and a word that gains
+    a 2 late, whose windows so far are re-keyed."""
+
+    DENSE = format(random.Random(29).getrandbits(6000), "06000b")
+
+    @staticmethod
+    def rounds(word: str, max_len: int, prefix_len: int) -> list[int]:
+        """The length of each candidate the probe read, after checking each."""
+        read = []
+
+        def reading(windows, word, n, start, full, w, edges=(), _original=factors._add_windows):
+            stop = _original(windows, word, n, start, full, w, edges)
+            read.append((word, edges[max(0, len(word) // 2 - n + 1)], len(windows)))
+            return stop
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(checks, "_add_windows", reading)
+            t = checks.saturated_table(sx.Literal(word), max_len, prefix_len)
+        assert [len(v) for v, _, _ in read] == [
+            min(prefix_len << k, len(word)) for k in range(len(read))
+        ]
+        for k, (v, early, total) in enumerate(read):
+            assert early == len(naive.distinct_factors(v[: len(v) // 2], max_len))
+            assert total == len(naive.distinct_factors(v, max_len))
+            assert (early == total) == naive.saturated(v, max_len)
+            # The probe stops at the first saturated candidate, or at the end.
+            stops = naive.saturated(v, max_len) or len(v) == len(word)
+            assert stops == (k == len(read) - 1)
+        assert t.word == read[-1][0]
+        return [len(v) for v, _, _ in read]
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_counts_match_the_oracle(self, data):
+        w = data.draw(literals(2, 400))
+        max_len = data.draw(st.integers(1, min(len(w) - 1, 30)))
+        self.rounds(w, max_len, data.draw(st.integers(max_len, len(w) - 1)))
+
+    def test_a_capped_edge_inside_a_doubled_round(self):
+        # The last round's edge, 3000 - 16 + 1, lies in the 4096-letter
+        # round's read, which starts at its own edge, 2048 - 16 + 1.
+        assert self.rounds(self.DENSE, 16, 1024) == [1024, 2048, 4096, 6000]
+
+    def test_a_capped_edge_inside_the_first_round(self):
+        # Both edges, 512 - 16 + 1 and 750 - 16 + 1, lie in the first read.
+        assert self.rounds(self.DENSE[:1500], 16, 1024) == [1024, 1500]
+
+    def test_halves_too_short_for_any_window(self):
+        # Both halves, of 15 and 20 letters, hold no 30-letter window.
+        assert self.rounds(self.DENSE[:40], 30, 30) == [30, 40]
+
+    def test_a_word_gaining_a_2_late(self):
+        # The 4096-letter round is the first with a 2, read 4 bits a letter.
+        rng = random.Random(29)
+        word = self.DENSE[:3000] + "2" + "".join(rng.choice("012") for _ in range(3000))
+        assert self.rounds(word, 16, 1024) == [1024, 2048, 4096, 6001]
 
 
 @functools.lru_cache(maxsize=None)

@@ -328,9 +328,10 @@ def oracle_frontier(w, max_len):
 class TestHeuristicFrontier:
     """The half-window frontier of literal windows against the oracle.  The
     table reads the half's windows as the first keys of the window counts,
-    which come in order of first occurrence; the words cover odd lengths,
-    halves too short for any window, three letters, windows resumed over
-    doublings and counting in chunks of a few windows."""
+    which come in order of first occurrence, as many as the read counted
+    at the half's edge; the words cover odd lengths, halves too short for
+    any window, three letters, windows resumed over doublings and counting
+    in chunks of a few windows."""
 
     @given(chunked=st.booleans(), data=st.data())
     @settings(max_examples=200, deadline=None)

@@ -6,6 +6,7 @@ verdicts, not just their schema, so a refactor of the check or generator
 layers that changes any verdict, witness or window shows up here.
 """
 
+import random
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,8 @@ STURMIAN_SPECS = {
     "literal-short": "literal:" + FIB32 + FIB32 + FIB32[:16],
 }
 
+DENSE_LITERAL = format(random.Random(29).getrandbits(6000), "06000b")
+
 CASES = [
     (f"sturmian-{name}", ["check", "--spec", spec, "--what", "sturmian", "--json",
                           "--max-n", "40"])
@@ -48,6 +51,10 @@ CASES = [
     # their windows alone.
     ("harness-sturmian", ["harness", "--corpus", str(GOLDEN / "corpus-sturmian.txt"),
                           "--json", "--max-n", "240", "--prefix-len", "1024"]),
+    # A random literal read in rounds of 1024, 2048, 4096 and 6000 letters,
+    # the last capped at its end: the half-window rule on every round.
+    ("sturmian-dense-literal", ["check", "--spec", "literal:" + DENSE_LITERAL, "--what",
+                                "sturmian", "--json", "--max-n", "16", "--prefix-len", "1024"]),
     ("christoffel-5-8-plain", ["christoffel", "--p", "5", "--q", "8", "--json"]),
     ("christoffel-5-8", ["christoffel", "--p", "5", "--q", "8", "--verify", "--json"]),
     ("christoffel-5-8-fib", ["christoffel", "--p", "5", "--q", "8", "--verify",
@@ -72,6 +79,7 @@ EXIT_CODES = {
     "harness-corpus": 0,
     "harness-fails": 1,
     "harness-sturmian": 0,
+    "sturmian-dense-literal": 1,
     "christoffel-5-8-plain": 0,
     "christoffel-5-8": 1,
     "christoffel-5-8-fib": 0,
