@@ -194,11 +194,11 @@ def _adjacent_faults(
 
     ``sought`` names checks among "nfop" (of ``variant``), "nfop1" (nfop of
     variant 1, reported as "nfop"), "hamming2" and "ones" (binary only).
-    The walk reads the entries that neighbour up to the saturation frontier
-    top (:meth:`FactorTable.neighbours`).  A pair that neighbours at lengths
-    lo..top has its first mismatch at length lo; with its third at length
-    t3, it first fails nfop at lo, lo+1 or t3 (past a transposition), and
-    hamming2 and ones from t3 on.  A check's first fault (shortest, then
+    The walk pairs consecutive :meth:`FactorTable.starts` a < b, whose
+    prefixes neighbour at lengths lo..top (the frontier), lo the lcp of b
+    plus one, where they first mismatch.  With its third mismatch at length
+    t3, a pair first fails nfop at lo, lo+1 or t3 (past a transposition),
+    and hamming2 and ones from t3 on.  A check's first fault (shortest, then
     lex-least pair) is its witness; pairs go by ascending lo until none can
     beat one.  A check with no fault is Indeterminate if lengths were skipped.
 
@@ -218,18 +218,18 @@ def _adjacent_faults(
         rest = {"status": INDETERMINATE, "reason": "unsaturated lengths " + skipped}
     # key -> (n, a, verdict fields) of its first fault so far
     best = dict.fromkeys(sought, (size + 1, 0, rest))
+    starts, lcps = table.starts(), table.lcps
+    whole = len(starts) == len(codes)
+    los = lcps if whole else [*map(lcps.__getitem__, starts)]
+    odd = range(1, len(starts))
     if table.is_binary:
-        starts, lcps, cut = table.starts(), table.lcps, 2 * (size - top)
-        heads, los = codes, lcps
-        if cut or len(starts) < len(codes):
+        heads, cut = codes, 2 * (size - top)
+        if cut or not whole:
             heads = [*map(rshift, map(codes.__getitem__, starts), repeat(cut))]
-            los = [*map(lcps.__getitem__, starts)]
         diffs = [*map(sub, heads[1:], heads)]
         fits = [*map(_fitting_steps(top).__getitem__, los[1:])]
         odd = () if diffs == fits else compress(count(1), map(ne, diffs, fits))
-        pairs = [(los[k] + 1, starts[k - 1], starts[k]) for k in odd]
-    else:
-        pairs = table.neighbours()
+    pairs = [(los[k] + 1, starts[k - 1], starts[k]) for k in odd]
     # No pair that starts past every check's first fault so far can beat one.
     reach = size + 1
     for lo, a, b in sorted(pairs):

@@ -91,20 +91,15 @@ def _short_codes(word: str, n: int, w: int):
     return _codes(tail + format((1 << w) - 1, "x") * (n - 1), n, 0, len(tail), w)
 
 
-def window_counts(word: str, n: int, windows: Counter[int] | None = None) -> Counter[int]:
+def window_counts(word: str, n: int) -> Counter[int]:
     """Occurrence counts of the length-n windows of digit word ``word``, by
-    code at the width of its letters.
-
-    ``windows``, when given, are the counts, at that width, of the windows
-    that start in the first windows.total() positions of ``word``; those
-    that start after them are added to them in place.  The keys come in
-    order of first occurrence.  Counting goes in chunks of at most
-    TABLE_BUDGET/16 bytes and raises BudgetExceeded once the entries of a
-    table at max_len n, the distinct windows and n - 1 short suffixes, take
-    more than TABLE_BUDGET bytes, so no table past the cap is ever built.
-    """
-    windows = Counter() if windows is None else windows
-    _add_windows(windows, word, n, windows.total(), None, _width(word))
+    code at the width of its letters, keyed in order of first occurrence.
+    Counting goes in chunks of at most TABLE_BUDGET/16 bytes and raises
+    BudgetExceeded once the entries of a table at max_len n, the distinct
+    windows and n - 1 short suffixes, take more than TABLE_BUDGET bytes, so
+    no table past the cap is ever built."""
+    windows = Counter()
+    _add_windows(windows, word, n, 0, None, _width(word))
     return windows
 
 
@@ -185,20 +180,20 @@ class FactorTable:
     exact [p(0), ..., p(max_len)], and the frontier is the longest n at
     which the table has exact[n] factors; otherwise ``early`` is the probe's
     count of the windows that fit in the first half (read here when
-    ``windows`` are not given), and the frontier is max_len when they are
-    all of them, else one less than the first n at which the half has fewer
-    factors.  ``width`` is 2 on a binary table, else 4.  ``codes``,
-    ``lengths`` and ``lcps`` are parallel entry tuples in code order (the
-    windows alone on a certified table), ``p[n]`` is the number of length-n
-    factors (on a certified table its certificate: exact[n] for n >= 1, and
-    p[0] = 0), ``frontier`` the longest saturated length, or 0.  ``counts``
-    is every window's occurrences, keyed by code: ``windows`` when they
-    count every window, else counted from the word on first
-    use.  ``_attached`` lists, for m = 1..max_len-1, the entry that the short
-    suffix of length m attaches to on a certified table, found on first use
-    (empty on a table that keeps its suffixes).  Only those caches and the
-    saturated lengths are written after construction; ``windows`` stay as
-    given, bounded by TABLE_BUDGET in :func:`window_counts`.
+    ``windows`` are not given, needed when they are), and the frontier is
+    max_len when they are all of them, else one less than the first n at
+    which the half has fewer factors.  ``width`` is 2 on a binary table,
+    else 4.  ``codes``, ``lengths`` and ``lcps`` are parallel entry tuples
+    in code order (the windows alone on a certified table), ``p[n]`` is the
+    number of length-n factors (on a certified table its certificate:
+    exact[n] for n >= 1, and p[0] = 0), ``frontier`` the longest saturated
+    length, or 0.  ``counts`` is every window's occurrences, keyed by code:
+    ``windows`` when they count every window, else counted from the word on
+    first use.  ``_attached`` lists, for m = 1..max_len-1, the entry that
+    the short suffix of length m attaches to on a certified table, found on
+    first use (empty on a table that keeps its suffixes).  Only those caches
+    and the saturated lengths are written after construction; ``windows``
+    stay as given, bounded by TABLE_BUDGET in :func:`window_counts`.
     """
 
     def __init__(
@@ -211,6 +206,8 @@ class FactorTable:
     ):
         if not 1 <= max_len <= len(word):
             raise WindowTooLarge(f"need 1 <= max_len <= {len(word)}, got {max_len}")
+        if windows is not None and exact is None and early is None:
+            raise ValueError("a FactorTable given windows needs exact or early")
         self.word = word
         self.max_len = max_len
         self.alphabet = "".join(sorted(set(word)))
@@ -314,10 +311,6 @@ class FactorTable:
         tail = sum(i <= k < j for k in self._attached[len(v) - 1 :])
         return sum(map(self.counts.get, self.codes[i:j], repeat(1))) + tail
 
-    def first_occurrence(self, v: str) -> int:
-        self._range(v, need=True)
-        return self.word.find(v)
-
     def successor(self, v: str) -> str | None:
         """Next factor of the same length in lex order, or None if maximal."""
         _, j, shift = self._range(v, need=True)
@@ -345,25 +338,6 @@ class FactorTable:
         if len(self.codes) == len(self._windows):
             return [*starts]
         return [b for b in starts if lcps[b] < self.lengths[b]]
-
-    def neighbours(self) -> list[tuple[int, int, int]]:
-        """(lo, a, b) for consecutive :meth:`starts` a < b, lo the lcp of b
-        plus one: their n-letter prefixes neighbour for lo <= n <= frontier."""
-        starts = self.starts()
-        return [(self.lcps[b] + 1, a, b) for a, b in zip(starts, starts[1:])]
-
-    def left_special(self, n: int) -> list[str]:
-        """Length-n factors with at least two distinct left extensions.
-
-        On a binary table these are exactly the v with both 0v and 1v
-        present.
-        """
-        self._require(n + 1)
-        return [
-            v
-            for v in self.factors(n)
-            if sum(self.is_factor(x + v) for x in self.alphabet) >= 2
-        ]
 
     def saturated(self, n: int) -> bool:
         self._require(n)

@@ -71,6 +71,13 @@ def prefix(text: str, n: int) -> str:
     return sx.generate_prefix(sx.parse_spec(text), n)
 
 
+def neighbour_pairs(table) -> list[tuple[int, int, int]]:
+    """(lo, a, b) for consecutive ``table.starts()`` a < b, lo the lcp of b
+    plus one: their n-letter prefixes neighbour for lo <= n <= frontier."""
+    starts = table.starts()
+    return [(table.lcps[b] + 1, a, b) for a, b in zip(starts, starts[1:])]
+
+
 @st.composite
 def literals(draw, min_size: int, max_size: int, alphabets=("01", "012")):
     """A seeded word of min_size..max_size letters over one of ``alphabets``:

@@ -16,7 +16,7 @@ from sturmlex import checks, factors
 from sturmlex.errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced
 
 import naive
-from conftest import TM_SPEC, assert_same_text, literals, prefix
+from conftest import TM_SPEC, assert_same_text, literals, neighbour_pairs, prefix
 
 
 # Not primitive (1 never reaches 0): its window follows the half-window rule.
@@ -633,7 +633,7 @@ class TestCertifiedSaturation:
             assert t.factors(n) == ref.factors(n)
             assert [*map(t.count, t.factors(n))] == [*map(ref.count, ref.factors(n))]
         assert_same_text("".join(t.dump()), "".join(ref.dump()))
-        pairs = [[(lo, x.codes[a], x.codes[b]) for lo, a, b in x.neighbours()] for x in (t, ref)]
+        pairs = [[(lo, x.codes[a], x.codes[b]) for lo, a, b in neighbour_pairs(x)] for x in (t, ref)]
         assert pairs[0] == pairs[1]
         assert checks._battery(spec, t) == checks._battery(spec, ref)
         for heads in (("0", "1"), ("10", "01")):
@@ -694,16 +694,12 @@ class TestCertifiedSaturation:
         ],
         ids=["fib", "ultper", "thue-morse", "non-primitive", "literal"],
     )
-    def test_first_occurrences_match_brute_force(self, text, max_len):
+    def test_unioccurrent_early_factor_matches_brute_force(self, text, max_len):
         # Certified and heuristic tables alike.
         spec = sx.parse_spec(text)
         t = checks.saturated_table(spec, max_len, 512)
-        w = t.word
         witness = checks._unioccurrent_early_factor(t)
-        assert witness == naive.unioccurrent_early_factor(w, max_len)
-        for n in range(1, max_len + 1):
-            for v in t.factors(n):
-                assert t.first_occurrence(v) == w.find(v)
+        assert witness == naive.unioccurrent_early_factor(t.word, max_len)
 
     def test_harness_tall_specs_pass(self):
         # std:1,9,1,9 failed two assertions here under the half-window rule.
@@ -945,7 +941,7 @@ class TestBinarySkip:
         spec = sx.parse_spec(text)
         table = checks.saturated_table(spec, 240, 1024)
         assert checks._battery(spec, table)[0].status == checks.CONSISTENT
-        assert len(table.neighbours()) == 240
+        assert len(table.starts()) == 241
         assert judged == []
 
     def test_thue_morse_pairs_are_judged(self, judged, tm_table):

@@ -14,7 +14,7 @@ from sturmlex import checks, factors
 from sturmlex.errors import BudgetExceeded, MalformedSpec, NotAFactor, WindowTooLarge
 
 import naive
-from conftest import TM_SPEC, assert_same_text, literals, peak_rss, prefix
+from conftest import TM_SPEC, assert_same_text, literals, neighbour_pairs, peak_rss, prefix
 
 
 class TestBuild:
@@ -70,6 +70,20 @@ class TestBuild:
         assert t.p == ref.p
         assert_same_text("".join(t.dump()), "".join(ref.dump()))
 
+    @pytest.mark.parametrize("carrier", [Counter, set], ids=["counter", "set"])
+    def test_windows_need_exact_or_early(self, carrier, monkeypatch):
+        # Handed windows, a table cannot tell its frontier without either;
+        # it says so before it sorts anything.
+        word = prefix("fib", 64)
+        windows = carrier(factors.window_counts(word, 5))
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("sorted before the arguments were checked")
+
+        monkeypatch.setattr(factors, "sorted", no_sort, raising=False)
+        with pytest.raises(ValueError, match="needs exact or early"):
+            sx.FactorTable(word, 5, windows=windows)
+
     def test_complexity_one_counts_letters(self):
         assert sx.FactorTable("0120", 1).complexity(1) == 3
 
@@ -80,7 +94,7 @@ class TestBuild:
         t = sx.FactorTable("00123" * 4, 3)
         assert t.is_factor("001") and t.is_factor("3")
         assert not t.is_factor(v)
-        for query in (t.count, t.first_occurrence, t.successor):
+        for query in (t.count, t.successor):
             with pytest.raises(NotAFactor):
                 query(v)
 
@@ -125,7 +139,7 @@ class TestTableBudget:
         monkeypatch.setattr(factors, "TABLE_BUDGET", self.HELD - 1)
         windows = Counter()
         with pytest.raises(BudgetExceeded):
-            factors.window_counts(self.WORD, 8, windows)
+            factors._add_windows(windows, self.WORD, 8, 0, None, factors._width(self.WORD))
         # The cap is this small, so the chunks are single windows: counting
         # stopped at the ninth distinct one.
         assert len(windows) == 9
@@ -138,7 +152,7 @@ class TestTableBudget:
         word = format(random.Random(20261018).getrandbits(1000), "01000b")
         windows = Counter()
         with pytest.raises(BudgetExceeded):
-            factors.window_counts(word, 8, windows)
+            factors._add_windows(windows, word, 8, 0, None, factors._width(word))
         assert len(windows) > 57 and windows.total() % 4 == 0
         assert len(naive.distinct_factors(word[: windows.total() + 3], 8)) <= 57
 
@@ -174,12 +188,12 @@ class TestWindowCodes:
     @pytest.mark.parametrize("n,counted", [(1, 0), (7, 300), (300, 257), (1200, 0)])
     def test_counts_in_first_occurrence_order(self, n, counted):
         # Counting resumes from the windows of the first ``counted`` starts.
-        word = self.WORD
-        base = 1 << factors._width(word)
-        codes = [int(word[i : i + n], base) for i in range(len(word) - n + 1)]
+        word, w = self.WORD, factors._width(self.WORD)
+        codes = [int(word[i : i + n], 1 << w) for i in range(len(word) - n + 1)]
         windows = Counter(codes[:counted])
-        assert factors.window_counts(word, n, windows) is windows
+        assert factors._add_windows(windows, word, n, counted, None, w) == len(codes)
         assert list(windows.items()) == list(Counter(codes).items())
+        assert list(factors.window_counts(word, n).items()) == list(windows.items())
 
     @pytest.mark.parametrize(
         "word,n",
@@ -209,7 +223,7 @@ class TestWidths:
         assert (t.width, u.width) == (2, 4)
         for attr in ("lengths", "lcps", "p", "frontier"):
             assert getattr(t, attr) == getattr(u, attr)
-        assert t.neighbours() == u.neighbours()
+        assert neighbour_pairs(t) == neighbour_pairs(u)
         assert [t.counts.get(c, 1) for c in t.codes] == [u.counts.get(c, 1) for c in u.codes]
         for m in range(1, n + 1):
             assert tuple(v.translate(self.RELABEL) for v in t.factors(m)) == u.factors(m)
@@ -249,32 +263,6 @@ class TestExtremal:
 
     def test_periodic(self, per01_table):
         assert per01_table.extremal(2) == ("01", "10")
-
-
-class TestLeftSpecial:
-    def test_fibonacci_unique(self, fib_table):
-        assert fib_table.left_special(3) == ["010"]
-
-    def test_periodic_has_none(self, per01_table):
-        assert per01_table.left_special(2) == []
-
-    def test_thue_morse_two_letters(self):
-        t = sx.FactorTable("0110100110010110", 2)
-        assert t.left_special(1) == ["0", "1"]
-
-    def test_fibonacci_left_specials_nest(self, fib_table):
-        previous = ""
-        for n in range(1, 20):
-            special = fib_table.left_special(n)
-            assert len(special) == 1
-            assert special[0].startswith(previous)
-            previous = special[0]
-
-    def test_out_of_range(self, fib_table):
-        with pytest.raises(ValueError):
-            fib_table.left_special(fib_table.max_len)
-        with pytest.raises(ValueError):
-            fib_table.left_special(0)
 
 
 class TestUnbordered:
@@ -465,7 +453,6 @@ class TestAgainstBruteForce:
                 assert t.saturated(n) == naive.saturated(w, n)
                 for v in fs:
                     assert t.count(v) == naive.occurrences(w, v)
-                    assert t.first_occurrence(v) == w.find(v)
                     assert t.successor(v) == naive.successor(w, v)
 
     @staticmethod
@@ -484,13 +471,12 @@ class TestAgainstBruteForce:
             for v in t.factors(n):
                 assert t.is_factor(v)
                 assert t.count(v) == naive.occurrences(w, v)
-                assert t.first_occurrence(v) == w.find(v)
                 assert t.successor(v) == naive.successor(w, v)
         # Each neighbouring pair of saturated factors comes from one tuple.
         width = t.width
         pairs = Counter(
             tuple(factors.decode(t.codes[e] >> width * (max_len - n), n, width) for e in (a, b))
-            for lo, a, b in t.neighbours()
+            for lo, a, b in neighbour_pairs(t)
             for n in range(lo, t.frontier + 1)
         )
         lists = [naive.distinct_factors(w, n) for n in range(1, t.frontier + 1)]

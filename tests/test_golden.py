@@ -55,6 +55,9 @@ CASES = [
     # the last capped at its end: the half-window rule on every round.
     ("sturmian-dense-literal", ["check", "--spec", "literal:" + DENSE_LITERAL, "--what",
                                 "sturmian", "--json", "--max-n", "16", "--prefix-len", "1024"]),
+    # A ternary word whose table keeps every pair for the exact judge.
+    ("sturmian-fib-02", ["check", "--spec", "morphic:0->02,2->0;seed=0", "--what",
+                         "sturmian", "--json", "--max-n", "240", "--prefix-len", "1024"]),
     ("christoffel-5-8-plain", ["christoffel", "--p", "5", "--q", "8", "--json"]),
     ("christoffel-5-8", ["christoffel", "--p", "5", "--q", "8", "--verify", "--json"]),
     ("christoffel-5-8-fib", ["christoffel", "--p", "5", "--q", "8", "--verify",
@@ -80,6 +83,7 @@ EXIT_CODES = {
     "harness-fails": 1,
     "harness-sturmian": 0,
     "sturmian-dense-literal": 1,
+    "sturmian-fib-02": 0,
     "christoffel-5-8-plain": 0,
     "christoffel-5-8": 1,
     "christoffel-5-8-fib": 0,
