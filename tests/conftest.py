@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,13 @@ def neighbour_pairs(table) -> list[tuple[int, int, int]]:
     plus one: their n-letter prefixes neighbour for lo <= n <= frontier."""
     starts = table.starts()
     return [(table.lcps[b] + 1, a, b) for a, b in zip(starts, starts[1:])]
+
+
+def left_special(table, n: int) -> list[str]:
+    """Length-n factors of ``table`` with at least two distinct left
+    extensions, read off its length-(n+1) factor list."""
+    extensions = Counter(v[1:] for v in table.factors(n + 1))
+    return [v for v in table.factors(n) if extensions[v] >= 2]
 
 
 @st.composite

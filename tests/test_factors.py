@@ -14,7 +14,15 @@ from sturmlex import checks, factors
 from sturmlex.errors import BudgetExceeded, MalformedSpec, NotAFactor, WindowTooLarge
 
 import naive
-from conftest import TM_SPEC, assert_same_text, literals, neighbour_pairs, peak_rss, prefix
+from conftest import (
+    TM_SPEC,
+    assert_same_text,
+    left_special,
+    literals,
+    neighbour_pairs,
+    peak_rss,
+    prefix,
+)
 
 
 class TestBuild:
@@ -263,6 +271,33 @@ class TestExtremal:
 
     def test_periodic(self, per01_table):
         assert per01_table.extremal(2) == ("01", "10")
+
+
+class TestLeftSpecial:
+    # Left-special factors are read off the factor lists of lengths n and n + 1.
+    def test_fibonacci_unique(self, fib_table):
+        assert left_special(fib_table, 3) == ["010"]
+
+    def test_periodic_has_none(self, per01_table):
+        assert left_special(per01_table, 2) == []
+
+    def test_thue_morse_two_letters(self):
+        t = sx.FactorTable("0110100110010110", 2)
+        assert left_special(t, 1) == ["0", "1"]
+
+    def test_fibonacci_left_specials_nest(self, fib_table):
+        previous = ""
+        for n in range(1, 20):
+            special = left_special(fib_table, n)
+            assert len(special) == 1
+            assert special[0].startswith(previous)
+            previous = special[0]
+
+    def test_out_of_range(self, fib_table):
+        with pytest.raises(ValueError):
+            left_special(fib_table, fib_table.max_len)
+        with pytest.raises(ValueError):
+            left_special(fib_table, 0)
 
 
 class TestUnbordered:
