@@ -223,9 +223,10 @@ def _adjacent_faults(
     los = lcps if whole else [*map(lcps.__getitem__, starts)]
     odd = range(1, len(starts))
     if table.is_binary:
-        heads, cut = codes, 2 * (size - top)
-        if cut or not whole:
-            heads = [*map(rshift, map(codes.__getitem__, starts), repeat(cut))]
+        # Shifting by 0 would copy every code: uncut, the heads are the codes.
+        heads, cut = codes if whole else [*map(codes.__getitem__, starts)], 2 * (size - top)
+        if cut:
+            heads = [*map(rshift, heads, repeat(cut))]
         diffs = [*map(sub, heads[1:], heads)]
         fits = [*map(_fitting_steps(top).__getitem__, los[1:])]
         odd = () if diffs == fits else compress(count(1), map(ne, diffs, fits))
@@ -427,7 +428,9 @@ def saturated_table(
     window kept is indexed, reusing the probe's windows.  When the spec
     knows its exact complexities, the probe is a set of the distinct
     window codes: reading stops soon after the window that completes all
-    p(max_len) factors, which certifies every length.  Otherwise
+    p(max_len) factors, which certifies every length, and it jumps over
+    each stretch that repeats letters before it (s(m) = s(m-1)^d(m) s(m-2)
+    makes them long in ``std:`` when d(m) > 1).  Otherwise
     (``literal:``, non-primitive ``morphic:``) the probe counts every
     window in order of first occurrence, and the newest must fit in the
     first half: its count at the half's edge, noted as the read passes

@@ -22,11 +22,12 @@ infinite word, and then so is every shorter length: a table stores only
 the frontier, the longest.  When the word's exact complexity is known, a
 count certifies it: the prefix has as many length-n factors as the word.
 Such a count needs only the distinct windows, a set of codes, read up to
-the one that completes it.  A *certified* table, whose windows number
-exact[max_len], has every factor as a prefix of a window, so its entries
-are its windows alone, its p is the certificate itself, and a short
-suffix counts where it *attaches*, on the last window that begins with
-it.  Otherwise it is the half-window heuristic: every length-n factor
+the one that completes it, jumping over each stretch that repeats letters
+before it, as its windows are earlier ones.  A *certified* table, whose
+windows number exact[max_len], has every factor as a prefix of a window,
+so its entries are its windows alone, its p is the certificate itself,
+and a short suffix counts where it *attaches*, on the last window that
+begins with it.  Otherwise it is the half-window heuristic: every length-n factor
 first occurs inside the first half of the prefix.  The windows are counted
 in order of first occurrence, and the read notes how many it has at the
 half's edge, the first start whose window ends past the half: those that
@@ -109,12 +110,14 @@ def _add_windows(windows, word: str, n: int, start: int, full, w: int, edges=())
     and under the cap of :func:`window_counts`, and return the start after
     the last window read.
 
-    With ``full``, reading stops once the distinct windows reach ``full``:
-    each chunk holds at most the windows still missing, ``full`` less the
-    distinct ones so far, but no fewer than 64, so it ends fewer than 64
-    windows past the one that completes the count.  ``edges``, a dict keyed
-    by starts, ends a chunk at each key, and each key the read reaches is
-    set to the number of distinct windows read before it.
+    With ``full``, ``windows`` is a set, and reading stops once the distinct
+    windows reach ``full``: each chunk holds at most the windows still
+    missing, ``full`` less the distinct ones so far, but no fewer than 64,
+    so it ends fewer than 64 windows past the one that completes the count.
+    A chunk that adds none is followed by a jump over windows that repeat
+    earlier ones (:func:`_past_repeat`).  ``edges``, a dict keyed by starts,
+    ends a chunk at each key, and each key the read reaches is set to the
+    number of distinct windows read before it.
     """
     # An entry peaks at its n letters and at most 245 bytes more while a table
     # is built, and holds less once it is (tracemalloc, Python 3.11, with 4-bit
@@ -127,8 +130,11 @@ def _add_windows(windows, word: str, n: int, start: int, full, w: int, edges=())
         while start < edge and (full is None or len(windows) < full):
             step = most if full is None else min(most, max(full - len(windows), _CHUNK_FLOOR))
             stop = min(start + step, edge)
+            before = len(windows)
             windows.update(_codes(word, n, start, stop, w))
             start = stop
+            if full is not None and len(windows) == before and start < edge:
+                start = _past_repeat(word, n, start, edge)
             if (len(windows) + n - 1) * entry > TABLE_BUDGET:
                 raise BudgetExceeded(
                     f"length-{n} table entries take more than {TABLE_BUDGET} bytes"
@@ -136,6 +142,21 @@ def _add_windows(windows, word: str, n: int, start: int, full, w: int, edges=())
         if start in edges:
             edges[start] = len(windows)
     return start
+
+
+def _past_repeat(word: str, n: int, i: int, end: int) -> int:
+    """The start past the windows, from i up to ``end``, of the longest
+    stretch ``word[i:i+m]`` that also begins at some j < i (i if the window at
+    i occurs nowhere before): each is the window i - j starts earlier.  The
+    stretch grows by doubling from n letters, then bisects the last doubling."""
+    j = word.find(word[i : i + n], 0, i + n - 1)
+    if j < 0:
+        return i
+    lo, hi = n, end + n - i  # word[i:i+lo] == word[j:j+lo]; hi letters hold the window at end
+    while hi - lo > 1:
+        mid = min(2 * lo, (lo + hi) // 2)
+        lo, hi = (mid, hi) if word[i + lo : i + mid] == word[j + lo : j + mid] else (lo, mid)
+    return i + lo - n + 1
 
 
 def prefix_counts(pieces, n: int) -> list[int]:

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -364,7 +365,8 @@ class TestSaturatedTable:
     def test_a_count_stops_at_its_certificate(self, monkeypatch):
         # A certified probe reads chunks of at most the windows still
         # missing, and at least 64, so it reads fewer than 64 starts past
-        # the window that completes its count.
+        # the window that completes its count; a jump over a repeated
+        # stretch never passes that window, which occurs nowhere before.
         sliced, _ = count_slices(monkeypatch)
         for text, needed in self.COMPLETING.items():
             sliced.clear()
@@ -377,6 +379,23 @@ class TestSaturatedTable:
             assert len(sliced) < len(t.word) - 240 + 1
             want = {c: naive.occurrences(t.word, factors.decode(c, 240, 2)) for c in t.codes}
             assert t.counts == Counter(want)
+
+    def test_certified_probes_jump_over_repeats(self, monkeypatch):
+        # A chunk that adds no window is followed by a jump over the stretch
+        # that repeats letters before it: the five probes read 1979 starts,
+        # 497 of them for std:1,9,1,9, where reading every start up to the
+        # count read 4187, 2321 for std:1,9,1,9.
+        read = []
+
+        def reading(word, n, start, stop, w, _original=factors._codes):
+            read.append(stop - start)
+            return _original(word, n, start, stop, w)
+
+        monkeypatch.setattr(factors, "_codes", reading)
+        sizes = [len(checks.saturated_table(sx.parse_spec(text), 240, 1024).word)
+                 for text in self.COMPLETING]
+        assert sizes == [1024, 1024, 4096, 1024, 1024]
+        assert sum(read) < 2200
 
     @pytest.mark.parametrize("pre", ["0" * 2000 + "1", prefix("fib", 2001)], ids=["zeros", "fib"])
     def test_a_certified_probe_gaining_a_letter_rekeys_its_set(self, monkeypatch, pre):
@@ -639,6 +658,55 @@ class TestCertifiedSaturation:
         for heads in (("0", "1"), ("10", "01")):
             assert checks._least_core(t, *heads) == checks._least_core(ref, *heads)
         assert checks._unioccurrent_early_factor(t) == checks._unioccurrent_early_factor(ref)
+
+    @staticmethod
+    def read_every_start(windows, word, n, start, full, w, edges=()):
+        """A certified probe's read without chunks or jumps: each start in
+        turn, sliced, until the set holds ``full`` windows."""
+        assert isinstance(windows, set) and full is not None and not edges
+        while start < len(word) - n + 1 and len(windows) < full:
+            windows.add(int(word[start : start + n], 1 << w))
+            start += 1
+        return start
+
+    @given(
+        spec=st.one_of(
+            st.lists(st.integers(1, 60), min_size=1, max_size=4).map(
+                lambda d: sx.StandardSequence(tuple(d))),
+            st.tuples(st.integers(0, 300), st.integers(1, 300), st.integers(0, 5)).filter(
+                lambda t: math.gcd(t[0], t[1]) == 1).map(
+                lambda t: sx.MechanicalRational(t[0], t[1], Fraction(t[2], 6))),
+            st.text("012", min_size=1, max_size=40).map(sx.Periodic),
+            st.tuples(st.text("01", max_size=40), st.text("01", min_size=1, max_size=20)).map(
+                lambda t: sx.UltimatelyPeriodic(*t)),
+            st.sampled_from([TM_SPEC, "morphic:0->012,1->02,2->1;seed=0"]).map(sx.parse_spec),
+        ),
+        max_len=st.integers(1, 240),
+        prefix_len=st.integers(1, 2048),
+        cap=st.sampled_from([None, 256, 4096]),
+    )
+    @example(spec=sx.parse_spec("fib"), max_len=240, prefix_len=1024, cap=None)
+    @example(spec=sx.parse_spec("std:2,1"), max_len=240, prefix_len=1024, cap=None)
+    @example(spec=sx.parse_spec("std:1,9,1,9"), max_len=240, prefix_len=1024, cap=None)
+    @example(spec=sx.parse_spec("std:3"), max_len=240, prefix_len=1024, cap=None)
+    @example(spec=sx.parse_spec("std:1,2,3"), max_len=240, prefix_len=1024, cap=None)
+    @example(spec=sx.parse_spec("std:3,2000000,1"), max_len=240, prefix_len=1024, cap=1 << 16)
+    # A chunk that adds no window ends right before a new one.
+    @example(spec=sx.parse_spec(TM_SPEC), max_len=132, prefix_len=2032, cap=None)
+    @example(spec=sx.parse_spec("std:58,8,41,42"), max_len=196, prefix_len=960, cap=None)
+    @settings(max_examples=100, deadline=None)
+    def test_jumps_read_as_every_start(self, spec, max_len, prefix_len, cap):
+        # A probe that jumps over repeated stretches keeps the window, the
+        # distinct windows and every verdict of one that reads every start.
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                mp.setattr(checks, "PREFIX_BUDGET", cap)
+                prefix_len = min(prefix_len, cap)
+            t = checks.saturated_table(spec, max_len, prefix_len)
+            mp.setattr(checks, "_add_windows", self.read_every_start)
+            ref = checks.saturated_table(spec, max_len, prefix_len)
+        assert (t.word, t._windows, t.frontier) == (ref.word, ref._windows, ref.frontier)
+        assert checks._battery(spec, t) == checks._battery(spec, ref)
 
     def test_capped_window_certifies_the_lengths_it_has(self, monkeypatch):
         monkeypatch.setattr(checks, "PREFIX_BUDGET", 256)
@@ -943,6 +1011,22 @@ class TestBinarySkip:
         assert checks._battery(spec, table)[0].status == checks.CONSISTENT
         assert len(table.starts()) == 241
         assert judged == []
+
+    def test_an_uncut_walk_copies_no_code(self):
+        # The table keeps its short suffixes and its frontier is max_len, so
+        # the walk's heads are its starts' codes taken by reference.  Shifted
+        # by 0, each was copied: the walk's peak was 2.5 MB with Python 3.11,
+        # 1.4 MB without the copies.
+        t = sx.FactorTable(prefix("fib", 16384), 2000)
+        assert t.frontier == 2000 and len(t.starts()) < len(t.codes)
+        tracemalloc.start()
+        try:
+            walk = checks._adjacent_faults(t, ("nfop", "hamming2", "ones", "nfop1"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [v.status for v in walk] == [checks.CONSISTENT] * 4
+        assert peak < 1.8e6, f"peak {peak / 1e6:.2f} MB"
 
     def test_thue_morse_pairs_are_judged(self, judged, tm_table):
         assert sx.check_nfop(tm_table).status == checks.VIOLATED
