@@ -19,13 +19,12 @@ pairs, on integer factor codes, decides it together with hamming2 and ones.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, chain, compress, count, repeat
 from operator import mul, ne, rshift, sub
 
-from .errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced
-from .factors import FactorTable, _add_windows, _width, decode
+from .errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced, WindowTooLarge
+from .factors import FactorTable, _probe, decode
 from .words import PREFIX_BUDGET, Literal, Record, WordSpec, generate_prefix
 
 # Verdict statuses.
@@ -156,7 +155,11 @@ def classify_imbalance(table: FactorTable) -> ImbalanceWitness:
     case is confirmed only if some xux begins the indexed word and every
     prefix of the window is lex-extremal of the matching kind; if neither
     consequence can be confirmed inside the window the case is
-    WindowIndeterminate.
+    WindowIndeterminate.  A word that begins with xux has every prefix of
+    up to |u| + 2 letters extremal: a factor below 0u0's prefix, say, first
+    differs from it at some j <= |u|, and gives 0u'0 and 1u'1, u' = u[:j-1],
+    shorter than u.  Past |u| + 2 letters no proof is known, so the branch
+    for a prefix that is not extremal stays, though no test reaches it.
     """
     witness = minimal_imbalance(table)
     if witness is None:
@@ -423,21 +426,19 @@ def saturated_table(
 ) -> FactorTable:
     """Generate a prefix and index it, doubling until all lengths saturate.
 
-    Each candidate window is probed on its longest length alone, each
-    window start is read at most once over all candidates, and only the
-    window kept is indexed, reusing the probe's windows.  When the spec
-    knows its exact complexities, the probe is a set of the distinct
-    window codes: reading stops soon after the window that completes all
-    p(max_len) factors, which certifies every length, and it jumps over
-    each stretch that repeats letters before it (s(m) = s(m-1)^d(m) s(m-2)
-    makes them long in ``std:`` when d(m) > 1).  Otherwise
-    (``literal:``, non-primitive ``morphic:``) the probe counts every
-    window in order of first occurrence, and the newest must fit in the
-    first half: its count at the half's edge, noted as the read passes
-    it, is every window.  Doubling stops at PREFIX_BUDGET (or at the end
-    of a literal), in which case the table simply comes back with
-    unsaturated lengths and downstream checks degrade to Indeterminate.
+    The probe (:func:`factors._probe`) reads each window start at most once
+    over all candidates, on the longest length alone, and the kept window
+    is indexed from its windows.  When the spec knows its exact
+    complexities, a count of all p(max_len) factors certifies every length
+    (``std:`` among others, whose s(m) = s(m-1)^d(m) s(m-2) repeats long
+    stretches that the probe jumps over); otherwise (``literal:``,
+    non-primitive ``morphic:``) the newest window must fit in the first
+    half.  Doubling stops at PREFIX_BUDGET (or at the end of a literal), in
+    which case the table simply comes back with unsaturated lengths and
+    downstream checks degrade to Indeterminate.
     """
+    if max_len < 1:
+        raise WindowTooLarge(f"need max_len >= 1, got {max_len}")
     target = prefix_len if prefix_len is not None else default_prefix_length(max_len)
     target = max(target, max_len)
     if target > PREFIX_BUDGET:
@@ -446,30 +447,8 @@ def saturated_table(
     if isinstance(spec, Literal):
         cap = min(cap, len(spec.word))
     exact = spec.complexities(max_len)
-    full = None if exact is None else exact[max_len]
-    # The half edge of every candidate, target * 2^k capped, for a count by
-    # first occurrence to note; a certified probe stops at its count instead.
-    halves = (min(target << k, cap) // 2 for k in range(cap.bit_length() + 1))
-    early = {} if full is not None else dict.fromkeys(max(0, h - max_len + 1) for h in halves)
-    width, start, windows = 0, 0, Counter() if full is None else set()
-    while True:
-        length = min(target, cap)
-        word = generate_prefix(spec, length)
-        if (w := _width(word)) != width:
-            # A doubled prefix that gained a letter past 1 is read at a new
-            # width, and codes of two widths never mix: its windows so far
-            # are re-keyed, a count in order, from base 4 to base 16.
-            keys = [int(decode(c, max_len, 2), 16) for c in windows]
-            width = w
-            windows = Counter(dict(zip(keys, windows.values()))) if full is None else set(keys)
-        start = _add_windows(windows, word, max_len, start, full, width, early)
-        # Each shorter factor lies in a length-max_len window, so saturating
-        # max_len saturates every length: the probe needs only that length.
-        # At the cap there is no probe: a literal may hold no window at all.
-        edge = max(0, length // 2 - max_len + 1)
-        if length >= cap or len(windows) == (early[edge] if full is None else full):
-            return FactorTable(word, max_len, windows, exact, early.get(edge))
-        target *= 2
+    word, probe = _probe(partial(generate_prefix, spec), max_len, target, cap, exact)
+    return FactorTable(word, max_len, exact, probe)
 
 
 class SturmianReport(Record):

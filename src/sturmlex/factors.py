@@ -33,6 +33,8 @@ in order of first occurrence, and the read notes how many it has at the
 half's edge, the first start whose window ends past the half: those that
 fit in the half are the first that many, max_len is saturated when they
 are all of them, and sorted first they are a run of the table's one sort.
+One probe reads the windows of either kind, and one rule sets the frontier:
+the last length before the count differs from the exact or the half's count.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .errors import BudgetExceeded, NotAFactor, WindowTooLarge
 from .words import _check_word
 
 #: Cap in bytes on a table's entries, each its letters plus a fixed overhead,
-#: so that short windows are bounded as well as long ones (see window_counts).
+#: so that short windows are bounded as well as long ones (see FactorTable.counts).
 TABLE_BUDGET = 1 << 25
 
 # The least chunk a count that stops at ``full`` reads: a chunk of fewer
@@ -92,23 +94,11 @@ def _short_codes(word: str, n: int, w: int):
     return _codes(tail + format((1 << w) - 1, "x") * (n - 1), n, 0, len(tail), w)
 
 
-def window_counts(word: str, n: int) -> Counter[int]:
-    """Occurrence counts of the length-n windows of digit word ``word``, by
-    code at the width of its letters, keyed in order of first occurrence.
-    Counting goes in chunks of at most TABLE_BUDGET/16 bytes and raises
-    BudgetExceeded once the entries of a table at max_len n, the distinct
-    windows and n - 1 short suffixes, take more than TABLE_BUDGET bytes, so
-    no table past the cap is ever built."""
-    windows = Counter()
-    _add_windows(windows, word, n, 0, None, _width(word))
-    return windows
-
-
 def _add_windows(windows, word: str, n: int, start: int, full, w: int, edges=()) -> int:
     """Add the width-w codes of the length-n windows of ``word`` from
     ``start`` on to ``windows``, a Counter or a set of codes, in the chunks
-    and under the cap of :func:`window_counts`, and return the start after
-    the last window read.
+    and under the cap of :attr:`FactorTable.counts`, and return the start
+    after the last window read.
 
     With ``full``, ``windows`` is a set, and reading stops once the distinct
     windows reach ``full``: each chunk holds at most the windows still
@@ -142,6 +132,35 @@ def _add_windows(windows, word: str, n: int, start: int, full, w: int, edges=())
         if start in edges:
             edges[start] = len(windows)
     return start
+
+
+def _probe(prefix, max_len: int, target: int, cap: int, exact) -> tuple:
+    """(word, (windows, early)): the first candidate ``prefix(length)``,
+    length = target, 2 target, ... up to ``cap``, saturated at max_len (else
+    the one at the cap), its windows at max_len and how many fit in its
+    first half.  A doubled candidate reads only the windows that start in
+    its new letters; one that gained a letter past 1 re-keys those so far,
+    in order, from base 4 to base 16.  Given ``exact``, the windows are a
+    set read up to exact[max_len], and all count as fitting; else they are
+    counted in order of first occurrence, noting the count at each half edge.
+    """
+    full = None if exact is None else exact[max_len]
+    halves = (min(target << k, cap) // 2 for k in range(cap.bit_length() + 1))
+    edges = {} if full is not None else dict.fromkeys(max(0, h - max_len + 1) for h in halves)
+    width, start, windows = 0, 0, Counter() if full is None else set()
+    while True:
+        length = min(target, cap)
+        word = prefix(length)
+        if (w := _width(word)) != width:
+            keys = [int(decode(c, max_len, 2), 16) for c in windows]
+            width = w
+            windows = Counter(dict(zip(keys, windows.values()))) if full is None else set(keys)
+        start = _add_windows(windows, word, max_len, start, full, width, edges)
+        # At the cap there is no test: a literal may hold no window at all.
+        early = len(windows) if full is not None else edges[max(0, length // 2 - max_len + 1)]
+        if length >= cap or len(windows) == (early if full is None else full):
+            return word, (windows, early)
+        target *= 2
 
 
 def _past_repeat(word: str, n: int, i: int, end: int) -> int:
@@ -193,90 +212,82 @@ def _histogram(codes, shorts: int, n: int, w: int) -> tuple[list[int], list[int]
 class FactorTable:
     """Sorted entries standing for the factors of lengths 1..max_len of a prefix.
 
-    ``word`` is digit-only.  ``windows``, when given, are the windows of
-    ``word`` at ``max_len`` that a saturation probe read, so that they are
-    not read twice: their :func:`window_counts`, or, from a probe that stops
-    once it has every distinct window, the set of their codes, as a
-    certified table needs no counts.  ``exact``, when given, is the word's
-    exact [p(0), ..., p(max_len)], and the frontier is the longest n at
-    which the table has exact[n] factors; otherwise ``early`` is the probe's
-    count of the windows that fit in the first half (read here when
-    ``windows`` are not given, needed when they are), and the frontier is
-    max_len when they are all of them, else one less than the first n at
-    which the half has fewer factors.  ``width`` is 2 on a binary table,
-    else 4.  ``codes``, ``lengths`` and ``lcps`` are parallel entry tuples
-    in code order (the windows alone on a certified table), ``p[n]`` is the
-    number of length-n factors (on a certified table its certificate:
-    exact[n] for n >= 1, and p[0] = 0), ``frontier`` the longest saturated
-    length, or 0.  ``counts`` is every window's occurrences, keyed by code:
-    ``windows`` when they count every window, else counted from the word on
-    first use.  ``_attached`` lists, for m = 1..max_len-1, the entry that
-    the short suffix of length m attaches to on a certified table, found on
-    first use (empty on a table that keeps its suffixes).  Only those caches
-    and the saturated lengths are written after construction; ``windows``
-    stay as given, bounded by TABLE_BUDGET in :func:`window_counts`.
+    ``word`` is digit-only.  ``exact``, when given, is the word's exact
+    [p(0), ..., p(max_len)].  ``probe``, when given, is the result of the
+    saturation probe that kept ``word`` (:func:`_probe`), so that its
+    windows are not read twice: (windows, early), the windows at max_len,
+    counted or, from a probe that stops once it has every distinct window,
+    a set of codes, as a certified table needs no counts, and how many of
+    them fit in the first half; else the table reads its word as the probe
+    of one candidate.  The frontier is one less than the first n at which
+    the table's count differs from its reference, or max_len when none
+    does: the reference is ``exact``, or the first half's own counts when
+    a window lies past the half.  ``width`` is 2 on a binary table, else 4.
+    ``codes``, ``lengths`` and ``lcps`` are parallel entry tuples in code
+    order (the windows alone on a certified table), ``p[n]`` is the number
+    of length-n factors (on a certified table its certificate: exact[n] for
+    n >= 1, and p[0] = 0), ``frontier`` the longest saturated length, or 0.
+    ``_attached`` lists, for m = 1..max_len-1, the entry that the short
+    suffix of length m attaches to on a certified table, found on first
+    use (empty on a table that keeps its suffixes).  Only the caches and
+    the saturated lengths are written after construction; the probe's
+    windows stay as given.
     """
 
-    def __init__(
-        self,
-        word: str,
-        max_len: int,
-        windows: Counter[int] | set[int] | None = None,
-        exact: list[int] | None = None,
-        early: int | None = None,
-    ):
+    def __init__(self, word: str, max_len: int, exact: list[int] | None = None, probe=None):
         if not 1 <= max_len <= len(word):
             raise WindowTooLarge(f"need 1 <= max_len <= {len(word)}, got {max_len}")
-        if windows is not None and exact is None and early is None:
-            raise ValueError("a FactorTable given windows needs exact or early")
         self.word = word
         self.max_len = max_len
         self.alphabet = "".join(sorted(set(word)))
         _check_word(self.alphabet, "word")
         self.width = w = _width(self.alphabet)
-        if windows is None:
-            windows, edges = Counter(), {max(0, len(word) // 2 - max_len + 1): None}
-            _add_windows(windows, word, max_len, 0, None, w, edges)
-            (early,) = edges.values()
+        if probe is None:
+            _, probe = _probe(lambda _: word, max_len, len(word), len(word), None)
+        windows, early = probe
         self._windows = windows
-        self.frontier = max_len
+        ref = exact
         if exact is not None and len(windows) == exact[max_len]:
             # Certified: every factor begins a window, so the windows alone
             # are the entries (a short suffix is none), and p is the certificate.
             self.codes, self.lengths = tuple(sorted(windows)), (max_len,) * len(windows)
             self.lcps = tuple(_lcps(self.codes, max_len, w))
             self.p = [0, *exact[1 : max_len + 1]]
-            return
-        # One sort, of which the half's windows, the first `early` keys, sorted
-        # first are one run; the short suffixes land by bisection.
-        keys, shorts = [*windows], [*_short_codes(word, max_len, w)]
-        early = len(keys) if exact is not None else early
-        inner = sorted(keys[:early])
-        codes = sorted(inner + keys[early:] + shorts)
-        lengths = [max_len] * len(codes)
-        for m, c in zip(range(max_len - 1, 0, -1), shorts):
-            lengths[bisect_left(codes, c)] = m
-        self.codes, self.lengths = tuple(codes), tuple(lengths)
-        lcps, self.p = _histogram(codes, max_len - 1, max_len, w)
-        self.lcps = tuple(lcps)
-        if exact is not None:
-            # A window with all exact[n] length-n factors has every shorter one.
-            full = (n for n in range(max_len, 0, -1) if self.p[n] == exact[n])
-            self.frontier = next(full, 0)
-        elif early < len(keys):
-            # A window ends past the half: compare with the half's entries.
-            ends = [*_short_codes(word[: len(word) // 2], max_len, w)]
-            _, in_half = _histogram(sorted(inner + ends), len(ends), max_len, w)
-            short = (n - 1 for n in range(1, max_len + 1) if in_half[n] < self.p[n])
-            self.frontier = next(short, max_len)
+        else:
+            # One sort, of which the half's windows, the first `early` keys,
+            # sorted first are one run; the short suffixes land by bisection.
+            keys, shorts = [*windows], [*_short_codes(word, max_len, w)]
+            inner = sorted(keys[:early])
+            codes = sorted(inner + keys[early:] + shorts)
+            lengths = [max_len] * len(codes)
+            for m, c in zip(range(max_len - 1, 0, -1), shorts):
+                lengths[bisect_left(codes, c)] = m
+            self.codes, self.lengths = tuple(codes), tuple(lengths)
+            lcps, self.p = _histogram(codes, max_len - 1, max_len, w)
+            self.lcps = tuple(lcps)
+            if exact is None and early < len(keys):
+                ends = [*_short_codes(word[: len(word) // 2], max_len, w)]
+                _, ref = _histogram(sorted(inner + ends), len(ends), max_len, w)
+        # A count never exceeds its reference, and a length that reaches it
+        # is saturated, and so is every shorter one.
+        short = (n - 1 for n in range(1, max_len + 1) if ref and self.p[n] != ref[n])
+        self.frontier = next(short, max_len)
 
     @cached_property
     def counts(self) -> Counter[int]:
+        """Every window's occurrences, keyed by code in order of first
+        occurrence: the probe's windows when they count every window, else
+        counted anew, as the probe's windows stay as they were built.
+        Counting goes in chunks of at most TABLE_BUDGET/16 bytes and raises
+        BudgetExceeded once the entries of a table at max_len, the distinct
+        windows and max_len - 1 short suffixes, take more than TABLE_BUDGET
+        bytes, so no table past the cap is ever built."""
         windows = self._windows
         if isinstance(windows, Counter) and windows.total() == len(self.word) - self.max_len + 1:
             return windows
-        # Counted anew: the probe's windows stay as they were built.
-        return window_counts(self.word, self.max_len)
+        windows = Counter()
+        _add_windows(windows, self.word, self.max_len, 0, None, self.width)
+        return windows
 
     @cached_property
     def _attached(self) -> list[int]:

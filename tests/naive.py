@@ -190,6 +190,26 @@ def mechanical_prefix(a, rho, n):
     )
 
 
+def rotation_factors(p, period, a, b, n):
+    """The length-n factors of ``mech:p/period@a/b`` in the order of the
+    points they code, read off the rotation and not off any window.
+
+    The factor at position i (0 <= i < period) codes the point
+    x / (period b), x = (i p b + a period) mod period b, and its k-th letter
+    is floor((x + (k+1) p b) / (period b)) - floor((x + k p b) / (period b)).
+    The coding never decreases with the point (Lothaire ch. 2), so the
+    list, a point's factor kept only when it differs from the one before,
+    is L_n in lex order; that is for the caller to check."""
+    m, step = period * b, p * b
+    points = sorted((i * step + a * period) % m for i in range(period))
+    out = []
+    for x in points:
+        v = "".join(str((x + (k + 1) * step) // m - (x + k * step) // m) for k in range(n))
+        if not out or out[-1] != v:
+            out.append(v)
+    return out
+
+
 def morphic_prefix(rules, seed, n):
     """Apply the substitution letter by letter to the whole word until it
     holds n letters."""

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import sturmlex as sx
 from sturmlex import checks, factors
-from sturmlex.errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced
+from sturmlex.errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced, WindowTooLarge
 
 import naive
 from conftest import TM_SPEC, assert_same_text, literals, neighbour_pairs, prefix
@@ -85,6 +85,38 @@ class TestClassifyImbalance:
         t = zerozero_fib_table
         for n in range(1, t.max_len + 1):
             assert t.word[:n] == t.extremal(n)[0]
+
+    @staticmethod
+    def begins_with_xux(t) -> bool:
+        """Whether the table's word begins with xux, u its minimal imbalance,
+        and then that every prefix up to |u| + 2 letters is extremal of the
+        matching kind (the claim in classify_imbalance)."""
+        u = checks._least_core(t, "0", "1")
+        x = next((x for x in "01" if u is not None and t.word.startswith(x + u + x)), None)
+        for n in range(1, min(len(u) + 2, t.max_len) + 1) if x else ():
+            assert t.word[:n] == t.extremal(n)[int(x)]
+        return x is not None
+
+    def test_words_beginning_with_xux_are_classified(self):
+        # Every binary word of 2-9 letters, at every max_len: 2888 of the
+        # 8192 tables begin with xux.
+        tables = 0
+        for size in range(2, 10):
+            for bits in itertools.product("01", repeat=size):
+                w = "".join(bits)
+                for t in map(functools.partial(sx.FactorTable, w), range(1, size + 1)):
+                    if self.begins_with_xux(t):
+                        tables += 1
+                        case = sx.classify_imbalance(t).case
+                        assert case in (checks.BOTH_EXTENSIONS, checks.PREFIX_CASE)
+        assert tables == 2888
+
+    @given(w=st.text("01", min_size=2, max_size=40), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_longer_words_beginning_with_xux_are_classified(self, w, data):
+        t = sx.FactorTable(w, data.draw(st.integers(1, len(w))))
+        assume(self.begins_with_xux(t))
+        assert sx.classify_imbalance(t).case in (checks.BOTH_EXTENSIONS, checks.PREFIX_CASE)
 
     def test_balanced_table_raises(self):
         t = sx.FactorTable("0" + prefix("periodic:01", 255), 12)
@@ -299,7 +331,6 @@ def count_slices(monkeypatch) -> tuple[Counter, list[int]]:
         sliced.update(range(start, stop))
         return stop
 
-    monkeypatch.setattr(checks, "_add_windows", slicing)
     monkeypatch.setattr(factors, "_add_windows", slicing)
     return sliced, sizes
 
@@ -329,6 +360,27 @@ class TestSaturatedTable:
     def test_budget_request_rejected(self):
         with pytest.raises(BudgetExceeded):
             checks.saturated_table(sx.parse_spec("fib"), 8, prefix_len=checks.PREFIX_BUDGET + 1)
+
+    @pytest.mark.parametrize("max_len", [0, -1])
+    @pytest.mark.parametrize(
+        "text", ["literal:0100101", "periodic:01", "ultper:0|1", "fib", "std:1,2", "mech:3/8@0"]
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            checks.saturated_table,
+            lambda spec, n: sx.sturmian_verdict(spec, max_len=n),
+            lambda spec, n: sx.equivalence_harness([spec], n),
+        ],
+        ids=["saturated_table", "sturmian_verdict", "equivalence_harness"],
+    )
+    def test_nonpositive_max_len_is_too_large_a_window(self, monkeypatch, entry, text, max_len):
+        # Refused before any prefix is generated or counted.
+        spec = sx.parse_spec(text)
+        monkeypatch.setattr(type(spec), "complexities", lambda *args: pytest.fail("counted"))
+        monkeypatch.setattr(checks, "generate_prefix", lambda *args: pytest.fail("generated"))
+        with pytest.raises(WindowTooLarge, match=f"need max_len >= 1, got {max_len}"):
+            entry(spec, max_len)
 
     def test_max_len_beyond_budget_rejected(self):
         # The window must hold max_len letters, so a short prefix_len is no way
@@ -524,7 +576,7 @@ class TestProbeHalfCount:
             return stop
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(checks, "_add_windows", reading)
+            mp.setattr(factors, "_add_windows", reading)
             t = checks.saturated_table(sx.Literal(word), max_len, prefix_len)
         assert [len(v) for v, _, _ in read] == [
             min(prefix_len << k, len(word)) for k in range(len(read))
@@ -660,10 +712,13 @@ class TestCertifiedSaturation:
         assert checks._unioccurrent_early_factor(t) == checks._unioccurrent_early_factor(ref)
 
     @staticmethod
-    def read_every_start(windows, word, n, start, full, w, edges=()):
+    def read_every_start(windows, word, n, start, full, w, edges=(), _original=factors._add_windows):
         """A certified probe's read without chunks or jumps: each start in
-        turn, sliced, until the set holds ``full`` windows."""
-        assert isinstance(windows, set) and full is not None and not edges
+        turn, sliced, until the set holds ``full`` windows.  A read without
+        ``full``, of a spec's own pieces for its exact complexity, is passed on."""
+        if full is None:
+            return _original(windows, word, n, start, full, w, edges)
+        assert isinstance(windows, set) and not edges
         while start < len(word) - n + 1 and len(windows) < full:
             windows.add(int(word[start : start + n], 1 << w))
             start += 1
@@ -703,7 +758,7 @@ class TestCertifiedSaturation:
                 mp.setattr(checks, "PREFIX_BUDGET", cap)
                 prefix_len = min(prefix_len, cap)
             t = checks.saturated_table(spec, max_len, prefix_len)
-            mp.setattr(checks, "_add_windows", self.read_every_start)
+            mp.setattr(factors, "_add_windows", self.read_every_start)
             ref = checks.saturated_table(spec, max_len, prefix_len)
         assert (t.word, t._windows, t.frontier) == (ref.word, ref._windows, ref.frontier)
         assert checks._battery(spec, t) == checks._battery(spec, ref)
@@ -782,6 +837,27 @@ class TestCertifiedSaturation:
         monkeypatch.setattr(factors.FactorTable, "complexity", per_length)
         r = sx.sturmian_verdict(sx.parse_spec("fib"), max_len=40)
         assert r.combined.status == checks.STURMIAN_CONSISTENT
+
+
+class TestRotationOrder:
+    """Certified ``mech:`` tables against the rotation-order oracle, which
+    sorts the points the factors code instead of reading a window."""
+
+    @given(
+        slope=st.tuples(st.integers(0, 79), st.integers(1, 80)).filter(
+            lambda t: t[0] < t[1] and math.gcd(*t) == 1),
+        intercept=st.integers(1, 7),
+        max_len=st.integers(1, 50),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_factors_in_rotation_order(self, slope, intercept, max_len):
+        (p, period), rho = slope, Fraction(intercept, 8)
+        t = checks.saturated_table(sx.MechanicalRational(p, period - p, rho), max_len)
+        for n in range(1, max_len + 1):
+            want = naive.rotation_factors(p, period, rho.numerator, rho.denominator, n)
+            assert all(map(str.__lt__, want, want[1:]))
+            if n <= t.frontier:
+                assert list(t.factors(n)) == want
 
 
 class TestSturmianVerdict:

@@ -78,20 +78,6 @@ class TestBuild:
         assert t.p == ref.p
         assert_same_text("".join(t.dump()), "".join(ref.dump()))
 
-    @pytest.mark.parametrize("carrier", [Counter, set], ids=["counter", "set"])
-    def test_windows_need_exact_or_early(self, carrier, monkeypatch):
-        # Handed windows, a table cannot tell its frontier without either;
-        # it says so before it sorts anything.
-        word = prefix("fib", 64)
-        windows = carrier(factors.window_counts(word, 5))
-
-        def no_sort(*args, **kwargs):
-            raise AssertionError("sorted before the arguments were checked")
-
-        monkeypatch.setattr(factors, "sorted", no_sort, raising=False)
-        with pytest.raises(ValueError, match="needs exact or early"):
-            sx.FactorTable(word, 5, windows=windows)
-
     def test_complexity_one_counts_letters(self):
         assert sx.FactorTable("0120", 1).complexity(1) == 3
 
@@ -201,7 +187,6 @@ class TestWindowCodes:
         windows = Counter(codes[:counted])
         assert factors._add_windows(windows, word, n, counted, None, w) == len(codes)
         assert list(windows.items()) == list(Counter(codes).items())
-        assert list(factors.window_counts(word, n).items()) == list(windows.items())
 
     @pytest.mark.parametrize(
         "word,n",

@@ -3,7 +3,9 @@
 Each case runs ``sturmlex`` in process and compares stdout with
 ``tests/golden/<name>.json``; the golden files pin the output of the
 verdicts, not just their schema, so a refactor of the check or generator
-layers that changes any verdict, witness or window shows up here.
+layers that changes any verdict, witness or window shows up here.  The
+``factors --dump`` goldens, ``tests/golden/<name>.txt``, pin a table built
+from its word alone, every factor and count of it.
 """
 
 import random
@@ -96,3 +98,18 @@ def test_cli_json_matches_golden(capsys, name, argv):
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert code == EXIT_CODES[name]
+
+
+# A literal whose table has windows past its half, and fib's, whose windows
+# all fit in its half.
+FACTORS_CASES = [
+    ("factors-dense-literal", ["factors", "--spec", "literal:" + DENSE_LITERAL[:1024],
+                               "--len", "1024", "--max-n", "8", "--dump"]),
+    ("factors-fib", ["factors", "--spec", "fib", "--len", "1024", "--max-n", "20", "--dump"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", FACTORS_CASES, ids=[name for name, _ in FACTORS_CASES])
+def test_factors_dump_matches_golden(capsys, name, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
