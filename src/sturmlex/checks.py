@@ -86,9 +86,8 @@ def _stamped(table: FactorTable, check: str, status: str, **fields) -> Verdict:
 
 def _require_binary(table: FactorTable, check: str) -> None:
     if not table.is_binary:
-        raise NonBinaryAlphabet(
-            f"{check} needs letters within 01, table has {table.alphabet!r}"
-        )
+        letters = "".join(sorted(set(table.word)))
+        raise NonBinaryAlphabet(f"{check} needs letters within 01, table has {letters!r}")
 
 
 def _least_core(table: FactorTable, lo_head: str, hi_head: str) -> str | None:
@@ -476,8 +475,8 @@ class SturmianReport(Record):
         }
 
 
-def _battery(spec: WordSpec, table: FactorTable) -> tuple[Verdict, ...]:
-    """The six single-property verdicts in report order, then nfop variant 1.
+def _battery(table: FactorTable) -> tuple[Verdict, ...]:
+    """The five verdicts before recurrence in report order, then nfop variant 1.
 
     nfop is variant 3 on a binary table and variant 1 otherwise; the checks
     that need a binary alphabet come back Indeterminate on any other.  On a
@@ -495,15 +494,13 @@ def _battery(spec: WordSpec, table: FactorTable) -> tuple[Verdict, ...]:
             _stamped(table, c, INDETERMINATE, reason="alphabet is not binary")
             for c in ("balance", "hamming2", "ones")
         )
-    complexity = periodicity_certificate(table)
-    recurrence = recurrence_heuristic(table, known=spec.flags.recurrent)
-    return nfop, balance, complexity, hamming, ones, recurrence, nfop_1
+    return nfop, balance, periodicity_certificate(table), hamming, ones, nfop_1
 
 
 def sturmian_verdict(
     spec: WordSpec, prefix_len: int | None = None, max_len: int = 40
 ) -> SturmianReport:
-    """Run every check on one word and combine them.
+    """Run every check on one word and combine all but the recurrence verdict.
 
     The combined judgment is SturmianConsistentUpTo(max_len) when the
     ordering check is consistent and the observed complexity is n+1 at every
@@ -511,13 +508,13 @@ def sturmian_verdict(
     Indeterminate otherwise.
     """
     table = saturated_table(spec, max_len, prefix_len)
-    verdicts = _battery(spec, table)[:6]
+    verdicts = _battery(table)[:5]
     return SturmianReport(
         spec_text=str(spec),
         prefix_length=len(table.word),
         max_len=max_len,
-        verdicts=verdicts,
-        combined=_combined_judgment(table, *verdicts[:5]),
+        verdicts=(*verdicts, recurrence_heuristic(table, known=spec.flags.recurrent)),
+        combined=_combined_judgment(table, *verdicts),
     )
 
 
@@ -618,7 +615,7 @@ def _assertions(spec: WordSpec, table: FactorTable):
     """(assertion, result, detail) of each harness assertion on one word."""
     flagged = spec.flags.recurrent is True and spec.flags.aperiodic is True
     binary = table.is_binary
-    nfop, balance, cert, hamming, ones, _, nfop_1 = _battery(spec, table)
+    nfop, balance, cert, hamming, ones, nfop_1 = _battery(table)
 
     if nfop.status == CONSISTENT and binary:
         balanced = balance.status == CONSISTENT

@@ -212,26 +212,26 @@ def _histogram(codes, shorts: int, n: int, w: int) -> tuple[list[int], list[int]
 class FactorTable:
     """Sorted entries standing for the factors of lengths 1..max_len of a prefix.
 
-    ``word`` is digit-only.  ``exact``, when given, is the word's exact
-    [p(0), ..., p(max_len)].  ``probe``, when given, is the result of the
-    saturation probe that kept ``word`` (:func:`_probe`), so that its
-    windows are not read twice: (windows, early), the windows at max_len,
-    counted or, from a probe that stops once it has every distinct window,
-    a set of codes, as a certified table needs no counts, and how many of
-    them fit in the first half; else the table reads its word as the probe
-    of one candidate.  The frontier is one less than the first n at which
-    the table's count differs from its reference, or max_len when none
-    does: the reference is ``exact``, or the first half's own counts when
-    a window lies past the half.  ``width`` is 2 on a binary table, else 4.
+    ``word`` is digit-only, else MalformedSpec names its least other letter.
+    ``exact``, when given, is the word's exact [p(0), ..., p(max_len)].
+    ``probe``, when given, is the result of the saturation probe that kept
+    ``word`` (:func:`_probe`), so that its windows are not read twice:
+    (windows, early), the windows at max_len, counted or, from a probe that
+    stops once it has every distinct window, a set of codes, as a certified
+    table needs no counts, and how many of them fit in the first half; else
+    the table reads its word as the probe of one candidate.  The frontier is
+    one less than the first n at which the table's count differs from its
+    reference, or max_len when none does: the reference is ``exact``, or
+    the first half's own counts when a window lies past the half.  ``width``
+    is 2 on a binary table, else 4; the table keeps no list of its letters.
     ``codes``, ``lengths`` and ``lcps`` are parallel entry tuples in code
     order (the windows alone on a certified table), ``p[n]`` is the number
     of length-n factors (on a certified table its certificate: exact[n] for
     n >= 1, and p[0] = 0), ``frontier`` the longest saturated length, or 0.
     ``_attached`` lists, for m = 1..max_len-1, the entry that the short
     suffix of length m attaches to on a certified table, found on first
-    use (empty on a table that keeps its suffixes).  Only the caches and
-    the saturated lengths are written after construction; the probe's
-    windows stay as given.
+    use (empty on a table that keeps its suffixes).  Only the caches are
+    written after construction; the probe's windows stay as given.
     """
 
     def __init__(self, word: str, max_len: int, exact: list[int] | None = None, probe=None):
@@ -239,9 +239,11 @@ class FactorTable:
             raise WindowTooLarge(f"need 1 <= max_len <= {len(word)}, got {max_len}")
         self.word = word
         self.max_len = max_len
-        self.alphabet = "".join(sorted(set(word)))
-        _check_word(self.alphabet, "word")
-        self.width = w = _width(self.alphabet)
+        # One pass leaves the letters past 01: any makes the width 4, any not a digit an error.
+        rest = word.encode("ascii", "replace").translate(None, b"01")
+        if rest and not rest.isdigit():
+            _check_word("".join(sorted(set(word))), "word")
+        self.width = w = 4 if rest else 2
         if probe is None:
             _, probe = _probe(lambda _: word, max_len, len(word), len(word), None)
         windows, early = probe
@@ -276,15 +278,14 @@ class FactorTable:
     @cached_property
     def counts(self) -> Counter[int]:
         """Every window's occurrences, keyed by code in order of first
-        occurrence: the probe's windows when they count every window, else
-        counted anew, as the probe's windows stay as they were built.
+        occurrence: the probe's Counter, which reads every window of its word,
+        else counted anew, as a certified probe's set stays as it was built.
         Counting goes in chunks of at most TABLE_BUDGET/16 bytes and raises
         BudgetExceeded once the entries of a table at max_len, the distinct
         windows and max_len - 1 short suffixes, take more than TABLE_BUDGET
         bytes, so no table past the cap is ever built."""
-        windows = self._windows
-        if isinstance(windows, Counter) and windows.total() == len(self.word) - self.max_len + 1:
-            return windows
+        if isinstance(self._windows, Counter):
+            return self._windows
         windows = Counter()
         _add_windows(windows, self.word, self.max_len, 0, None, self.width)
         return windows
@@ -307,9 +308,9 @@ class FactorTable:
         shift = self.width * (self.max_len - len(v))
         i = j = 0
         # int() would also read letters a-f, whitespace, underscores and
-        # non-ASCII digits, none of which occurs in a factor, and a digit
-        # past the greatest letter may be the pad.
-        if v.isascii() and v.isdigit() and max(v) <= self.alphabet[-1]:
+        # non-ASCII digits, none of which occurs in a factor, and on a binary
+        # table a digit past 1 may be the pad.
+        if v.isascii() and v.isdigit() and (self.width == 4 or max(v) <= "1"):
             c = int(v, 1 << self.width) << shift
             i = bisect_left(self.codes, c)
             j = bisect_left(self.codes, c + (1 << shift), i)
@@ -410,5 +411,5 @@ class FactorTable:
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"FactorTable(|word|={len(self.word)}, max_len={self.max_len}, "
-            f"alphabet={self.alphabet!r})"
+            f"alphabet={''.join(sorted(set(self.word)))!r})"
         )

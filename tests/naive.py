@@ -175,10 +175,11 @@ def unioccurrent_early_factor(w, max_len):
     return None
 
 
-def periodicity_length(w, max_len):
-    """The first saturated n with at most n distinct length-n factors, or None."""
+def periodicity_length(w, max_len, top=None):
+    """The first saturated n with at most n distinct length-n factors, or
+    None; the saturated lengths are those of ``adjacent_verdict``."""
     for n in range(1, max_len + 1):
-        if saturated(w, n) and len(distinct_factors(w, n)) <= n:
+        if (n <= top if top is not None else saturated(w, n)) and len(distinct_factors(w, n)) <= n:
             return n
     return None
 

@@ -111,10 +111,19 @@ class TestClassifyImbalance:
                         assert case in (checks.BOTH_EXTENSIONS, checks.PREFIX_CASE)
         assert tables == 2888
 
-    @given(w=st.text("01", min_size=2, max_size=40), data=st.data())
+    @given(
+        x=st.sampled_from("01"),
+        u=st.text("01", max_size=20),
+        tail=st.text("01", max_size=40),
+        data=st.data(),
+    )
     @settings(max_examples=300, deadline=None)
-    def test_longer_words_beginning_with_xux_are_classified(self, w, data):
-        t = sx.FactorTable(w, data.draw(st.integers(1, len(w))))
+    def test_longer_words_beginning_with_xux_are_classified(self, x, u, tail, data):
+        # xux begins the word and yuy, y the other letter, follows, so u is
+        # mostly its minimal imbalance, unless a shorter one occurs.
+        y = "1" if x == "0" else "0"
+        w = (x + u + x + tail + y + u + y)[:40]
+        t = sx.FactorTable(w, data.draw(st.integers(min(len(u) + 2, len(w)), len(w))))
         assume(self.begins_with_xux(t))
         assert sx.classify_imbalance(t).case in (checks.BOTH_EXTENSIONS, checks.PREFIX_CASE)
 
@@ -408,7 +417,9 @@ class TestSaturatedTable:
         assert t.word == word and t.width == ref.width == 4
         assert (t.codes, t.frontier, t.counts) == (ref.codes, ref.frontier, ref.counts)
         assert list(t.counts) == list(ref.counts)  # in order of first occurrence
-        assert checks._battery(spec, t) == checks._battery(spec, ref)
+        assert checks._battery(t) == checks._battery(ref)
+        recurrence = [checks.recurrence_heuristic(x, known=spec.flags.recurrent) for x in (t, ref)]
+        assert recurrence[0] == recurrence[1]
 
     # The starts up to the window that completes each count of p(240) = 241
     # windows, on the harness-tall specs at prefix_len 1024.
@@ -698,15 +709,27 @@ class TestCertifiedSaturation:
         certified = len(t._windows) == exact[max_len]
         assert len(t.codes) == (t.p[max_len] if certified else len(ref.codes))
         assert t.p == ref.p
-        assert t.frontier == next((n for n in range(max_len, 0, -1) if t.p[n] == exact[n]), 0)
-        ref.frontier = t.frontier
+        top = t.frontier
+        assert top == next((n for n in range(max_len, 0, -1) if t.p[n] == exact[n]), 0)
         for n in {1, max_len, data.draw(st.integers(1, max_len))}:
             assert t.factors(n) == ref.factors(n)
             assert [*map(t.count, t.factors(n))] == [*map(ref.count, ref.factors(n))]
         assert_same_text("".join(t.dump()), "".join(ref.dump()))
-        pairs = [[(lo, x.codes[a], x.codes[b]) for lo, a, b in neighbour_pairs(x)] for x in (t, ref)]
-        assert pairs[0] == pairs[1]
-        assert checks._battery(spec, t) == checks._battery(spec, ref)
+        # The readers of the frontier, against the oracle at the same one.
+        def text(k, n):
+            return factors.decode(t.codes[k] >> t.width * (max_len - n), n, t.width)
+
+        pairs = [
+            (n, text(a, n), text(b, n))
+            for lo, a, b in neighbour_pairs(t)
+            for n in range(lo, top + 1)
+        ]
+        fs = [naive.distinct_factors(t.word, n) for n in range(1, top + 1)]
+        assert sorted(pairs) == [(n, *p) for n, f in enumerate(fs, 1) for p in zip(f, f[1:])]
+        known = spec.flags.recurrent
+        battery, recurrence = oracle_battery(t.word, max_len, top, known)
+        assert checks._battery(t) == battery
+        assert checks.recurrence_heuristic(t, known=known) == recurrence
         for heads in (("0", "1"), ("10", "01")):
             assert checks._least_core(t, *heads) == checks._least_core(ref, *heads)
         assert checks._unioccurrent_early_factor(t) == checks._unioccurrent_early_factor(ref)
@@ -761,7 +784,9 @@ class TestCertifiedSaturation:
             mp.setattr(factors, "_add_windows", self.read_every_start)
             ref = checks.saturated_table(spec, max_len, prefix_len)
         assert (t.word, t._windows, t.frontier) == (ref.word, ref._windows, ref.frontier)
-        assert checks._battery(spec, t) == checks._battery(spec, ref)
+        assert checks._battery(t) == checks._battery(ref)
+        recurrence = [checks.recurrence_heuristic(x, known=spec.flags.recurrent) for x in (t, ref)]
+        assert recurrence[0] == recurrence[1]
 
     def test_capped_window_certifies_the_lengths_it_has(self, monkeypatch):
         monkeypatch.setattr(checks, "PREFIX_BUDGET", 256)
@@ -1021,9 +1046,10 @@ def check_calls(monkeypatch):
 
 
 class TestEachCheckOncePerTable:
-    """Every verdict once per table; nfop, hamming2 and ones (and, in the
-    harness, nfop variant 1) share one pair walk (``_adjacent_faults``)
-    instead of calling their public wrappers."""
+    """Every verdict read once per table, the harness reading no recurrence
+    verdict; nfop, hamming2 and ones (and, in the harness, nfop variant 1)
+    share one pair walk (``_adjacent_faults``) instead of calling their
+    public wrappers."""
 
     def test_sturmian_verdict(self, check_calls):
         sx.sturmian_verdict(sx.parse_spec("fib"), max_len=8)
@@ -1038,12 +1064,7 @@ class TestEachCheckOncePerTable:
         sx.equivalence_harness([sx.parse_spec("std:2,1")], 8)
         # the battery's walk also judges nfop variant 1 for variant-agreement;
         # the table is balanced, so the exclusion search cannot find a u
-        assert check_calls == Counter(
-            _adjacent_faults=1,
-            check_balance=1,
-            periodicity_certificate=1,
-            recurrence_heuristic=1,
-        )
+        assert check_calls == Counter(_adjacent_faults=1, check_balance=1, periodicity_certificate=1)
 
     def test_harness_searches_an_unbalanced_table(self, check_calls):
         # 00 and 11 both occur, and the only pair 01 -> 10 fits nfop
@@ -1053,15 +1074,12 @@ class TestEachCheckOncePerTable:
             _adjacent_faults=1,
             check_balance=1,
             periodicity_certificate=1,
-            recurrence_heuristic=1,
             find_extension_exclusion=1,
         )
 
     def test_harness_on_a_non_binary_table(self, check_calls):
         sx.equivalence_harness([sx.parse_spec("periodic:012")], 1)
-        assert check_calls == Counter(
-            _adjacent_faults=1, periodicity_certificate=1, recurrence_heuristic=1
-        )
+        assert check_calls == Counter(_adjacent_faults=1, periodicity_certificate=1)
 
 
 class TestBinarySkip:
@@ -1084,7 +1102,7 @@ class TestBinarySkip:
     def test_sturmian_pairs_are_all_skipped(self, judged, text):
         spec = sx.parse_spec(text)
         table = checks.saturated_table(spec, 240, 1024)
-        assert checks._battery(spec, table)[0].status == checks.CONSISTENT
+        assert checks._battery(table)[0].status == checks.CONSISTENT
         assert len(table.starts()) == 241
         assert judged == []
 
@@ -1404,9 +1422,15 @@ def long_tables(draw):
     return sx.FactorTable(w, draw(st.integers(1, len(w))))
 
 
-def oracle_battery(w, max_len):
-    """The verdicts of ``checks._battery`` on a literal word, from the oracle."""
-    sat = tuple(n for n in range(1, max_len + 1) if naive.saturated(w, n))
+def oracle_battery(w, max_len, top=None, known=None):
+    """The verdicts of ``checks._battery`` on a literal word, from the oracle,
+    and apart from them that of ``checks.recurrence_heuristic`` under the
+    a-priori flag ``known``.  The saturated lengths are 1..top when ``top``
+    is given, else those of the half-window rule."""
+    if top is None:
+        sat = tuple(n for n in range(1, max_len + 1) if naive.saturated(w, n))
+    else:
+        sat = tuple(range(1, top + 1))
     binary = set(w) <= set("01")
 
     def verdict(check, status, **fields):
@@ -1422,7 +1446,7 @@ def oracle_battery(w, max_len):
         return verdict(check, status, up_to=max_len)
 
     def nfop(variant):
-        outcome = naive.nfop_verdict(w, max_len, variant)
+        outcome = naive.nfop_verdict(w, max_len, variant, top)
         return walk("nfop", outcome, lambda v, vp: naive.nfop_reason(v, vp, variant))
 
     if binary:
@@ -1432,27 +1456,31 @@ def oracle_battery(w, max_len):
             if hit
             else verdict("balance", checks.CONSISTENT, up_to=max(max_len - 2, 0))
         )
-        hamming = walk("hamming2", naive.hamming2_verdict(w, max_len), naive.hamming_reason)
-        ones = walk("ones", naive.ones_verdict(w, max_len), naive.ones_reason)
+        hamming = walk("hamming2", naive.hamming2_verdict(w, max_len, top), naive.hamming_reason)
+        ones = walk("ones", naive.ones_verdict(w, max_len, top), naive.ones_reason)
     else:
         balance, hamming, ones = (
             verdict(c, checks.INDETERMINATE, reason="alphabet is not binary")
             for c in ("balance", "hamming2", "ones")
         )
-    n = naive.periodicity_length(w, max_len)
+    n = naive.periodicity_length(w, max_len, top)
     if n is None:
         complexity = verdict("complexity", checks.APPARENTLY_APERIODIC, up_to=max_len)
     else:
         p = len(naive.distinct_factors(w, n))
         why = f"complexity {p} <= {n}"
         complexity = verdict("complexity", checks.ULTIMATELY_PERIODIC, n=n, reason=why)
-    v = naive.unioccurrent_early_factor(w, max_len)
-    recurrence = (
-        verdict("recurrence", checks.NON_RECURRENT, witness=(v,), n=len(v))
-        if v is not None
-        else verdict("recurrence", checks.RECURRENT_CONSISTENT, up_to=max_len)
-    )
-    return nfop(3 if binary else 1), balance, complexity, hamming, ones, recurrence, nfop(1)
+    # A flag decides the status; the search runs unless the word is known recurrent.
+    v = None if known else naive.unioccurrent_early_factor(w, max_len)
+    if known is False or v is not None:
+        why = "a-priori non-recurrent" if known is False else None
+        found = {} if v is None else {"witness": (v,), "n": len(v)}
+        recurrence = verdict("recurrence", checks.NON_RECURRENT, reason=why, **found)
+    else:
+        why = "a-priori recurrent" if known else None
+        recurrence = verdict("recurrence", checks.RECURRENT_CONSISTENT, up_to=max_len, reason=why)
+    battery = nfop(3 if binary else 1), balance, complexity, hamming, ones, nfop(1)
+    return battery, recurrence
 
 
 class TestBatteryAgainstOracle:
@@ -1473,7 +1501,8 @@ class TestBatteryAgainstOracle:
     @given(t=long_tables())
     @settings(max_examples=200, deadline=None)
     def test_battery_and_exclusion(self, t):
-        spec = sx.Literal(t.word)
-        assert checks._battery(spec, t) == oracle_battery(t.word, t.max_len)
+        battery, recurrence = oracle_battery(t.word, t.max_len)
+        assert checks._battery(t) == battery
+        assert checks.recurrence_heuristic(t) == recurrence
         want = naive.extension_exclusion(t.word, t.max_len)
         assert sx.find_extension_exclusion(t) == want

@@ -56,9 +56,14 @@ class TestBuild:
         with pytest.raises(WindowTooLarge):
             sx.FactorTable("", 1)
 
-    @pytest.mark.parametrize("word", ["0a1", "01A"])
-    def test_letters_are_digits(self, word):
-        with pytest.raises(MalformedSpec):
+    # The error names the least letter that is no ASCII digit.
+    @pytest.mark.parametrize(
+        "word, bad",
+        [("0a1", "a"), ("01A", "A"), ("0z1a", "a"), ("\u06630", "\u0663")],
+        ids=["0a1", "01A", "0z1a", "arabic-indic-3"],
+    )
+    def test_letters_are_digits(self, word, bad):
+        with pytest.raises(MalformedSpec, match=f"^word contains {bad!r};"):
             sx.FactorTable(word, 1)
 
     @pytest.mark.parametrize("size", [30, 200])
@@ -98,6 +103,16 @@ class TestBuild:
     def test_letters_past_a_binary_alphabet_are_no_factors(self, v):
         t = sx.FactorTable("0110100110010111", 4)
         assert t.width == 2 and t.is_factor("1") and t.is_factor("111")
+        assert not t.is_factor(v)
+        with pytest.raises(NotAFactor):
+            t.count(v)
+
+    # A wider table's codes are base 16, its pad f: no entry begins with a
+    # digit past its greatest letter.
+    @pytest.mark.parametrize("v", ["3", "9", "29"])
+    def test_digits_past_a_wider_alphabet_are_no_factors(self, v):
+        t = sx.FactorTable("0120" * 5, 3)
+        assert t.width == 4 and t.is_factor("2") and t.is_factor("200")
         assert not t.is_factor(v)
         with pytest.raises(NotAFactor):
             t.count(v)
