@@ -63,9 +63,13 @@ def is_unbordered(v: str) -> bool:
 
 
 def _width(word: str) -> int:
-    """Bits per letter in the codes of digit word ``word``: 2 when its letters
-    are within 01, else 4."""
-    return 4 if word.encode().translate(None, b"01") else 2
+    """Bits per letter in the codes of ``word``: 2 when its letters are within
+    01, else 4.  One pass leaves the letters past 01: any not a digit is an
+    error, and MalformedSpec names the least such letter."""
+    rest = word.encode("ascii", "replace").translate(None, b"01")
+    if rest and not rest.isdigit():
+        _check_word("".join(sorted(set(word))), "word")
+    return 4 if rest else 2
 
 
 def decode(code: int, n: int, w: int) -> str:
@@ -135,31 +139,32 @@ def _add_windows(windows, word: str, n: int, start: int, full, w: int, edges=())
 
 
 def _probe(prefix, max_len: int, target: int, cap: int, exact) -> tuple:
-    """(word, (windows, early)): the first candidate ``prefix(length)``,
+    """(word, (windows, early, width)): the first candidate ``prefix(length)``,
     length = target, 2 target, ... up to ``cap``, saturated at max_len (else
-    the one at the cap), its windows at max_len and how many fit in its
-    first half.  A doubled candidate reads only the windows that start in
-    its new letters; one that gained a letter past 1 re-keys those so far,
-    in order, from base 4 to base 16.  Given ``exact``, the windows are a
-    set read up to exact[max_len], and all count as fitting; else they are
-    counted in order of first occurrence, noting the count at each half edge.
-    """
+    the one at the cap), its windows at max_len, how many fit in its first
+    half and its width.  A doubled candidate checks its new letters alone
+    (:func:`_width`) and reads the windows that start in them; one that
+    gained a letter past 1 re-keys those so far, in order, from base 4 to
+    base 16.  Given ``exact``, the windows are a set read up to exact[max_len],
+    and all count as fitting; else they are counted in order of first
+    occurrence, noting the count at each half edge."""
     full = None if exact is None else exact[max_len]
     halves = (min(target << k, cap) // 2 for k in range(cap.bit_length() + 1))
     edges = {} if full is not None else dict.fromkeys(max(0, h - max_len + 1) for h in halves)
-    width, start, windows = 0, 0, Counter() if full is None else set()
+    width, start, seen, windows = 2, 0, 0, Counter() if full is None else set()
     while True:
         length = min(target, cap)
         word = prefix(length)
-        if (w := _width(word)) != width:
+        # A candidate whose new letters are all 0 and 1 keeps an earlier width 4.
+        if (w := max(width, _width(word[seen:]))) != width:
             keys = [int(decode(c, max_len, 2), 16) for c in windows]
             width = w
             windows = Counter(dict(zip(keys, windows.values()))) if full is None else set(keys)
-        start = _add_windows(windows, word, max_len, start, full, width, edges)
+        start, seen = _add_windows(windows, word, max_len, start, full, width, edges), length
         # At the cap there is no test: a literal may hold no window at all.
         early = len(windows) if full is not None else edges[max(0, length // 2 - max_len + 1)]
         if length >= cap or len(windows) == (early if full is None else full):
-            return word, (windows, early)
+            return word, (windows, early, width)
         target *= 2
 
 
@@ -215,15 +220,16 @@ class FactorTable:
     ``word`` is digit-only, else MalformedSpec names its least other letter.
     ``exact``, when given, is the word's exact [p(0), ..., p(max_len)].
     ``probe``, when given, is the result of the saturation probe that kept
-    ``word`` (:func:`_probe`), so that its windows are not read twice:
-    (windows, early), the windows at max_len, counted or, from a probe that
-    stops once it has every distinct window, a set of codes, as a certified
-    table needs no counts, and how many of them fit in the first half; else
-    the table reads its word as the probe of one candidate.  The frontier is
-    one less than the first n at which the table's count differs from its
-    reference, or max_len when none does: the reference is ``exact``, or
-    the first half's own counts when a window lies past the half.  ``width``
-    is 2 on a binary table, else 4; the table keeps no list of its letters.
+    ``word`` (:func:`_probe`), so that its letters and windows are not read
+    twice: (windows, early, width), the windows at max_len, counted or, from
+    a probe that stops once it has every distinct window, a set of codes, as
+    a certified table needs no counts, how many fit in the first half, and
+    their width; else the table reads its word as the probe of one
+    candidate.  The frontier is max_len on a certified table and on one whose
+    windows all fit in its first half; else it is one less than the first n
+    at which the count differs from its reference, ``exact`` or the first
+    half's own counts, or max_len when none does.  ``width`` is 2 on a
+    binary table, else 4; the table keeps no list of its letters.
     ``codes``, ``lengths`` and ``lcps`` are parallel entry tuples in code
     order (the windows alone on a certified table), ``p[n]`` is the number
     of length-n factors (on a certified table its certificate: exact[n] for
@@ -237,24 +243,18 @@ class FactorTable:
     def __init__(self, word: str, max_len: int, exact: list[int] | None = None, probe=None):
         if not 1 <= max_len <= len(word):
             raise WindowTooLarge(f"need 1 <= max_len <= {len(word)}, got {max_len}")
-        self.word = word
-        self.max_len = max_len
-        # One pass leaves the letters past 01: any makes the width 4, any not a digit an error.
-        rest = word.encode("ascii", "replace").translate(None, b"01")
-        if rest and not rest.isdigit():
-            _check_word("".join(sorted(set(word))), "word")
-        self.width = w = 4 if rest else 2
+        self.word, self.max_len = word, max_len
         if probe is None:
             _, probe = _probe(lambda _: word, max_len, len(word), len(word), None)
-        windows, early = probe
-        self._windows = windows
+        windows, early, w = probe
+        self._windows, self.width = windows, w
         ref = exact
         if exact is not None and len(windows) == exact[max_len]:
-            # Certified: every factor begins a window, so the windows alone
-            # are the entries (a short suffix is none), and p is the certificate.
+            # Certified: every factor begins a window, so the windows alone are
+            # the entries (no short suffix), and p, the certificate, needs no reference.
             self.codes, self.lengths = tuple(sorted(windows)), (max_len,) * len(windows)
             self.lcps = tuple(_lcps(self.codes, max_len, w))
-            self.p = [0, *exact[1 : max_len + 1]]
+            self.p, ref = [0, *exact[1 : max_len + 1]], None
         else:
             # One sort, of which the half's windows, the first `early` keys,
             # sorted first are one run; the short suffixes land by bisection.
@@ -272,8 +272,8 @@ class FactorTable:
                 _, ref = _histogram(sorted(inner + ends), len(ends), max_len, w)
         # A count never exceeds its reference, and a length that reaches it
         # is saturated, and so is every shorter one.
-        short = (n - 1 for n in range(1, max_len + 1) if ref and self.p[n] != ref[n])
-        self.frontier = next(short, max_len)
+        short = (n - 1 for n in range(1, max_len + 1) if self.p[n] != ref[n])
+        self.frontier = next(short, max_len) if ref else max_len
 
     @cached_property
     def counts(self) -> Counter[int]:

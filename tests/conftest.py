@@ -14,6 +14,10 @@ TM_SPEC = "morphic:0->01,1->10;seed=0"
 
 FIB32 = "01001010010010100101001001010010"
 
+# A random 6000-letter binary literal, read by the half-window rule in
+# rounds of 1024, 2048, 4096 and 6000 letters at max-n 16.
+DENSE_LITERAL = format(random.Random(29).getrandbits(6000), "06000b")
+
 
 # The directory that holds the imported package, so that a child
 # interpreter imports the same code without an install or PYTHONPATH.

@@ -17,7 +17,7 @@ from sturmlex import checks, factors
 from sturmlex.errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced, WindowTooLarge
 
 import naive
-from conftest import TM_SPEC, assert_same_text, literals, neighbour_pairs, prefix
+from conftest import DENSE_LITERAL, TM_SPEC, assert_same_text, literals, neighbour_pairs, prefix
 
 
 # Not primitive (1 never reaches 0): its window follows the half-window rule.
@@ -420,6 +420,35 @@ class TestSaturatedTable:
         assert checks._battery(t) == checks._battery(ref)
         recurrence = [checks.recurrence_heuristic(x, known=spec.flags.recurrent) for x in (t, ref)]
         assert recurrence[0] == recurrence[1]
+
+    @pytest.mark.parametrize(
+        "text,max_len,prefix_len",
+        [("literal:" + DENSE_LITERAL, 16, 1024), ("std:3,2000000,1", 240, None)],
+        ids=["dense-literal", "std-3-2000000-1"],
+    )
+    def test_each_letter_is_checked_once(self, monkeypatch, text, max_len, prefix_len):
+        # Each candidate checks its new letters alone, and the table takes
+        # its width from the probe, with no check of its own.
+        checked = []
+
+        def checking(word, _original=factors._width):
+            checked.append(len(word))
+            return _original(word)
+
+        monkeypatch.setattr(factors, "_width", checking)
+        _, sizes = count_slices(monkeypatch)
+        t = checks.saturated_table(sx.parse_spec(text), max_len, prefix_len)
+        assert len(sizes) > 2 and sizes[-1] == len(t.word)
+        assert checked == [b - a for a, b in zip([0, *sizes], sizes)]
+
+    def test_a_width_of_4_outlives_binary_letters(self):
+        # The first candidate holds a 2, the later ones add only 0s and 1s:
+        # the probe keeps 4 bits a letter.
+        bits = format(random.Random(20261019).getrandbits(3000), "03000b")
+        t = checks.saturated_table(sx.Literal("2" + bits), 16, 1024)
+        ref = sx.FactorTable(t.word, 16)
+        assert len(t.word) > 2048 and t.width == ref.width == 4
+        assert (t.codes, t.frontier, t.counts) == (ref.codes, ref.frontier, ref.counts)
 
     # The starts up to the window that completes each count of p(240) = 241
     # windows, on the harness-tall specs at prefix_len 1024.

@@ -8,14 +8,13 @@ layers that changes any verdict, witness or window shows up here.  The
 from its word alone, every factor and count of it.
 """
 
-import random
 from pathlib import Path
 
 import pytest
 
 from sturmlex.cli import main
 
-from conftest import FIB32, TM_SPEC
+from conftest import DENSE_LITERAL, FIB32, TM_SPEC
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -30,8 +29,6 @@ STURMIAN_SPECS = {
     # 80 letters; the seam between the copies breaks the Fibonacci structure.
     "literal-short": "literal:" + FIB32 + FIB32 + FIB32[:16],
 }
-
-DENSE_LITERAL = format(random.Random(29).getrandbits(6000), "06000b")
 
 CASES = [
     (f"sturmian-{name}", ["check", "--spec", spec, "--what", "sturmian", "--json",
@@ -60,6 +57,12 @@ CASES = [
     # A ternary word whose table keeps every pair for the exact judge.
     ("sturmian-fib-02", ["check", "--spec", "morphic:0->02,2->0;seed=0", "--what",
                          "sturmian", "--json", "--max-n", "240", "--prefix-len", "1024"]),
+    # Windows grown to PREFIX_BUDGET, 4194304 letters, that leave lengths
+    # unsaturated: both Indeterminate.
+    ("sturmian-std-3-2000000-1", ["check", "--spec", "std:3,2000000,1", "--what", "sturmian",
+                                  "--json", "--max-n", "240"]),
+    ("sturmian-std-huge-entry", ["check", "--spec", "std:99999999999999999999999", "--what",
+                                 "sturmian", "--json", "--max-n", "40"]),
     ("christoffel-5-8-plain", ["christoffel", "--p", "5", "--q", "8", "--json"]),
     ("christoffel-5-8", ["christoffel", "--p", "5", "--q", "8", "--verify", "--json"]),
     ("christoffel-5-8-fib", ["christoffel", "--p", "5", "--q", "8", "--verify",
@@ -86,6 +89,8 @@ EXIT_CODES = {
     "harness-sturmian": 0,
     "sturmian-dense-literal": 1,
     "sturmian-fib-02": 0,
+    "sturmian-std-3-2000000-1": 2,
+    "sturmian-std-huge-entry": 2,
     "christoffel-5-8-plain": 0,
     "christoffel-5-8": 1,
     "christoffel-5-8-fib": 0,
