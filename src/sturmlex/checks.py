@@ -198,11 +198,11 @@ def _adjacent_faults(
     variant 1, reported as "nfop"), "hamming2" and "ones" (binary only).
     The walk pairs consecutive :meth:`FactorTable.starts` a < b, whose
     prefixes neighbour at lengths lo..top (the frontier), lo the lcp of b
-    plus one, where they first mismatch.  With its third mismatch at length
-    t3, a pair first fails nfop at lo, lo+1 or t3 (past a transposition),
-    and hamming2 and ones from t3 on.  A check's first fault (shortest, then
-    lex-least pair) is its witness; pairs go by ascending lo until none can
-    beat one.  A check with no fault is Indeterminate if lengths were skipped.
+    plus one, where they first mismatch.  Each pair is judged once, on its
+    top-letter prefixes (:func:`_first_faults`).  A check's first fault
+    (shortest, then lex-least pair) is its witness; pairs go by ascending lo
+    until none can beat one.  A check with no fault is Indeterminate if
+    lengths were skipped.
 
     On a binary table most pairs are passed over after one exact test
     (:func:`_fitting_steps`).  The 2-bit codes c < cp of two top-letter
@@ -223,10 +223,10 @@ def _adjacent_faults(
     starts, lcps = table.starts(), table.lcps
     whole = len(starts) == len(codes)
     los = lcps if whole else [*map(lcps.__getitem__, starts)]
-    odd = range(1, len(starts))
+    odd, cut = range(1, len(starts)), w * (size - top)
     if table.is_binary:
         # Shifting by 0 would copy every code: uncut, the heads are the codes.
-        heads, cut = codes if whole else [*map(codes.__getitem__, starts)], 2 * (size - top)
+        heads = codes if whole else [*map(codes.__getitem__, starts)]
         if cut:
             heads = [*map(rshift, heads, repeat(cut))]
         diffs = [*map(sub, heads[1:], heads)]
@@ -238,19 +238,13 @@ def _adjacent_faults(
     for lo, a, b in sorted(pairs):
         if lo > reach:
             break
-        c, cp = codes[a], codes[b]
-        t3 = _third_mismatch(c ^ cp, size, w)
+        v, vp = decode(codes[a] >> cut, top, w), decode(codes[b] >> cut, top, w)
+        faults = _first_faults(v, vp, variant)
         for key in sought:
-            stop = min(top, best[key][0])
-            tries = (lo, lo + 1, t3) if "nfop" in key else range(max(lo, t3), stop + 1)
-            for n in (n for n in tries if lo <= n <= stop):
-                cut = c >> w * (size - n), cp >> w * (size - n)
-                # A fault that cannot beat the best one is at its length, the last tried.
-                if (why := _pair_fault(key, variant, w, *cut)) and (n, a) < best[key][:2]:
-                    pair = decode(cut[0], n, w), decode(cut[1], n, w)
-                    best[key] = n, a, dict(status=VIOLATED, witness=pair, n=n, reason=why)
-                    reach = max(best[k][0] for k in sought)
-                    break
+            if (fault := faults[key]) and (fault[0], a) < best[key][:2]:
+                n, why = fault
+                best[key] = n, a, dict(status=VIOLATED, witness=(v[:n], vp[:n]), n=n, reason=why)
+                reach = max(best[k][0] for k in sought)
     return tuple(
         _stamped(table, "nfop" if key == "nfop1" else key, **best[key][2]) for key in sought
     )
@@ -264,60 +258,34 @@ def _fitting_steps(top: int) -> tuple[int, ...]:
     return (1, *accumulate(repeat(4, top), mul, initial=3))[top - 1 :: -1]
 
 
-def _third_mismatch(x: int, size: int, w: int) -> int:
-    """The length at which the third mismatch of two size-letter width-w codes
-    XORing to x enters, or size+1 if they have fewer."""
-    for _ in range(2):
-        x &= (1 << w * max((x.bit_length() - 1) // w, 0)) - 1
-    return size - (x.bit_length() - 1) // w
+def _first_faults(v: str, vp: str, variant: int) -> dict[str, tuple[int, str] | None]:
+    """(n, reason) of each pair check's first fault on the cuts v[:n] <
+    vp[:n], lo <= n <= len(v), keyed as in :func:`_adjacent_faults`, or None.
 
-
-def _pair_fault(key: str, variant: int, w: int, c: int, cp: int) -> str | None:
-    """Why the adjacent pair of width-w codes c < cp fails check ``key``, or None."""
-    if key == "hamming2":
-        return _differ_reason(c ^ cp, w)
-    if key == "ones":
-        a, b = c.bit_count(), cp.bit_count()
-        return f"1-count drops from {a} to {b}" if a > b else None
-    return _nfop_shape(c, cp, 1 if key == "nfop1" else variant, w)
-
-
-def _differ_reason(x: int, w: int) -> str | None:
-    """Why a pair whose width-w codes XOR to ``x`` differs in more than two
-    letters, or None."""
-    m = (1 << w) - 1
-    d = sum(1 for k in range(0, x.bit_length(), w) if x >> k & m)
-    return f"differ in {d} positions" if d > 2 else None
-
-
-def _nfop_shape(c: int, cp: int, variant: int, w: int) -> str | None:
-    """Why the adjacent pair of width-w codes c < cp fits no allowed shape, or
-    None if it fits.
-
-    c ^ cp is nonzero exactly in the digits of the letters that differ; its
-    top nonzero digit is the first mismatch, and the next one the second.
+    Only the mismatches change a check's answer as n grows, so they are
+    listed once, as the lengths at which they enter, lo first.  nfop fails
+    at lo if the letters there are no final step (variants 2 and 3 need
+    them consecutive), at lo + 1 unless the first two mismatches swap two
+    neighbouring letters (whose consecutiveness lo has judged), else where
+    the third enters, as hamming2 does.  The 1-count falls where the
+    running sum of the mismatches' 1-count changes first turns negative.
     """
-    x, m = c ^ cp, (1 << w) - 1
-    k = (x.bit_length() - 1) // w
-    rest = x & ((1 << w * k) - 1)
-    if not rest:
-        if k:
-            return "single mismatch not at the last position"
-        if variant != 1 and cp - c != 1:
-            return "last letters are not consecutive"
-        return None
-    j = (rest.bit_length() - 1) // w
-    if rest & ((1 << w * j) - 1):
-        return _differ_reason(x, w)
-    if j != k - 1:
-        return "mismatch positions are not adjacent"
-    a, b = c >> w * k & m, c >> w * j & m
-    if cp >> w * k & m != b or cp >> w * j & m != a:
-        return "adjacent mismatches are not a transposition"
-    # c < cp, so at the first mismatch a is below cp's letter there, b.
-    if variant != 1 and b - a != 1:
-        return "transposed letters are not consecutive"
-    return None
+    ends = [*compress(count(1), map(ne, v, vp))]
+    lo, hamming = ends[0], (ends[2], "differ in 3 positions") if len(ends) > 2 else None
+    if lo == len(v):
+        later = None
+    elif ends[1:2] != [lo + 1]:
+        later = lo + 1, "single mismatch not at the last position"
+    elif (v[lo - 1], v[lo]) != (vp[lo], vp[lo - 1]):
+        later = lo + 1, "adjacent mismatches are not a transposition"
+    else:
+        later = hamming
+    steps = accumulate((vp[e - 1] == "1") - (v[e - 1] == "1") for e in ends)
+    drop = next((e for e, s in zip(ends, steps) if s < 0), None)
+    ones = drop and (drop, f"1-count drops from {v[:drop].count('1')} to {vp[:drop].count('1')}")
+    step = variant == 1 or ord(vp[lo - 1]) - ord(v[lo - 1]) == 1
+    nfop = later if step else (lo, "last letters are not consecutive")
+    return {"nfop": nfop, "nfop1": later, "hamming2": hamming, "ones": ones}
 
 
 def check_nfop(table: FactorTable, variant: int = 3) -> Verdict:

@@ -1113,18 +1113,19 @@ class TestEachCheckOncePerTable:
 
 class TestBinarySkip:
     """On a binary table the walk passes over a final 0 -> 1 step or a
-    01 -> 10 swap without its exact judge (``_pair_fault``)."""
+    01 -> 10 swap without its pair judge (``_first_faults``), and judges
+    each other pair once."""
 
     @pytest.fixture
     def judged(self, monkeypatch):
         calls = []
-        real = checks._pair_fault
+        real = checks._first_faults
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(checks, "_pair_fault", counted)
+        monkeypatch.setattr(checks, "_first_faults", counted)
         return calls
 
     @pytest.mark.parametrize("text", ["fib", "std:2,1", "std:3", "std:1,2,3"])
@@ -1154,6 +1155,15 @@ class TestBinarySkip:
     def test_thue_morse_pairs_are_judged(self, judged, tm_table):
         assert sx.check_nfop(tm_table).status == checks.VIOLATED
         assert judged
+
+    def test_each_misfit_pair_is_judged_once(self, judged):
+        # Balanced and periodic: ones never faults, so the walk never stops
+        # early and every pair that misfits past the period reaches the judge.
+        table = checks.saturated_table(sx.parse_spec("mech:5/13@1/2"), 200)
+        nfop, _, _, hamming, ones, _ = checks._battery(table)
+        assert (nfop.status, hamming.status, ones.status) == (
+            checks.VIOLATED, checks.VIOLATED, checks.CONSISTENT)
+        assert 0 < len(judged) <= len(table.starts()) - 1
 
 
 def shape_fits(c, cp, cut):
@@ -1330,12 +1340,13 @@ def mismatched_pairs(draw):
 
 
 class TestPairReasons:
-    """The pair predicate gives the oracle's reason string, or None, exactly."""
+    """The pair judge gives each check's first failing length and reason,
+    or None, exactly as the oracle finds them over every cut length."""
 
-    # Shapes at the edge of the walk's binary skip, which the predicate must
-    # judge right on its own: a final step and a 01 -> 10 swap (skipped on
+    # Shapes at the edge of the walk's binary skip, which the judge must
+    # decide right on its own: a final step and a 01 -> 10 swap (skipped on
     # binary tables), a 12 -> 21 swap, and 03 -> 12, whose 4-bit codes XOR
-    # to a swap's 0x11.  A binary pair is judged at both widths.
+    # to a swap's 0x11.
     @example(pair=("0110", "0111"))
     @example(pair=("0011", "0101"))
     @example(pair=("2120", "2210"))
@@ -1346,11 +1357,19 @@ class TestPairReasons:
         # The walk pairs distinct neighbours of a sorted list.
         v, vp = sorted(pair)
         assume(v != vp)
-        for w in {factors._width(v + vp), 4}:
-            c, cp = int(v, 1 << w), int(vp, 1 << w)
-            for variant in (1, 2, 3):
-                want = naive.nfop_reason(v, vp, variant)
-                assert checks._nfop_shape(c, cp, variant, w) == want
+        lo = next(k for k in range(len(v)) if v[k] != vp[k]) + 1
+
+        def first(reason):
+            cuts = ((n, reason(v[:n], vp[:n])) for n in range(lo, len(v) + 1))
+            return next(((n, why) for n, why in cuts if why), None)
+
+        for variant in (1, 2, 3):
+            assert checks._first_faults(v, vp, variant) == {
+                "nfop": first(lambda a, b: naive.nfop_reason(a, b, variant)),
+                "nfop1": first(lambda a, b: naive.nfop_reason(a, b, 1)),
+                "hamming2": first(naive.hamming_reason),
+                "ones": first(naive.ones_reason),
+            }
 
 
 class TestDifferentialRandomBinary:
@@ -1535,3 +1554,24 @@ class TestBatteryAgainstOracle:
         assert checks.recurrence_heuristic(t) == recurrence
         want = naive.extension_exclusion(t.word, t.max_len)
         assert sx.find_extension_exclusion(t) == want
+
+    @given(
+        case=st.integers(2, 60).flatmap(lambda period: st.tuples(
+            st.integers(1, period - 1).filter(lambda p: math.gcd(p, period) == 1),
+            st.just(period),
+            st.integers(1, 3 * period),
+        )),
+        rho=st.integers(0, 5).map(lambda k: Fraction(k, 6)),
+    )
+    @example(case=(3, 8, 200), rho=Fraction(0))
+    @example(case=(5, 13, 200), rho=Fraction(1, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_mechanical_words(self, case, rho):
+        # mech:p/period@rho is periodic and balanced: its pairs past the
+        # period misfit, and each is judged once on its longest prefixes.
+        p, period, max_len = case
+        t = checks.saturated_table(sx.MechanicalRational(p, period - p, rho), max_len, max_len)
+        assert t.frontier == max_len
+        battery, _ = oracle_battery(t.word, max_len, t.frontier, known=True)
+        nfop, _, _, hamming, ones, nfop_1 = checks._battery(t)
+        assert (nfop, hamming, ones, nfop_1) == tuple(battery[i] for i in (0, 3, 4, 5))

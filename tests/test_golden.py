@@ -54,9 +54,13 @@ CASES = [
     # the last capped at its end: the half-window rule on every round.
     ("sturmian-dense-literal", ["check", "--spec", "literal:" + DENSE_LITERAL, "--what",
                                 "sturmian", "--json", "--max-n", "16", "--prefix-len", "1024"]),
-    # A ternary word whose table keeps every pair for the exact judge.
+    # A ternary word whose table keeps every pair for the pair judge.
     ("sturmian-fib-02", ["check", "--spec", "morphic:0->02,2->0;seed=0", "--what",
                          "sturmian", "--json", "--max-n", "240", "--prefix-len", "1024"]),
+    # A balanced periodic word whose pairs past the period all misfit, each
+    # judged once on its 2000-letter prefixes.
+    ("sturmian-mech-144-377", ["check", "--spec", "mech:144/377@0", "--what", "sturmian",
+                               "--json", "--max-n", "2000"]),
     # Windows grown to PREFIX_BUDGET, 4194304 letters, that leave lengths
     # unsaturated: both Indeterminate.
     ("sturmian-std-3-2000000-1", ["check", "--spec", "std:3,2000000,1", "--what", "sturmian",
@@ -89,6 +93,7 @@ EXIT_CODES = {
     "harness-sturmian": 0,
     "sturmian-dense-literal": 1,
     "sturmian-fib-02": 0,
+    "sturmian-mech-144-377": 1,
     "sturmian-std-3-2000000-1": 2,
     "sturmian-std-huge-entry": 2,
     "christoffel-5-8-plain": 0,
