@@ -194,8 +194,8 @@ def _adjacent_faults(
 ) -> tuple[Verdict, ...]:
     """The verdicts of the sought pair checks, in order, from one walk.
 
-    ``sought`` names checks among "nfop" (of ``variant``), "nfop1" (nfop of
-    variant 1, reported as "nfop"), "hamming2" and "ones" (binary only).
+    ``sought`` names checks among "nfop" (of ``variant``), "hamming2" and
+    "ones" (binary only).
     The walk pairs consecutive :meth:`FactorTable.starts` a < b, whose
     prefixes neighbour at lengths lo..top (the frontier), lo the lcp of b
     plus one, where they first mismatch.  Each pair is judged once, on its
@@ -245,9 +245,7 @@ def _adjacent_faults(
                 n, why = fault
                 best[key] = n, a, dict(status=VIOLATED, witness=(v[:n], vp[:n]), n=n, reason=why)
                 reach = max(best[k][0] for k in sought)
-    return tuple(
-        _stamped(table, "nfop" if key == "nfop1" else key, **best[key][2]) for key in sought
-    )
+    return tuple(_stamped(table, key, **best[key][2]) for key in sought)
 
 
 @lru_cache(maxsize=8)
@@ -285,7 +283,7 @@ def _first_faults(v: str, vp: str, variant: int) -> dict[str, tuple[int, str] | 
     ones = drop and (drop, f"1-count drops from {v[:drop].count('1')} to {vp[:drop].count('1')}")
     step = variant == 1 or ord(vp[lo - 1]) - ord(v[lo - 1]) == 1
     nfop = later if step else (lo, "last letters are not consecutive")
-    return {"nfop": nfop, "nfop1": later, "hamming2": hamming, "ones": ones}
+    return {"nfop": nfop, "hamming2": hamming, "ones": ones}
 
 
 def check_nfop(table: FactorTable, variant: int = 3) -> Verdict:
@@ -444,25 +442,21 @@ class SturmianReport(Record):
 
 
 def _battery(table: FactorTable) -> tuple[Verdict, ...]:
-    """The five verdicts before recurrence in report order, then nfop variant 1.
+    """The five verdicts before recurrence, in report order.
 
     nfop is variant 3 on a binary table and variant 1 otherwise; the checks
-    that need a binary alphabet come back Indeterminate on any other.  On a
-    binary table the same walk judges variant 1: it faults exactly where
-    variant 3 does, so seeking it costs one shape test.
+    that need a binary alphabet come back Indeterminate on any other.
     """
     if table.is_binary:
-        sought = ("nfop", "hamming2", "ones", "nfop1")
-        nfop, hamming, ones, nfop_1 = _adjacent_faults(table, sought)
+        nfop, hamming, ones = _adjacent_faults(table, ("nfop", "hamming2", "ones"))
         balance = check_balance(table)
     else:
         (nfop,) = _adjacent_faults(table, ("nfop",), 1)
-        nfop_1 = nfop
         balance, hamming, ones = (
             _stamped(table, c, INDETERMINATE, reason="alphabet is not binary")
             for c in ("balance", "hamming2", "ones")
         )
-    return nfop, balance, periodicity_certificate(table), hamming, ones, nfop_1
+    return nfop, balance, periodicity_certificate(table), hamming, ones
 
 
 def sturmian_verdict(
@@ -476,7 +470,7 @@ def sturmian_verdict(
     Indeterminate otherwise.
     """
     table = saturated_table(spec, max_len, prefix_len)
-    verdicts = _battery(table)[:5]
+    verdicts = _battery(table)
     return SturmianReport(
         spec_text=str(spec),
         prefix_length=len(table.word),
@@ -556,9 +550,8 @@ def equivalence_harness(
     look aperiodic (skipped on non-binary tables); (b) specs known a priori
     to describe Sturmian words never produce an ordering violation; (c) words
     flagged recurrent and aperiodic must get agreeing verdicts from the
-    ordering, hamming2 and ones checks; (d) the three ordering variants agree
-    on binary tables, variant 1 judged in the battery's own pair walk.
-    Failures are report entries, never exceptions.
+    ordering, hamming2 and ones checks.  Failures are report entries, never
+    exceptions.
     """
     if not corpus:
         raise ValueError("corpus must be nonempty")
@@ -581,9 +574,10 @@ def _judged(assertion: str, ok: bool, detail: str) -> tuple[str, str, str | None
 
 def _assertions(spec: WordSpec, table: FactorTable):
     """(assertion, result, detail) of each harness assertion on one word."""
-    flagged = spec.flags.recurrent is True and spec.flags.aperiodic is True
+    flags = spec.flags
+    flagged = flags.recurrent is True and flags.aperiodic is True
     binary = table.is_binary
-    nfop, balance, cert, hamming, ones, nfop_1 = _battery(table)
+    nfop, balance, cert, hamming, ones = _battery(table)
 
     if nfop.status == CONSISTENT and binary:
         balanced = balance.status == CONSISTENT
@@ -613,11 +607,3 @@ def _assertions(spec: WordSpec, table: FactorTable):
     else:
         detail = f"nfop={nfop.status} hamming2={hamming.status} ones={ones.status}"
         yield agreement, "pass" if len(statuses) == 1 else "fail", detail
-
-    if binary:
-        # nfop is variant 3 here, and variant 2 differs from it only by
-        # the binary precondition, so it stands for both.
-        triples = [(v.status, v.witness, v.n) for v in (nfop_1, nfop, nfop)]
-        yield _judged("variant-agreement", triples[0] == triples[1], str(triples))
-    else:
-        yield "variant-agreement", "skip", "non-binary table"

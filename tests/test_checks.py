@@ -992,11 +992,6 @@ class TestEquivalenceHarness:
         report = sx.equivalence_harness([sx.parse_spec("ultper:0|1")], 16)
         assert report.all_passed
 
-    def test_variant_agreement_runs_on_binary(self, tm_table):
-        report = sx.equivalence_harness([sx.parse_spec(TM_SPEC)], 10)
-        byname = {o.assertion: o for o in report.outcomes}
-        assert byname["variant-agreement"].result == "pass"
-
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             sx.equivalence_harness([], 10)
@@ -1007,7 +1002,7 @@ class TestEquivalenceHarness:
         # nfop variant 1 holds on {0,1,2} at length 1, but balance, the
         # extension exclusion and the certificate speak of binary words only.
         report = sx.equivalence_harness([sx.parse_spec("periodic:012")], 1)
-        assert len(report.outcomes) == 6
+        assert len(report.outcomes) == 5
         assert report.all_passed
         byname = {o.assertion: o for o in report.outcomes}
         for assertion in ("nfop=>balance", "nfop=>extension-exclusion", "nfop=>aperiodic"):
@@ -1027,24 +1022,6 @@ class TestEquivalenceHarness:
             f"{c}={r.verdict(c).status}" for c in ("nfop", "hamming2", "ones")
         )
         assert byname["recurrent-aperiodic-agreement"].detail == expected
-
-    def test_variant_disagreement_is_reported(self, monkeypatch):
-        # Skew the variant-1 verdict ("nfop1") that the battery's walk yields.
-        real = checks._adjacent_faults
-
-        def skewed(table, sought, variant=3):
-            verdicts = real(table, sought, variant)
-            return tuple(
-                v.replace(status=checks.INDETERMINATE) if key == "nfop1" else v
-                for key, v in zip(sought, verdicts)
-            )
-
-        monkeypatch.setattr(checks, "_adjacent_faults", skewed)
-        report = sx.equivalence_harness([sx.parse_spec("std:2,1")], 8)
-        entry = {o.assertion: o for o in report.outcomes}["variant-agreement"]
-        assert entry.result == "fail"
-        assert entry.detail.startswith("[('Indeterminate', None, None), ")
-        assert entry.detail.count("ConsistentUpTo") == 2
 
 
 CHECK_FUNCTIONS = (
@@ -1076,9 +1053,8 @@ def check_calls(monkeypatch):
 
 class TestEachCheckOncePerTable:
     """Every verdict read once per table, the harness reading no recurrence
-    verdict; nfop, hamming2 and ones (and, in the harness, nfop variant 1)
-    share one pair walk (``_adjacent_faults``) instead of calling their
-    public wrappers."""
+    verdict; nfop, hamming2 and ones share one pair walk
+    (``_adjacent_faults``) instead of calling their public wrappers."""
 
     def test_sturmian_verdict(self, check_calls):
         sx.sturmian_verdict(sx.parse_spec("fib"), max_len=8)
@@ -1091,7 +1067,6 @@ class TestEachCheckOncePerTable:
 
     def test_harness_on_a_binary_table(self, check_calls):
         sx.equivalence_harness([sx.parse_spec("std:2,1")], 8)
-        # the battery's walk also judges nfop variant 1 for variant-agreement;
         # the table is balanced, so the exclusion search cannot find a u
         assert check_calls == Counter(_adjacent_faults=1, check_balance=1, periodicity_certificate=1)
 
@@ -1145,11 +1120,11 @@ class TestBinarySkip:
         assert t.frontier == 2000 and len(t.starts()) < len(t.codes)
         tracemalloc.start()
         try:
-            walk = checks._adjacent_faults(t, ("nfop", "hamming2", "ones", "nfop1"))
+            walk = checks._adjacent_faults(t, ("nfop", "hamming2", "ones"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [v.status for v in walk] == [checks.CONSISTENT] * 4
+        assert [v.status for v in walk] == [checks.CONSISTENT] * 3
         assert peak < 1.8e6, f"peak {peak / 1e6:.2f} MB"
 
     def test_thue_morse_pairs_are_judged(self, judged, tm_table):
@@ -1160,7 +1135,7 @@ class TestBinarySkip:
         # Balanced and periodic: ones never faults, so the walk never stops
         # early and every pair that misfits past the period reaches the judge.
         table = checks.saturated_table(sx.parse_spec("mech:5/13@1/2"), 200)
-        nfop, _, _, hamming, ones, _ = checks._battery(table)
+        nfop, _, _, hamming, ones = checks._battery(table)
         assert (nfop.status, hamming.status, ones.status) == (
             checks.VIOLATED, checks.VIOLATED, checks.CONSISTENT)
         assert 0 < len(judged) <= len(table.starts()) - 1
@@ -1195,8 +1170,8 @@ def certified_tables(draw):
 
 
 def assert_walk_as_oracle(t, top=None):
-    """One walk's four pair verdicts against the oracle's, saturated up to
-    ``top`` (or by the half-window rule)."""
+    """One walk's three pair verdicts, and nfop variant 1's, against the
+    oracle's, saturated up to ``top`` (or by the half-window rule)."""
     w, size = t.word, t.max_len
     want = [
         (naive.nfop_verdict(w, size, 3, top), lambda v, vp: naive.nfop_reason(v, vp, 3)),
@@ -1204,7 +1179,7 @@ def assert_walk_as_oracle(t, top=None):
         (naive.ones_verdict(w, size, top), naive.ones_reason),
         (naive.nfop_verdict(w, size, 1, top), lambda v, vp: naive.nfop_reason(v, vp, 1)),
     ]
-    walk = checks._adjacent_faults(t, ("nfop", "hamming2", "ones", "nfop1"))
+    walk = (*checks._adjacent_faults(t, ("nfop", "hamming2", "ones")), sx.check_nfop(t, 1))
     for got, ((status, n, pair), reason) in zip(walk, want):
         assert (got.status, got.n, got.witness) == (status, n, pair)
         if pair is not None:
@@ -1265,12 +1240,23 @@ class TestCrossCheckInvariants:
     def test_variants_agree_on_binary_tables(
         self, fib_table, tm_table, per01_table, ult01_table, zerozero_fib_table
     ):
-        for t in (fib_table, tm_table, per01_table, ult01_table, zerozero_fib_table):
-            outcomes = [
-                (v.status, v.n, v.witness)
-                for v in (sx.check_nfop(t, k) for k in (1, 2, 3))
-            ]
-            assert outcomes[0] == outcomes[1] == outcomes[2]
+        # Over 0 and 1 the first mismatch of v < v' is 0 against 1, which are
+        # consecutive, so the three variants accept the same pairs.  The known
+        # words, then every binary word of 1-10 letters at every max_len.
+        short = (
+            sx.FactorTable("".join(letters), max_len)
+            for size in range(1, 11)
+            for letters in itertools.product("01", repeat=size)
+            for max_len in range(1, size + 1)
+        )
+        tables = 0
+        for t in itertools.chain(
+            (fib_table, tm_table, per01_table, ult01_table, zerozero_fib_table), short
+        ):
+            v1, v2, v3 = (sx.check_nfop(t, k) for k in (1, 2, 3))
+            assert v1 == v2 == v3, (t.word, t.max_len)
+            tables += 1
+        assert tables == 5 + 18434
 
     def test_consistent_pairs_are_two_close_and_monotone(self, fib_table):
         for n in range(1, 41):
@@ -1366,7 +1352,6 @@ class TestPairReasons:
         for variant in (1, 2, 3):
             assert checks._first_faults(v, vp, variant) == {
                 "nfop": first(lambda a, b: naive.nfop_reason(a, b, variant)),
-                "nfop1": first(lambda a, b: naive.nfop_reason(a, b, 1)),
                 "hamming2": first(naive.hamming_reason),
                 "ones": first(naive.ones_reason),
             }
@@ -1407,10 +1392,9 @@ class TestDifferentialRandomBinary:
             assert (got.status, got.n, got.witness) == (status, n, pair)
             if pair is not None:
                 assert got.reason == reason(*pair)
-        # The battery seeks all four faults in one walk.
-        sought = ("nfop", "hamming2", "ones", "nfop1")
-        walk = checks._adjacent_faults(t, sought)
-        assert walk == (cases[4][0], cases[0][0], cases[1][0], cases[2][0])
+        # The battery seeks all three faults in one walk.
+        walk = checks._adjacent_faults(t, ("nfop", "hamming2", "ones"))
+        assert walk == (cases[4][0], cases[0][0], cases[1][0])
 
     @given(t=tables())
     # Witnesses at the longest searchable length: u=0000 (balance) and u=000
@@ -1446,9 +1430,8 @@ class TestDifferentialNonBinary:
             assert (got.status, got.n, got.witness) == (status, n, pair)
             if pair is not None:
                 assert got.reason == naive.nfop_reason(*pair, k)
-        # One walk judges two variants independently.
-        walk = checks._adjacent_faults(t, ("nfop", "nfop1"), 2)
-        assert walk == (sx.check_nfop(t, 2), sx.check_nfop(t, 1))
+        # The battery judges a non-binary table by variant 1.
+        assert checks._battery(t)[0] == sx.check_nfop(t, 1)
 
 
 @st.composite
@@ -1493,10 +1476,12 @@ def oracle_battery(w, max_len, top=None, known=None):
             return verdict(check, status, reason=f"unsaturated lengths {skipped}")
         return verdict(check, status, up_to=max_len)
 
-    def nfop(variant):
-        outcome = naive.nfop_verdict(w, max_len, variant, top)
-        return walk("nfop", outcome, lambda v, vp: naive.nfop_reason(v, vp, variant))
-
+    variant = 3 if binary else 1
+    nfop = walk(
+        "nfop",
+        naive.nfop_verdict(w, max_len, variant, top),
+        lambda v, vp: naive.nfop_reason(v, vp, variant),
+    )
     if binary:
         hit = naive.minimal_imbalance(w, max_len)
         balance = (
@@ -1527,13 +1512,13 @@ def oracle_battery(w, max_len, top=None, known=None):
     else:
         why = "a-priori recurrent" if known else None
         recurrence = verdict("recurrence", checks.RECURRENT_CONSISTENT, up_to=max_len, reason=why)
-    battery = nfop(3 if binary else 1), balance, complexity, hamming, ones, nfop(1)
+    battery = nfop, balance, complexity, hamming, ones
     return battery, recurrence
 
 
 class TestBatteryAgainstOracle:
-    """All six verdicts plus nfop variant 1, and the extension-exclusion
-    search, on tables whose length bound reaches the word's length."""
+    """All six verdicts and the extension-exclusion search, on tables whose
+    length bound reaches the word's length."""
 
     # Short suffixes between neighbours: 0110 at max_len 4 keeps only its
     # single window, and every other length gains tails.
@@ -1573,5 +1558,7 @@ class TestBatteryAgainstOracle:
         t = checks.saturated_table(sx.MechanicalRational(p, period - p, rho), max_len, max_len)
         assert t.frontier == max_len
         battery, _ = oracle_battery(t.word, max_len, t.frontier, known=True)
-        nfop, _, _, hamming, ones, nfop_1 = checks._battery(t)
-        assert (nfop, hamming, ones, nfop_1) == tuple(battery[i] for i in (0, 3, 4, 5))
+        nfop, _, _, hamming, ones = checks._battery(t)
+        assert (nfop, hamming, ones) == tuple(battery[i] for i in (0, 3, 4))
+        # Variant 1 judges the misfit pairs in its own walk, as variant 3 does.
+        assert sx.check_nfop(t, 1) == battery[0]
