@@ -992,6 +992,18 @@ class TestEquivalenceHarness:
         report = sx.equivalence_harness([sx.parse_spec("ultper:0|1")], 16)
         assert report.all_passed
 
+    def test_binary_table_judges_five_assertions(self):
+        # Every assertion runs on a binary Sturmian table, and the ordering is
+        # judged once: no second variant is compared with the first.
+        report = sx.equivalence_harness([sx.parse_spec("std:2,1")], 8)
+        assert [(o.assertion, o.result) for o in report.outcomes] == [
+            ("nfop=>balance", "pass"),
+            ("nfop=>extension-exclusion", "pass"),
+            ("nfop=>aperiodic", "pass"),
+            ("sturmian-generator-nfop", "pass"),
+            ("recurrent-aperiodic-agreement", "pass"),
+        ]
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             sx.equivalence_harness([], 10)
@@ -1241,22 +1253,23 @@ class TestCrossCheckInvariants:
         self, fib_table, tm_table, per01_table, ult01_table, zerozero_fib_table
     ):
         # Over 0 and 1 the first mismatch of v < v' is 0 against 1, which are
-        # consecutive, so the three variants accept the same pairs.  The known
-        # words, then every binary word of 1-10 letters at every max_len.
-        short = (
-            sx.FactorTable("".join(letters), max_len)
-            for size in range(1, 11)
-            for letters in itertools.product("01", repeat=size)
-            for max_len in range(1, size + 1)
-        )
-        tables = 0
-        for t in itertools.chain(
-            (fib_table, tm_table, per01_table, ult01_table, zerozero_fib_table), short
-        ):
+        # consecutive, so the three variants accept the same pairs.
+        for t in (fib_table, tm_table, per01_table, ult01_table, zerozero_fib_table):
             v1, v2, v3 = (sx.check_nfop(t, k) for k in (1, 2, 3))
             assert v1 == v2 == v3, (t.word, t.max_len)
-            tables += 1
-        assert tables == 5 + 18434
+
+    def test_variants_agree_on_every_short_binary_word(self):
+        # The same theorem, exhaustively: every binary word of 1-10 letters at
+        # every max_len, whole verdicts (status, n, witness and reason).
+        tables = 0
+        for size in range(1, 11):
+            for letters in itertools.product("01", repeat=size):
+                for max_len in range(1, size + 1):
+                    t = sx.FactorTable("".join(letters), max_len)
+                    v1, v2, v3 = (sx.check_nfop(t, k) for k in (1, 2, 3))
+                    assert v1 == v2 == v3, (t.word, t.max_len)
+                    tables += 1
+        assert tables == 18434
 
     def test_consistent_pairs_are_two_close_and_monotone(self, fib_table):
         for n in range(1, 41):
