@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from sturmlex import checks, factors, words
-from sturmlex.cli import build_parser, main
+from sturmlex.cli import COMMANDS, main, parse_args
 
 from conftest import FIB32, run_module
 
@@ -298,20 +298,53 @@ class TestHarness:
             assert err.count("\n") == 1
 
 
-class TestUsageErrors:
-    def test_no_command(self, capsys):
-        assert run(capsys, )[0] == 64
+CHECK_FIB = ["check", "--spec", "fib", "--what", "nfop", "--max-n"]
 
-    @pytest.mark.parametrize("what,max_n,message", [
-        ("nope", "5", "invalid choice"),
-        ("nfop", "abc", "invalid int value: 'abc'"),
-    ])
-    def test_bad_argument(self, capsys, what, max_n, message):
-        code, _, err = run(
-            capsys, "check", "--spec", "fib", "--what", what, "--max-n", max_n
-        )
-        assert code == 64
-        assert message in err
+# Each usage error and the last line it writes to stderr, after its usage line.
+USAGE_ERRORS = [
+    ([], "sturmlex: error: the following arguments are required: command"),
+    (["nope"], "sturmlex: error: argument command: invalid choice: 'nope' "
+     "(choose from 'generate', 'factors', 'check', 'christoffel', 'harness')"),
+    (["check"], "sturmlex check: error: the following arguments are required: "
+     "--spec, --what, --max-n"),
+    (["christoffel", "--p", "2"],
+     "sturmlex christoffel: error: the following arguments are required: --q"),
+    (CHECK_FIB, "sturmlex check: error: argument --max-n: expected one argument"),
+    ([*CHECK_FIB, "--json", "4"],
+     "sturmlex check: error: argument --max-n: expected one argument"),
+    ([*CHECK_FIB, "x"], "sturmlex check: error: argument --max-n: invalid int value: 'x'"),
+    ([*CHECK_FIB, "4", "--variant", "1.0"],
+     "sturmlex check: error: argument --variant: invalid int value: '1.0'"),
+    ([*CHECK_FIB, "0"], "sturmlex check: error: argument --max-n: must be >= 1, got 0"),
+    (["generate", "--spec", "fib", "--len", "-1"],
+     "sturmlex generate: error: argument --len: must be >= 0, got -1"),
+    ([*CHECK_FIB, "4", "--variant", "4"],
+     "sturmlex check: error: argument --variant: invalid choice: 4 (choose from 1, 2, 3)"),
+    (["check", "--spec", "fib", "--what", "nope", "--max-n", "4"],
+     "sturmlex check: error: argument --what: invalid choice: 'nope' (choose from "
+     "'nfop', 'balance', 'hamming2', 'ones', 'complexity', 'sturmian')"),
+    ([*CHECK_FIB, "4", "--bogus"], "sturmlex: error: unrecognized arguments: --bogus"),
+    ([*CHECK_FIB, "4", "extra"], "sturmlex: error: unrecognized arguments: extra"),
+    ([*CHECK_FIB, "4", "extra", "--bogus=3", "-j"],
+     "sturmlex: error: unrecognized arguments: extra --bogus=3 -j"),
+    ([*CHECK_FIB, "4", "--json=1"],
+     "sturmlex check: error: argument --json: ignored explicit argument '1'"),
+    ([*CHECK_FIB, "4", "--"], "sturmlex: error: unrecognized arguments: --"),
+    # Errors are reported in the order the arguments are read.
+    (["check", "--spec", "fib", "--max-n", "0", "--what", "nope"],
+     "sturmlex check: error: argument --max-n: must be >= 1, got 0"),
+    (["check", "--bogus", "--spec", "fib"],
+     "sturmlex check: error: the following arguments are required: --what, --max-n"),
+]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,last_line", USAGE_ERRORS)
+    def test_usage_error(self, capsys, argv, last_line):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert err.startswith("usage: sturmlex")
+        assert err.splitlines()[-1] == last_line
 
     @pytest.mark.parametrize("spec,message", [
         ("bogus:1", "unknown spec kind 'bogus'"),
@@ -356,12 +389,56 @@ class TestNumericArguments:
     @pytest.mark.parametrize("command,flag,value", list(out_of_range_cases()))
     def test_out_of_range_is_a_usage_error(self, capsys, command, flag, value):
         argv = list(FULL_ARGV[command])
-        build_parser().parse_args(argv)  # the unchanged line is valid
+        parse_args(argv)  # the unchanged line is valid
         argv[argv.index(flag) + 1] = value
         code, out, err = run(capsys, *argv)
         assert code == 64
         assert out == ""
         assert err.startswith("usage:") and f"argument {flag}:" in err
+
+
+# Each row: a plain command line, then spellings of it that must print the same.
+SAME_AS_PLAIN = [
+    (["check", "--spec", "fib", "--what", "nfop", "--max-n", "10", "--json"], [
+        ["check", "--spec=fib", "--what=nfop", "--max-n=10", "--json"],
+        ["check", "--sp", "fib", "--wh", "nfop", "--max", "10", "--j"],
+        ["check", "--json", "--max-n", "10", "--what", "nfop", "--spec", "fib"],
+        ["check", "--spec", "periodic:01", "--what", "balance", "--max-n", "3",
+         "--spec", "fib", "--what", "nfop", "--max-n", "10", "--json", "--json"],
+        ["check", "--spec", "fib", "--what", "nfop", "--max-n", "1_0", "--json"],
+    ]),
+    # An exact flag wins over the longer one it abbreviates.
+    (["christoffel", "--p", "2", "--q", "3", "--verify", "--prefix-len", "64"], [
+        ["christoffel", "--p=2", "--q=3", "--ver", "--pr", "64"],
+        ["christoffel", "--p", "5", "--p", "2", "--q", "3", "--verify", "--prefix-len=64"],
+    ]),
+]
+
+
+class TestArgumentForms:
+    @pytest.mark.parametrize("plain,other", [
+        (plain, other) for plain, others in SAME_AS_PLAIN for other in others
+    ])
+    def test_same_output_as_the_plain_form(self, capsys, plain, other):
+        assert run(capsys, *other) == run(capsys, *plain)
+
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_names_every_option(self, capsys, command, flag):
+        argv = [flag] if command is None else [command, flag]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: sturmlex")
+        for name in COMMANDS if command is None else [command]:
+            assert name in out
+            for option in COMMANDS[name][2]:
+                assert option.flag in out
+
+    def test_help_says_which_options_need_another(self, capsys):
+        _, out, _ = run(capsys, "check", "--help")
+        assert "read only with --what nfop" in out
+        _, out, _ = run(capsys, "christoffel", "--help")
+        assert out.count("read only with --verify") == 2
 
 
 class TestTableBudget:

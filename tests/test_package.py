@@ -2,7 +2,8 @@
 
 ``import sturmlex`` loads no submodule; each public name loads its module on
 first use.  A ``check`` call imports neither the Christoffel code nor the
-standard library modules that only other commands need.
+standard library modules that only other commands need, and no call imports
+an option parser.
 """
 
 import os
@@ -169,14 +170,23 @@ class TestImportHygiene:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[0, 1]"
 
-    def test_module_invocation_loads_no_lazy_module(self):
+    # The CLI reads its options itself: no call imports an option parser or
+    # the translation lookups behind argparse's messages.  The check call loads
+    # none of the lazy modules, and generate does not compile the checks.
+    @pytest.mark.parametrize("argv,loaded,not_loaded", [
+        (CHECK_ARGV, {"sturmlex.checks"}, LAZY),
+        (["christoffel", "--p", "1", "--q", "1", "--verify", "--spec", "fib"],
+         {"sturmlex.checks", "sturmlex.christoffel"}, ()),
+        (["generate", "--spec", "fib", "--len", "32"], set(), ("sturmlex.checks",)),
+    ])
+    def test_module_invocation_loads_no_lazy_module(self, argv, loaded, not_loaded):
         # -X importtime lists on stderr every module the process imports.
-        proc = run_python("-X", "importtime", "-m", "sturmlex", *CHECK_ARGV)
+        proc = run_python("-X", "importtime", "-m", "sturmlex", *argv)
         assert proc.returncode == 0, proc.stderr
         imported = {
             line.rpartition("|")[2].strip()
             for line in proc.stderr.splitlines()
             if line.startswith("import time:")
         }
-        assert {"sturmlex.cli", "sturmlex.checks", "argparse"} <= imported
-        assert imported.isdisjoint(LAZY)
+        assert {"sturmlex.cli", *loaded} <= imported
+        assert imported.isdisjoint({*not_loaded, "argparse", "getopt", "gettext", "locale"})
