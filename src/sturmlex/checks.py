@@ -18,7 +18,6 @@ pairs, on integer factor codes, decides it together with hamming2 and ones.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache, partial
 from itertools import accumulate, chain, compress, count, repeat
 from operator import mul, ne, rshift, sub
@@ -93,13 +92,11 @@ def _require_binary(table: FactorTable, check: str) -> None:
 def _least_core(table: FactorTable, lo_head: str, hi_head: str) -> str | None:
     """Shortest (then lex-least) u with lo_head+u+0 and hi_head+u+1 both present.
 
-    Both heads have the same length h and lo_head ends in 0.  On a binary
-    table every lo_head tail (an entry with its head cut off) below a
-    hi_head tail differs from it first by 0 against 1, so the LCP of the
-    lex-least lo_head tail and the lex-greatest hi_head tail is the
-    shortest u, and the only one of its length.  A hi_head tail that ends
-    inside the lo_head tail has no letter there and is passed over.  Other
-    alphabets are scanned length by length.  Binary codes take 2 bits a letter.
+    Both heads have length h and lo_head ends in 0.  On a binary table a
+    lo_head tail (an entry cut after its head) below a hi_head tail first
+    differs from it by 0 against 1, so the LCP of the least lo_head tail and
+    the greatest hi_head tail with a letter there is the shortest u, and the
+    only one of its length.  Other alphabets are scanned length by length.
     """
     h, n = len(lo_head), table.max_len - len(lo_head)
     if n < 1:
@@ -111,15 +108,16 @@ def _least_core(table: FactorTable, lo_head: str, hi_head: str) -> str | None:
                     return u
         return None
     codes, lengths = table.codes, table.lengths
-    lo, hi = int(lo_head, 4) << 2 * n, int(hi_head, 4) << 2 * n
-    i = bisect_left(codes, lo)
-    if i == len(codes) or codes[i] >> 2 * n != lo >> 2 * n or lengths[i] == h:
+    i, j, shift = table._range(lo_head)
+    if i == j or lengths[i] == h:
         return None
-    tail = codes[i] - lo
-    for k in reversed(range(bisect_left(codes, hi), bisect_left(codes, hi + (1 << 2 * n)))):
-        if codes[k] - hi <= tail:
+    cut = (1 << shift) - 1
+    tail = codes[i] & cut
+    lo, hi, _ = table._range(hi_head)
+    for k in reversed(range(lo, hi)):
+        if codes[k] & cut <= tail:
             return None
-        q = n - ((((codes[k] - hi) ^ tail).bit_length() + 1) >> 1)
+        q = n - ((((codes[k] & cut) ^ tail).bit_length() + 1) >> 1)
         if q < lengths[k] - h:
             return decode(tail >> 2 * (n - q), q, 2)
     return None
@@ -150,15 +148,13 @@ def check_balance(table: FactorTable) -> Verdict:
 def classify_imbalance(table: FactorTable) -> ImbalanceWitness:
     """Classify the minimal imbalance witness of an imbalanced table.
 
-    BothExtensions when 10u0 and 01u1 both occur.  Otherwise the prefix
-    case is confirmed only if some xux begins the indexed word and every
-    prefix of the window is lex-extremal of the matching kind; if neither
-    consequence can be confirmed inside the window the case is
-    WindowIndeterminate.  A word that begins with xux has every prefix of
-    up to |u| + 2 letters extremal: a factor below 0u0's prefix, say, first
-    differs from it at some j <= |u|, and gives 0u'0 and 1u'1, u' = u[:j-1],
-    shorter than u.  Past |u| + 2 letters no proof is known, so the branch
-    for a prefix that is not extremal stays, though no test reaches it.
+    BothExtensions when 10u0 and 01u1 both occur.  Otherwise PrefixCase if
+    xux begins the indexed word, x its first letter, and every prefix of the
+    window is lex-least (x = 0) or lex-greatest (x = 1); else the case is
+    WindowIndeterminate.  Prefixes of up to |u| + 2 letters are proved
+    extremal: a factor below 0u0's prefix, say, first differs from it at
+    some j <= |u|, and gives 0u'0 and 1u'1, u' = u[:j-1], shorter than u.
+    Longer ones are not proved, though no test finds one that is not.
     """
     witness = minimal_imbalance(table)
     if witness is None:
@@ -167,26 +163,29 @@ def classify_imbalance(table: FactorTable) -> ImbalanceWitness:
     if len(u) + 3 <= table.max_len:
         if table.is_factor(f"10{u}0") and table.is_factor(f"01{u}1"):
             return witness.replace(case=BOTH_EXTENSIONS)
-    for x, kind in (("0", "min"), ("1", "max")):
-        xux = x + u + x
-        if table.word.startswith(xux):
-            if _prefixes_extremal(table, kind):
-                return witness.replace(
-                    case=PREFIX_CASE,
-                    prefix_letter=x,
-                    occurrences=table.count(xux),
-                    extremal_kind=kind,
-                )
-            break
+    x = table.word[0]
+    kind = "min" if x == "0" else "max"
+    if table.word.startswith(f"{x}{u}{x}") and _prefixes_extremal(table, kind):
+        return witness.replace(
+            case=PREFIX_CASE,
+            prefix_letter=x,
+            occurrences=table.count(f"{x}{u}{x}"),
+            extremal_kind=kind,
+        )
     return witness.replace(case=WINDOW_INDETERMINATE)
 
 
 def _prefixes_extremal(table: FactorTable, kind: str) -> bool:
-    pick = 0 if kind == "min" else 1
-    for n in range(1, table.max_len + 1):
-        if table.word[:n] != table.extremal(n)[pick]:
-            return False
-    return True
+    """Whether every prefix of the window is lex-least ("min") or -greatest ("max").
+
+    Entry i is the window at position 0; the pad sorts after every letter.
+    So an entry before i first differs from it by a lesser letter, and the
+    first entry after i with lcp < length (no padded prefix) by a greater one.
+    """
+    i, _, _ = table._range(table.word[: table.max_len])
+    if kind == "min":
+        return i == 0
+    return table.lcps[i + 1 :] == table.lengths[i + 1 :]
 
 
 def _adjacent_faults(

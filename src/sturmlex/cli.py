@@ -7,7 +7,6 @@ pinned key order so golden files stay byte-stable across runs.
 
 from __future__ import annotations
 
-import json
 import sys
 from collections import namedtuple
 from types import SimpleNamespace
@@ -69,6 +68,8 @@ def _format_verdict(v: checks.Verdict) -> str:
 
 
 def _emit_json(payload) -> None:
+    import json
+
     print(json.dumps(payload, indent=2))
 
 

@@ -127,6 +127,50 @@ class TestClassifyImbalance:
         assume(self.begins_with_xux(t))
         assert sx.classify_imbalance(t).case in (checks.BOTH_EXTENSIONS, checks.PREFIX_CASE)
 
+    @staticmethod
+    def extremal_by_length(t, kind) -> bool:
+        """The referee: every prefix of the window is the least ("min") or
+        greatest ("max") factor of its length, asked length by length."""
+        pick = 0 if kind == "min" else 1
+        return all(t.word[:n] == t.extremal(n)[pick] for n in range(1, t.max_len + 1))
+
+    def test_prefixes_extremal_on_every_short_binary_word(self):
+        # Every binary word of 1-10 letters at every max_len, both kinds.
+        tables = 0
+        for size in range(1, 11):
+            for bits in itertools.product("01", repeat=size):
+                w = "".join(bits)
+                for t in map(functools.partial(sx.FactorTable, w), range(1, size + 1)):
+                    for kind in ("min", "max"):
+                        want = self.extremal_by_length(t, kind)
+                        assert checks._prefixes_extremal(t, kind) == want, (w, t.max_len, kind)
+                    tables += 1
+        assert tables == 18434
+
+    @pytest.mark.parametrize("text", [
+        "fib", "std:1,9,1,9", "mech:5/13@1/2", "periodic:0010110", "morphic:0->0010,1->11;seed=0",
+        "mech:5/13@0", "mech:5/13@12/13",
+    ])
+    def test_prefixes_extremal_on_saturated_tables(self, text):
+        # Certified tables keep no short suffixes; half-window ones do.  The
+        # last two rotations are the least and the greatest of their word.
+        spec = sx.parse_spec(text)
+        for max_len in range(2, 241):
+            t = checks.saturated_table(spec, max_len)
+            for kind in ("min", "max"):
+                want = self.extremal_by_length(t, kind)
+                assert checks._prefixes_extremal(t, kind) == want, (max_len, kind)
+
+    def test_prefix_case_asks_no_length_for_its_extremes(
+        self, monkeypatch, zerozero_fib_table, tm_table
+    ):
+        def refuse(self, n):
+            raise AssertionError("classify_imbalance asked extremal")
+
+        monkeypatch.setattr(sx.FactorTable, "extremal", refuse)
+        assert sx.classify_imbalance(zerozero_fib_table).case == checks.PREFIX_CASE
+        assert sx.classify_imbalance(tm_table).case == checks.BOTH_EXTENSIONS
+
     def test_balanced_table_raises(self):
         t = sx.FactorTable("0" + prefix("periodic:01", 255), 12)
         with pytest.raises(NotImbalanced):
