@@ -149,12 +149,33 @@ def classify_imbalance(table: FactorTable) -> ImbalanceWitness:
     """Classify the minimal imbalance witness of an imbalanced table.
 
     BothExtensions when 10u0 and 01u1 both occur.  Otherwise PrefixCase if
-    xux begins the indexed word, x its first letter, and every prefix of the
-    window is lex-least (x = 0) or lex-greatest (x = 1); else the case is
-    WindowIndeterminate.  Prefixes of up to |u| + 2 letters are proved
-    extremal: a factor below 0u0's prefix, say, first differs from it at
-    some j <= |u|, and gives 0u'0 and 1u'1, u' = u[:j-1], shorter than u.
-    Longer ones are not proved, though no test finds one that is not.
+    xux begins the indexed word, x its first letter, and then every prefix
+    of the window is lex-least (x = 0) or lex-greatest (x = 1); else the
+    case is WindowIndeterminate.
+
+    The proof is for x = 0; exchanging the letters reverses the order, and
+    the shortest u is unique, so x = 1 follows.  F is the set of factors of
+    up to max_len letters, w the word.  It uses Lothaire, *Algebraic
+    Combinatorics on Words*, Prop. 2.1.3 and its proof: a shortest u is a
+    palindrome, and two factors of one length whose 1-counts differ by 2
+    contain 0z0 and 1z1, z at least 2 letters shorter.
+
+    (a) Prefixes of up to |u| + 2 letters are extremal: a factor below one
+    first differs from it at some j <= |u|, and gives 0u'0 and 1u'1,
+    u' = u[:j-1], shorter than u.
+    (b) If a longer prefix fails, 10u0 is in F.  Take the least failing
+    length m >= |u| + 3: q = w[:m-1] is the least factor of its length,
+    w[m-1] = 1, and q0 occurs at some p >= 1.  If w[p-1] = 1, 10u0 is in
+    F.  If w[p-1] = 0, 0q[:-1] is a factor below q unless q = 0^(m-1);
+    then u = 0^|u|, and the run of zeros that holds q0 follows a 1, since
+    w's first run is one zero too short, so again 10u0 is in F.
+    (c) 01u1 is in F whenever |u| + 3 <= max_len.  The leftmost 1u1 starts
+    at some r >= 1.  If w[r-1] = 1: for u = 1^k, 1u1 also occurs at r-1;
+    for u ending in 0, 11u[:-1] and 0u differ by two 1s, which gives a
+    shorter imbalance; for u = 1^a0..., 1^(a+2) and 01^a0 give the shorter
+    imbalance 1^a.  Each contradicts the choice of r or of u.
+    So a prefix that is not extremal, m <= max_len letters long, puts both
+    10u0 and 01u1 in F, and the BothExtensions test has returned first.
     """
     witness = minimal_imbalance(table)
     if witness is None:
@@ -164,28 +185,14 @@ def classify_imbalance(table: FactorTable) -> ImbalanceWitness:
         if table.is_factor(f"10{u}0") and table.is_factor(f"01{u}1"):
             return witness.replace(case=BOTH_EXTENSIONS)
     x = table.word[0]
-    kind = "min" if x == "0" else "max"
-    if table.word.startswith(f"{x}{u}{x}") and _prefixes_extremal(table, kind):
+    if table.word.startswith(f"{x}{u}{x}"):
         return witness.replace(
             case=PREFIX_CASE,
             prefix_letter=x,
             occurrences=table.count(f"{x}{u}{x}"),
-            extremal_kind=kind,
+            extremal_kind="min" if x == "0" else "max",
         )
     return witness.replace(case=WINDOW_INDETERMINATE)
-
-
-def _prefixes_extremal(table: FactorTable, kind: str) -> bool:
-    """Whether every prefix of the window is lex-least ("min") or -greatest ("max").
-
-    Entry i is the window at position 0; the pad sorts after every letter.
-    So an entry before i first differs from it by a lesser letter, and the
-    first entry after i with lcp < length (no padded prefix) by a greater one.
-    """
-    i, _, _ = table._range(table.word[: table.max_len])
-    if kind == "min":
-        return i == 0
-    return table.lcps[i + 1 :] == table.lengths[i + 1 :]
 
 
 def _adjacent_faults(

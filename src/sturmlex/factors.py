@@ -408,8 +408,8 @@ class FactorTable:
             if n <= len(ends):
                 entry_counts[ends[n - 1]] -= 1
 
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         return (
             f"FactorTable(|word|={len(self.word)}, max_len={self.max_len}, "
-            f"alphabet={''.join(sorted(set(self.word)))!r})"
+            f"width={self.width}, frontier={self.frontier})"
         )

@@ -86,30 +86,18 @@ class TestClassifyImbalance:
         for n in range(1, t.max_len + 1):
             assert t.word[:n] == t.extremal(n)[0]
 
-    @staticmethod
-    def begins_with_xux(t) -> bool:
-        """Whether the table's word begins with xux, u its minimal imbalance,
-        and then that every prefix up to |u| + 2 letters is extremal of the
-        matching kind (the claim in classify_imbalance)."""
-        u = checks._least_core(t, "0", "1")
-        x = next((x for x in "01" if u is not None and t.word.startswith(x + u + x)), None)
-        for n in range(1, min(len(u) + 2, t.max_len) + 1) if x else ():
-            assert t.word[:n] == t.extremal(n)[int(x)]
-        return x is not None
-
-    def test_words_beginning_with_xux_are_classified(self):
-        # Every binary word of 2-9 letters, at every max_len: 2888 of the
-        # 8192 tables begin with xux.
-        tables = 0
-        for size in range(2, 10):
-            for bits in itertools.product("01", repeat=size):
-                w = "".join(bits)
-                for t in map(functools.partial(sx.FactorTable, w), range(1, size + 1)):
-                    if self.begins_with_xux(t):
-                        tables += 1
-                        case = sx.classify_imbalance(t).case
-                        assert case in (checks.BOTH_EXTENSIONS, checks.PREFIX_CASE)
-        assert tables == 2888
+    @classmethod
+    def begins_with_xux(cls, t) -> bool:
+        """Whether the table's word begins with xux, u its minimal imbalance
+        and x its first letter; and then, unless 10u0 and 01u1 both occur,
+        that every prefix of the window is extremal of the matching kind (the
+        theorem in classify_imbalance), asked of the per-length referee."""
+        u, x = checks._least_core(t, "0", "1"), t.word[0]
+        if u is None or not t.word.startswith(x + u + x):
+            return False
+        both = len(u) + 3 <= t.max_len and t.is_factor(f"10{u}0") and t.is_factor(f"01{u}1")
+        assert both or cls.extremal_by_length(t, "min" if x == "0" else "max"), t
+        return True
 
     @given(
         x=st.sampled_from("01"),
@@ -134,32 +122,41 @@ class TestClassifyImbalance:
         pick = 0 if kind == "min" else 1
         return all(t.word[:n] == t.extremal(n)[pick] for n in range(1, t.max_len + 1))
 
-    def test_prefixes_extremal_on_every_short_binary_word(self):
-        # Every binary word of 1-10 letters at every max_len, both kinds.
-        tables = 0
+    def test_prefix_case_on_every_short_binary_word(self):
+        # Every binary word of 1-10 letters at every max_len: 7102 of the
+        # 18434 tables begin with xux, and none of them is WindowIndeterminate.
+        tables, cases = 0, Counter()
         for size in range(1, 11):
             for bits in itertools.product("01", repeat=size):
                 w = "".join(bits)
                 for t in map(functools.partial(sx.FactorTable, w), range(1, size + 1)):
-                    for kind in ("min", "max"):
-                        want = self.extremal_by_length(t, kind)
-                        assert checks._prefixes_extremal(t, kind) == want, (w, t.max_len, kind)
                     tables += 1
+                    if self.begins_with_xux(t):
+                        cases[sx.classify_imbalance(t).case] += 1
         assert tables == 18434
+        assert cases == {checks.BOTH_EXTENSIONS: 3084, checks.PREFIX_CASE: 4018}
 
-    @pytest.mark.parametrize("text", [
-        "fib", "std:1,9,1,9", "mech:5/13@1/2", "periodic:0010110", "morphic:0->0010,1->11;seed=0",
-        "mech:5/13@0", "mech:5/13@12/13",
+    @pytest.mark.parametrize("text,head,both,prefix_case", [
+        ("fib", "00", 0, 238),
+        ("std:1,9,1,9", "11", 0, 239),
+        ("mech:5/13@1/2", "1", 0, 236),
+        ("periodic:0010110", "", 238, 1),
+        ("morphic:0->0010,1->11;seed=0", "", 238, 1),
+        ("mech:5/13@0", "0", 0, 238),
+        ("mech:5/13@12/13", "1", 0, 239),
     ])
-    def test_prefixes_extremal_on_saturated_tables(self, text):
-        # Certified tables keep no short suffixes; half-window ones do.  The
-        # last two rotations are the least and the greatest of their word.
-        spec = sx.parse_spec(text)
+    def test_prefix_case_on_saturated_tables(self, text, head, both, prefix_case):
+        # Certified tables keep no short suffixes; half-window ones do.  A
+        # head of one or two letters makes a Sturmian word imbalanced; the
+        # last two rotations are the least and the greatest of their word,
+        # so a head of 0 and of 1 keeps their prefixes extremal.
+        spec, cases = sx.parse_spec(text), Counter()
         for max_len in range(2, 241):
             t = checks.saturated_table(spec, max_len)
-            for kind in ("min", "max"):
-                want = self.extremal_by_length(t, kind)
-                assert checks._prefixes_extremal(t, kind) == want, (max_len, kind)
+            t = sx.FactorTable(head + t.word, max_len) if head else t
+            if self.begins_with_xux(t):
+                cases[sx.classify_imbalance(t).case] += 1
+        assert cases == Counter({checks.BOTH_EXTENSIONS: both, checks.PREFIX_CASE: prefix_case})
 
     def test_prefix_case_asks_no_length_for_its_extremes(
         self, monkeypatch, zerozero_fib_table, tm_table
@@ -210,6 +207,45 @@ class TestClassifyImbalance:
         else:
             got = sx.classify_imbalance(t)
             assert (got.case, got.prefix_letter, got.occurrences, got.extremal_kind) == want
+
+
+class TestImbalanceLemmas:
+    """The facts that classify_imbalance's proof rests on, on every binary
+    word of 1-10 letters at every max_len, by brute force alone."""
+
+    @staticmethod
+    def shortest_imbalances():
+        """(w, max_len, us) for each table, us every shortest u with 0u0 and
+        1u1 both among the factors of up to max_len letters (none if balanced)."""
+        for size in range(1, 11):
+            for bits in itertools.product("01", repeat=size):
+                w = "".join(bits)
+                for max_len in range(1, size + 1):
+                    us = []
+                    for m in range(max_len - 1):
+                        us = [u for u in naive.distinct_factors(w, m) if f"0{u}0" in w and f"1{u}1" in w]
+                        if us:
+                            break
+                    yield w, max_len, us
+
+    def test_the_shortest_imbalance_is_one_palindrome(self):
+        imbalanced = 0
+        for w, max_len, us in self.shortest_imbalances():
+            if us:
+                imbalanced += 1
+                assert len(us) == 1 and us[0] == us[0][::-1], (w, max_len, us)
+        assert imbalanced == 12812
+
+    def test_a_window_beginning_with_xux_holds_xyuy(self):
+        # 01u1 for x = 0, 10u0 for x = 1, once |u| + 3 letters fit.
+        seen = 0
+        for w, max_len, us in self.shortest_imbalances():
+            x = w[0]
+            if us and w.startswith(x + us[0] + x) and len(us[0]) + 3 <= max_len:
+                seen += 1
+                y = "1" if x == "0" else "0"
+                assert x + y + us[0] + y in w, (w, max_len)
+        assert seen == 6214
 
 
 class TestCheckNfop:

@@ -48,6 +48,12 @@ class TestBuild:
         t = sx.FactorTable("0000", 2)
         assert t.count("00") == 3
 
+    def test_repr_names_width_and_frontier(self, fib_table):
+        assert repr(fib_table) == "FactorTable(|word|=10000, max_len=40, width=2, frontier=40)"
+        assert repr(sx.FactorTable("0120", 2)) == (
+            "FactorTable(|word|=4, max_len=2, width=4, frontier=0)"
+        )
+
     def test_window_bounds(self):
         with pytest.raises(WindowTooLarge):
             sx.FactorTable("0110", 5)
