@@ -1,10 +1,10 @@
 """Christoffel words of rational slope and their factor-level structure.
 
-The lower Christoffel word of slope p/(p+q) is produced by one exact integer
-formula.  It is 0u1 around a palindromic core u, and the upper word is 1u0,
-the other unbordered conjugate; that it is one is checked against each table
-by :func:`verify_christoffel_properties`, not assumed.  Slope convention: p
-counts the ones, p+q is the length.
+The lower Christoffel word of slope p/(p+q) is the period of ``mech:`` at
+intercept 0.  It is 0u1 around a palindromic core u, and the upper word is
+1u0, the other unbordered conjugate; that it is one is checked against each
+table by :func:`verify_christoffel_properties`, not assumed.  Slope
+convention: p counts the ones, p+q is the length.
 """
 
 from __future__ import annotations
@@ -13,20 +13,18 @@ import math
 
 from .errors import BudgetExceeded, NotCoprime, SingularAmbiguous, SingularNotFound
 from .factors import FactorTable, is_unbordered
-from .words import PREFIX_BUDGET, Record
+from .words import PREFIX_BUDGET, MechanicalRational, Record
 
 
 def lower_christoffel(p: int, q: int) -> str:
-    """Word of length p+q with exactly p ones, starting 0 and ending 1.
-
-    Letter i is floor((i+1)p/(p+q)) - floor(ip/(p+q)).
-    """
+    """Word of length p+q with exactly p ones, starting 0 and ending 1:
+    the period of ``mech:p/(p+q)@0``, whose letter i is 1 exactly when
+    ip mod (p+q) >= q (:class:`~sturmlex.words.MechanicalRational`)."""
     if p < 1 or q < 1:
         raise ValueError("p and q must both be >= 1")
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"gcd({p}, {q}) must be 1")
-    total = p + q
-    return "".join(str((i + 1) * p // total - i * p // total) for i in range(total))
+    return MechanicalRational(p, q).period
 
 
 def conjugates(w: str) -> list[str]:

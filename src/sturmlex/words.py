@@ -9,7 +9,7 @@ deterministically.  Each also knows what its kind implies a priori
 mini-language that :func:`parse_spec` reads.  Irrational slopes are never
 represented with floats: they enter only through :class:`StandardSequence`
 directives, which are integer exact, while :class:`MechanicalRational` covers
-the rational-slope codings in exact fraction arithmetic.
+the rational-slope codings in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -230,9 +230,13 @@ class Morphic(Record):
 
     @property
     def flags(self) -> KnownFlags:
-        # A primitive substitution has a uniformly recurrent fixed point.
-        primitive = _is_primitive(self.rules)
-        return KnownFlags(recurrent=True if primitive else None, aperiodic=None)
+        # x is recurrent iff a letter of s(a)[1:] reaches the seed a through images: each
+        # prefix begins some s^k(a), which recurs at s^k of a later a; else a occurs once.
+        reach, new = set(), set(self.rules[self.seed][1:])
+        while new:
+            reach |= new
+            new = {c for b in new for c in self.rules[b]} - reach
+        return KnownFlags(recurrent=self.seed in reach, aperiodic=None)
 
     def __str__(self) -> str:
         rules = ",".join(f"{a}->{img}" for a, img in sorted(self.rules.items()))
@@ -346,11 +350,12 @@ class StandardSequence(Record):
 class MechanicalRational(Record, _EventuallyPeriodic):
     """Lower coding of the rotation with rational slope p/(p+q).
 
-    Letter i is floor((i+1)a + rho) - floor(ia + rho) with a = p/(p+q),
-    evaluated in exact rational arithmetic.  Shifting i by p+q adds the
-    integer p to both floors, so the word repeats its first p+q letters,
-    its ``period``, and is purely periodic.  With rho = 0 and p, q >= 1
-    that period is the lower Christoffel word of slope p/(p+q).
+    Letter i is floor((i+1)a + rho) - floor(ia + rho) with a = p/L, L = p+q.
+    As ip is an integer, floor(ia + rho) = floor((ip + r)/L), r = floor(rho L),
+    so letter i is 1 exactly when (ip + r) mod L >= q.  Shifting i by L fixes
+    that residue, so the word repeats its first L letters, its ``period``, and
+    is purely periodic.  With rho = 0 and p, q >= 1 that period is the lower
+    Christoffel word of slope p/L.
     """
 
     p: int
@@ -380,20 +385,17 @@ class MechanicalRational(Record, _EventuallyPeriodic):
     def period(self) -> str:
         return self._head(self.p + self.q)
 
-    def complexities(self, n: int) -> list[int] | None:
-        """p(m) = min(m + 1, p + q): the word is balanced with period p + q
-        (Lothaire ch. 2).  None past PREFIX_BUDGET: no prefix has every factor."""
-        if self.p + self.q + n - 1 > PREFIX_BUDGET:
-            return None
+    def complexities(self, n: int) -> list[int]:
+        """p(m) = min(m + 1, p + q): balanced with period p + q (Lothaire ch. 2)."""
         return [min(m + 1, self.p + self.q) for m in range(n + 1)]
 
     def _head(self, m: int) -> str:
-        length = self.p + self.q
-        num, den = self.rho.numerator, self.rho.denominator
-        common = length * den
-        base = num * length
-        floors = [(i * self.p * den + base) // common for i in range(min(m, length) + 1)]
-        return "".join("0" if a == b else "1" for a, b in zip(floors, floors[1:]))
+        # Letter i is (ip + r) mod L >= q, one byte each; steps of p + L add p mod L.
+        length, step = self.p + self.q, 2 * self.p + self.q
+        r = self.rho.numerator * length // self.rho.denominator
+        residues = map(length.__rmod__, range(r, r + min(m, length) * step, step))
+        bits = bytes(map(self.q.__le__, residues))
+        return bits.translate(bytes.maketrans(b"\0\1", b"01")).decode()
 
 
 WordSpec = (

@@ -185,10 +185,18 @@ def periodicity_length(w, max_len, top=None):
 
 
 def mechanical_prefix(a, rho, n):
-    """Letter i is floor((i+1)a + rho) - floor(ia + rho), a and rho Fractions."""
-    return "".join(
-        str(math.floor((i + 1) * a + rho) - math.floor(i * a + rho)) for i in range(n)
-    )
+    """Letter i is floor((i+1)a + rho) - floor(ia + rho), a and rho Fractions:
+    the floors of the exact running sums rho, rho + a, rho + 2a, ..."""
+    x, floors = rho, [math.floor(rho)]
+    for _ in range(n):
+        x += a
+        floors.append(math.floor(x))
+    return "".join(str(g - f) for f, g in zip(floors, floors[1:]))
+
+
+def mechanical_letter(a, rho, i):
+    """Letter i alone, floor((i+1)a + rho) - floor(ia + rho), in Fractions."""
+    return str(math.floor((i + 1) * a + rho) - math.floor(i * a + rho))
 
 
 def rotation_factors(p, period, a, b, n):

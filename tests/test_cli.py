@@ -106,6 +106,58 @@ class TestCheck:
         assert combined["check"] == "sturmian"
         assert (combined["status"], combined["upTo"]) == (checks.STURMIAN_CONSISTENT, 240)
 
+    def test_long_mechanical_period_is_certified(self, capsys):
+        # p(n) = min(n + 1, p + q) at every size: the 41 factors of length 40
+        # are all read by 2^22 letters.  The half-window rule, taken past
+        # PREFIX_BUDGET, printed "Violated n=3 witness=(010,101)".
+        code, out, _ = run(
+            capsys, "check", "--spec", "mech:2499999/5000000@0", "--what", "nfop",
+            "--max-n", "40",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "nfop: ConsistentUpTo 40"
+
+    def test_long_mechanical_period_stays_indeterminate(self, capsys):
+        # 2^22 letters of (0^4999999 1)^w hold one factor per length, not the
+        # certified n + 1.  The half-window rule printed "NotSturmian n=1
+        # [complexity 1 <= 1]": true of a periodic word, for a false reason.
+        code, out, _ = run(
+            capsys, "check", "--spec", "mech:1/5000000@0", "--what", "sturmian",
+            "--max-n", "40",
+        )
+        assert code == 2
+        assert out.splitlines()[-1] == (
+            "sturmian: Indeterminate [window could not certify all lengths]"
+        )
+
+    @pytest.mark.parametrize(
+        "spec,max_n",
+        [
+            ("morphic:0->0010,1->11;seed=0", "100"),
+            ("morphic:0->001,1->1;seed=0", "40"),
+            ("morphic:0->011001,1->1;seed=0", "40"),
+        ],
+    )
+    def test_non_primitive_morphic_known_recurrent(self, capsys, spec, max_n):
+        # Not primitive (1 never reaches 0), but s(0) holds 0 again, so the
+        # fixed point is recurrent; the window's heuristic named a long run
+        # of 1s as a factor that occurs once.
+        code, out, _ = run(
+            capsys, "check", "--spec", spec, "--what", "sturmian", "--max-n", max_n,
+        )
+        assert code == 1
+        line = f"recurrence: RecurrentConsistent {max_n} [a-priori recurrent]"
+        assert line in out.splitlines()
+
+    def test_non_recurrent_morphic_names_its_seed(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "--spec", "morphic:0->01,1->1;seed=0", "--what", "sturmian",
+            "--max-n", "40",
+        )
+        assert code == 1
+        line = "recurrence: NonRecurrentWitness n=1 witness=(0) [a-priori non-recurrent]"
+        assert line in out.splitlines()
+
     def test_periodic_not_sturmian(self, capsys):
         code, out, _ = run(
             capsys, "check", "--spec", "periodic:01", "--what", "sturmian",

@@ -652,6 +652,16 @@ class TestBoundedMemory:
         assert code == 65
         assert peak < 64, f"peak RSS {peak:.0f} MB"
 
+    # A mech: prefix is one byte per letter of its period, each from one
+    # residue (measured 31 MB with Python 3.11 on Linux); a list of the
+    # period's floors as Python ints peaked at 240 MB here.
+    def test_long_mechanical_period_generates_small(self):
+        pytest.importorskip("resource")
+        argv = ("-m", "sturmlex", "generate", "--spec", "mech:2499999/5000000@0")
+        code, peak = peak_rss(*argv, "--len", "4194304", timeout=60)
+        assert code == 0
+        assert peak < 64, f"peak RSS {peak:.0f} MB"
+
     # The dump is written one length at a time (measured 17 MB with Python
     # 3.11 on Linux); joining all 74 MB of its lines first peaked at 239 MB.
     def test_factor_dump_streams(self):

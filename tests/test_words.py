@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -70,12 +71,15 @@ class TestExactComplexities:
         [
             "morphic:0->01,1->1;seed=0",  # not primitive
             "morphic:0->010,1->11;seed=0",  # not primitive
-            "mech:1/10000000@0",  # its period alone exceeds PREFIX_BUDGET
             "literal:0110",
         ],
     )
     def test_unknown(self, text):
         assert sx.parse_spec(text).complexities(40) is None
+
+    def test_mechanical_closed_form_past_the_prefix_budget(self):
+        # Its period alone exceeds PREFIX_BUDGET; min(m + 1, p + q) holds at every size.
+        assert sx.parse_spec("mech:1/10000000@0").complexities(40) == list(range(1, 42))
 
     @pytest.mark.parametrize(
         "spec,n",
@@ -347,25 +351,47 @@ class TestMechanicalInvariants:
         assert w == w[:5] * 10
 
     def test_period_is_lower_christoffel_word(self):
-        pairs = [
-            (p, q) for p in range(1, 21) for q in range(1, 21) if math.gcd(p, q) == 1
-        ]
-        for p, q in pairs:
-            assert sx.MechanicalRational(p, q).period == sx.lower_christoffel(p, q)
+        # Both against the floor reference, for every coprime p, q >= 1 with
+        # p + q <= 60.
+        for length in range(2, 61):
+            for p in (p for p in range(1, length) if math.gcd(p, length) == 1):
+                lower = naive.mechanical_prefix(Fraction(p, length), Fraction(0), length)
+                assert sx.lower_christoffel(p, length - p) == lower, (p, length)
+                assert sx.MechanicalRational(p, length - p).period == lower, (p, length)
 
     def test_prefix_around_one_period(self):
         # A prefix computes at most one period and tiles it: check the
-        # closed form just short of, at, and past the period length.
-        intercepts = [Fraction(0), Fraction(1, 2), Fraction(2, 7), Fraction(29, 30)]
-        for den in range(1, 31):
-            for num in range(den):
-                if math.gcd(num, den) != 1:
-                    continue
-                for rho in intercepts:
+        # closed form just short of, at, and past the period length, for
+        # every coprime p, q with p + q <= 60 and intercept a/b with b <= 7
+        # or 29/30.
+        intercepts = {Fraction(a, b) for b in range(1, 8) for a in range(b)}
+        for den in range(1, 61):
+            for num in (num for num in range(den) if math.gcd(num, den) == 1):
+                for rho in sorted(intercepts | {Fraction(29, 30)}):
                     spec = sx.MechanicalRational(num, den - num, rho)
-                    for n in (den - 1, den, den + 1, 3 * den + 2):
-                        expect = naive.mechanical_prefix(Fraction(num, den), rho, n)
-                        assert sx.generate_prefix(spec, n) == expect, (spec, n)
+                    expect = naive.mechanical_prefix(Fraction(num, den), rho, 3 * den + 2)
+                    for n in (1, den - 1, den, den + 1, 3 * den + 1, 3 * den + 2):
+                        assert sx.generate_prefix(spec, n) == expect[:n], (spec, n)
+
+    def test_random_long_periods_against_the_floor_reference(self):
+        # Prefixes of periods up to 10^7, and letters sampled across the
+        # first period's end of periods up to 10^5.
+        rng = random.Random(20261020)
+        for top, cases in ((10**7, 40), (10**5, 6)):
+            for _ in range(cases):
+                length, p = rng.randrange(2, top + 1), 0
+                while math.gcd(p, length) != 1:
+                    p = rng.randrange(length)
+                b = rng.randrange(1, 1000)
+                a, rho = Fraction(p, length), Fraction(rng.randrange(b), b)
+                spec = sx.MechanicalRational(p, length - p, rho)
+                if top > 10**5:
+                    n = rng.randrange(1, 3000)
+                    assert sx.generate_prefix(spec, n) == naive.mechanical_prefix(a, rho, n), spec
+                    continue
+                w = sx.generate_prefix(spec, 2 * length + 1)
+                for i in [*rng.sample(range(len(w)), 300), length - 1, length]:
+                    assert w[i] == naive.mechanical_letter(a, rho, i), (spec, i)
 
     def test_short_prefix_of_a_long_period_stays_small(self):
         spec = sx.parse_spec("mech:1/1000000@0")
@@ -436,6 +462,11 @@ class TestKnownFlags:
             ("mech:2/5@0", True, False),
             ("fib", True, None),  # primitive substitution
             (TM_SPEC, True, None),
+            # not primitive, but the seed 0 recurs in its own image
+            ("morphic:0->0010,1->11;seed=0", True, None),
+            ("morphic:0->001,1->1;seed=0", True, None),
+            ("morphic:0->011001,1->1;seed=0", True, None),
+            ("morphic:0->012,1->1,2->20;seed=0", True, None),  # 0 recurs through 2
             ("literal:0101", None, None),
         ],
     )
@@ -443,10 +474,23 @@ class TestKnownFlags:
         flags = sx.parse_spec(text).flags
         assert (flags.recurrent, flags.aperiodic) == (recurrent, aperiodic)
 
-    def test_non_primitive_morphic_stays_unknown(self):
-        # 1 never reaches 0 under 0->01, 1->1
+    def test_non_primitive_morphic_is_not_recurrent(self):
+        # 1 never reaches 0 under 0->01, 1->1, so 01^w has its 0 once.
         flags = sx.Morphic({"0": "01", "1": "1"}, "0").flags
-        assert (flags.recurrent, flags.aperiodic) == (None, None)
+        assert (flags.recurrent, flags.aperiodic) == (False, None)
+
+    # Substitutions on 2-3 letters, prolongable on 0, images of 1-4 letters.
+    @given(data=st.data(), k=st.integers(2, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_recurrence_against_a_long_prefix(self, data, k):
+        letters = "012"[:k]
+        rules = {c: data.draw(st.text(alphabet=letters, min_size=1, max_size=4)) for c in letters}
+        rules["0"] = "0" + data.draw(st.text(alphabet=letters, min_size=1, max_size=3))
+        # The seed comes back, if ever, inside s^(k-1) of a letter of s(0)[1:],
+        # inside s^k(0): at most 4^3 = 64 letters.
+        w = naive.morphic_prefix(rules, "0", 64)
+        recurrent = sx.Morphic(rules, "0").flags.recurrent
+        assert recurrent == (w.find("0", 1) > 0), (rules, w)
 
 
 class TestSpecRoundTrip:
