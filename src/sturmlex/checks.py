@@ -19,12 +19,12 @@ pairs, on integer factor codes, decides it together with hamming2 and ones.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, compress, count, repeat
 from operator import mul, ne, rshift, sub
 
 from .errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced, WindowTooLarge
 from .factors import FactorTable, _probe, decode
-from .words import PREFIX_BUDGET, Literal, Record, WordSpec, generate_prefix
+from .words import PREFIX_BUDGET, KnownFlags, Literal, Record, WordSpec, generate_prefix
 
 # Verdict statuses.
 CONSISTENT = "ConsistentUpTo"
@@ -220,12 +220,8 @@ def _adjacent_faults(
     letters and keeps the 1-count from falling.
     """
     size, codes, top, w = table.max_len, table.codes, table.frontier, table.width
-    rest = {"status": CONSISTENT, "up_to": size}
-    if top < size:
-        skipped = ",".join(map(str, range(top + 1, size + 1)))
-        rest = {"status": INDETERMINATE, "reason": "unsaturated lengths " + skipped}
     # key -> (n, a, verdict fields) of its first fault so far
-    best = dict.fromkeys(sought, (size + 1, 0, rest))
+    best = dict.fromkeys(sought, (size + 1, 0, _faultless(table, CONSISTENT)))
     starts, lcps = table.starts(), table.lcps
     whole = len(starts) == len(codes)
     los = lcps if whole else [*map(lcps.__getitem__, starts)]
@@ -252,6 +248,16 @@ def _adjacent_faults(
                 best[key] = n, a, dict(status=VIOLATED, witness=(v[:n], vp[:n]), n=n, reason=why)
                 reach = max(best[k][0] for k in sought)
     return tuple(_stamped(table, key, **best[key][2]) for key in sought)
+
+
+def _faultless(table: FactorTable, status: str) -> dict:
+    """Verdict fields of a check that found no fault: ``status`` up to
+    max_len when every length is saturated, else Indeterminate."""
+    size, top = table.max_len, table.frontier
+    if top == size:
+        return {"status": status, "up_to": size}
+    skipped = ",".join(map(str, range(top + 1, size + 1)))
+    return {"status": INDETERMINATE, "reason": "unsaturated lengths " + skipped}
 
 
 @lru_cache(maxsize=8)
@@ -324,62 +330,36 @@ def periodicity_certificate(table: FactorTable) -> Verdict:
     """Complexity p(n) <= n at a saturated n certifies ultimate periodicity.
 
     An undersampled window can undercount factors, which is why unsaturated
-    lengths are never used; where saturation rests on the half-window
-    heuristic, so does the certificate.
+    lengths are never used, and why no such n is ApparentlyAperiodicUpTo
+    max_len only when every length is saturated; where saturation rests on
+    the half-window heuristic, so does the certificate.
     """
     p = table.p
     for n in range(1, table.frontier + 1):
         if p[n] <= n:
             why = f"complexity {p[n]} <= {n}"
             return _stamped(table, "complexity", ULTIMATELY_PERIODIC, n=n, reason=why)
-    return _stamped(table, "complexity", APPARENTLY_APERIODIC, up_to=table.max_len)
+    return _stamped(table, "complexity", **_faultless(table, APPARENTLY_APERIODIC))
 
 
-def recurrence_heuristic(table: FactorTable, known: bool | None = None) -> Verdict:
-    """Hunt for a factor occurring exactly once, well before the window end.
+def recurrence_heuristic(table: FactorTable, known: KnownFlags | None = None) -> Verdict:
+    """The recurrence verdict from the spec's a-priori flags ``known``.
 
-    A unioccurrent factor that ends inside the first half strongly suggests
-    the word is not recurrent.  An a-priori flag from the generating spec,
-    when available, overrides the heuristic.
+    No window decides it.  A word of unknown recurrence (``literal:``, or a
+    bare table, ``known`` None) is Indeterminate, as a finite word w is a
+    prefix of the recurrent word w^w.  A word known not to be names its
+    shortest prefix that occurs nowhere else (``known.once`` letters, if
+    given) when that is at most max_len letters long.
     """
-    if known is not True:
-        witness = _unioccurrent_early_factor(table)
-        if known is False or witness is not None:
-            return _stamped(
-                table,
-                "recurrence",
-                NON_RECURRENT,
-                witness=(witness,) if witness is not None else None,
-                n=len(witness) if witness is not None else None,
-                reason="a-priori non-recurrent" if known is False else None,
-            )
-    why = "a-priori recurrent" if known else None
-    return _stamped(
-        table, "recurrence", RECURRENT_CONSISTENT, up_to=table.max_len, reason=why
-    )
-
-
-def _unioccurrent_early_factor(table: FactorTable) -> str | None:
-    """Shortest (then lex-least) factor occurring once, ending in the first half.
-
-    It begins one entry of count 1 and no other, so the shortest one of
-    entry i has length max(lcp_i, lcp_i+1) + 1, and it occurs once, where
-    the entry does: only such candidates are looked up in the word.  A short
-    suffix of length m attached to entry i would follow it with lcp m.
-    """
-    word, half, lcps = table.word, len(table.word) // 2, table.lcps
-    alone = [a if a > b else b for a, b in zip(lcps, chain(lcps[1:], (0,)))]
-    for m, i in enumerate(table._attached, 1):
-        alone[i] = max(alone[i], m)
-    for i in sorted(range(len(alone)), key=alone.__getitem__):
-        if (s := alone[i]) >= half:
-            break
-        if s < table.lengths[i] and table.counts.get(table.codes[i], 1) == 1:
-            w = table.width
-            v = decode(table.codes[i] >> w * (table.max_len - s - 1), s + 1, w)
-            if word.find(v, 0, half) >= 0:
-                return v
-    return None
+    if known is None or known.recurrent is None:
+        why = "a finite word is a prefix of a recurrent word"
+        return _stamped(table, "recurrence", INDETERMINATE, reason=why)
+    if known.recurrent:
+        why = "a-priori recurrent"
+        return _stamped(table, "recurrence", RECURRENT_CONSISTENT, up_to=table.max_len, reason=why)
+    m = known.once
+    found = {"witness": (table.word[:m],), "n": m} if m and m <= table.max_len else {}
+    return _stamped(table, "recurrence", NON_RECURRENT, reason="a-priori non-recurrent", **found)
 
 
 def find_extension_exclusion(table: FactorTable) -> str | None:
@@ -481,7 +461,7 @@ def sturmian_verdict(
         spec_text=str(spec),
         prefix_length=len(table.word),
         max_len=max_len,
-        verdicts=(*verdicts, recurrence_heuristic(table, known=spec.flags.recurrent)),
+        verdicts=(*verdicts, recurrence_heuristic(table, spec.flags)),
         combined=_combined_judgment(table, *verdicts),
     )
 

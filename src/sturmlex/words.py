@@ -97,10 +97,13 @@ def _check_word(s: str, what: str, allow_empty: bool = False) -> None:
 
 
 class KnownFlags(Record):
-    """A-priori recurrence/aperiodicity knowledge; ``None`` means unknown."""
+    """A-priori recurrence/aperiodicity knowledge; ``None`` means unknown.
+    ``once``, set when ``recurrent`` is False, is the length of the word's
+    shortest prefix that occurs nowhere else."""
 
     recurrent: bool | None
     aperiodic: bool | None
+    once: int | None = None
 
 
 class _EventuallyPeriodic:
@@ -139,9 +142,15 @@ class _EventuallyPeriodic:
     def flags(self) -> KnownFlags:
         # Never aperiodic; recurrent exactly when the word is purely
         # periodic, that is when shifting by the period fixes the preperiod.
+        # Else x[:k+d] occurs once, and an occurrence at i >= k+d gives one
+        # at i-d >= k, so a prefix that recurs does so at a start below k+d.
         k, d = len(self.preperiod), len(self.period)
-        w = self.prefix(k + d)
-        return KnownFlags(recurrent=w[:k] == w[d:], aperiodic=False)
+        w = self.prefix(2 * (k + d))
+        if w[:k] == w[d : k + d]:
+            return KnownFlags(recurrent=True, aperiodic=False)
+        alone = lambda m: w.find(w[:m], 1, k + d + m - 1) < 0  # no start in 1..k+d-1
+        once = bisect_left(range(1, k + d), True, key=alone) + 1
+        return KnownFlags(recurrent=False, aperiodic=False, once=once)
 
 
 class Literal(Record):
@@ -236,7 +245,8 @@ class Morphic(Record):
         while new:
             reach |= new
             new = {c for b in new for c in self.rules[b]} - reach
-        return KnownFlags(recurrent=self.seed in reach, aperiodic=None)
+        recurrent = self.seed in reach
+        return KnownFlags(recurrent, aperiodic=None, once=None if recurrent else 1)
 
     def __str__(self) -> str:
         rules = ",".join(f"{a}->{img}" for a, img in sorted(self.rules.items()))

@@ -164,15 +164,9 @@ def extension_exclusion(w, max_len):
     return None
 
 
-def unioccurrent_early_factor(w, max_len):
-    """Shortest then lex-least factor of length <= max_len that occurs once
-    and ends inside the first half of w, or None."""
-    half = len(w) // 2
-    for n in range(1, max_len + 1):
-        for v in distinct_factors(w, n):
-            if occurrences(w, v) == 1 and w.find(v) + n <= half:
-                return v
-    return None
+def shortest_unique_prefix(w):
+    """The shortest prefix of w that occurs in w only at position 0, or None."""
+    return next((w[:m] for m in range(1, len(w) + 1) if w.find(w[:m], 1) < 0), None)
 
 
 def periodicity_length(w, max_len, top=None):

@@ -365,48 +365,77 @@ class TestPeriodicityCertificate:
         v = sx.periodicity_certificate(sx.FactorTable("0" * 64, 5))
         assert (v.status, v.n) == (checks.ULTIMATELY_PERIODIC, 1)
 
+    @pytest.mark.parametrize(
+        "text,max_len,top",
+        # (0^999 1)^w has one factor per length in 256 letters, not n + 1;
+        # std:1,9,1,9 has its first 49 lengths there.
+        [("mech:1/1000@0", 40, 0), ("std:1,9,1,9", 60, 49)],
+    )
+    def test_unsaturated_lengths_are_indeterminate(self, monkeypatch, text, max_len, top):
+        # With no saturated length at or below which p(n) <= n, the lengths
+        # above the frontier decide nothing, as in the pair checks.
+        monkeypatch.setattr(checks, "PREFIX_BUDGET", 256)
+        t = checks.saturated_table(sx.parse_spec(text), max_len, 64)
+        assert t.frontier == top
+        v = sx.periodicity_certificate(t)
+        skipped = ",".join(map(str, range(top + 1, max_len + 1)))
+        assert (v.status, v.up_to, v.reason) == (
+            checks.INDETERMINATE, None, f"unsaturated lengths {skipped}")
+        assert v == checks._adjacent_faults(t, ("nfop",))[0].replace(check="complexity")
+
 
 class TestRecurrenceHeuristic:
-    def test_zero_one_tail(self, ult01_table):
-        v = sx.recurrence_heuristic(ult01_table)
-        assert (v.status, v.witness) == (checks.NON_RECURRENT, ("0",))
+    FINITE = "a finite word is a prefix of a recurrent word"
 
-    def test_periodic(self, per01_table):
-        assert sx.recurrence_heuristic(per01_table).status == checks.RECURRENT_CONSISTENT
+    def test_bare_tables_are_indeterminate(self, ult01_table, per01_table, zerozero_fib_table):
+        # No spec, no flags: a window alone decides nothing about recurrence.
+        for t in (ult01_table, per01_table, zerozero_fib_table):
+            v = sx.recurrence_heuristic(t)
+            assert (v.status, v.witness, v.reason) == (checks.INDETERMINATE, None, self.FINITE)
+            assert v.saturated_lengths == t.saturated_lengths()
 
-    def test_shifted_fibonacci(self, zerozero_fib_table):
-        v = sx.recurrence_heuristic(zerozero_fib_table)
-        assert (v.status, v.witness) == (checks.NON_RECURRENT, ("000",))
+    def test_a_priori_recurrent(self, zerozero_fib_table):
+        v = sx.recurrence_heuristic(zerozero_fib_table, sx.KnownFlags(True, None))
+        assert (v.status, v.up_to, v.reason) == (
+            checks.RECURRENT_CONSISTENT, 30, "a-priori recurrent")
 
-    def test_a_priori_flag_overrides(self, zerozero_fib_table):
-        v = sx.recurrence_heuristic(zerozero_fib_table, known=True)
-        assert v.status == checks.RECURRENT_CONSISTENT
-        assert v.reason == "a-priori recurrent"
+    @pytest.mark.parametrize("once", [1, 3, 30, 31, None])
+    def test_a_priori_non_recurrent_names_the_prefix(self, zerozero_fib_table, once):
+        # Named only when it is given and has at most max_len (30) letters.
+        v = sx.recurrence_heuristic(zerozero_fib_table, sx.KnownFlags(False, True, once))
+        assert (v.status, v.reason) == (checks.NON_RECURRENT, "a-priori non-recurrent")
+        named = once is not None and once <= 30
+        want = ((zerozero_fib_table.word[:once],), once) if named else (None, None)
+        assert (v.witness, v.n) == want
 
-    # The search on long literals with max_len far below their length, the
-    # shape of the dense-literal benchmark words.
-    @given(w=literals(64, 2048), max_len=st.integers(4, 16))
-    @settings(max_examples=100, deadline=None)
-    def test_literal_witness_matches_the_oracle(self, w, max_len):
-        t = sx.FactorTable(w, max_len)
-        want = naive.unioccurrent_early_factor(w, max_len)
-        assert checks._unioccurrent_early_factor(t) == want
-        v = sx.recurrence_heuristic(t)
-        assert v.witness == (None if want is None else (want,))
+    @pytest.mark.parametrize(
+        "text,max_len,want",
+        [
+            ("ultper:0110|01", 40, ("011",)),
+            ("ultper:0|1", 10, ("0",)),
+            ("morphic:0->01,1->1;seed=0", 12, ("0",)),
+            # Its shortest prefix that occurs once has 44 letters.
+            ("ultper:" + "0" * 43 + "1|0", 40, None),
+            ("ultper:" + "0" * 43 + "1|0", 44, ("0" * 43 + "1",)),
+        ],
+    )
+    def test_verdict_reads_the_spec(self, text, max_len, want):
+        v = sx.sturmian_verdict(sx.parse_spec(text), max_len=max_len).verdict("recurrence")
+        assert (v.status, v.witness) == (checks.NON_RECURRENT, want)
 
-    @given(pre=literals(64, 1024), seed=st.text("01", min_size=1, max_size=8),
-           max_len=st.integers(4, 16))
-    @settings(max_examples=40, deadline=None)
-    def test_non_recurrent_flag_reports_the_search(self, pre, seed, max_len):
-        # ultper: is flagged non-recurrent, so its verdict runs the search and
-        # reports what it found, or none.
-        spec = sx.UltimatelyPeriodic(pre, seed)
-        assume(spec.flags.recurrent is False)
-        report = sx.sturmian_verdict(spec, max_len=max_len, prefix_len=len(pre))
-        want = naive.unioccurrent_early_factor(prefix(str(spec), report.prefix_length), max_len)
-        v = report.verdict("recurrence")
-        assert v.status == checks.NON_RECURRENT
-        assert v.witness == (None if want is None else (want,))
+    def test_every_short_literal_is_indeterminate(self):
+        # Every binary word of 1-12 letters, at every max-n, on the table that
+        # sturmian_verdict builds: a literal never gets a witness, as w is a
+        # prefix of the recurrent word w^w.
+        seen = Counter()
+        for size in range(1, 13):
+            for bits in itertools.product("01", repeat=size):
+                spec = sx.Literal("".join(bits))
+                for max_len in range(1, size + 1):
+                    t = checks.saturated_table(spec, max_len)
+                    v = sx.recurrence_heuristic(t, spec.flags)
+                    seen[v.status, v.witness, v.reason] += 1
+        assert seen == {(checks.INDETERMINATE, None, self.FINITE): 90114}
 
 
 def count_slices(monkeypatch) -> tuple[Counter, list[int]]:
@@ -498,7 +527,7 @@ class TestSaturatedTable:
         assert (t.codes, t.frontier, t.counts) == (ref.codes, ref.frontier, ref.counts)
         assert list(t.counts) == list(ref.counts)  # in order of first occurrence
         assert checks._battery(t) == checks._battery(ref)
-        recurrence = [checks.recurrence_heuristic(x, known=spec.flags.recurrent) for x in (t, ref)]
+        recurrence = [checks.recurrence_heuristic(x, spec.flags) for x in (t, ref)]
         assert recurrence[0] == recurrence[1]
 
     @pytest.mark.parametrize(
@@ -835,13 +864,11 @@ class TestCertifiedSaturation:
         ]
         fs = [naive.distinct_factors(t.word, n) for n in range(1, top + 1)]
         assert sorted(pairs) == [(n, *p) for n, f in enumerate(fs, 1) for p in zip(f, f[1:])]
-        known = spec.flags.recurrent
-        battery, recurrence = oracle_battery(t.word, max_len, top, known)
+        battery, recurrence = oracle_battery(t.word, max_len, top, spec)
         assert checks._battery(t) == battery
-        assert checks.recurrence_heuristic(t, known=known) == recurrence
+        assert checks.recurrence_heuristic(t, spec.flags) == recurrence
         for heads in (("0", "1"), ("10", "01")):
             assert checks._least_core(t, *heads) == checks._least_core(ref, *heads)
-        assert checks._unioccurrent_early_factor(t) == checks._unioccurrent_early_factor(ref)
 
     @staticmethod
     def read_every_start(windows, word, n, start, full, w, edges=(), _original=factors._add_windows):
@@ -894,7 +921,7 @@ class TestCertifiedSaturation:
             ref = checks.saturated_table(spec, max_len, prefix_len)
         assert (t.word, t._windows, t.frontier) == (ref.word, ref._windows, ref.frontier)
         assert checks._battery(t) == checks._battery(ref)
-        recurrence = [checks.recurrence_heuristic(x, known=spec.flags.recurrent) for x in (t, ref)]
+        recurrence = [checks.recurrence_heuristic(x, spec.flags) for x in (t, ref)]
         assert recurrence[0] == recurrence[1]
 
     def test_capped_window_certifies_the_lengths_it_has(self, monkeypatch):
@@ -939,24 +966,6 @@ class TestCertifiedSaturation:
         assert "counts" not in vars(t)
         ref = sx.FactorTable(t.word, max_len)
         assert_same_text("".join(t.dump()), "".join(ref.dump()))
-
-    @pytest.mark.parametrize(
-        "text,max_len",
-        [
-            ("fib", 30),
-            ("ultper:0110|01", 20),
-            (TM_SPEC, 12),
-            ("morphic:0->001,1->1;seed=0", 12),
-            ("literal:" + format(3**400, "b"), 9),
-        ],
-        ids=["fib", "ultper", "thue-morse", "non-primitive", "literal"],
-    )
-    def test_unioccurrent_early_factor_matches_brute_force(self, text, max_len):
-        # Certified and heuristic tables alike.
-        spec = sx.parse_spec(text)
-        t = checks.saturated_table(spec, max_len, 512)
-        witness = checks._unioccurrent_early_factor(t)
-        assert witness == naive.unioccurrent_early_factor(t.word, max_len)
 
     def test_harness_tall_specs_pass(self):
         # std:1,9,1,9 failed two assertions here under the half-window rule.
@@ -1176,6 +1185,37 @@ class TestEachCheckOncePerTable:
     def test_harness_on_a_non_binary_table(self, check_calls):
         sx.equivalence_harness([sx.parse_spec("periodic:012")], 1)
         assert check_calls == Counter(_adjacent_faults=1, periodicity_certificate=1)
+
+
+class TestNoOccurrenceCounts:
+    """No verdict reads a window's occurrence counts: the spec's flags, not
+    the window, decide recurrence.  The benchmark's words, at its sizes."""
+
+    VERDICT_MIX = (
+        "fib", "std:2,1", "std:1,9,1,9", "std:3", "std:1,2,3", TM_SPEC, "mech:3/8@0",
+        "mech:5/13@1/2", "periodic:0010110", "ultper:0110|01",
+        "morphic:0->012,1->02,2->1;seed=0",
+    )
+
+    @pytest.fixture(autouse=True)
+    def no_counts(self, monkeypatch):
+        def counts(table):
+            raise AssertionError("FactorTable.counts read")
+
+        monkeypatch.setattr(factors.FactorTable, "counts", property(counts))
+
+    @pytest.mark.parametrize("text", VERDICT_MIX)
+    def test_sturmian_verdict(self, text):
+        sx.sturmian_verdict(sx.parse_spec(text), max_len=200)
+
+    def test_dense_literal(self):
+        word = format(random.Random(1).getrandbits(8192), "08192b")
+        report = sx.sturmian_verdict(sx.Literal(word), max_len=16, prefix_len=8192)
+        assert report.verdict("recurrence").status == checks.INDETERMINATE
+
+    def test_harness_tall(self):
+        specs = [sx.parse_spec(s) for s in ("fib", "std:2,1", "std:1,9,1,9", "std:3", "std:1,2,3")]
+        sx.equivalence_harness(specs, 240, prefix_len=1024)
 
 
 class TestBinarySkip:
@@ -1546,11 +1586,11 @@ def long_tables(draw):
     return sx.FactorTable(w, draw(st.integers(1, len(w))))
 
 
-def oracle_battery(w, max_len, top=None, known=None):
+def oracle_battery(w, max_len, top=None, spec=None):
     """The verdicts of ``checks._battery`` on a literal word, from the oracle,
     and apart from them that of ``checks.recurrence_heuristic`` under the
-    a-priori flag ``known``.  The saturated lengths are 1..top when ``top``
-    is given, else those of the half-window rule."""
+    flags of ``spec`` (none for a bare table).  The saturated lengths are
+    1..top when ``top`` is given, else those of the half-window rule."""
     if top is None:
         sat = tuple(n for n in range(1, max_len + 1) if naive.saturated(w, n))
     else:
@@ -1560,13 +1600,16 @@ def oracle_battery(w, max_len, top=None, known=None):
     def verdict(check, status, **fields):
         return checks.Verdict(check, status, saturated_lengths=sat, **fields)
 
+    def unsaturated(check):
+        skipped = ",".join(str(n) for n in range(len(sat) + 1, max_len + 1))
+        return verdict(check, checks.INDETERMINATE, reason=f"unsaturated lengths {skipped}")
+
     def walk(check, outcome, reason):
         status, n, pair = outcome
         if status == checks.VIOLATED:
             return verdict(check, status, witness=pair, n=n, reason=reason(*pair))
         if status == checks.INDETERMINATE:
-            skipped = ",".join(str(n) for n in range(len(sat) + 1, max_len + 1))
-            return verdict(check, status, reason=f"unsaturated lengths {skipped}")
+            return unsaturated(check)
         return verdict(check, status, up_to=max_len)
 
     variant = 3 if binary else 1
@@ -1590,21 +1633,28 @@ def oracle_battery(w, max_len, top=None, known=None):
             for c in ("balance", "hamming2", "ones")
         )
     n = naive.periodicity_length(w, max_len, top)
-    if n is None:
+    if n is None and len(sat) < max_len:
+        complexity = unsaturated("complexity")
+    elif n is None:
         complexity = verdict("complexity", checks.APPARENTLY_APERIODIC, up_to=max_len)
     else:
         p = len(naive.distinct_factors(w, n))
         why = f"complexity {p} <= {n}"
         complexity = verdict("complexity", checks.ULTIMATELY_PERIODIC, n=n, reason=why)
-    # A flag decides the status; the search runs unless the word is known recurrent.
-    v = None if known else naive.unioccurrent_early_factor(w, max_len)
-    if known is False or v is not None:
-        why = "a-priori non-recurrent" if known is False else None
-        found = {} if v is None else {"witness": (v,), "n": len(v)}
-        recurrence = verdict("recurrence", checks.NON_RECURRENT, reason=why, **found)
-    else:
-        why = "a-priori recurrent" if known else None
+    # The flags decide the status; the witness is the shortest prefix that
+    # a long prefix of the word holds once.
+    flags = spec.flags if spec is not None else sx.KnownFlags(None, None)
+    if flags.recurrent is None:
+        why = "a finite word is a prefix of a recurrent word"
+        recurrence = verdict("recurrence", checks.INDETERMINATE, reason=why)
+    elif flags.recurrent:
+        why = "a-priori recurrent"
         recurrence = verdict("recurrence", checks.RECURRENT_CONSISTENT, up_to=max_len, reason=why)
+    else:
+        v = naive.shortest_unique_prefix(prefix(str(spec), 4096))
+        found = {"witness": (v,), "n": len(v)} if len(v) <= max_len else {}
+        why = "a-priori non-recurrent"
+        recurrence = verdict("recurrence", checks.NON_RECURRENT, reason=why, **found)
     battery = nfop, balance, complexity, hamming, ones
     return battery, recurrence
 
@@ -1650,7 +1700,7 @@ class TestBatteryAgainstOracle:
         p, period, max_len = case
         t = checks.saturated_table(sx.MechanicalRational(p, period - p, rho), max_len, max_len)
         assert t.frontier == max_len
-        battery, _ = oracle_battery(t.word, max_len, t.frontier, known=True)
+        battery, _ = oracle_battery(t.word, max_len, t.frontier)
         nfop, _, _, hamming, ones = checks._battery(t)
         assert (nfop, hamming, ones) == tuple(battery[i] for i in (0, 3, 4))
         # Variant 1 judges the misfit pairs in its own walk, as variant 3 does.

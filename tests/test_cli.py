@@ -117,18 +117,25 @@ class TestCheck:
         assert code == 0
         assert out.splitlines()[-1] == "nfop: ConsistentUpTo 40"
 
-    def test_long_mechanical_period_stays_indeterminate(self, capsys):
+    @pytest.mark.parametrize(
+        "what,line",
+        [
+            ("sturmian", "sturmian: Indeterminate [window could not certify all lengths]"),
+            ("complexity", "complexity: Indeterminate [unsaturated lengths "
+                           + ",".join(map(str, range(1, 41))) + "]"),
+        ],
+    )
+    def test_long_mechanical_period_stays_indeterminate(self, capsys, what, line):
         # 2^22 letters of (0^4999999 1)^w hold one factor per length, not the
         # certified n + 1.  The half-window rule printed "NotSturmian n=1
-        # [complexity 1 <= 1]": true of a periodic word, for a false reason.
+        # [complexity 1 <= 1]": true of a periodic word, for a false reason;
+        # the complexity check then printed ApparentlyAperiodicUpTo 40 with
+        # no length saturated.
         code, out, _ = run(
-            capsys, "check", "--spec", "mech:1/5000000@0", "--what", "sturmian",
-            "--max-n", "40",
+            capsys, "check", "--spec", "mech:1/5000000@0", "--what", what, "--max-n", "40",
         )
         assert code == 2
-        assert out.splitlines()[-1] == (
-            "sturmian: Indeterminate [window could not certify all lengths]"
-        )
+        assert out.splitlines()[-1] == line
 
     @pytest.mark.parametrize(
         "spec,max_n",

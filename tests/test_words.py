@@ -493,6 +493,49 @@ class TestKnownFlags:
         assert recurrent == (w.find("0", 1) > 0), (rules, w)
 
 
+    @pytest.mark.parametrize(
+        "text,once",
+        [
+            ("ultper:0|1", 1),
+            ("ultper:1101|01", 2),
+            ("ultper:10|0", 1),
+            ("ultper:0110|01", 3),
+            ("ultper:" + "0" * 43 + "1|0", 44),
+            ("morphic:0->01,1->1;seed=0", 1),
+            # recurrent, or unknown: no prefix is named
+            ("ultper:0101|01", None),
+            ("fib", None),
+            ("literal:0101", None),
+        ],
+    )
+    def test_once(self, text, once):
+        assert sx.parse_spec(text).flags.once == once
+
+    # ultper: on 2-3 letters, preperiod 1-12 and period 1-8 letters, and
+    # morphic: whose seed no letter of s(seed)[1:] reaches.
+    @given(
+        spec=st.one_of(
+            st.sampled_from(["01", "012"]).flatmap(lambda a: st.tuples(
+                st.text(a, min_size=1, max_size=12), st.text(a, min_size=1, max_size=8)))
+            .map(lambda t: sx.UltimatelyPeriodic(*t)),
+            st.sampled_from(["01", "012"]).flatmap(lambda a: st.fixed_dictionaries({
+                "0": st.text(a[1:], min_size=1, max_size=3).map("0".__add__),
+                **{c: st.sampled_from([a[1:], a]).flatmap(
+                    lambda b: st.text(b, min_size=1, max_size=3)) for c in a[1:]},
+            })).map(lambda rules: sx.Morphic(rules, "0")),
+        ).filter(lambda spec: spec.flags.recurrent is False)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_once_against_a_long_prefix(self, spec):
+        # The prefix of `once` letters occurs only at position 0 of 1000
+        # letters (of ultper: more than 45 preperiods and periods), and the
+        # one a letter shorter occurs again.
+        w = sx.generate_prefix(spec, 1000)
+        once = spec.flags.once
+        assert w.find(w[:once], 1) < 0, (spec, once)
+        assert w.find(w[: once - 1], 1) > 0, (spec, once)
+
+
 class TestSpecRoundTrip:
     @pytest.mark.parametrize(
         "text",
