@@ -25,9 +25,9 @@ Such a count needs only the distinct windows, a set of codes, read up to
 the one that completes it, jumping over each stretch that repeats letters
 before it, as its windows are earlier ones.  A *certified* table, whose
 windows number exact[max_len], has every factor as a prefix of a window,
-so its entries are its windows alone, its p is the certificate itself,
-and a short suffix counts where it *attaches*, on the last window that
-begins with it.  Otherwise it is the half-window heuristic: every length-n factor
+so its entries are its windows alone and its p is the certificate itself;
+its occurrences are read from a table of its word that counts every window
+and keeps its short suffixes.  Otherwise it is the half-window heuristic: every length-n factor
 first occurs inside the first half of the prefix.  The windows are counted
 in order of first occurrence, and the read notes how many it has at the
 half's edge, the first start whose window ends past the half: those that
@@ -234,10 +234,11 @@ class FactorTable:
     order (the windows alone on a certified table), ``p[n]`` is the number
     of length-n factors (on a certified table its certificate: exact[n] for
     n >= 1, and p[0] = 0), ``frontier`` the longest saturated length, or 0.
-    ``_attached`` lists, for m = 1..max_len-1, the entry that the short
-    suffix of length m attaches to on a certified table, found on first
-    use (empty on a table that keeps its suffixes).  Only the caches are
-    written after construction; the probe's windows stay as given.
+    Occurrences (``count``, ``dump()``, ``counts``) are read from a table
+    whose windows are counted and whose entries keep the short suffixes:
+    this one, or else ``FactorTable(word, max_len)``, built on first read.
+    Only the caches are written after construction; the probe's windows
+    stay as given.
     """
 
     def __init__(self, word: str, max_len: int, exact: list[int] | None = None, probe=None):
@@ -276,27 +277,21 @@ class FactorTable:
         self.frontier = next(short, max_len) if ref else max_len
 
     @cached_property
+    def _recounted(self) -> FactorTable | None:
+        """None on a table that counted every window and keeps its max_len - 1
+        short suffixes as entries, else the table of its word that does."""
+        shorts = len(self.codes) - len(self._windows)
+        own = shorts == self.max_len - 1 and isinstance(self._windows, Counter)
+        return None if own else FactorTable(self.word, self.max_len)
+
+    @property
     def counts(self) -> Counter[int]:
         """Every window's occurrences, keyed by code in order of first
-        occurrence: the probe's Counter, which reads every window of its word,
-        else counted anew, as a certified probe's set stays as it was built.
-        Counting goes in chunks of at most TABLE_BUDGET/16 bytes and raises
-        BudgetExceeded once the entries of a table at max_len, the distinct
-        windows and max_len - 1 short suffixes, take more than TABLE_BUDGET
-        bytes, so no table past the cap is ever built."""
-        if isinstance(self._windows, Counter):
-            return self._windows
-        windows = Counter()
-        _add_windows(windows, self.word, self.max_len, 0, None, self.width)
-        return windows
-
-    @cached_property
-    def _attached(self) -> list[int]:
-        if len(self.codes) > len(self._windows):
-            return []  # the suffixes are entries of their own
-        # Each would sort right after the last window that begins with it.
-        codes, shorts = self.codes, _short_codes(self.word, self.max_len, self.width)
-        return [bisect_left(codes, c) - 1 for c in shorts][::-1]
+        occurrence, as the counting table's probe read them in chunks: it
+        raises BudgetExceeded once the entries of a table at max_len, the
+        distinct windows and max_len - 1 short suffixes, take more than
+        TABLE_BUDGET bytes, so no table past the cap is ever built."""
+        return (self._recounted or self)._windows
 
     def _require(self, n: int) -> None:
         if not 1 <= n <= self.max_len:
@@ -340,9 +335,9 @@ class FactorTable:
 
     def count(self, v: str) -> int:
         """Number of occurrences of ``v`` in the prefix (overlaps included)."""
-        i, j, _ = self._range(v, need=True)
-        tail = sum(i <= k < j for k in self._attached[len(v) - 1 :])
-        return sum(map(self.counts.get, self.codes[i:j], repeat(1))) + tail
+        t = self._recounted or self
+        i, j, _ = t._range(v, need=True)
+        return sum(map(t._windows.get, t.codes[i:j], repeat(1)))
 
     def successor(self, v: str) -> str | None:
         """Next factor of the same length in lex order, or None if maximal."""
@@ -388,25 +383,20 @@ class FactorTable:
         yielded as one string per length."""
         # A length-n factor is a run of entries: one with lcp < n <= length,
         # then those whose lcp reaches n.  Its text is the first entry's cut
-        # to n letters, and its count is the run's sum.  An attached suffix
-        # counts on its entry up to its own length.
-        w, size, lengths = self.width, self.max_len, self.lengths
-        texts = [decode(c >> w * (size - m), m, w) for c, m in zip(self.codes, lengths)]
-        entry_counts = [*map(self.counts.get, self.codes, repeat(1))]
-        ends = self._attached
-        for k in ends:
-            entry_counts[k] += 1
+        # to n letters, and its count is the run's sum.
+        t = self._recounted or self
+        w, size, lengths = t.width, t.max_len, t.lengths
+        texts = [decode(c >> w * (size - m), m, w) for c, m in zip(t.codes, lengths)]
+        entry_counts = [*map(t._windows.get, t.codes, repeat(1))]
         for n in range(1, size + 1):
             heads, counts = [], []
-            for v, m, k, lcp in zip(texts, lengths, entry_counts, self.lcps):
+            for v, m, k, lcp in zip(texts, lengths, entry_counts, t.lcps):
                 if lcp >= n:
                     counts[-1] += k
                 elif m >= n:
                     heads.append(v)
                     counts.append(k)
             yield "".join(f"{n}\t{v[:n]}\t{k}\n" for v, k in zip(heads, counts))
-            if n <= len(ends):
-                entry_counts[ends[n - 1]] -= 1
 
     def __repr__(self) -> str:
         return (

@@ -1199,10 +1199,16 @@ class TestNoOccurrenceCounts:
 
     @pytest.fixture(autouse=True)
     def no_counts(self, monkeypatch):
+        # No verdict builds the counting table either, from which a
+        # certified table reads its occurrences.
         def counts(table):
             raise AssertionError("FactorTable.counts read")
 
+        def recounted(table):
+            raise AssertionError("counting table built")
+
         monkeypatch.setattr(factors.FactorTable, "counts", property(counts))
+        monkeypatch.setattr(factors.FactorTable, "_recounted", property(recounted))
 
     @pytest.mark.parametrize("text", VERDICT_MIX)
     def test_sturmian_verdict(self, text):

@@ -1,6 +1,7 @@
 """Christoffel word construction and factor-level verification."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -186,6 +187,46 @@ class TestVerifyProperties:
         table = sx.FactorTable(prefix("std:2,2", 20000), 18)
         for p, q in [(1, 1), (1, 2), (2, 5), (5, 12)]:
             assert sx.verify_christoffel_properties(p, q, table).all_passed
+
+    @staticmethod
+    def standard_lengths(directive, most):
+        """(n, p) for each standard word s(m) and semi-standard word
+        s(m-1)^k s(m-2), 1 <= k <= d(m), of ``directive`` with n <= most
+        letters, p of them ones, 0 < p < n (k = d(m) gives s(m))."""
+        prev, cur, m = "1", "0", 1
+        while len(cur) <= most:
+            d = directive[(m - 1) % len(directive)]
+            for w in (cur * k + prev for k in range(1, d + 1)):
+                if len(w) <= most and 0 < w.count("1") < len(w):
+                    yield len(w), w.count("1")
+            prev, cur, m = cur, cur * d + prev, m + 1
+
+    def test_standard_lengths_carry_a_singular_word(self):
+        """At a length n of a standard or semi-standard word with p ones, the
+        length-n factors of its ``std:`` word are the n conjugates of the
+        Christoffel word of slope p/n and one lex-extremal singular word.
+
+        A semi-standard word s(m-1)^k s(m-2) is the standard word of the
+        directive with k in place of d(m), and a standard word is conjugate
+        to the Christoffel word with its numbers of letters (Lothaire,
+        *Algebraic Combinatorics on Words*, ch. 2; Berstel, Lauve,
+        Reutenauer and Saliola, *Combinatorics on Words: Christoffel Words
+        and Repetitions in Words*, 2008).  Wen and Wen (*European J.
+        Combin.* 15, 1994) prove the factor structure at the Fibonacci
+        word's lengths.  No statement cited here covers every directive and
+        every semi-standard length, so past those this test is a measured
+        referee: all 2060 cases passed when it was written.  It shares no
+        code with tests/naive.py, and a table that misses a factor, is
+        wrongly called saturated or breaks the order fails it."""
+        rng, cases = random.Random(11), 0
+        for _ in range(150):
+            directive = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+            spec = sx.StandardSequence(tuple(directive))
+            for n, p in self.standard_lengths(directive, 200):
+                report = sx.verify_christoffel_properties(p, n - p, sx.saturated_table(spec, n))
+                assert report.all_passed, (str(spec), n, report.to_json())
+                cases += 1
+        assert cases == 2060
 
     def test_thue_morse_fails_singular_items(self, tm_table):
         report = sx.verify_christoffel_properties(1, 1, tm_table)

@@ -73,7 +73,7 @@ class TestBuild:
             sx.FactorTable(word, 1)
 
     @pytest.mark.parametrize("size", [30, 200])
-    def test_a_certified_table_keeps_its_windows_alone(self, size):
+    def test_a_certified_table_keeps_its_windows_alone(self, size, monkeypatch):
         # fib's 21 length-20 factors fit in 200 letters, not in 30: a table
         # whose windows fall short of the exact count keeps its suffixes.
         word, exact = prefix("fib", size), sx.parse_spec("fib").complexities(20)
@@ -82,12 +82,21 @@ class TestBuild:
         assert certified == (size == 200)
         if certified:
             assert len(t.codes) == t.p[20] == 21 and set(t.lengths) == {20}
-            assert len(t._attached) == 19
         else:
             assert (t.codes, t.lengths, t.lcps) == (ref.codes, ref.lengths, ref.lcps)
-            assert t._attached == [] and t.frontier < 20
+            assert t.frontier < 20
         assert t.p == ref.p
+        # Its windows, a Counter, hold no short suffix's occurrence: the
+        # certified table builds its word's counting table on its first
+        # occurrence read and reuses it; the other reads its own.
+        built, init = [], factors.FactorTable.__init__
+        monkeypatch.setattr(
+            factors.FactorTable, "__init__", lambda s, *a, **k: built.append(a) or init(s, *a, **k)
+        )
         assert_same_text("".join(t.dump()), "".join(ref.dump()))
+        assert built == ([(word, 20)] if certified else [])
+        assert t.count("0") == naive.occurrences(word, "0") and t.counts == ref.counts
+        assert len(built) == certified
 
     def test_complexity_one_counts_letters(self):
         assert sx.FactorTable("0120", 1).complexity(1) == 3
