@@ -19,8 +19,8 @@ pairs, on integer factor codes, decides it together with hamming2 and ones.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import accumulate, compress, count, repeat
-from operator import mul, ne, rshift, sub
+from itertools import accumulate, chain, compress, count, repeat
+from operator import ne, rshift, sub
 
 from .errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced, WindowTooLarge
 from .factors import FactorTable, _probe, decode
@@ -210,34 +210,31 @@ def _adjacent_faults(
     until none can beat one.  A check with no fault is Indeterminate if
     lengths were skipped.
 
-    On a binary table most pairs are passed over after one exact test
-    (:func:`_fitting_steps`).  The 2-bit codes c < cp of two top-letter
-    prefixes differ by base-4 digits in {-1, 0, 1}, which write a number one
-    way only, so cp - c is 3 << 2*(top-lo-1) exactly for 01 against 10 at
-    lo, lo+1 and no other mismatch, and 1 exactly for a final 0 -> 1 step
-    at lo = top.  Cut to n letters, lo <= n <= top, either is a swap or a
-    final step, which fits nfop of every variant, differs in at most two
+    On a binary table most pairs pass one exact test (:func:`_fitting_steps`)
+    and read no lcp.  The 2-bit codes c < cp of two top-letter prefixes
+    differ by base-4 digits in {-1, 0, 1}, which write a number one way
+    only, so cp - c fits exactly when it is the step of its bit length: 1,
+    a final 0 -> 1 step, or 3 << 2j, 01 against 10 at top-j-1 and top-j and
+    no other mismatch.  Cut to n letters, lo <= n <= top, either is a swap or
+    a final step, which fits nfop of every variant, differs in at most two
     letters and keeps the 1-count from falling.
     """
     size, codes, top, w = table.max_len, table.codes, table.frontier, table.width
     # key -> (n, a, verdict fields) of its first fault so far
     best = dict.fromkeys(sought, (size + 1, 0, _faultless(table, CONSISTENT)))
-    starts, lcps = table.starts(), table.lcps
-    whole = len(starts) == len(codes)
-    los = lcps if whole else [*map(lcps.__getitem__, starts)]
+    starts = table.starts()
     odd, cut = range(1, len(starts)), w * (size - top)
     if table.is_binary:
-        # Shifting by 0 would copy every code: uncut, the heads are the codes.
-        heads = codes if whole else [*map(codes.__getitem__, starts)]
+        # Shifting by 0 would copy every code: uncut, the heads are the starts' codes.
+        heads = [*map(codes.__getitem__, starts)]
         if cut:
             heads = [*map(rshift, heads, repeat(cut))]
         diffs = [*map(sub, heads[1:], heads)]
-        fits = [*map(_fitting_steps(top).__getitem__, los[1:])]
-        odd = () if diffs == fits else compress(count(1), map(ne, diffs, fits))
-    pairs = [(los[k] + 1, starts[k - 1], starts[k]) for k in odd]
+        fits = map(_fitting_steps(top).__getitem__, map(int.bit_length, diffs))
+        odd = compress(count(1), map(ne, diffs, fits))
     # No pair that starts past every check's first fault so far can beat one.
     reach = size + 1
-    for lo, a, b in sorted(pairs):
+    for lo, a, b in sorted((table.lcps[starts[k]] + 1, starts[k - 1], starts[k]) for k in odd):
         if lo > reach:
             break
         v, vp = decode(codes[a] >> cut, top, w), decode(codes[b] >> cut, top, w)
@@ -262,10 +259,10 @@ def _faultless(table: FactorTable, status: str) -> dict:
 
 @lru_cache(maxsize=8)
 def _fitting_steps(top: int) -> tuple[int, ...]:
-    """By lcp lo - 1, cp - c for top-letter codes c < cp that fit every pair
-    check: 3 << 2*(top-lo-1), a 01 -> 10 swap, and 1 at lo = top, a final step.
-    Kept for the last few frontiers, as tables of one run mostly share one."""
-    return (1, *accumulate(repeat(4, top), mul, initial=3))[top - 1 :: -1]
+    """By bit length 0..2 top, the one fitting cp - c of top-letter codes c < cp
+    (1 at 1, a final step; 3 << 2j at 2j + 2, j <= top - 2, a 01 -> 10 swap),
+    else 0.  Kept for the last few frontiers, as a run's tables mostly share one."""
+    return (0, 1, *chain.from_iterable((3 << 2 * j, 0) for j in range(top - 1)), 0)
 
 
 def _first_faults(v: str, vp: str, variant: int) -> dict[str, tuple[int, str] | None]:

@@ -231,9 +231,10 @@ class FactorTable:
     half's own counts, or max_len when none does.  ``width`` is 2 on a
     binary table, else 4; the table keeps no list of its letters.
     ``codes``, ``lengths`` and ``lcps`` are parallel entry tuples in code
-    order (the windows alone on a certified table), ``p[n]`` is the number
-    of length-n factors (on a certified table its certificate: exact[n] for
-    n >= 1, and p[0] = 0), ``frontier`` the longest saturated length, or 0.
+    order (the windows alone on a certified table, which builds ``lcps`` when
+    read, as its p and starts need none), ``p[n]`` is the number of length-n
+    factors (on a certified table its certificate: exact[n] for n >= 1, and
+    p[0] = 0), ``frontier`` the longest saturated length, or 0.
     Occurrences (``count``, ``dump()``, ``counts``) are read from a table
     whose windows are counted and whose entries keep the short suffixes:
     this one, or else ``FactorTable(word, max_len)``, built on first read.
@@ -254,7 +255,6 @@ class FactorTable:
             # Certified: every factor begins a window, so the windows alone are
             # the entries (no short suffix), and p, the certificate, needs no reference.
             self.codes, self.lengths = tuple(sorted(windows)), (max_len,) * len(windows)
-            self.lcps = tuple(_lcps(self.codes, max_len, w))
             self.p, ref = [0, *exact[1 : max_len + 1]], None
         else:
             # One sort, of which the half's windows, the first `early` keys,
@@ -265,9 +265,8 @@ class FactorTable:
             lengths = [max_len] * len(codes)
             for m, c in zip(range(max_len - 1, 0, -1), shorts):
                 lengths[bisect_left(codes, c)] = m
-            self.codes, self.lengths = tuple(codes), tuple(lengths)
             lcps, self.p = _histogram(codes, max_len - 1, max_len, w)
-            self.lcps = tuple(lcps)
+            self.codes, self.lengths, self.lcps = tuple(codes), tuple(lengths), tuple(lcps)
             if exact is None and early < len(keys):
                 ends = [*_short_codes(word[: len(word) // 2], max_len, w)]
                 _, ref = _histogram(sorted(inner + ends), len(ends), max_len, w)
@@ -275,6 +274,10 @@ class FactorTable:
         # is saturated, and so is every shorter one.
         short = (n - 1 for n in range(1, max_len + 1) if self.p[n] != ref[n])
         self.frontier = next(short, max_len) if ref else max_len
+
+    @cached_property
+    def lcps(self) -> tuple[int, ...]:
+        return tuple(_lcps(self.codes, self.max_len, self.width))
 
     @cached_property
     def _recounted(self) -> FactorTable | None:
@@ -356,15 +359,15 @@ class FactorTable:
 
     def starts(self) -> list[int]:
         """The entries that start a new factor at a saturated length, in order:
-        those whose lcp is below the frontier and their length.  No short
-        suffix v shorter than the frontier is one: v and one more letter
-        occur in the prefix, as length |v| + 1 is saturated (under the
-        heuristic, as v first occurs in the first half), so the entry right
-        before v begins with v.  So each start reaches the frontier and
-        neighbours the one before it from its lcp + 1 on."""
-        lcps, starts = self.lcps, compress(count(), map(lt, self.lcps, repeat(self.frontier)))
+        those whose lcp is below the frontier and their length, all or none
+        on a table of windows alone.  No short suffix v shorter than the
+        frontier is one: v and one more letter occur in the prefix, as length
+        |v| + 1 is saturated (under the heuristic, as v first occurs in the
+        first half), so the entry right before v begins with v.  So each start
+        reaches the frontier and neighbours the one before it from its lcp + 1 on."""
         if len(self.codes) == len(self._windows):
-            return [*starts]
+            return [*range(len(self.codes))] if self.frontier else []
+        lcps, starts = self.lcps, compress(count(), map(lt, self.lcps, repeat(self.frontier)))
         return [b for b in starts if lcps[b] < self.lengths[b]]
 
     def saturated(self, n: int) -> bool:

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import os
 import random
 import tracemalloc
 from collections import Counter
@@ -1249,6 +1250,21 @@ class TestBinarySkip:
         assert len(table.starts()) == 241
         assert judged == []
 
+    @pytest.mark.parametrize("text", ["fib", "std:2,1", "std:1,9,1,9", "std:3", "std:1,2,3"])
+    def test_fitting_pairs_build_no_lcps(self, text):
+        # Every pair fits at its bit length, so no verdict reads an lcp, and
+        # the certified table builds its column only when it is read.
+        table = checks.saturated_table(sx.parse_spec(text), 240, 1024)
+        checks._battery(table)
+        assert "lcps" not in table.__dict__
+        assert table.lcps == tuple(factors._lcps(table.codes, 240, 2))
+
+    def test_misfit_pairs_build_lcps(self):
+        table = checks.saturated_table(sx.parse_spec(TM_SPEC), 240, 1024)
+        assert "lcps" not in table.__dict__
+        assert checks._battery(table)[0].status == checks.VIOLATED
+        assert "lcps" in table.__dict__
+
     def test_an_uncut_walk_copies_no_code(self):
         # The table keeps its short suffixes and its frontier is max_len, so
         # the walk's heads are its starts' codes taken by reference.  Shifted
@@ -1326,12 +1342,19 @@ def assert_walk_as_oracle(t, top=None):
 
 class TestFittingDifference:
     """A binary pair is passed over when cp - c, both cut to the frontier
-    top, is the fitting difference of its lcp (``checks._fitting_steps``)."""
+    top, is the fitting difference of its bit length
+    (``checks._fitting_steps``)."""
 
     def test_same_pairs_as_the_shape_test(self):
         # Every binary pair v < vp of up to 8 letters, at every cut that
         # keeps their first mismatch lo.
         steps = {top: checks._fitting_steps(top) for top in range(1, 9)}
+        for top, fitting in steps.items():
+            # An entry for every bit length up to 2 top; the only nonzero ones
+            # are 1 at bit length 1 and 3 << 2j at 2j + 2, j <= top - 2.
+            assert len(fitting) == 2 * top + 1
+            want = {1: 1, **{2 * j + 2: 3 << 2 * j for j in range(top - 1)}}
+            assert {b: d for b, d in enumerate(fitting) if d} == want
         fits = Counter()
         for n in range(1, 9):
             words = ["".join(p) for p in itertools.product("01", repeat=n)]
@@ -1340,7 +1363,8 @@ class TestFittingDifference:
                 lo = next(k for k in range(n) if v[k] != vp[k]) + 1
                 for top in range(lo, n + 1):
                     cut = n - top
-                    fit = (cp >> 2 * cut) - (c >> 2 * cut) == steps[top][lo - 1]
+                    diff = (cp >> 2 * cut) - (c >> 2 * cut)
+                    fit = diff == steps[top][diff.bit_length()]
                     assert fit == shape_fits(c, cp, cut), (v, vp, top)
                     fits[fit] += 1
                     # A fitting pair fits every pair check at each length lo..top.
@@ -1354,6 +1378,12 @@ class TestFittingDifference:
     @settings(max_examples=100, deadline=None)
     def test_certified_tables_against_the_oracle(self, t):
         assert_walk_as_oracle(t, t.frontier)
+        # The lcps a certified table builds when read are those of its
+        # sorted longest factors, as a table that keeps its suffixes has.
+        words = t.factors(t.max_len)
+        assert words == tuple(naive.distinct_factors(t.word, t.max_len))
+        common = (len(os.path.commonprefix(pair)) for pair in zip(words, words[1:]))
+        assert t.lcps == (0, *common)
 
     @given(w=literals(20, 300, alphabets=("01",)), max_len=st.integers(2, 12))
     @settings(max_examples=100, deadline=None)
