@@ -379,9 +379,8 @@ def saturated_table(
     is indexed from its windows.  When the spec knows its exact
     complexities, a count of all p(max_len) factors certifies every length
     (``std:`` among others, whose s(m) = s(m-1)^d(m) s(m-2) repeats long
-    stretches that the probe jumps over); otherwise (``literal:``,
-    non-primitive ``morphic:``) the newest window must fit in the first
-    half.  Doubling stops at PREFIX_BUDGET (or at the end of a literal), in
+    stretches that the probe jumps over); otherwise (``literal:``) the
+    newest window must fit in the first half.  Doubling stops at PREFIX_BUDGET (or at the end of a literal), in
     which case the table simply comes back with unsaturated lengths and
     downstream checks degrade to Indeterminate.
     """

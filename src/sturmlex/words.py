@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import types
 from bisect import bisect_left
+from itertools import groupby
 
 from .errors import BudgetExceeded, LiteralTooShort, MalformedSpec
 
@@ -241,55 +242,56 @@ class Morphic(Record):
     def flags(self) -> KnownFlags:
         # x is recurrent iff a letter of s(a)[1:] reaches the seed a through images: each
         # prefix begins some s^k(a), which recurs at s^k of a later a; else a occurs once.
-        reach, new = set(), set(self.rules[self.seed][1:])
-        while new:
-            reach |= new
-            new = {c for b in new for c in self.rules[b]} - reach
-        recurrent = self.seed in reach
+        recurrent = self.seed in _closure(self.rules, self.rules[self.seed][1:])
         return KnownFlags(recurrent, aperiodic=None, once=None if recurrent else 1)
 
     def __str__(self) -> str:
         rules = ",".join(f"{a}->{img}" for a, img in sorted(self.rules.items()))
         return f"morphic:{rules};seed={self.seed}"
 
-    def complexities(self, n: int) -> list[int] | None:
-        """Exact [p(0), ..., p(n)] of the fixed point x, or None if the
-        substitution is not primitive, or is not Sturmian and its images
-        outgrow PREFIX_BUDGET.
+    def complexities(self, n: int) -> list[int]:
+        """Exact [p(0), ..., p(n)] of the fixed point x.
 
-        A primitive Sturmian morphism (see :func:`_is_sturmian`) has a
-        Sturmian fixed point, p(m) = m + 1: x is balanced, as a limit of
-        Sturmian words, and aperiodic, as the incidence matrix is primitive
-        with determinant +-1, so the letter frequencies are irrational
-        (Lothaire, Algebraic Combinatorics on Words, ch. 2).  Otherwise,
-        once every s^k(c) has n-1 letters, the length-n factors of x = s^k(x)
-        are the windows of s^k(a) s^k(b) that start in s^k(a), over the
-        two-letter factors ab of x (Queffelec, LNM 1294): those of s(seed),
-        closed under taking those of s(ab).
+        A primitive Sturmian morphism (:func:`_is_sturmian`) gives p(m) =
+        m + 1: x is balanced, as a limit of Sturmian words, and aperiodic, as
+        its incidence matrix is primitive with determinant +-1 (Lothaire,
+        Algebraic Combinatorics on Words, ch. 2).  A prolongable rule on 01
+        is primitive iff 1 is in s(0) and 0 in s(1); 01^w, of (01, 1), has p(m) = 2.
+
+        Any other rule is folded (Pansiot, ICALP 1984).  With k = max(n-1, 1),
+        level j holds the first and last k letters of s^j(c), c any letter of
+        x.  Level j+1 reads each s(c) left to right and at each boundary takes
+        the piece (last k letters so far) + (first k of the next letter), a
+        factor of x.  A length-n factor of x (n >= 2) lies in some s^j(seed),
+        so in the piece at the last boundary it crosses at some level.  The
+        state fixes the next state and pieces, so the first repeated state
+        ends the union.  A run of one letter changes nothing past k+1 copies
+        and is cut there; each level's 2k letters per boundary count first
+        against PREFIX_BUDGET.
         """
-        if not _is_primitive(self.rules):
-            return None
-        if _is_sturmian(self.rules):
+        rules = self.rules
+        if _is_sturmian(rules) and "1" in rules["0"] and "0" in rules["1"]:
             return list(range(1, n + 2))
-        images, rules = str.maketrans(dict(self.rules)), self.rules.items()
-        power = dict(self.rules)
-        while min(map(len, power.values())) < n - 1:
-            # |s(w)| sums |s(b)| over the letters b of w: checked before s(w) is built.
-            sizes = [w.count(b) * len(img) for w in power.values() for b, img in rules]
-            if sum(sizes) > PREFIX_BUDGET:
-                return None
-            power = {a: w.translate(images) for a, w in power.items()}
-        pairs, todo = set(), [self.rules[self.seed]]
-        while todo:
-            w = todo.pop()
-            for ab in {w[i : i + 2] for i in range(len(w) - 1)} - pairs:
-                pairs.add(ab)
-                todo.append(ab.translate(images))
+        k = max(n - 1, 1)
+        images = {c: "".join(d * min(len([*r]), k + 1) for d, r in groupby(rules[c]))
+                  for c in _closure(rules, self.seed)}
+        cost = 2 * k * (sum(map(len, images.values())) - len(images))
+        state, seen, pieces = {c: (c, c) for c in images}, set(), set()
+        while (key := tuple(state.values())) not in seen:
+            seen.add(key)
+            if len(seen) * cost > PREFIX_BUDGET:
+                raise BudgetExceeded(f"the fold for length-{n} factors passes {PREFIX_BUDGET} letters")
+            nxt = {}
+            for c, image in images.items():
+                head, tail = state[image[0]]
+                for first, last in map(state.get, image[1:]):
+                    pieces.add(tail + first)
+                    head, tail = (head + first)[:k], (tail + last)[-k:]
+                nxt[c] = head, tail
+            state = nxt
         from .factors import prefix_counts
 
-        # The windows inside each image and across each boundary.
-        edges = (power[a][1 - n :] + power[b][: n - 1] for a, b in pairs)
-        return prefix_counts({*power.values(), *edges}, n)
+        return prefix_counts(pieces, n)
 
     def prefix(self, n: int) -> str:
         # The fixed point x is s(x0) s(x1) s(x2) ..., and s(x0) starts with
@@ -427,18 +429,12 @@ def generate_prefix(spec: WordSpec, n: int) -> str:
     return spec.prefix(n)
 
 
-def _is_primitive(rules: dict[str, str]) -> bool:
-    """Some power of the substitution sends every letter to every letter."""
-    letters = sorted(rules)
-    s = len(letters)
-    reach = {a: frozenset(rules[a]) for a in letters}
-    power = dict(reach)
-    # Wielandt: a primitive incidence matrix is positive by power (s-1)^2 + 1.
-    for _ in range((s - 1) ** 2 + 1):
-        if all(len(power[a]) == s for a in letters):
-            return True
-        power = {a: frozenset().union(*(reach[b] for b in power[a])) for a in letters}
-    return False
+def _closure(rules: dict[str, str], letters: str) -> set[str]:
+    """``letters`` and every letter that their images reach."""
+    reach = set(letters)
+    while new := {c for b in reach for c in rules[b]} - reach:
+        reach |= new
+    return reach
 
 
 def _copies(a: str, b: str) -> int:

@@ -21,7 +21,7 @@ import naive
 from conftest import DENSE_LITERAL, TM_SPEC, assert_same_text, literals, neighbour_pairs, prefix
 
 
-# Not primitive (1 never reaches 0): its window follows the half-window rule.
+# Not primitive (1 never reaches 0): certified by its exact complexity all the same.
 NON_PRIMITIVE = "morphic:0->010,1->11;seed=0"
 
 
@@ -464,7 +464,7 @@ class TestSaturatedTable:
         "text,max_len,prefix_len",
         [
             ("std:1,9,1,9", 240, 1024),  # certified by its exact complexity
-            (NON_PRIMITIVE, 8, 16),  # half-window heuristic
+            (NON_PRIMITIVE, 8, 16),  # the same, though not primitive
         ],
     )
     def test_doubles_until_saturated(self, text, max_len, prefix_len):
@@ -622,8 +622,8 @@ class TestSaturatedTable:
         assert sx.sturmian_verdict(spec, prefix_len=1024, max_len=16).to_json() == report
 
     # (spec, max_len, prefix_len); std:1,9,1,9 at 240/1024 and the
-    # non-primitive morphic word at 8/16 double before they saturate, the
-    # first by its exact complexity, the second by the half-window rule.
+    # non-primitive morphic word at 8/16 double before their exact
+    # complexity certifies them; the literals follow the half-window rule.
     WINDOWS = [
         ("fib", 10, 32),
         ("fib", 40, None),
@@ -825,7 +825,7 @@ class TestCertifiedSaturation:
             # Primitive substitutions on 01, Sturmian and not, and one on 012.
             st.tuples(st.text("01", min_size=1, max_size=4), st.text("01", min_size=1, max_size=4))
             .map(lambda ab: {"0": "0" + ab[0], "1": ab[1]})
-            .filter(sx.words._is_primitive)
+            .filter(lambda rules: "1" in rules["0"] and "0" in rules["1"])
             .map(lambda rules: sx.Morphic(rules, "0")),
             st.just(sx.parse_spec("morphic:0->012,1->02,2->1;seed=0")),
         ),
