@@ -18,12 +18,12 @@ pairs, on integer factor codes, decides it together with hamming2 and ones.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, chain, compress, count, repeat
 from operator import ne, rshift, sub
 
 from .errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced, WindowTooLarge
-from .factors import FactorTable, _probe, decode
+from .factors import FactorTable, _language_codes, _probe, decode
 from .words import PREFIX_BUDGET, KnownFlags, Literal, Record, WordSpec, generate_prefix
 
 # Verdict statuses.
@@ -85,7 +85,7 @@ def _stamped(table: FactorTable, check: str, status: str, **fields) -> Verdict:
 
 def _require_binary(table: FactorTable, check: str) -> None:
     if not table.is_binary:
-        letters = "".join(sorted(set(table.word)))
+        letters = "".join(table.factors(1))
         raise NonBinaryAlphabet(f"{check} needs letters within 01, table has {letters!r}")
 
 
@@ -136,12 +136,14 @@ def check_balance(table: FactorTable) -> Verdict:
     """Look for the minimal same-length factor pair (0u0, 1u1).
 
     Finding one refutes balance outright (both members really occur), so a
-    Violated verdict here never carries a saturation caveat.
-    """
+    Violated verdict never carries a saturation caveat; finding none claims
+    balance up to max_len - 2 only when every length is saturated."""
     witness = minimal_imbalance(table)
     if witness is not None:
         pair = witness.pair
         return _stamped(table, "balance", VIOLATED, witness=pair, n=len(pair[0]))
+    if table.frontier < table.max_len:
+        return _stamped(table, "balance", **_faultless(table, CONSISTENT))
     return _stamped(table, "balance", CONSISTENT, up_to=max(table.max_len - 2, 0))
 
 
@@ -372,30 +374,26 @@ def default_prefix_length(max_len: int) -> int:
 def saturated_table(
     spec: WordSpec, max_len: int, prefix_len: int | None = None
 ) -> FactorTable:
-    """Generate a prefix and index it, doubling until all lengths saturate.
+    """Index a prefix of ``prefix_len`` letters (at least max_len, by
+    default :func:`default_prefix_length`) at every length up to max_len.
 
-    The probe (:func:`factors._probe`) reads each window start at most once
-    over all candidates, on the longest length alone, and the kept window
-    is indexed from its windows.  When the spec knows its exact
-    complexities, a count of all p(max_len) factors certifies every length
-    (``std:`` among others, whose s(m) = s(m-1)^d(m) s(m-2) repeats long
-    stretches that the probe jumps over); otherwise (``literal:``) the
-    newest window must fit in the first half.  Doubling stops at PREFIX_BUDGET (or at the end of a literal), in
-    which case the table simply comes back with unsaturated lengths and
-    downstream checks degrade to Indeterminate.
-    """
+    An infinite spec's language (``spec.language``), read until it has
+    p(max_len) windows (``spec.complexities``), certifies every length.  A
+    ``literal:`` doubles its window (:func:`factors._probe`) up to its end
+    until the newest window fits in the first half; lengths past the
+    frontier stay unsaturated, and the checks degrade to Indeterminate."""
     if max_len < 1:
         raise WindowTooLarge(f"need max_len >= 1, got {max_len}")
     target = prefix_len if prefix_len is not None else default_prefix_length(max_len)
     target = max(target, max_len)
     if target > PREFIX_BUDGET:
         raise BudgetExceeded(f"prefix length {target} exceeds budget {PREFIX_BUDGET}")
-    cap = PREFIX_BUDGET
     if isinstance(spec, Literal):
-        cap = min(cap, len(spec.word))
+        word, probe = _probe(spec.word[:PREFIX_BUDGET], max_len, target)
+        return FactorTable(word, max_len, probe=probe)
     exact = spec.complexities(max_len)
-    word, probe = _probe(partial(generate_prefix, spec), max_len, target, cap, exact)
-    return FactorTable(word, max_len, exact, probe)
+    codes, w = _language_codes(spec.language(max_len), max_len, exact[max_len])
+    return FactorTable(generate_prefix(spec, target), max_len, exact, (codes, len(codes), w))
 
 
 class SturmianReport(Record):
@@ -480,8 +478,7 @@ def _combined_judgment(table, nfop, balance, complexity, hamming, ones) -> Verdi
         if p[n] > n + 1:
             why = f"complexity {p[n]} > {n + 1}"
             return _stamped(table, "sturmian", NOT_STURMIAN, n=n, reason=why)
-    saturated = range(1, table.frontier + 1)
-    if nfop.status == CONSISTENT and all(p[n] == n + 1 for n in saturated):
+    if nfop.status == CONSISTENT:
         return _stamped(table, "sturmian", STURMIAN_CONSISTENT, up_to=table.max_len)
     why = "window could not certify all lengths"
     return _stamped(table, "sturmian", INDETERMINATE, reason=why)

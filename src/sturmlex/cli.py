@@ -1,12 +1,14 @@
 """Command line front end: generate, factors, check, christoffel, harness.
 
-Exit codes: 0 consistent / all assertions pass, 1 violated, 2 indeterminate,
-64 usage errors, 65 malformed specs or inputs.  ``--json`` output has a
-pinned key order so golden files stay byte-stable across runs.
+Exit codes: 0 consistent / all assertions pass, 1 violated, 2 indeterminate
+(or stdout closed before the output ended), 64 usage errors, 65 malformed
+specs or inputs.  ``--json`` output has a pinned key order so golden files
+stay byte-stable across runs.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from collections import namedtuple
 from types import SimpleNamespace
@@ -93,7 +95,7 @@ def cmd_check(args) -> int:
     if args.json:
         _emit_json([v.to_json() for v in verdicts])
     else:
-        # The window may have grown past --prefix-len until it saturated.
+        # A literal's window may have grown past --prefix-len until it saturated.
         print(f"prefix: {prefix_length} letters")
         for v in verdicts:
             print(_format_verdict(v))
@@ -299,7 +301,12 @@ def main(argv=None) -> int:
         print(_usage(command), "", *(f"  {f}\n      {h}".rstrip() for f, h in rows), sep="\n")
         return EXIT_CONSISTENT
     try:
-        return COMMANDS[command][0](args)
+        code = COMMANDS[command][0](args)
+        sys.stdout.flush()  # a reader that closed the pipe early shows here, not at exit
+        return code
     except SturmlexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except BrokenPipeError:  # what the reader read decides nothing; the rest goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INDETERMINATE

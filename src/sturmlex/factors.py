@@ -19,22 +19,18 @@ occurs once).
 
 Length n is *saturated* when the table holds every length-n factor of the
 infinite word, and then so is every shorter length: a table stores only
-the frontier, the longest.  When the word's exact complexity is known, a
-count certifies it: the prefix has as many length-n factors as the word.
-Such a count needs only the distinct windows, a set of codes, read up to
-the one that completes it, jumping over each stretch that repeats letters
-before it, as its windows are earlier ones.  A *certified* table, whose
-windows number exact[max_len], has every factor as a prefix of a window,
-so its entries are its windows alone and its p is the certificate itself;
-its occurrences are read from a table of its word that counts every window
-and keeps its short suffixes.  Otherwise it is the half-window heuristic: every length-n factor
-first occurs inside the first half of the prefix.  The windows are counted
-in order of first occurrence, and the read notes how many it has at the
-half's edge, the first start whose window ends past the half: those that
-fit in the half are the first that many, max_len is saturated when they
-are all of them, and sorted first they are a run of the table's one sort.
-One probe reads the windows of either kind, and one rule sets the frontier:
-the last length before the count differs from the exact or the half's count.
+the frontier, the longest.  A *certified* table, whose windows number the
+word's exact p(max_len), as the windows of a spec's language do, has every
+factor as a prefix of a window: its entries are its windows alone, its p
+is the certificate, and its occurrences are read from a table of its word
+that counts every window and keeps its short suffixes.  Otherwise it is
+the half-window heuristic: every length-n factor first occurs inside the
+first half of the prefix.  The windows are counted in order of first
+occurrence, noting how many there are at the half's edge, the first start
+whose window ends past the half; max_len is saturated when that is all of
+them, and sorted first they are a run of the table's one sort.  One rule
+sets the frontier: the last length before the count differs from the
+exact or the half's count.
 """
 
 from __future__ import annotations
@@ -51,10 +47,6 @@ from .words import _check_word
 #: Cap in bytes on a table's entries, each its letters plus a fixed overhead,
 #: so that short windows are bounded as well as long ones (see FactorTable.counts).
 TABLE_BUDGET = 1 << 25
-
-# The least chunk a count that stops at ``full`` reads: a chunk of fewer
-# windows would not pay for the int() read of its block.
-_CHUNK_FLOOR = 64
 
 
 def is_unbordered(v: str) -> bool:
@@ -98,21 +90,12 @@ def _short_codes(word: str, n: int, w: int):
     return _codes(tail + format((1 << w) - 1, "x") * (n - 1), n, 0, len(tail), w)
 
 
-def _add_windows(windows, word: str, n: int, start: int, full, w: int, edges=()) -> int:
+def _add_windows(windows, word: str, n: int, start: int, w: int, edges=()) -> int:
     """Add the width-w codes of the length-n windows of ``word`` from
     ``start`` on to ``windows``, a Counter or a set of codes, in the chunks
     and under the cap of :attr:`FactorTable.counts`, and return the start
-    after the last window read.
-
-    With ``full``, ``windows`` is a set, and reading stops once the distinct
-    windows reach ``full``: each chunk holds at most the windows still
-    missing, ``full`` less the distinct ones so far, but no fewer than 64,
-    so it ends fewer than 64 windows past the one that completes the count.
-    A chunk that adds none is followed by a jump over windows that repeat
-    earlier ones (:func:`_past_repeat`).  ``edges``, a dict keyed by starts,
-    ends a chunk at each key, and each key the read reaches is set to the
-    number of distinct windows read before it.
-    """
+    after the last window read.  ``edges``, a dict keyed by starts, ends a
+    chunk at each key, and sets each key read to the distinct windows before it."""
     # An entry peaks at its n letters and at most 245 bytes more while a table
     # is built, and holds less once it is (tracemalloc, Python 3.11, with 4-bit
     # codes: 219 B more and 140 B held at n=18 on a random 2^21-letter
@@ -121,14 +104,10 @@ def _add_windows(windows, word: str, n: int, start: int, full, w: int, edges=())
     entry = n + 245
     end, most = len(word) - n + 1, max(1, TABLE_BUDGET // (16 * entry))
     for edge in [*sorted(e for e in edges if start <= e < end), end]:
-        while start < edge and (full is None or len(windows) < full):
-            step = most if full is None else min(most, max(full - len(windows), _CHUNK_FLOOR))
-            stop = min(start + step, edge)
-            before = len(windows)
+        while start < edge:
+            stop = min(start + most, edge)
             windows.update(_codes(word, n, start, stop, w))
             start = stop
-            if full is not None and len(windows) == before and start < edge:
-                start = _past_repeat(word, n, start, edge)
             if (len(windows) + n - 1) * entry > TABLE_BUDGET:
                 raise BudgetExceeded(
                     f"length-{n} table entries take more than {TABLE_BUDGET} bytes"
@@ -138,59 +117,54 @@ def _add_windows(windows, word: str, n: int, start: int, full, w: int, edges=())
     return start
 
 
-def _probe(prefix, max_len: int, target: int, cap: int, exact) -> tuple:
-    """(word, (windows, early, width)): the first candidate ``prefix(length)``,
-    length = target, 2 target, ... up to ``cap``, saturated at max_len (else
-    the one at the cap), its windows at max_len, how many fit in its first
-    half and its width.  A doubled candidate checks its new letters alone
-    (:func:`_width`) and reads the windows that start in them; one that
-    gained a letter past 1 re-keys those so far, in order, from base 4 to
-    base 16.  Given ``exact``, the windows are a set read up to exact[max_len],
-    and all count as fitting; else they are counted in order of first
-    occurrence, noting the count at each half edge."""
-    full = None if exact is None else exact[max_len]
+def _probe(word: str, max_len: int, target: int) -> tuple:
+    """(prefix, (windows, early, width)): the first ``word[:length]``, length
+    = target, 2 target, ... up to |word|, saturated at max_len, its windows
+    at max_len counted in order of first occurrence, how many fit in its
+    first half, and its width.  A doubled prefix checks and reads its new
+    letters alone (:func:`_width`); a letter past 1 re-keys the windows so
+    far, in order, from base 4 to base 16."""
+    cap = len(word)
     halves = (min(target << k, cap) // 2 for k in range(cap.bit_length() + 1))
-    edges = {} if full is not None else dict.fromkeys(max(0, h - max_len + 1) for h in halves)
-    width, start, seen, windows = 2, 0, 0, Counter() if full is None else set()
+    edges = dict.fromkeys(max(0, h - max_len + 1) for h in halves)
+    width, start, seen, windows = 2, 0, 0, Counter()
     while True:
         length = min(target, cap)
-        word = prefix(length)
+        prefix = word[:length]
         # A candidate whose new letters are all 0 and 1 keeps an earlier width 4.
-        if (w := max(width, _width(word[seen:]))) != width:
+        if (w := max(width, _width(prefix[seen:]))) != width:
             keys = [int(decode(c, max_len, 2), 16) for c in windows]
-            width = w
-            windows = Counter(dict(zip(keys, windows.values()))) if full is None else set(keys)
-        start, seen = _add_windows(windows, word, max_len, start, full, width, edges), length
+            width, windows = w, Counter(dict(zip(keys, windows.values())))
+        start, seen = _add_windows(windows, prefix, max_len, start, width, edges), length
         # At the cap there is no test: a literal may hold no window at all.
-        early = len(windows) if full is not None else edges[max(0, length // 2 - max_len + 1)]
-        if length >= cap or len(windows) == (early if full is None else full):
-            return word, (windows, early, width)
+        early = edges[max(0, length // 2 - max_len + 1)]
+        if length >= cap or len(windows) == early:
+            return prefix, (windows, early, width)
         target *= 2
 
 
-def _past_repeat(word: str, n: int, i: int, end: int) -> int:
-    """The start past the windows, from i up to ``end``, of the longest
-    stretch ``word[i:i+m]`` that also begins at some j < i (i if the window at
-    i occurs nowhere before): each is the window i - j starts earlier.  The
-    stretch grows by doubling from n letters, then bisects the last doubling."""
-    j = word.find(word[i : i + n], 0, i + n - 1)
-    if j < 0:
-        return i
-    lo, hi = n, end + n - i  # word[i:i+lo] == word[j:j+lo]; hi letters hold the window at end
-    while hi - lo > 1:
-        mid = min(2 * lo, (lo + hi) // 2)
-        lo, hi = (mid, hi) if word[i + lo : i + mid] == word[j + lo : j + mid] else (lo, mid)
-    return i + lo - n + 1
+def _language_codes(pieces, n: int, full: int | None = None) -> tuple[set[int], int]:
+    """(codes, w): the distinct width-w codes of the length-n windows of the
+    digit words ``pieces``, read until there are ``full`` (all if None), w
+    the width of all their letters: a piece with a letter past 1 reads the
+    pieces so far again.  The codes count against TABLE_BUDGET."""
+    codes, w, read = set(), 2, []
+    for piece in pieces:
+        read.append(piece)
+        new = [piece]
+        if _width(piece) > w:
+            codes, w, new = set(), 4, read
+        for word in new:
+            _add_windows(codes, word, n, 0, w)
+        if len(codes) == full:
+            break
+    return codes, w
 
 
 def prefix_counts(pieces, n: int) -> list[int]:
     """[1, p(1), ..., p(n)], p(m) the number of distinct m-letter prefixes
-    among the length-n windows of the digit words ``pieces`` (a collection,
-    read at the width of all their letters).  Their distinct windows count
-    against TABLE_BUDGET as a table's entries do."""
-    codes, w = set(), max(map(_width, pieces), default=2)
-    for piece in pieces:
-        _add_windows(codes, piece, n, 0, None, w)
+    among the length-n windows of the digit words ``pieces``."""
+    codes, w = _language_codes(pieces, n)
     return [1, *_histogram(sorted(codes), 0, n, w)[1][1:]]
 
 
@@ -219,27 +193,24 @@ class FactorTable:
 
     ``word`` is digit-only, else MalformedSpec names its least other letter.
     ``exact``, when given, is the word's exact [p(0), ..., p(max_len)].
-    ``probe``, when given, is the result of the saturation probe that kept
-    ``word`` (:func:`_probe`), so that its letters and windows are not read
-    twice: (windows, early, width), the windows at max_len, counted or, from
-    a probe that stops once it has every distinct window, a set of codes, as
-    a certified table needs no counts, how many fit in the first half, and
-    their width; else the table reads its word as the probe of one
-    candidate.  The frontier is max_len on a certified table and on one whose
-    windows all fit in its first half; else it is one less than the first n
-    at which the count differs from its reference, ``exact`` or the first
-    half's own counts, or max_len when none does.  ``width`` is 2 on a
-    binary table, else 4; the table keeps no list of its letters.
+    ``probe``, when given, is (windows, early, width): the windows at
+    max_len, counted by the probe that kept ``word`` (:func:`_probe`) or a
+    language's set of codes (:func:`_language_codes`), how many fit in the
+    first half, and their width; else the table probes its word alone.  The
+    frontier is max_len on a certified table and on one whose windows all
+    fit in its first half; else it is one less than the first n at which
+    the count differs from its reference, ``exact`` or the first half's own
+    counts, or max_len when none does.  ``width`` is 2 on a binary table,
+    else 4; the table keeps no list of its letters.
     ``codes``, ``lengths`` and ``lcps`` are parallel entry tuples in code
     order (the windows alone on a certified table, which builds ``lcps`` when
     read, as its p and starts need none), ``p[n]`` is the number of length-n
     factors (on a certified table its certificate: exact[n] for n >= 1, and
     p[0] = 0), ``frontier`` the longest saturated length, or 0.
-    Occurrences (``count``, ``dump()``, ``counts``) are read from a table
-    whose windows are counted and whose entries keep the short suffixes:
-    this one, or else ``FactorTable(word, max_len)``, built on first read.
-    Only the caches are written after construction; the probe's windows
-    stay as given.
+    Occurrences (``count``, ``dump()``, ``counts``) are those in ``word``,
+    read from a table whose windows are counted and whose entries keep the
+    short suffixes: this one, or else ``FactorTable(word, max_len)``, built
+    on first read.  Only the caches are written after construction.
     """
 
     def __init__(self, word: str, max_len: int, exact: list[int] | None = None, probe=None):
@@ -247,7 +218,7 @@ class FactorTable:
             raise WindowTooLarge(f"need 1 <= max_len <= {len(word)}, got {max_len}")
         self.word, self.max_len = word, max_len
         if probe is None:
-            _, probe = _probe(lambda _: word, max_len, len(word), len(word), None)
+            _, probe = _probe(word, max_len, len(word))
         windows, early, w = probe
         self._windows, self.width = windows, w
         ref = exact
@@ -337,9 +308,11 @@ class FactorTable:
         return i < j
 
     def count(self, v: str) -> int:
-        """Number of occurrences of ``v`` in the prefix (overlaps included)."""
+        """Number of occurrences of the factor ``v`` in the prefix (overlaps
+        included), 0 for a factor of a language that the prefix lacks."""
+        self._range(v, need=True)
         t = self._recounted or self
-        i, j, _ = t._range(v, need=True)
+        i, j, _ = t._range(v)
         return sum(map(t._windows.get, t.codes[i:j], repeat(1)))
 
     def successor(self, v: str) -> str | None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import types
 from bisect import bisect_left
-from itertools import groupby
+from itertools import cycle, groupby
 
 from .errors import BudgetExceeded, LiteralTooShort, MalformedSpec
 
@@ -129,15 +129,16 @@ class _EventuallyPeriodic:
         head = self._head(n - len(pre))
         return (pre + head * (n // len(head) + 1))[:n]
 
-    def complexities(self, n: int) -> list[int] | None:
-        """Exact [p(0), ..., p(n)], or None past PREFIX_BUDGET: every factor
-        starts, up to whole periods, in the first |preperiod|+|period| places."""
-        size = len(self.preperiod) + len(self.period) + n - 1
-        if size > PREFIX_BUDGET:
-            return None
+    def language(self, n: int) -> list[str]:
+        """[the prefix of |preperiod| + |period| + n - 1 letters]: every
+        length-n factor starts, up to whole periods, in its first |preperiod| + |period|."""
+        return [generate_prefix(self, len(self.preperiod) + len(self.period) + n - 1)]
+
+    def complexities(self, n: int) -> list[int]:
+        """Exact [p(0), ..., p(n)], counted from :meth:`language`."""
         from .factors import prefix_counts
 
-        return prefix_counts([self.prefix(size)], n)
+        return prefix_counts(self.language(n), n)
 
     @property
     def flags(self) -> KnownFlags:
@@ -172,9 +173,6 @@ class Literal(Record):
                 f"literal holds {len(self.word)} letters, {n} requested"
             )
         return self.word[:n]
-
-    def complexities(self, n: int) -> None:
-        return None  # a finite window fixes no language beyond itself
 
 
 class Periodic(Record, _EventuallyPeriodic):
@@ -257,22 +255,27 @@ class Morphic(Record):
         its incidence matrix is primitive with determinant +-1 (Lothaire,
         Algebraic Combinatorics on Words, ch. 2).  A prolongable rule on 01
         is primitive iff 1 is in s(0) and 0 in s(1); 01^w, of (01, 1), has p(m) = 2.
-
-        Any other rule is folded (Pansiot, ICALP 1984).  With k = max(n-1, 1),
-        level j holds the first and last k letters of s^j(c), c any letter of
-        x.  Level j+1 reads each s(c) left to right and at each boundary takes
-        the piece (last k letters so far) + (first k of the next letter), a
-        factor of x.  A length-n factor of x (n >= 2) lies in some s^j(seed),
-        so in the piece at the last boundary it crosses at some level.  The
-        state fixes the next state and pieces, so the first repeated state
-        ends the union.  A run of one letter changes nothing past k+1 copies
-        and is cut there; each level's 2k letters per boundary count first
-        against PREFIX_BUDGET.
-        """
+        Any other rule is counted from :meth:`language`."""
         rules = self.rules
         if _is_sturmian(rules) and "1" in rules["0"] and "0" in rules["1"]:
             return list(range(1, n + 2))
-        k = max(n - 1, 1)
+        from .factors import prefix_counts
+
+        return prefix_counts(self.language(n), n)
+
+    def language(self, n: int):
+        """Pieces whose length-n windows are the length-n factors of x, each
+        yielded as found, by a fold (Pansiot, ICALP 1984).  With k =
+        max(n-1, 1), level j holds the first and last k letters of s^j(c), c
+        any letter of x.  Level j+1 reads each s(c) left to right and at each
+        boundary takes the piece (last k letters so far) + (first k of the
+        next letter), a factor of x.  A length-n factor of x (n >= 2) lies in
+        some s^j(seed), so in the piece at the last boundary it crosses at
+        some level.  The state fixes the next state and pieces, so the first
+        repeated state ends the union.  A run of one letter changes nothing
+        past k+1 copies and is cut there; each level's 2k letters per
+        boundary count first against PREFIX_BUDGET."""
+        rules, k = self.rules, max(n - 1, 1)
         images = {c: "".join(d * min(len([*r]), k + 1) for d, r in groupby(rules[c]))
                   for c in _closure(rules, self.seed)}
         cost = 2 * k * (sum(map(len, images.values())) - len(images))
@@ -285,13 +288,12 @@ class Morphic(Record):
             for c, image in images.items():
                 head, tail = state[image[0]]
                 for first, last in map(state.get, image[1:]):
-                    pieces.add(tail + first)
+                    if len(piece := tail + first) >= n and piece not in pieces:
+                        pieces.add(piece)
+                        yield piece
                     head, tail = (head + first)[:k], (tail + last)[-k:]
                 nxt[c] = head, tail
             state = nxt
-        from .factors import prefix_counts
-
-        return prefix_counts(pieces, n)
 
     def prefix(self, n: int) -> str:
         # The fixed point x is s(x0) s(x1) s(x2) ..., and s(x0) starts with
@@ -344,19 +346,11 @@ class StandardSequence(Record):
         """Exact [p(0), ..., p(n)]: m + 1, as for every Sturmian word (Lothaire, ch. 2)."""
         return list(range(1, n + 2))
 
+    def language(self, n: int) -> list[str]:
+        return Periodic(_standard(cycle(self.directive), n)).language(n)
+
     def prefix(self, n: int) -> str:
-        prev, cur = "1", "0"
-        i = 0
-        while len(cur) < n:
-            d = self.directive[i % len(self.directive)]
-            reps = min(d, n // len(cur) + 1)
-            if reps < d:
-                nxt = cur * reps  # already past n letters, tail never needed
-            else:
-                nxt = cur * d + prev
-            prev, cur = cur, nxt
-            i += 1
-        return cur[:n]
+        return _standard(cycle(self.directive), n)[:n]
 
 
 class MechanicalRational(Record, _EventuallyPeriodic):
@@ -401,6 +395,15 @@ class MechanicalRational(Record, _EventuallyPeriodic):
         """p(m) = min(m + 1, p + q): balanced with period p + q (Lothaire ch. 2)."""
         return [min(m + 1, self.p + self.q) for m in range(n + 1)]
 
+    def language(self, n: int) -> list[str]:
+        """See :func:`_standard`, whatever rho: with p/L = [0; a1, ..., ak],
+        the directive a1 - 1, a2, ..., ak is Euclid's quotients of q by p."""
+        entries, a, b = [], self.q, self.p
+        while b:
+            entries.append(a // b)
+            a, b = b, a % b
+        return Periodic(_standard(entries, n)).language(n)
+
     def _head(self, m: int) -> str:
         # Letter i is (ip + r) mod L >= q, one byte each; steps of p + L add p mod L.
         length, step = self.p + self.q, 2 * self.p + self.q
@@ -427,6 +430,24 @@ def generate_prefix(spec: WordSpec, n: int) -> str:
     if n > PREFIX_BUDGET:
         raise BudgetExceeded(f"prefix length {n} exceeds budget {PREFIX_BUDGET}")
     return spec.prefix(n)
+
+
+def _standard(entries, n: int) -> str:
+    """The first s(m-1)^j s(m-2), 1 <= j <= d, of more than n letters, else
+    s(m) = s(m-1)^d s(m-2) at the last d of ``entries`` (s(-1) = 1, s(0) = 0).
+    Its powers have the length-n factors of the Sturmian or rational
+    mechanical word of those entries (Lothaire, ch. 2; Mignosi, TCS 82,
+    1991): that word's slope lies between this word's and that of its Farey
+    neighbour s(m-1), where no fraction of denominator n or less lies.
+    Its first n letters are the limit's."""
+    prev, cur = "1", "0"
+    for d in entries:
+        if len(cur) > n:
+            break
+        power = cur * min(d, (n - len(prev)) // len(cur) + 1)
+        power += prev  # in place, so the power is not held twice
+        prev, cur = cur, power
+    return cur
 
 
 def _closure(rules: dict[str, str], letters: str) -> set[str]:

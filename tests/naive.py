@@ -142,12 +142,15 @@ def classify_imbalance(w, max_len):
     return "WindowIndeterminate", None, None, None
 
 
-def balance_verdict(w, max_len):
-    """(status, pair) matching the real check's outcome fields."""
+def balance_verdict(w, max_len, top=None):
+    """(status, pair) matching the real check's outcome fields: no pair is
+    a consistency claim only when max_len is saturated (``top``, given, or
+    the half-window rule)."""
     hit = minimal_imbalance(w, max_len)
-    if hit is None:
-        return "ConsistentUpTo", None
-    return "Violated", hit[1]
+    if hit is not None:
+        return "Violated", hit[1]
+    whole = top == max_len if top is not None else saturated(w, max_len)
+    return ("ConsistentUpTo" if whole else "Indeterminate"), None
 
 
 def hamming(v, vp):
@@ -211,6 +214,20 @@ def rotation_factors(p, period, a, b, n):
         if not out or out[-1] != v:
             out.append(v)
     return out
+
+
+def cut_point_factors(p, period, n):
+    """The length-n factors of ``mech:p/period@r``, in lex order, from the
+    n + 1 cut points of the rotation, and not from any window.
+
+    Letter k of the factor at position i is 1 exactly when (y + kp) mod
+    period >= period - p, y = (ip + r) mod period, and y takes every residue.
+    As y grows, letter k changes only where y crosses -kp or -(k+1)p mod
+    period, so the n + 1 points (-jp) mod period, j = 0..n, cut the residues
+    into runs of one factor each, and the coding never decreases with y."""
+    cuts = sorted({-j * p % period for j in range(n + 1)})
+    code = lambda y: "".join(str(int((y + k * p) % period >= period - p)) for k in range(n))
+    return [code(y) for y in cuts]
 
 
 def morphic_prefix(rules, seed, n):

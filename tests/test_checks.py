@@ -47,6 +47,15 @@ class TestCheckBalance:
         assert v.status == checks.CONSISTENT
         assert v.up_to == 38
 
+    def test_an_unsaturated_window_claims_no_balance(self):
+        # 100 letters of fib saturate the lengths 1..20 alone, and hold no
+        # imbalance up to 40: that is no claim past 20.
+        t = checks.saturated_table(sx.Literal(prefix("fib", 100)), 40)
+        v = sx.check_balance(t)
+        skipped = ",".join(map(str, range(21, 41)))
+        assert (t.frontier, v.status, v.up_to, v.witness) == (20, checks.INDETERMINATE, None, None)
+        assert v.reason == f"unsaturated lengths {skipped}"
+
     def test_agrees_with_naive_oracle(self, tm_table, zerozero_fib_table, fib_table):
         for t in (tm_table, zerozero_fib_table, fib_table):
             status, pair = naive.balance_verdict(t.word, t.max_len)
@@ -57,6 +66,14 @@ class TestCheckBalance:
     def test_non_binary_rejected(self, ternary_table):
         with pytest.raises(NonBinaryAlphabet):
             sx.check_balance(ternary_table)
+
+    def test_a_letter_past_the_target_is_named(self):
+        # The 2 first occurs at 5000, past the 4096-letter target: the
+        # table's letters are its language's, not its word's.
+        t = checks.saturated_table(sx.UltimatelyPeriodic("0" * 5000, "2"), 3)
+        assert set(t.word) == {"0"} and not t.is_binary
+        with pytest.raises(NonBinaryAlphabet, match="table has '02'"):
+            sx.check_balance(t)
 
     def test_witness_is_minimal(self, zerozero_fib_table):
         w = sx.minimal_imbalance(zerozero_fib_table)
@@ -372,11 +389,12 @@ class TestPeriodicityCertificate:
         # std:1,9,1,9 has its first 49 lengths there.
         [("mech:1/1000@0", 40, 0), ("std:1,9,1,9", 60, 49)],
     )
-    def test_unsaturated_lengths_are_indeterminate(self, monkeypatch, text, max_len, top):
+    def test_unsaturated_lengths_are_indeterminate(self, text, max_len, top):
         # With no saturated length at or below which p(n) <= n, the lengths
         # above the frontier decide nothing, as in the pair checks.
-        monkeypatch.setattr(checks, "PREFIX_BUDGET", 256)
-        t = checks.saturated_table(sx.parse_spec(text), max_len, 64)
+        # A table of 256 letters, certified by the count up to ``top``.
+        spec = sx.parse_spec(text)
+        t = sx.FactorTable(sx.generate_prefix(spec, 256), max_len, spec.complexities(max_len))
         assert t.frontier == top
         v = sx.periodicity_certificate(t)
         skipped = ",".join(map(str, range(top + 1, max_len + 1)))
@@ -444,9 +462,9 @@ def count_slices(monkeypatch) -> tuple[Counter, list[int]]:
     start is sliced, and the length of each word read."""
     sliced, sizes = Counter(), []
 
-    def slicing(windows, word, n, start, full, w, edges=(), _original=factors._add_windows):
+    def slicing(windows, word, n, start, w, edges=(), _original=factors._add_windows):
         sizes.append(len(word))
-        stop = _original(windows, word, n, start, full, w, edges)
+        stop = _original(windows, word, n, start, w, edges)
         sliced.update(range(start, stop))
         return stop
 
@@ -467,10 +485,14 @@ class TestSaturatedTable:
             (NON_PRIMITIVE, 8, 16),  # the same, though not primitive
         ],
     )
-    def test_doubles_until_saturated(self, text, max_len, prefix_len):
-        t = checks.saturated_table(sx.parse_spec(text), max_len, prefix_len)
-        assert len(t.word) > prefix_len
+    def test_infinite_specs_keep_the_target(self, text, max_len, prefix_len):
+        # Neither prefix holds every factor: the language does.
+        spec = sx.parse_spec(text)
+        t = checks.saturated_table(spec, max_len, prefix_len)
+        assert t.word == sx.generate_prefix(spec, prefix_len)
+        assert len(sx.FactorTable(t.word, max_len).factors(max_len)) < t.p[max_len]
         assert len(t.saturated_lengths()) == max_len
+        assert t.factors(max_len) == tuple(naive.distinct_factors(long_prefix(text), max_len))
 
     def test_literal_capped_at_its_length(self):
         t = checks.saturated_table(sx.Literal("01" * 8), 4)
@@ -496,8 +518,11 @@ class TestSaturatedTable:
     def test_nonpositive_max_len_is_too_large_a_window(self, monkeypatch, entry, text, max_len):
         # Refused before any prefix is generated or counted.
         spec = sx.parse_spec(text)
-        monkeypatch.setattr(type(spec), "complexities", lambda *args: pytest.fail("counted"))
+        for name in ("complexities", "language"):
+            fail = lambda *args: pytest.fail("counted")
+            monkeypatch.setattr(type(spec), name, fail, raising=False)
         monkeypatch.setattr(checks, "generate_prefix", lambda *args: pytest.fail("generated"))
+        monkeypatch.setattr(checks, "_probe", lambda *args: pytest.fail("probed"))
         with pytest.raises(WindowTooLarge, match=f"need max_len >= 1, got {max_len}"):
             entry(spec, max_len)
 
@@ -531,12 +556,7 @@ class TestSaturatedTable:
         recurrence = [checks.recurrence_heuristic(x, spec.flags) for x in (t, ref)]
         assert recurrence[0] == recurrence[1]
 
-    @pytest.mark.parametrize(
-        "text,max_len,prefix_len",
-        [("literal:" + DENSE_LITERAL, 16, 1024), ("std:3,2000000,1", 240, None)],
-        ids=["dense-literal", "std-3-2000000-1"],
-    )
-    def test_each_letter_is_checked_once(self, monkeypatch, text, max_len, prefix_len):
+    def test_each_letter_is_checked_once(self, monkeypatch):
         # Each candidate checks its new letters alone, and the table takes
         # its width from the probe, with no check of its own.
         checked = []
@@ -547,7 +567,7 @@ class TestSaturatedTable:
 
         monkeypatch.setattr(factors, "_width", checking)
         _, sizes = count_slices(monkeypatch)
-        t = checks.saturated_table(sx.parse_spec(text), max_len, prefix_len)
+        t = checks.saturated_table(sx.Literal(DENSE_LITERAL), 16, 1024)
         assert len(sizes) > 2 and sizes[-1] == len(t.word)
         assert checked == [b - a for a, b in zip([0, *sizes], sizes)]
 
@@ -560,70 +580,25 @@ class TestSaturatedTable:
         assert len(t.word) > 2048 and t.width == ref.width == 4
         assert (t.codes, t.frontier, t.counts) == (ref.codes, ref.frontier, ref.counts)
 
-    # The starts up to the window that completes each count of p(240) = 241
-    # windows, on the harness-tall specs at prefix_len 1024.
-    COMPLETING = {"fib": 377, "std:2,1": 571, "std:1,9,1,9": 2269, "std:3": 469, "std:1,2,3": 266}
+    HARNESS_TALL = ("fib", "std:2,1", "std:1,9,1,9", "std:3", "std:1,2,3")
 
-    def test_a_count_stops_at_its_certificate(self, monkeypatch):
-        # A certified probe reads chunks of at most the windows still
-        # missing, and at least 64, so it reads fewer than 64 starts past
-        # the window that completes its count; a jump over a repeated
-        # stretch never passes that window, which occurs nowhere before.
-        sliced, _ = count_slices(monkeypatch)
-        for text, needed in self.COMPLETING.items():
-            sliced.clear()
+    def test_a_language_read_stops_at_its_certificate(self, monkeypatch):
+        # The read of a language stops once it has p(240) = 241 windows:
+        # std: words read one piece, and fib's fold stops before its end.
+        yielded, fold = [], sx.Morphic.language
+        monkeypatch.setattr(sx.Morphic, "language",
+                            lambda self, n: (yielded.append(v) or v for v in fold(self, n)))
+        for text in self.HARNESS_TALL:
             t = checks.saturated_table(sx.parse_spec(text), 240, 1024)
-            newest = max(map(t.word.find, naive.distinct_factors(t.word, 240)))
-            assert newest + 1 == needed
-            assert sliced == Counter(range(len(sliced)))
-            assert needed <= len(sliced) < needed + 64
-            # It stopped early; the counts are the word's all the same.
-            assert len(sliced) < len(t.word) - 240 + 1
+            assert isinstance(t._windows, set) and len(t._windows) == 241
+            assert t.factors(240) == tuple(naive.distinct_factors(long_prefix(text), 240))
             want = {c: naive.occurrences(t.word, factors.decode(c, 240, 2)) for c in t.codes}
-            assert t.counts == Counter(want)
-
-    def test_certified_probes_jump_over_repeats(self, monkeypatch):
-        # A chunk that adds no window is followed by a jump over the stretch
-        # that repeats letters before it: the five probes read 1979 starts,
-        # 497 of them for std:1,9,1,9, where reading every start up to the
-        # count read 4187, 2321 for std:1,9,1,9.
-        read = []
-
-        def reading(word, n, start, stop, w, _original=factors._codes):
-            read.append(stop - start)
-            return _original(word, n, start, stop, w)
-
-        monkeypatch.setattr(factors, "_codes", reading)
-        sizes = [len(checks.saturated_table(sx.parse_spec(text), 240, 1024).word)
-                 for text in self.COMPLETING]
-        assert sizes == [1024, 1024, 4096, 1024, 1024]
-        assert sum(read) < 2200
-
-    @pytest.mark.parametrize("pre", ["0" * 2000 + "1", prefix("fib", 2001)], ids=["zeros", "fib"])
-    def test_a_certified_probe_gaining_a_letter_rekeys_its_set(self, monkeypatch, pre):
-        # The 1024-letter window is binary, 2 bits a letter; the 2048-letter
-        # one holds a 2, 4 bits a letter, and every factor.
-        spec = sx.UltimatelyPeriodic(pre, "2")
-        exact = spec.complexities(16)
-        # The exact complexity is counted first, apart from the window's.
-        monkeypatch.setattr(sx.UltimatelyPeriodic, "complexities", lambda self, n: exact)
-        sliced, sizes = count_slices(monkeypatch)
-        t = checks.saturated_table(spec, 16, 1024)
-        assert sizes == [1024, 2048] and sliced == Counter(range(len(sliced)))
-        monkeypatch.undo()
-        ref = sx.FactorTable(t.word, 16, exact=exact)
-        assert isinstance(t._windows, set) and t.width == ref.width == 4
-        assert (t.codes, t.lcps, t.p, t.frontier) == (ref.codes, ref.lcps, ref.p, ref.frontier)
-        assert t.frontier == 16
-        want = {c: naive.occurrences(t.word, factors.decode(c, 16, 4)) for c in t.codes}
-        assert t.counts == Counter(want)
-        report = sx.sturmian_verdict(spec, prefix_len=1024, max_len=16).to_json()
-        monkeypatch.setattr(checks, "saturated_table", lambda *args: ref)
-        assert sx.sturmian_verdict(spec, prefix_len=1024, max_len=16).to_json() == report
+            assert t.counts == Counter({c: k for c, k in want.items() if k})
+        assert 0 < len(yielded) < len([*fold(sx.parse_spec("fib"), 240)])
 
     # (spec, max_len, prefix_len); std:1,9,1,9 at 240/1024 and the
-    # non-primitive morphic word at 8/16 double before their exact
-    # complexity certifies them; the literals follow the half-window rule.
+    # non-primitive morphic word at 8/16 need more letters than the target
+    # to hold their language; the literals follow the half-window rule.
     WINDOWS = [
         ("fib", 10, 32),
         ("fib", 40, None),
@@ -640,55 +615,53 @@ class TestSaturatedTable:
     def test_same_window_as_full_tables(self, text, max_len, prefix_len):
         spec = sx.parse_spec(text)
         target = max(prefix_len or checks.default_prefix_length(max_len), max_len)
-        cap = len(spec.word) if isinstance(spec, sx.Literal) else checks.PREFIX_BUDGET
-        # The reference indexes every candidate window in full.  A kind that
-        # knows its language stops at the first window with every
-        # length-max_len factor of a 2^16-letter prefix; the others stop at
-        # the first whose newest factor fits in the first half.
-        certified = spec.complexities(max_len) is not None
-        if certified:
-            full = len(naive.distinct_factors(sx.generate_prefix(spec, 1 << 16), max_len))
-        while True:
-            length = min(target, cap)
-            ref = sx.FactorTable(sx.generate_prefix(spec, length), max_len)
-            done = ref.complexity(max_len) == full if certified else ref.saturated(max_len)
-            if length >= cap or done:
-                break
-            target *= 2
         t = checks.saturated_table(spec, max_len, prefix_len)
-        assert t.word == ref.word
-        assert t.frontier == (max_len if certified else ref.frontier)
+        if isinstance(spec, sx.Literal):
+            # The reference indexes every candidate window in full, and
+            # stops at the first whose newest factor fits in the first half.
+            while True:
+                length = min(target, len(spec.word))
+                ref = sx.FactorTable(sx.generate_prefix(spec, length), max_len)
+                if length >= len(spec.word) or ref.saturated(max_len):
+                    break
+                target *= 2
+            assert t.word == ref.word and t.frontier == ref.frontier
+        else:
+            # A spec that knows its language indexes the target's letters,
+            # and has the factors of a 2^16-letter prefix at every length.
+            ref = sx.FactorTable(sx.generate_prefix(spec, target), max_len)
+            assert t.word == ref.word and t.frontier == max_len
+            for n in range(1, max_len + 1):
+                assert t.factors(n) == tuple(naive.distinct_factors(long_prefix(text), n))
         assert_same_text("".join(t.dump()), "".join(ref.dump()))
 
     @pytest.mark.parametrize("text,max_len,prefix_len", WINDOWS)
     def test_one_index_per_window(self, monkeypatch, text, max_len, prefix_len):
         builds = []
 
-        def build(word, *args):
+        def build(word, *args, **kwargs):
             builds.append(len(word))
-            return factors.FactorTable(word, *args)
+            return factors.FactorTable(word, *args, **kwargs)
 
         spec = sx.parse_spec(text)
-        # The eventually periodic kinds count windows for their exact
-        # complexity too; that count is taken first, apart from the window's.
-        exact = spec.complexities(max_len)
-        monkeypatch.setattr(type(spec), "complexities", lambda self, n: exact)
+        # The kinds that count a language for their exact complexity take
+        # that count first, apart from the table's; a literal fixes none.
+        exact = None if isinstance(spec, sx.Literal) else spec.complexities(max_len)
+        if exact is not None:
+            monkeypatch.setattr(type(spec), "complexities", lambda self, n: exact)
         monkeypatch.setattr(checks, "FactorTable", build)
         sliced, sizes = count_slices(monkeypatch)
         t = checks.saturated_table(spec, max_len, prefix_len)
         assert builds == [len(t.word)]
-        # Over all candidate windows, each window start is sliced at most
-        # once and the sliced starts are 0..k.  The half-window rule slices
-        # every start of the kept window; a count stops once it has them all.
-        assert sliced == Counter(range(len(sliced)))
-        starts = len(t.word) - max_len + 1
         if exact is None:
-            assert len(sliced) == starts
-        if (text, max_len) == ("fib", 40):
-            assert len(sliced) < starts
-        assert sizes[-1] == len(t.word)
-        if (text, max_len) in (("std:1,9,1,9", 240), (NON_PRIMITIVE, 8)):
-            assert len(sizes) > 1
+            # Over all candidate windows, each window start is sliced once,
+            # and the sliced starts are those of the kept window.
+            assert sliced == Counter(range(len(t.word) - max_len + 1))
+            assert sizes[-1] == len(t.word)
+        else:
+            # The table reads the language's pieces, never its word.
+            pieces = [*spec.language(max_len)]
+            assert sizes and all(size in map(len, pieces) for size in sizes)
 
     @given(
         w=st.text(alphabet="012", min_size=2, max_size=80),
@@ -720,8 +693,8 @@ class TestProbeHalfCount:
         """The length of each candidate the probe read, after checking each."""
         read = []
 
-        def reading(windows, word, n, start, full, w, edges=(), _original=factors._add_windows):
-            stop = _original(windows, word, n, start, full, w, edges)
+        def reading(windows, word, n, start, w, edges=(), _original=factors._add_windows):
+            stop = _original(windows, word, n, start, w, edges)
             read.append((word, edges[max(0, len(word) // 2 - n + 1)], len(windows)))
             return stop
 
@@ -793,24 +766,16 @@ class TestCertifiedSaturation:
     @given(
         text=st.sampled_from(CERTIFIED),
         max_len=st.integers(1, 60),
-        cap=st.sampled_from([None, 256]),
         data=st.data(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_certified_lengths_hold_every_factor(self, text, max_len, cap, data):
+    def test_certified_lengths_hold_every_factor(self, text, max_len, data):
         prefix_len = data.draw(st.integers(max_len, 256))
-        with pytest.MonkeyPatch.context() as mp:
-            if cap is not None:
-                # A cap stops growth, so the frontier can fall short of max_len.
-                mp.setattr(checks, "PREFIX_BUDGET", cap)
-            t = checks.saturated_table(sx.parse_spec(text), max_len, prefix_len)
+        t = checks.saturated_table(sx.parse_spec(text), max_len, prefix_len)
+        assert t.frontier == max_len and len(t.word) == prefix_len
         w = long_prefix(text)
-        for n in {t.frontier, data.draw(st.integers(0, t.frontier))} - {0}:
+        for n in {max_len, data.draw(st.integers(1, max_len))}:
             assert t.factors(n) == tuple(naive.distinct_factors(w, n))
-        # The frontier is the longest length the window has complete.
-        if t.frontier < max_len:
-            n = t.frontier + 1
-            assert len(t.factors(n)) < len(naive.distinct_factors(w, n))
 
     @given(
         spec=st.one_of(
@@ -830,112 +795,91 @@ class TestCertifiedSaturation:
             st.just(sx.parse_spec("morphic:0->012,1->02,2->1;seed=0")),
         ),
         max_len=st.integers(1, 40),
-        cap=st.sampled_from([None, 256]),
         data=st.data(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_windows_only_tables_read_as_full_ones(self, spec, max_len, cap, data):
-        # A certified table indexes its windows alone; one that keeps its
-        # short suffixes, given the same frontier, answers every reader alike.
+    def test_windows_only_tables_read_as_full_ones(self, spec, max_len, data):
+        # A certified table indexes its language's windows alone; its
+        # occurrences are those of its word, the target's letters.
         prefix_len = data.draw(st.integers(max_len, 256))
         exact = spec.complexities(max_len)
-        with pytest.MonkeyPatch.context() as mp:
-            if cap is not None:
-                # A cap can stop the window before it holds every factor.
-                mp.setattr(checks, "PREFIX_BUDGET", cap)
-            t = checks.saturated_table(spec, max_len, prefix_len)
+        t = checks.saturated_table(spec, max_len, prefix_len)
+        assert len(t.word) == prefix_len and t.frontier == max_len
+        assert len(t.codes) == len(t._windows) == t.p[max_len] == exact[max_len]
+        assert t.p[1:] == exact[1:]
+        # A prefix that holds every factor (the first period and max_len
+        # letters more, for the periodic kinds) is the oracle's word.
+        w = sx.generate_prefix(spec, 1 << 14)
         ref = sx.FactorTable(t.word, max_len)
-        certified = len(t._windows) == exact[max_len]
-        assert len(t.codes) == (t.p[max_len] if certified else len(ref.codes))
-        assert t.p == ref.p
-        top = t.frontier
-        assert top == next((n for n in range(max_len, 0, -1) if t.p[n] == exact[n]), 0)
         for n in {1, max_len, data.draw(st.integers(1, max_len))}:
-            assert t.factors(n) == ref.factors(n)
-            assert [*map(t.count, t.factors(n))] == [*map(ref.count, ref.factors(n))]
+            assert t.factors(n) == tuple(naive.distinct_factors(w, n))
+            assert [*map(t.count, t.factors(n))] == [
+                naive.occurrences(t.word, v) for v in t.factors(n)]
         assert_same_text("".join(t.dump()), "".join(ref.dump()))
-        # The readers of the frontier, against the oracle at the same one.
+        # The readers of the frontier, against the oracle on w.
         def text(k, n):
             return factors.decode(t.codes[k] >> t.width * (max_len - n), n, t.width)
 
         pairs = [
             (n, text(a, n), text(b, n))
             for lo, a, b in neighbour_pairs(t)
-            for n in range(lo, top + 1)
+            for n in range(lo, max_len + 1)
         ]
-        fs = [naive.distinct_factors(t.word, n) for n in range(1, top + 1)]
+        fs = [naive.distinct_factors(w, n) for n in range(1, max_len + 1)]
         assert sorted(pairs) == [(n, *p) for n, f in enumerate(fs, 1) for p in zip(f, f[1:])]
-        battery, recurrence = oracle_battery(t.word, max_len, top, spec)
+        battery, recurrence = oracle_battery(w, max_len, max_len, spec)
         assert checks._battery(t) == battery
         assert checks.recurrence_heuristic(t, spec.flags) == recurrence
+        # The cores of balance and extension exclusion, against a bare table
+        # of w, which holds every factor with its short suffixes.
+        ref_full = sx.FactorTable(w, max_len)
         for heads in (("0", "1"), ("10", "01")):
-            assert checks._least_core(t, *heads) == checks._least_core(ref, *heads)
-
-    @staticmethod
-    def read_every_start(windows, word, n, start, full, w, edges=(), _original=factors._add_windows):
-        """A certified probe's read without chunks or jumps: each start in
-        turn, sliced, until the set holds ``full`` windows.  A read without
-        ``full``, of a spec's own pieces for its exact complexity, is passed on."""
-        if full is None:
-            return _original(windows, word, n, start, full, w, edges)
-        assert isinstance(windows, set) and not edges
-        while start < len(word) - n + 1 and len(windows) < full:
-            windows.add(int(word[start : start + n], 1 << w))
-            start += 1
-        return start
+            assert checks._least_core(t, *heads) == checks._least_core(ref_full, *heads)
 
     @given(
-        spec=st.one_of(
-            st.lists(st.integers(1, 60), min_size=1, max_size=4).map(
-                lambda d: sx.StandardSequence(tuple(d))),
-            st.tuples(st.integers(0, 300), st.integers(1, 300), st.integers(0, 5)).filter(
-                lambda t: math.gcd(t[0], t[1]) == 1).map(
-                lambda t: sx.MechanicalRational(t[0], t[1], Fraction(t[2], 6))),
-            st.text("012", min_size=1, max_size=40).map(sx.Periodic),
-            st.tuples(st.text("01", max_size=40), st.text("01", min_size=1, max_size=20)).map(
-                lambda t: sx.UltimatelyPeriodic(*t)),
-            st.sampled_from([TM_SPEC, "morphic:0->012,1->02,2->1;seed=0"]).map(sx.parse_spec),
-        ),
-        max_len=st.integers(1, 240),
-        prefix_len=st.integers(1, 2048),
-        cap=st.sampled_from([None, 256, 4096]),
+        directive=st.lists(
+            st.one_of(st.integers(1, 60), st.just(10**23)), min_size=1, max_size=4
+        ).filter(lambda d: d.count(10**23) <= 1),
+        n=st.integers(1, 400),
     )
-    @example(spec=sx.parse_spec("fib"), max_len=240, prefix_len=1024, cap=None)
-    @example(spec=sx.parse_spec("std:2,1"), max_len=240, prefix_len=1024, cap=None)
-    @example(spec=sx.parse_spec("std:1,9,1,9"), max_len=240, prefix_len=1024, cap=None)
-    @example(spec=sx.parse_spec("std:3"), max_len=240, prefix_len=1024, cap=None)
-    @example(spec=sx.parse_spec("std:1,2,3"), max_len=240, prefix_len=1024, cap=None)
-    @example(spec=sx.parse_spec("std:3,2000000,1"), max_len=240, prefix_len=1024, cap=1 << 16)
-    # A chunk that adds no window ends right before a new one.
-    @example(spec=sx.parse_spec(TM_SPEC), max_len=132, prefix_len=2032, cap=None)
-    @example(spec=sx.parse_spec("std:58,8,41,42"), max_len=196, prefix_len=960, cap=None)
-    @settings(max_examples=100, deadline=None)
-    def test_jumps_read_as_every_start(self, spec, max_len, prefix_len, cap):
-        # A probe that jumps over repeated stretches keeps the window, the
-        # distinct windows and every verdict of one that reads every start.
-        with pytest.MonkeyPatch.context() as mp:
-            if cap is not None:
-                mp.setattr(checks, "PREFIX_BUDGET", cap)
-                prefix_len = min(prefix_len, cap)
-            t = checks.saturated_table(spec, max_len, prefix_len)
-            mp.setattr(factors, "_add_windows", self.read_every_start)
-            ref = checks.saturated_table(spec, max_len, prefix_len)
-        assert (t.word, t._windows, t.frontier) == (ref.word, ref._windows, ref.frontier)
-        assert checks._battery(t) == checks._battery(ref)
-        recurrence = [checks.recurrence_heuristic(x, spec.flags) for x in (t, ref)]
-        assert recurrence[0] == recurrence[1]
+    # n = |s(m)| - 1, |s(m)| and |s(m)| + 1 for |s(m)| = 21, 55 and 144 of
+    # fib, and 229 of std:1,9,1,9.
+    @example(directive=[1], n=20)
+    @example(directive=[1], n=21)
+    @example(directive=[1], n=22)
+    @example(directive=[1], n=54)
+    @example(directive=[1], n=55)
+    @example(directive=[1], n=56)
+    @example(directive=[1], n=143)
+    @example(directive=[1], n=144)
+    @example(directive=[1], n=145)
+    @example(directive=[1, 9, 1, 9], n=228)
+    @example(directive=[1, 9, 1, 9], n=229)
+    @example(directive=[1, 9, 1, 9], n=230)
+    @settings(max_examples=150, deadline=None)
+    def test_std_languages_against_a_long_prefix(self, directive, n):
+        # The standard word's circular windows, against the windows of a
+        # 2^16-letter prefix, where that prefix holds all n + 1 of them.
+        spec = sx.StandardSequence(tuple(directive))
+        want = naive.distinct_factors(sx.generate_prefix(spec, 1 << 16), n)
+        assume(len(want) == n + 1)
+        pieces = spec.language(n)
+        assert sorted({v[i : i + n] for v in pieces for i in range(len(v) - n + 1)}) == want
+        # s(m-1)^j s(m-2) takes the least j for n + 1 letters, and |s(m-1)| <= n.
+        assert len(pieces) == 1 and len(pieces[0]) < 3 * n
+        assert checks.saturated_table(spec, n).factors(n) == tuple(want)
 
-    def test_capped_window_certifies_the_lengths_it_has(self, monkeypatch):
-        monkeypatch.setattr(checks, "PREFIX_BUDGET", 256)
+    def test_bare_tables_certify_the_lengths_they_have(self, monkeypatch):
+        # A table of 256 letters, given the exact complexity, saturates
+        # the lengths whose count it reaches.
         spec = sx.parse_spec("std:1,9,1,9")
-        t = checks.saturated_table(spec, 60, 64)
-        assert len(t.word) == 256
+        t = sx.FactorTable(sx.generate_prefix(spec, 256), 60, spec.complexities(60))
         assert t.frontier == max(n for n in range(1, 61) if len(t.factors(n)) == n + 1)
         assert 0 < t.frontier < 60
-        r = sx.sturmian_verdict(spec, prefix_len=64, max_len=60)
-        assert r.combined.status == checks.INDETERMINATE
-        # The harness demands no agreement of verdicts cut short by the cap.
-        report = sx.equivalence_harness([spec], 60, prefix_len=64)
+        assert checks._combined_judgment(t, *checks._battery(t)).status == checks.INDETERMINATE
+        # The harness demands no agreement of verdicts cut short.
+        monkeypatch.setattr(checks, "saturated_table", lambda *args: t)
+        report = sx.equivalence_harness([spec], 60)
         byname = {o.assertion: o for o in report.outcomes}
         agreement = byname["recurrent-aperiodic-agreement"]
         assert (agreement.result, agreement.detail) == ("skip", "indeterminate")
@@ -961,8 +905,8 @@ class TestCertifiedSaturation:
         [("fib", 40), ("std:1,9,1,9", 240), (TM_SPEC, 30), ("ultper:0110|01", 20)],
     )
     def test_counts_on_demand_are_exact(self, text, max_len):
-        # The window stops slicing once it has every factor; the counts of
-        # the rest of it are taken on first use.
+        # The table reads its language, not its word; the counts of its
+        # word are taken on first use.
         t = checks.saturated_table(sx.parse_spec(text), max_len)
         assert "counts" not in vars(t)
         ref = sx.FactorTable(t.word, max_len)
@@ -997,11 +941,30 @@ class TestRotationOrder:
     def test_factors_in_rotation_order(self, slope, intercept, max_len):
         (p, period), rho = slope, Fraction(intercept, 8)
         t = checks.saturated_table(sx.MechanicalRational(p, period - p, rho), max_len)
+        assert t.frontier == max_len
         for n in range(1, max_len + 1):
             want = naive.rotation_factors(p, period, rho.numerator, rho.denominator, n)
             assert all(map(str.__lt__, want, want[1:]))
-            if n <= t.frontier:
-                assert list(t.factors(n)) == want
+            assert list(t.factors(n)) == want == naive.cut_point_factors(p, period, n)
+
+    @given(
+        slope=st.integers(2, 10**7).flatmap(lambda period: st.tuples(
+            st.integers(0, period - 1).filter(lambda p: math.gcd(p, period) == 1),
+            st.just(period))),
+        intercept=st.integers(0, 7),
+        max_len=st.integers(1, 50),
+    )
+    @example(slope=(1, 5000000), intercept=0, max_len=40)
+    @example(slope=(2499999, 5000000), intercept=0, max_len=40)
+    @example(slope=(144, 377), intercept=0, max_len=50)
+    @settings(max_examples=100, deadline=None)
+    def test_long_periods_against_the_cut_points(self, slope, intercept, max_len):
+        # Periods up to 10^7, far past what a window or the oracle above
+        # reads: the factors are those of the n + 1 cut points.
+        (p, period), rho = slope, Fraction(intercept, 8)
+        t = checks.saturated_table(sx.MechanicalRational(p, period - p, rho), max_len)
+        for n in {1, max_len // 2 + 1, max_len}:
+            assert list(t.factors(n)) == naive.cut_point_factors(p, period, n)
 
 
 class TestSturmianVerdict:
@@ -1320,13 +1283,17 @@ def certified_tables(draw):
     max_len = draw(st.integers(1, 40))
     t = checks.saturated_table(spec, max_len, draw(st.integers(max_len, 512)))
     assert len(t._windows) == spec.complexities(max_len)[max_len]
-    return t
+    # A prefix that holds every factor: the oracle's word.
+    w = sx.generate_prefix(spec, 1 << 14)
+    assert len(naive.distinct_factors(w, max_len)) == len(t._windows)
+    return t, w
 
 
-def assert_walk_as_oracle(t, top=None):
+def assert_walk_as_oracle(t, top=None, w=None):
     """One walk's three pair verdicts, and nfop variant 1's, against the
-    oracle's, saturated up to ``top`` (or by the half-window rule)."""
-    w, size = t.word, t.max_len
+    oracle's on ``w`` (the table's word if None), saturated up to ``top``
+    (or by the half-window rule)."""
+    w, size = t.word if w is None else w, t.max_len
     want = [
         (naive.nfop_verdict(w, size, 3, top), lambda v, vp: naive.nfop_reason(v, vp, 3)),
         (naive.hamming2_verdict(w, size, top), naive.hamming_reason),
@@ -1374,14 +1341,15 @@ class TestFittingDifference:
                         assert a.count("1") <= b.count("1")
         assert fits[True] and fits[False]
 
-    @given(t=certified_tables())
+    @given(table=certified_tables())
     @settings(max_examples=100, deadline=None)
-    def test_certified_tables_against_the_oracle(self, t):
-        assert_walk_as_oracle(t, t.frontier)
+    def test_certified_tables_against_the_oracle(self, table):
+        t, w = table
+        assert_walk_as_oracle(t, t.frontier, w)
         # The lcps a certified table builds when read are those of its
         # sorted longest factors, as a table that keeps its suffixes has.
         words = t.factors(t.max_len)
-        assert words == tuple(naive.distinct_factors(t.word, t.max_len))
+        assert words == tuple(naive.distinct_factors(w, t.max_len))
         common = (len(os.path.commonprefix(pair)) for pair in zip(words, words[1:]))
         assert t.lcps == (0, *common)
 
@@ -1660,6 +1628,8 @@ def oracle_battery(w, max_len, top=None, spec=None):
             verdict("balance", checks.VIOLATED, witness=hit[1], n=len(hit[1][0]))
             if hit
             else verdict("balance", checks.CONSISTENT, up_to=max(max_len - 2, 0))
+            if len(sat) == max_len
+            else unsaturated("balance")
         )
         hamming = walk("hamming2", naive.hamming2_verdict(w, max_len, top), naive.hamming_reason)
         ones = walk("ones", naive.ones_verdict(w, max_len, top), naive.ones_reason)
@@ -1734,9 +1704,11 @@ class TestBatteryAgainstOracle:
         # mech:p/period@rho is periodic and balanced: its pairs past the
         # period misfit, and each is judged once on its longest prefixes.
         p, period, max_len = case
-        t = checks.saturated_table(sx.MechanicalRational(p, period - p, rho), max_len, max_len)
+        spec = sx.MechanicalRational(p, period - p, rho)
+        t = checks.saturated_table(spec, max_len, max_len)
         assert t.frontier == max_len
-        battery, _ = oracle_battery(t.word, max_len, t.frontier)
+        # Every factor starts in the first period.
+        battery, _ = oracle_battery(sx.generate_prefix(spec, period + max_len), max_len, max_len)
         nfop, _, _, hamming, ones = checks._battery(t)
         assert (nfop, hamming, ones) == tuple(battery[i] for i in (0, 3, 4))
         # Variant 1 judges the misfit pairs in its own walk, as variant 3 does.

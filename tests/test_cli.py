@@ -1,6 +1,8 @@
 """Command line surface: output text, JSON stability, exit codes."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from sturmlex import checks, factors, words
 from sturmlex.cli import COMMANDS, main, parse_args
 
-from conftest import FIB32, run_module
+from conftest import FIB32, _env, prefix, run_module
 
 JSON_KEYS = ["check", "status", "upTo", "witness", "saturatedLengths", "n", "reason"]
 
@@ -82,16 +84,23 @@ class TestCheck:
         assert code == 0
         assert "ConsistentUpTo 40" in out
 
-    @pytest.mark.parametrize("what", ["nfop", "sturmian"])
-    def test_text_names_the_window_used(self, capsys, what):
-        # The window doubles twice before it holds all 241 factors.
+    @pytest.mark.parametrize(
+        "spec,what,used",
+        [
+            # The language holds all 241 factors; the prefix is the target.
+            ("std:1,9,1,9", "nfop", 1024),
+            ("std:1,9,1,9", "sturmian", 1024),
+            # A literal's window doubles until it saturates.
+            ("literal:" + prefix("fib", 3000), "sturmian", 2048),
+        ],
+    )
+    def test_text_names_the_window_used(self, capsys, spec, what, used):
         code, out, _ = run(
-            capsys, "check", "--spec", "std:1,9,1,9", "--what", what,
+            capsys, "check", "--spec", spec, "--what", what,
             "--max-n", "240", "--prefix-len", "1024",
         )
         assert code == 0
-        used = len(checks.saturated_table(words.parse_spec("std:1,9,1,9"), 240, 1024).word)
-        assert used > 1024
+        assert len(checks.saturated_table(words.parse_spec(spec), 240, 1024).word) == used
         assert out.splitlines()[0] == f"prefix: {used} letters"
 
     def test_certified_window_decides_std_1_9_1_9(self, capsys):
@@ -120,21 +129,19 @@ class TestCheck:
     @pytest.mark.parametrize(
         "what,line",
         [
-            ("sturmian", "sturmian: Indeterminate [window could not certify all lengths]"),
-            ("complexity", "complexity: Indeterminate [unsaturated lengths "
-                           + ",".join(map(str, range(1, 41))) + "]"),
+            ("sturmian", "sturmian: SturmianConsistentUpTo 40"),
+            ("complexity", "complexity: ApparentlyAperiodicUpTo 40"),
         ],
     )
-    def test_long_mechanical_period_stays_indeterminate(self, capsys, what, line):
-        # 2^22 letters of (0^4999999 1)^w hold one factor per length, not the
-        # certified n + 1.  The half-window rule printed "NotSturmian n=1
-        # [complexity 1 <= 1]": true of a periodic word, for a false reason;
-        # the complexity check then printed ApparentlyAperiodicUpTo 40 with
-        # no length saturated.
+    def test_long_mechanical_period_is_decided(self, capsys, what, line):
+        # (0^4999999 1)^w has the n + 1 factors of a Sturmian word up to
+        # its period, which its standard word gives at once.  2^22 letters
+        # of it held one factor per length: the window printed Indeterminate,
+        # and under the half-window rule "NotSturmian n=1 [complexity 1 <= 1]".
         code, out, _ = run(
             capsys, "check", "--spec", "mech:1/5000000@0", "--what", what, "--max-n", "40",
         )
-        assert code == 2
+        assert code == 0
         assert out.splitlines()[-1] == line
 
     @pytest.mark.parametrize(
@@ -526,3 +533,22 @@ class TestConsoleEntry:
         proc = run_module("generate", "--spec", "fib", "--len", "32")
         assert proc.returncode == 0
         assert proc.stdout.strip() == FIB32
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--spec", "mech:144/377@0", "--what", "sturmian", "--json",
+             "--max-n", "2000"),
+            ("factors", "--spec", "fib", "--len", "8192", "--max-n", "200", "--dump"),
+        ],
+        ids=["check", "factors"],
+    )
+    def test_a_reader_that_closes_the_pipe_early(self, argv):
+        # As `... | head -3`: the output is far longer than a pipe's buffer.
+        proc = subprocess.Popen([sys.executable, "-m", "sturmlex", *argv], env=_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        lines = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+        assert all(lines) and err == ""

@@ -163,7 +163,7 @@ class TestTableBudget:
         monkeypatch.setattr(factors, "TABLE_BUDGET", self.HELD - 1)
         windows = Counter()
         with pytest.raises(BudgetExceeded):
-            factors._add_windows(windows, self.WORD, 8, 0, None, factors._width(self.WORD))
+            factors._add_windows(windows, self.WORD, 8, 0, factors._width(self.WORD))
         # The cap is this small, so the chunks are single windows: counting
         # stopped at the ninth distinct one.
         assert len(windows) == 9
@@ -176,7 +176,7 @@ class TestTableBudget:
         word = format(random.Random(20261018).getrandbits(1000), "01000b")
         windows = Counter()
         with pytest.raises(BudgetExceeded):
-            factors._add_windows(windows, word, 8, 0, None, factors._width(word))
+            factors._add_windows(windows, word, 8, 0, factors._width(word))
         assert len(windows) > 57 and windows.total() % 4 == 0
         assert len(naive.distinct_factors(word[: windows.total() + 3], 8)) <= 57
 
@@ -215,7 +215,7 @@ class TestWindowCodes:
         word, w = self.WORD, factors._width(self.WORD)
         codes = [int(word[i : i + n], 1 << w) for i in range(len(word) - n + 1)]
         windows = Counter(codes[:counted])
-        assert factors._add_windows(windows, word, n, counted, None, w) == len(codes)
+        assert factors._add_windows(windows, word, n, counted, w) == len(codes)
         assert list(windows.items()) == list(Counter(codes).items())
 
     @pytest.mark.parametrize(
@@ -438,13 +438,13 @@ class TestDump:
         ],
     )
     def test_certified_tables_match_brute_force(self, text, max_len):
-        # The probe kept the p(max_len) distinct windows, a set with no
-        # counts; the dump counts the word's windows.
+        # The language read kept the p(max_len) distinct windows, a set
+        # with no counts; the dump counts the word's windows.
         t = checks.saturated_table(sx.parse_spec(text), max_len, 256)
         probe = set(t._windows)
         assert isinstance(t._windows, set) and len(probe) == t.p[max_len]
         self.agrees(t)
-        # They are counted apart: the probe's windows stay as built.
+        # They are counted apart: the language's windows stay as built.
         assert t._windows == probe and t.counts is not t._windows
 
 
@@ -459,7 +459,7 @@ class TestCountsShared:
             assert t.count("0") == naive.occurrences(t.word, "0")
 
     def test_a_certified_probe_is_counted_anew(self):
-        # The probe kept a set of the distinct windows, with no counts.
+        # The language read kept a set of the distinct windows, with no counts.
         t = checks.saturated_table(sx.parse_spec("fib"), 40, 256)
         probe = set(t._windows)
         assert isinstance(t._windows, set) and len(probe) == 41
