@@ -377,9 +377,10 @@ def saturated_table(
     """Index a prefix of ``prefix_len`` letters (at least max_len, by
     default :func:`default_prefix_length`) at every length up to max_len.
 
-    An infinite spec's language (``spec.language``), read until it has
-    p(max_len) windows (``spec.complexities``), certifies every length.  A
-    ``literal:`` doubles its window (:func:`factors._probe`) up to its end
+    An infinite spec's language (``spec.language``), read once, certifies
+    every length, and p counts its windows, except that a spec Sturmian a
+    priori (``spec.flags.sturmian``) stops at max_len + 1 and has p(m) = m + 1.
+    A ``literal:`` doubles its window (:func:`factors._probe`) up to its end
     until the newest window fits in the first half; lengths past the
     frontier stay unsaturated, and the checks degrade to Indeterminate."""
     if max_len < 1:
@@ -391,8 +392,8 @@ def saturated_table(
     if isinstance(spec, Literal):
         word, probe = _probe(spec.word[:PREFIX_BUDGET], max_len, target)
         return FactorTable(word, max_len, probe=probe)
-    exact = spec.complexities(max_len)
-    codes, w = _language_codes(spec.language(max_len), max_len, exact[max_len])
+    exact = [*range(1, max_len + 2)] if spec.flags.sturmian else None
+    codes, w = _language_codes(spec.language(max_len), max_len, exact and exact[max_len])
     return FactorTable(generate_prefix(spec, target), max_len, exact, (codes, len(codes), w))
 
 

@@ -19,18 +19,18 @@ occurs once).
 
 Length n is *saturated* when the table holds every length-n factor of the
 infinite word, and then so is every shorter length: a table stores only
-the frontier, the longest.  A *certified* table, whose windows number the
-word's exact p(max_len), as the windows of a spec's language do, has every
-factor as a prefix of a window: its entries are its windows alone, its p
-is the certificate, and its occurrences are read from a table of its word
-that counts every window and keeps its short suffixes.  Otherwise it is
-the half-window heuristic: every length-n factor first occurs inside the
-first half of the prefix.  The windows are counted in order of first
+the frontier, the longest.  A *certified* table, built from a spec's
+language (the set of codes of all the word's windows at max_len), has
+every factor as a prefix of a window: its entries are its windows alone,
+its p is their histogram (or m + 1, given for a word known to be
+Sturmian), and its occurrences are read from a table of its word that
+counts every window and keeps its short suffixes.  Otherwise it is the
+half-window heuristic: every length-n factor first occurs inside the first
+half of the prefix.  The windows are counted in order of first
 occurrence, noting how many there are at the half's edge, the first start
 whose window ends past the half; max_len is saturated when that is all of
-them, and sorted first they are a run of the table's one sort.  One rule
-sets the frontier: the last length before the count differs from the
-exact or the half's count.
+them, and sorted first they are a run of the table's one sort.  Then the
+frontier is the last length before the count differs from the half's.
 """
 
 from __future__ import annotations
@@ -161,13 +161,6 @@ def _language_codes(pieces, n: int, full: int | None = None) -> tuple[set[int], 
     return codes, w
 
 
-def prefix_counts(pieces, n: int) -> list[int]:
-    """[1, p(1), ..., p(n)], p(m) the number of distinct m-letter prefixes
-    among the length-n windows of the digit words ``pieces``."""
-    codes, w = _language_codes(pieces, n)
-    return [1, *_histogram(sorted(codes), 0, n, w)[1][1:]]
-
-
 def _lcps(codes, n: int, w: int) -> list[int]:
     """The LCPs of sorted n-letter width-w entry codes.
 
@@ -192,21 +185,22 @@ class FactorTable:
     """Sorted entries standing for the factors of lengths 1..max_len of a prefix.
 
     ``word`` is digit-only, else MalformedSpec names its least other letter.
-    ``exact``, when given, is the word's exact [p(0), ..., p(max_len)].
     ``probe``, when given, is (windows, early, width): the windows at
     max_len, counted by the probe that kept ``word`` (:func:`_probe`) or a
     language's set of codes (:func:`_language_codes`), how many fit in the
-    first half, and their width; else the table probes its word alone.  The
+    first half, and their width; else the table probes its word alone.  A
+    table of a language is certified: its p is counted from the codes, or
+    is ``exact``, when given, the word's [p(0), ..., p(max_len)].  The
     frontier is max_len on a certified table and on one whose windows all
     fit in its first half; else it is one less than the first n at which
-    the count differs from its reference, ``exact`` or the first half's own
-    counts, or max_len when none does.  ``width`` is 2 on a binary table,
-    else 4; the table keeps no list of its letters.
+    the count differs from the first half's own counts, or max_len when
+    none does.  ``width`` is 2 on a binary table, else 4; the table keeps
+    no list of its letters.
     ``codes``, ``lengths`` and ``lcps`` are parallel entry tuples in code
-    order (the windows alone on a certified table, which builds ``lcps`` when
-    read, as its p and starts need none), ``p[n]`` is the number of length-n
-    factors (on a certified table its certificate: exact[n] for n >= 1, and
-    p[0] = 0), ``frontier`` the longest saturated length, or 0.
+    order (the windows alone on a certified table; one given ``exact``
+    builds ``lcps`` when read, as its p and starts need none), ``p[n]`` is
+    the number of length-n factors (p[0] = 0), ``frontier`` the longest
+    saturated length, or 0.
     Occurrences (``count``, ``dump()``, ``counts``) are those in ``word``,
     read from a table whose windows are counted and whose entries keep the
     short suffixes: this one, or else ``FactorTable(word, max_len)``, built
@@ -220,13 +214,16 @@ class FactorTable:
         if probe is None:
             _, probe = _probe(word, max_len, len(word))
         windows, early, w = probe
-        self._windows, self.width = windows, w
-        ref = exact
-        if exact is not None and len(windows) == exact[max_len]:
-            # Certified: every factor begins a window, so the windows alone are
-            # the entries (no short suffix), and p, the certificate, needs no reference.
-            self.codes, self.lengths = tuple(sorted(windows)), (max_len,) * len(windows)
-            self.p, ref = [0, *exact[1 : max_len + 1]], None
+        self._windows, self.width, ref = windows, w, None
+        if isinstance(windows, set):
+            # Certified: every factor begins a window of the language, so the windows
+            # alone are the entries (no short suffix), and p needs no reference.
+            codes = sorted(windows)
+            self.codes, self.lengths = tuple(codes), (max_len,) * len(codes)
+            if exact is None:
+                lcps, exact = _histogram(codes, 0, max_len, w)
+                self.lcps = tuple(lcps)
+            self.p = [0, *exact[1 : max_len + 1]]
         else:
             # One sort, of which the half's windows, the first `early` keys,
             # sorted first are one run; the short suffixes land by bisection.
@@ -238,7 +235,7 @@ class FactorTable:
                 lengths[bisect_left(codes, c)] = m
             lcps, self.p = _histogram(codes, max_len - 1, max_len, w)
             self.codes, self.lengths, self.lcps = tuple(codes), tuple(lengths), tuple(lcps)
-            if exact is None and early < len(keys):
+            if early < len(keys):
                 ends = [*_short_codes(word[: len(word) // 2], max_len, w)]
                 _, ref = _histogram(sorted(inner + ends), len(ends), max_len, w)
         # A count never exceeds its reference, and a length that reaches it
@@ -355,8 +352,8 @@ class FactorTable:
         return tuple(range(1, self.frontier + 1))
 
     def dump(self):
-        """One line per factor, ``<n>\\t<factor>\\t<count>``, lengths then lex,
-        yielded as one string per length."""
+        """One line per factor of ``word``, ``<n>\\t<factor>\\t<count>``, lengths
+        then lex, yielded as one string per length; the counts are ``count``'s."""
         # A length-n factor is a run of entries: one with lcp < n <= length,
         # then those whose lcp reaches n.  Its text is the first entry's cut
         # to n letters, and its count is the run's sum.

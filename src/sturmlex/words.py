@@ -100,11 +100,14 @@ def _check_word(s: str, what: str, allow_empty: bool = False) -> None:
 class KnownFlags(Record):
     """A-priori recurrence/aperiodicity knowledge; ``None`` means unknown.
     ``once``, set when ``recurrent`` is False, is the length of the word's
-    shortest prefix that occurs nowhere else."""
+    shortest prefix that occurs nowhere else.  ``sturmian`` is True when
+    the word is known to be Sturmian, so p(m) = m + 1 at every m (Morse
+    and Hedlund; Lothaire, Algebraic Combinatorics on Words, ch. 2)."""
 
     recurrent: bool | None
     aperiodic: bool | None
     once: int | None = None
+    sturmian: bool | None = None
 
 
 class _EventuallyPeriodic:
@@ -133,12 +136,6 @@ class _EventuallyPeriodic:
         """[the prefix of |preperiod| + |period| + n - 1 letters]: every
         length-n factor starts, up to whole periods, in its first |preperiod| + |period|."""
         return [generate_prefix(self, len(self.preperiod) + len(self.period) + n - 1)]
-
-    def complexities(self, n: int) -> list[int]:
-        """Exact [p(0), ..., p(n)], counted from :meth:`language`."""
-        from .factors import prefix_counts
-
-        return prefix_counts(self.language(n), n)
 
     @property
     def flags(self) -> KnownFlags:
@@ -240,28 +237,18 @@ class Morphic(Record):
     def flags(self) -> KnownFlags:
         # x is recurrent iff a letter of s(a)[1:] reaches the seed a through images: each
         # prefix begins some s^k(a), which recurs at s^k of a later a; else a occurs once.
-        recurrent = self.seed in _closure(self.rules, self.rules[self.seed][1:])
-        return KnownFlags(recurrent, aperiodic=None, once=None if recurrent else 1)
+        # x is Sturmian if s is a primitive Sturmian morphism (_is_sturmian): x is
+        # balanced, as a limit of Sturmian words, and aperiodic, as its incidence
+        # matrix is primitive with determinant +-1 (Lothaire, ch. 2).  A prolongable rule
+        # on 01 is primitive iff 1 is in s(0) and 0 in s(1); (01, 1) fixes 01^w, p(m) = 2.
+        rules = self.rules
+        recurrent = self.seed in _closure(rules, rules[self.seed][1:])
+        sturmian = _is_sturmian(rules) and "1" in rules["0"] and "0" in rules["1"] or None
+        return KnownFlags(recurrent, None, None if recurrent else 1, sturmian)
 
     def __str__(self) -> str:
         rules = ",".join(f"{a}->{img}" for a, img in sorted(self.rules.items()))
         return f"morphic:{rules};seed={self.seed}"
-
-    def complexities(self, n: int) -> list[int]:
-        """Exact [p(0), ..., p(n)] of the fixed point x.
-
-        A primitive Sturmian morphism (:func:`_is_sturmian`) gives p(m) =
-        m + 1: x is balanced, as a limit of Sturmian words, and aperiodic, as
-        its incidence matrix is primitive with determinant +-1 (Lothaire,
-        Algebraic Combinatorics on Words, ch. 2).  A prolongable rule on 01
-        is primitive iff 1 is in s(0) and 0 in s(1); 01^w, of (01, 1), has p(m) = 2.
-        Any other rule is counted from :meth:`language`."""
-        rules = self.rules
-        if _is_sturmian(rules) and "1" in rules["0"] and "0" in rules["1"]:
-            return list(range(1, n + 2))
-        from .factors import prefix_counts
-
-        return prefix_counts(self.language(n), n)
 
     def language(self, n: int):
         """Pieces whose length-n windows are the length-n factors of x, each
@@ -328,7 +315,7 @@ class StandardSequence(Record):
     """
 
     directive: tuple[int, ...]
-    flags = KnownFlags(recurrent=True, aperiodic=True)
+    flags = KnownFlags(recurrent=True, aperiodic=True, sturmian=True)
 
     def __post_init__(self):
         entries = tuple(self.directive)
@@ -341,10 +328,6 @@ class StandardSequence(Record):
 
     def __str__(self) -> str:
         return "std:" + ",".join(str(d) for d in self.directive)
-
-    def complexities(self, n: int) -> list[int]:
-        """Exact [p(0), ..., p(n)]: m + 1, as for every Sturmian word (Lothaire, ch. 2)."""
-        return list(range(1, n + 2))
 
     def language(self, n: int) -> list[str]:
         return Periodic(_standard(cycle(self.directive), n)).language(n)
@@ -390,10 +373,6 @@ class MechanicalRational(Record, _EventuallyPeriodic):
     @property
     def period(self) -> str:
         return self._head(self.p + self.q)
-
-    def complexities(self, n: int) -> list[int]:
-        """p(m) = min(m + 1, p + q): balanced with period p + q (Lothaire ch. 2)."""
-        return [min(m + 1, self.p + self.q) for m in range(n + 1)]
 
     def language(self, n: int) -> list[str]:
         """See :func:`_standard`, whatever rho: with p/L = [0; a1, ..., ak],
@@ -451,9 +430,9 @@ def _standard(entries, n: int) -> str:
 
 
 def _closure(rules: dict[str, str], letters: str) -> set[str]:
-    """``letters`` and every letter that their images reach."""
-    reach = set(letters)
-    while new := {c for b in reach for c in rules[b]} - reach:
+    """``letters`` and every letter their images reach, each found by a C-level scan."""
+    reach = {c for c in ALPHABET if c in letters}
+    while new := {c for b in reach for c in ALPHABET if c in rules[b]} - reach:
         reach |= new
     return reach
 

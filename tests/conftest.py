@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 import sturmlex as sx
+from sturmlex import factors
 
 TM_SPEC = "morphic:0->01,1->10;seed=0"
 
@@ -74,6 +75,14 @@ def assert_same_text(got: str, want: str) -> None:
 
 def prefix(text: str, n: int) -> str:
     return sx.generate_prefix(sx.parse_spec(text), n)
+
+
+def counted(spec, n: int) -> list[int]:
+    """[0, p(1), ..., p(n)] of an infinite spec, counted from the windows of
+    its whole ``language(n)``: what a table's p is unless the spec is
+    Sturmian a priori."""
+    codes, w = factors._language_codes(spec.language(n), n)
+    return factors._histogram(sorted(codes), 0, n, w)[1]
 
 
 def neighbour_pairs(table) -> list[tuple[int, int, int]]:

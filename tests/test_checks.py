@@ -18,10 +18,11 @@ from sturmlex import checks, factors
 from sturmlex.errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced, WindowTooLarge
 
 import naive
-from conftest import DENSE_LITERAL, TM_SPEC, assert_same_text, literals, neighbour_pairs, prefix
+from conftest import (
+    DENSE_LITERAL, TM_SPEC, assert_same_text, counted, literals, neighbour_pairs, prefix)
 
 
-# Not primitive (1 never reaches 0): certified by its exact complexity all the same.
+# Not primitive (1 never reaches 0): certified by its counted language all the same.
 NON_PRIMITIVE = "morphic:0->010,1->11;seed=0"
 
 
@@ -384,17 +385,18 @@ class TestPeriodicityCertificate:
         assert (v.status, v.n) == (checks.ULTIMATELY_PERIODIC, 1)
 
     @pytest.mark.parametrize(
-        "text,max_len,top",
-        # (0^999 1)^w has one factor per length in 256 letters, not n + 1;
-        # std:1,9,1,9 has its first 49 lengths there.
-        [("mech:1/1000@0", 40, 0), ("std:1,9,1,9", 60, 49)],
+        "text,max_len,size,top",
+        # 0^999 1 0^200 has one letter in its first half and two in all of
+        # it, so no length is saturated; 256 letters of std:1,9,1,9 have
+        # their first 20 lengths in the first half.
+        [("mech:1/1000@0", 40, 1200, 0), ("std:1,9,1,9", 60, 256, 20)],
     )
-    def test_unsaturated_lengths_are_indeterminate(self, text, max_len, top):
+    def test_unsaturated_lengths_are_indeterminate(self, text, max_len, size, top):
         # With no saturated length at or below which p(n) <= n, the lengths
         # above the frontier decide nothing, as in the pair checks.
-        # A table of 256 letters, certified by the count up to ``top``.
-        spec = sx.parse_spec(text)
-        t = sx.FactorTable(sx.generate_prefix(spec, 256), max_len, spec.complexities(max_len))
+        # A bare table of ``size`` letters, saturated up to ``top`` by the
+        # half-window rule.
+        t = sx.FactorTable(prefix(text, size), max_len)
         assert t.frontier == top
         v = sx.periodicity_certificate(t)
         skipped = ",".join(map(str, range(top + 1, max_len + 1)))
@@ -481,8 +483,8 @@ class TestSaturatedTable:
     @pytest.mark.parametrize(
         "text,max_len,prefix_len",
         [
-            ("std:1,9,1,9", 240, 1024),  # certified by its exact complexity
-            (NON_PRIMITIVE, 8, 16),  # the same, though not primitive
+            ("std:1,9,1,9", 240, 1024),  # certified by its language, Sturmian a priori
+            (NON_PRIMITIVE, 8, 16),  # the same, counted, as it is not primitive
         ],
     )
     def test_infinite_specs_keep_the_target(self, text, max_len, prefix_len):
@@ -518,9 +520,8 @@ class TestSaturatedTable:
     def test_nonpositive_max_len_is_too_large_a_window(self, monkeypatch, entry, text, max_len):
         # Refused before any prefix is generated or counted.
         spec = sx.parse_spec(text)
-        for name in ("complexities", "language"):
-            fail = lambda *args: pytest.fail("counted")
-            monkeypatch.setattr(type(spec), name, fail, raising=False)
+        fail = lambda *args: pytest.fail("counted")
+        monkeypatch.setattr(type(spec), "language", fail, raising=False)
         monkeypatch.setattr(checks, "generate_prefix", lambda *args: pytest.fail("generated"))
         monkeypatch.setattr(checks, "_probe", lambda *args: pytest.fail("probed"))
         with pytest.raises(WindowTooLarge, match=f"need max_len >= 1, got {max_len}"):
@@ -644,16 +645,11 @@ class TestSaturatedTable:
             return factors.FactorTable(word, *args, **kwargs)
 
         spec = sx.parse_spec(text)
-        # The kinds that count a language for their exact complexity take
-        # that count first, apart from the table's; a literal fixes none.
-        exact = None if isinstance(spec, sx.Literal) else spec.complexities(max_len)
-        if exact is not None:
-            monkeypatch.setattr(type(spec), "complexities", lambda self, n: exact)
         monkeypatch.setattr(checks, "FactorTable", build)
         sliced, sizes = count_slices(monkeypatch)
         t = checks.saturated_table(spec, max_len, prefix_len)
         assert builds == [len(t.word)]
-        if exact is None:
+        if isinstance(spec, sx.Literal):
             # Over all candidate windows, each window start is sliced once,
             # and the sliced starts are those of the kept window.
             assert sliced == Counter(range(len(t.word) - max_len + 1))
@@ -747,7 +743,7 @@ def long_prefix(text):
 
 
 class TestCertifiedSaturation:
-    """Windows of the kinds that know their exact complexity."""
+    """Tables certified by their spec's language."""
 
     CERTIFIED = [
         "fib",
@@ -776,6 +772,7 @@ class TestCertifiedSaturation:
         w = long_prefix(text)
         for n in {max_len, data.draw(st.integers(1, max_len))}:
             assert t.factors(n) == tuple(naive.distinct_factors(w, n))
+            assert t.p[n] == len(t.factors(n))
 
     @given(
         spec=st.one_of(
@@ -802,11 +799,11 @@ class TestCertifiedSaturation:
         # A certified table indexes its language's windows alone; its
         # occurrences are those of its word, the target's letters.
         prefix_len = data.draw(st.integers(max_len, 256))
-        exact = spec.complexities(max_len)
+        exact = counted(spec, max_len)
         t = checks.saturated_table(spec, max_len, prefix_len)
         assert len(t.word) == prefix_len and t.frontier == max_len
         assert len(t.codes) == len(t._windows) == t.p[max_len] == exact[max_len]
-        assert t.p[1:] == exact[1:]
+        assert t.p == exact
         # A prefix that holds every factor (the first period and max_len
         # letters more, for the periodic kinds) is the oracle's word.
         w = sx.generate_prefix(spec, 1 << 14)
@@ -869,13 +866,14 @@ class TestCertifiedSaturation:
         assert len(pieces) == 1 and len(pieces[0]) < 3 * n
         assert checks.saturated_table(spec, n).factors(n) == tuple(want)
 
-    def test_bare_tables_certify_the_lengths_they_have(self, monkeypatch):
-        # A table of 256 letters, given the exact complexity, saturates
-        # the lengths whose count it reaches.
+    def test_bare_tables_saturate_the_lengths_they_hold(self, monkeypatch):
+        # A bare table of 256 letters saturates the lengths whose factors all
+        # first occur in its first half, and has n + 1 factors at each.
         spec = sx.parse_spec("std:1,9,1,9")
-        t = sx.FactorTable(sx.generate_prefix(spec, 256), 60, spec.complexities(60))
-        assert t.frontier == max(n for n in range(1, 61) if len(t.factors(n)) == n + 1)
+        t = sx.FactorTable(sx.generate_prefix(spec, 256), 60)
+        assert t.frontier == max(n for n in range(1, 61) if naive.saturated(t.word, n))
         assert 0 < t.frontier < 60
+        assert [len(t.factors(n)) for n in t.saturated_lengths()] == [*range(2, t.frontier + 2)]
         assert checks._combined_judgment(t, *checks._battery(t)).status == checks.INDETERMINATE
         # The harness demands no agreement of verdicts cut short.
         monkeypatch.setattr(checks, "saturated_table", lambda *args: t)
@@ -912,6 +910,17 @@ class TestCertifiedSaturation:
         ref = sx.FactorTable(t.word, max_len)
         assert_same_text("".join(t.dump()), "".join(ref.dump()))
 
+    def test_dump_lists_the_factors_of_the_word(self):
+        # 11 is a factor of the language that first occurs at 9,002,999: the
+        # table has it, and its word of 4096 letters does not.  The dump
+        # lists the word's factors with their counts, as ``count`` reads them.
+        t = checks.saturated_table(sx.Morphic({"0": "0" * 3000 + "1", "1": "10"}, "0"), 4)
+        assert t.factors(2) == ("00", "01", "10", "11") and t.complexity(2) == 4
+        assert t.count("11") == 0
+        dump = [*t.dump()]
+        assert_same_text("".join(dump), "".join(sx.FactorTable(t.word, 4).dump()))
+        assert dump[1] == "2\t00\t4093\n2\t01\t1\n2\t10\t1\n"
+
     def test_harness_tall_specs_pass(self):
         # std:1,9,1,9 failed two assertions here under the half-window rule.
         specs = [sx.parse_spec(s) for s in ("fib", "std:2,1", "std:1,9,1,9", "std:3", "std:1,2,3")]
@@ -925,6 +934,32 @@ class TestCertifiedSaturation:
         monkeypatch.setattr(factors.FactorTable, "complexity", per_length)
         r = sx.sturmian_verdict(sx.parse_spec("fib"), max_len=40)
         assert r.combined.status == checks.STURMIAN_CONSISTENT
+
+    @pytest.mark.parametrize("text", [TM_SPEC, "morphic:0->012,1->02,2->1;seed=0", "fib"])
+    def test_one_read_per_language(self, monkeypatch, text):
+        # The table's one call of ``language`` reads each piece once, to the
+        # language's end; fib, Sturmian a priori, stops at its 201st window.
+        spec = sx.parse_spec(text)
+        language, add = type(spec).language, factors._add_windows
+        calls, pieces, read = [], [], []
+
+        def reading(self, n):
+            calls.append(n)
+            for piece in language(self, n):
+                pieces.append(piece)
+                yield piece
+
+        monkeypatch.setattr(type(spec), "language", reading)
+        reads = lambda codes, word, *args: read.append(word) or add(codes, word, *args)
+        monkeypatch.setattr(factors, "_add_windows", reads)
+        t = checks.saturated_table(spec, 200)
+        whole = [*language(spec, 200)]
+        assert calls == [200] and read == pieces
+        if spec.flags.sturmian:
+            assert len(t.codes) == 201 and len(pieces) < len(whole)
+            assert len(factors._language_codes(pieces[:-1], 200)[0]) < 201
+        else:
+            assert pieces == whole and t.p == counted(spec, 200)
 
 
 class TestRotationOrder:
@@ -1223,7 +1258,11 @@ class TestBinarySkip:
         assert table.lcps == tuple(factors._lcps(table.codes, 240, 2))
 
     def test_misfit_pairs_build_lcps(self):
-        table = checks.saturated_table(sx.parse_spec(TM_SPEC), 240, 1024)
+        # A table of a language given its p builds its LCPs when a pair misfits.
+        spec = sx.parse_spec(TM_SPEC)
+        codes, w = factors._language_codes(spec.language(240), 240)
+        probe = (codes, len(codes), w)
+        table = sx.FactorTable(prefix(TM_SPEC, 1024), 240, counted(spec, 240), probe)
         assert "lcps" not in table.__dict__
         assert checks._battery(table)[0].status == checks.VIOLATED
         assert "lcps" in table.__dict__
@@ -1282,7 +1321,7 @@ def certified_tables(draw):
     )
     max_len = draw(st.integers(1, 40))
     t = checks.saturated_table(spec, max_len, draw(st.integers(max_len, 512)))
-    assert len(t._windows) == spec.complexities(max_len)[max_len]
+    assert len(t._windows) == t.p[max_len]
     # A prefix that holds every factor: the oracle's word.
     w = sx.generate_prefix(spec, 1 << 14)
     assert len(naive.distinct_factors(w, max_len)) == len(t._windows)

@@ -75,28 +75,26 @@ class TestBuild:
     @pytest.mark.parametrize("size", [30, 200])
     def test_a_certified_table_keeps_its_windows_alone(self, size, monkeypatch):
         # fib's 21 length-20 factors fit in 200 letters, not in 30: a table
-        # whose windows fall short of the exact count keeps its suffixes.
-        word, exact = prefix("fib", size), sx.parse_spec("fib").complexities(20)
-        t, ref = sx.FactorTable(word, 20, exact=exact), sx.FactorTable(word, 20)
-        certified = len(t._windows) == exact[20]
-        assert certified == (size == 200)
-        if certified:
-            assert len(t.codes) == t.p[20] == 21 and set(t.lengths) == {20}
-        else:
-            assert (t.codes, t.lengths, t.lcps) == (ref.codes, ref.lengths, ref.lcps)
-            assert t.frontier < 20
-        assert t.p == ref.p
-        # Its windows, a Counter, hold no short suffix's occurrence: the
-        # certified table builds its word's counting table on its first
-        # occurrence read and reuses it; the other reads its own.
+        # of its language keeps its 21 windows alone either way, and its p,
+        # counted from them or given, is that of the 200 letters.
+        word, spec = prefix("fib", size), sx.parse_spec("fib")
+        codes, w = factors._language_codes(spec.language(20), 20)
+        ref, full = sx.FactorTable(word, 20), sx.FactorTable(prefix("fib", 200), 20)
         built, init = [], factors.FactorTable.__init__
-        monkeypatch.setattr(
-            factors.FactorTable, "__init__", lambda s, *a, **k: built.append(a) or init(s, *a, **k)
-        )
-        assert_same_text("".join(t.dump()), "".join(ref.dump()))
-        assert built == ([(word, 20)] if certified else [])
-        assert t.count("0") == naive.occurrences(word, "0") and t.counts == ref.counts
-        assert len(built) == certified
+        for exact in (None, [*range(1, 22)]):
+            t = sx.FactorTable(word, 20, exact, (codes, len(codes), w))
+            assert len(t.codes) == t.p[20] == 21 and set(t.lengths) == {20}
+            assert t.p == full.p and t.frontier == 20
+            assert ("lcps" in vars(t)) == (exact is None)
+            assert all(t.factors(n) == full.factors(n) for n in range(1, 21))
+            # Its windows, a set, count no occurrence: the table builds its
+            # word's counting table on its first occurrence read and reuses it.
+            with monkeypatch.context() as m:
+                m.setattr(factors.FactorTable, "__init__",
+                          lambda s, *a, **k: built.append(a) or init(s, *a, **k))
+                assert_same_text("".join(t.dump()), "".join(ref.dump()))
+                assert t.count("0") == naive.occurrences(word, "0") and t.counts == ref.counts
+            assert built.pop() == (word, 20) and not built
 
     def test_complexity_one_counts_letters(self):
         assert sx.FactorTable("0120", 1).complexity(1) == 3
@@ -628,8 +626,8 @@ class TestBoundedMemory:
         assert code == 65
         assert peak < 64, f"peak RSS {peak:.0f} MB"
 
-    # The exact complexity of this morphic word counts the windows of its
-    # images under TABLE_BUDGET too, and stops at the cap (measured 29 MB
+    # The table of this morphic word counts the windows of its language
+    # under TABLE_BUDGET too, and stops at the cap (measured 29 MB
     # with Python 3.11 on Linux); collecting them all before any table
     # counted peaked at 233 MB.
     def test_exact_complexity_stops_at_the_cap(self):

@@ -36,7 +36,7 @@ def _outcome():
 # with its repr as printed when the types were dataclasses.
 SAMPLES = [
     (lambda: words.KnownFlags(recurrent=True, aperiodic=None),
-     "KnownFlags(recurrent=True, aperiodic=None, once=None)"),
+     "KnownFlags(recurrent=True, aperiodic=None, once=None, sturmian=None)"),
     (lambda: words.Literal("0100"), "Literal(word='0100')"),
     (lambda: words.Periodic("01"), "Periodic(seed='01')"),
     (lambda: words.UltimatelyPeriodic("0", "1"),

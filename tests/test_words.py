@@ -5,7 +5,6 @@ import math
 import random
 import time
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,15 +12,28 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sturmlex as sx
-from sturmlex import factors, words
+from sturmlex import checks, words
 from sturmlex.errors import BudgetExceeded, LiteralTooShort, MalformedSpec
 
 import naive
-from conftest import FIB32, TM_SPEC, peak_rss, prefix
+from conftest import FIB32, TM_SPEC, counted, peak_rss, prefix
+
+
+# The generators of the Sturmian monoid (Lothaire, ch. 2): 0 <-> 1, (01, 0) and (10, 0).
+STURMIAN_GENERATORS = ({"0": "1", "1": "0"}, {"0": "01", "1": "0"}, {"0": "10", "1": "0"})
+
+
+def composed(generators) -> tuple[str, str]:
+    """The images of 0 and 1 under the composition of ``generators``."""
+    images = ("0", "1")
+    for g in generators:
+        images = tuple("".join(g[c] for c in image) for image in images)
+    return images
 
 
 class TestExactComplexities:
-    """``spec.complexities(n)`` against the factors of a 2^16-letter prefix."""
+    """A spec's p, counted from its whole ``language(n)`` (``counted``) and
+    read from its saturated table, against the factors of a 2^16-letter prefix."""
 
     SPECS = [
         "fib",
@@ -50,35 +62,37 @@ class TestExactComplexities:
     def test_equals_the_factors_of_a_long_prefix(self, text):
         spec = sx.parse_spec(text)
         w = sx.generate_prefix(spec, 1 << 16)
-        exact = spec.complexities(40)
-        assert exact[0] == 1
-        assert exact[1:] == sx.FactorTable(w, 40).p[1:]
+        exact = counted(spec, 40)
+        assert exact == sx.FactorTable(w, 40).p
+        assert exact == checks.saturated_table(spec, 40).p
         assert exact[40] == len(naive.distinct_factors(w, 40))
 
-    # Every coprime slope p/(p+q) with period below 40: the closed form
-    # min(m + 1, p + q) against the factors of a prefix in which every
-    # length-60 factor starts, generated by the naive floor formula.
+    # Every coprime slope p/(p+q) with period below 40: the count of its
+    # language, min(m + 1, p + q), against the factors of a prefix in which
+    # every length-60 factor starts, generated by the naive floor formula.
     @pytest.mark.parametrize("rho", [Fraction(0), Fraction(1, 3), Fraction(5, 7)])
     def test_mechanical_sweep(self, rho):
         slopes = [(p, q) for q in range(1, 40) for p in range(40 - q) if math.gcd(p, q) == 1]
         for p, q in slopes:
             w = naive.mechanical_prefix(Fraction(p, p + q), rho, p + q + 59)
-            exact = sx.MechanicalRational(p, q, rho).complexities(60)
-            assert exact[1:] == sx.FactorTable(w, 60).p[1:], (p, q, rho)
+            exact = checks.saturated_table(sx.MechanicalRational(p, q, rho), 60).p
+            assert exact == sx.FactorTable(w, 60).p, (p, q, rho)
+            assert exact[1:] == [min(m + 1, p + q) for m in range(1, 61)]
 
     def test_fibonacci_at_240(self):
         w = prefix("fib", 1 << 16)
-        assert sx.parse_spec("fib").complexities(240)[1:] == sx.FactorTable(w, 240).p[1:]
+        spec = sx.parse_spec("fib")
+        assert counted(spec, 240) == checks.saturated_table(spec, 240).p == sx.FactorTable(w, 240).p
 
     @pytest.mark.parametrize("text", ["literal:0110"])
     def test_unknown(self, text):
         # A finite window fixes no language beyond itself.
-        spec = sx.parse_spec(text)
-        assert not hasattr(spec, "complexities") and not hasattr(spec, "language")
+        assert not hasattr(sx.parse_spec(text), "language")
 
-    def test_mechanical_closed_form_past_the_prefix_budget(self):
-        # Its period alone exceeds PREFIX_BUDGET; min(m + 1, p + q) holds at every size.
-        assert sx.parse_spec("mech:1/10000000@0").complexities(40) == list(range(1, 42))
+    def test_mechanical_past_the_prefix_budget(self):
+        # Its period alone exceeds PREFIX_BUDGET; its standard word has its factors.
+        spec = sx.parse_spec("mech:1/10000000@0")
+        assert counted(spec, 40) == checks.saturated_table(spec, 40).p == [0, *range(2, 42)]
 
     @pytest.mark.parametrize(
         "spec,n",
@@ -94,7 +108,7 @@ class TestExactComplexities:
     )
     def test_past_the_prefix_budget(self, spec, n):
         with pytest.raises(BudgetExceeded):
-            spec().complexities(n)
+            checks.saturated_table(spec(), n)
 
     def test_thue_morse_closed_form(self):
         # Brlek (1989); de Luca and Varricchio (1989): for n = 2^r + q + 1 >= 3
@@ -107,8 +121,8 @@ class TestExactComplexities:
             q, half = n - 1 - 2**r, 2 ** (r - 1)
             return 6 * half + 4 * q if q <= half else 8 * half + 2 * q
 
-        exact = sx.parse_spec(TM_SPEC).complexities(300)
-        assert exact == [closed(n) for n in range(301)]
+        exact = checks.saturated_table(sx.parse_spec(TM_SPEC), 300).p
+        assert exact[1:] == [closed(n) for n in range(1, 301)]
 
     @given(letters=st.sampled_from(["01", "012"]), n=st.integers(1, 30), data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -121,42 +135,51 @@ class TestExactComplexities:
         seed = data.draw(st.sampled_from(letters))
         rules[seed] = seed + data.draw(st.text(alphabet=letters, min_size=1, max_size=3))
         spec = sx.Morphic(rules, seed)
-        exact, w = spec.complexities(n), spec.prefix(1 << 15)
+        exact, w = checks.saturated_table(spec, n).p, spec.prefix(1 << 15)
         windows = {w[i : i + n] for i in range(len(w))}  # short ones at the end
         for m in range(1, n + 1):
             assert len({v[:m] for v in windows if len(v) >= m}) <= exact[m], (rules, seed)
 
-    def test_sturmian_morphisms_take_the_closed_form(self, monkeypatch):
-        # Every primitive substitution on 01 with images of at most 5
-        # letters, prolongable on 0 or 1: the closed form n + 1 is taken,
-        # with no window counted, exactly when the count of image windows
-        # gives n + 1 up to 60.
-        calls, count = [], factors.prefix_counts
-        monkeypatch.setattr(factors, "prefix_counts", lambda *a: calls.append(a) or count(*a))
-        images = ["".join(p) for k in range(1, 6) for p in itertools.product("01", repeat=k)]
-        closed = Counter()
-        for a, b in itertools.product(images, repeat=2):
-            rules = {"0": a, "1": b}
-            if "1" not in a or "0" not in b:
-                continue  # not primitive, as a prolongable rule on 01
-            for seed in (c for c in "01" if rules[c][0] == c and len(rules[c]) > 1):
-                spec = sx.Morphic(rules, seed)
-                calls.clear()
-                exact, closed_form = spec.complexities(60), not calls
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(words, "_is_sturmian", lambda rules: False)
-                    counted = spec.complexities(60)
-                closed[seed, closed_form] += 1
-                assert closed_form == (counted == list(range(1, 62))), spec
-                assert exact == counted
-        # 72 of the 1482 prolongable on 0 are Sturmian.
-        assert closed == {("0", True): 72, ("0", False): 1410, ("1", True): 72,
-                          ("1", False): 1410}
+    # Prolongable substitutions on 01 with images of 1-6 letters, drawn at
+    # random or composed from the Sturmian generators 0 <-> 1, (01, 0) and
+    # (10, 0) (random images are seldom Sturmian), and std: directives:
+    # wherever the spec is Sturmian a priori, the count of its whole
+    # language is m + 1.  The two examples are in the Sturmian monoid but
+    # not primitive, so not flagged, and their p stalls at 2.
+    @given(
+        spec=st.one_of(
+            st.tuples(
+                st.sampled_from("01"),
+                st.one_of(
+                    st.tuples(*[st.text("01", min_size=1, max_size=6)] * 2),
+                    st.lists(st.sampled_from(STURMIAN_GENERATORS), min_size=1, max_size=8)
+                    .map(composed),
+                ),
+            )
+            .filter(lambda t: 1 < len(t[1][int(t[0])]) and t[1][int(t[0])].startswith(t[0]))
+            .filter(lambda t: max(map(len, t[1])) <= 6)
+            .map(lambda t: f"morphic:0->{t[1][0]},1->{t[1][1]};seed={t[0]}"),
+            st.lists(st.integers(1, 9), min_size=1, max_size=4).map(
+                lambda d: "std:" + ",".join(map(str, d))),
+        ),
+        n=st.integers(1, 60),
+    )
+    @example(spec="morphic:0->01,1->1;seed=0", n=60)
+    @example(spec="morphic:0->0,1->10;seed=1", n=60)
+    @settings(max_examples=200, deadline=None)
+    def test_the_sturmian_flag_holds_in_the_count(self, spec, n):
+        spec = sx.parse_spec(spec)
+        exact = counted(spec, n)
+        if spec.flags.sturmian:
+            assert exact == [0, *range(2, n + 2)], spec
+        elif str(spec) in ("morphic:0->01,1->1;seed=0", "morphic:0->0,1->10;seed=1"):
+            assert spec.flags.sturmian is None and exact == [0, *[2] * n]
 
     def test_a_long_image_is_decided_at_once(self):
         start = time.perf_counter()
         spec = sx.Morphic({"0": "0" * (2**20 - 1) + "1", "1": "0"}, "0")
-        assert spec.complexities(240) == list(range(1, 242))
+        assert spec.flags.sturmian
+        assert checks.saturated_table(spec, 240).p == [0, *range(2, 242)]
         assert not words._is_sturmian({"0": "0" * 2**19 + "1" * 2**19, "1": "0"})
         took = time.perf_counter() - start
         assert took < 2, f"took {took:.1f} s"
@@ -184,8 +207,8 @@ class TestLongImages:
     predicted before any power is built, a prefix translates only the
     letters it needs, and the Sturmian test compares blocks of copies."""
 
-    # Each family's count of image windows (the Sturmian test left out) says
-    # the same at every small m, and the Sturmian test says it at 2^20.
+    # Each family's count of its language says the same at every small m,
+    # and the Sturmian test says it at 2^20.
     @pytest.mark.parametrize(
         "family",
         [
@@ -196,14 +219,11 @@ class TestLongImages:
             lambda m: {"0": "0" * m + "10", "1": "0" * m + "1"},
         ],
     )
-    def test_long_images_agree_with_the_count(self, family, monkeypatch):
+    def test_long_images_agree_with_the_count(self, family):
         answers = {words._is_sturmian(family(m)) for m in (2**20 - 1, 2**20)}
-        monkeypatch.setattr(words, "_is_sturmian", lambda rules: False)
-        counted = {
-            sx.Morphic(family(m), "0").complexities(40) == list(range(1, 42))
-            for m in range(2, 7)
-        }
-        assert answers == counted and len(counted) == 1
+        sturmian = [0, *range(2, 42)]
+        counts = {counted(sx.Morphic(family(m), "0"), 40) == sturmian for m in range(2, 7)}
+        assert answers == counts and len(counts) == 1
 
     @given(
         b=st.text(alphabet="01", min_size=1, max_size=3),
@@ -229,7 +249,7 @@ class TestLongImages:
         spec = sx.parse_spec("morphic:0->" + "0" * 30000 + "1,1->10;seed=0")
         tracemalloc.start()
         try:
-            assert spec.complexities(40) == [1, 2, 4, *range(7, 119, 3)]
+            assert counted(spec, 40) == [0, 2, 4, *range(7, 119, 3)]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
