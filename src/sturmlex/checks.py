@@ -23,7 +23,7 @@ from itertools import accumulate, chain, compress, count, repeat
 from operator import ne, rshift, sub
 
 from .errors import BudgetExceeded, NonBinaryAlphabet, NotImbalanced, WindowTooLarge
-from .factors import FactorTable, _language_codes, _probe, decode
+from .factors import FactorTable, _language_codes, decode
 from .words import PREFIX_BUDGET, KnownFlags, Literal, Record, WordSpec, generate_prefix
 
 # Verdict statuses.
@@ -374,15 +374,15 @@ def default_prefix_length(max_len: int) -> int:
 def saturated_table(
     spec: WordSpec, max_len: int, prefix_len: int | None = None
 ) -> FactorTable:
-    """Index a prefix of ``prefix_len`` letters (at least max_len, by
-    default :func:`default_prefix_length`) at every length up to max_len.
+    """Index a window of ``spec`` at every length up to max_len: an infinite
+    spec's prefix of ``prefix_len`` letters (at least max_len, by default
+    :func:`default_prefix_length`), or a ``literal:``'s whole word.
 
     An infinite spec's language (``spec.language``), read once, certifies
     every length, and p counts its windows, except that a spec Sturmian a
     priori (``spec.flags.sturmian``) stops at max_len + 1 and has p(m) = m + 1.
-    A ``literal:`` doubles its window (:func:`factors._probe`) up to its end
-    until the newest window fits in the first half; lengths past the
-    frontier stay unsaturated, and the checks degrade to Indeterminate."""
+    A literal's lengths past its half-window frontier stay unsaturated, and
+    the checks degrade to Indeterminate."""
     if max_len < 1:
         raise WindowTooLarge(f"need max_len >= 1, got {max_len}")
     target = prefix_len if prefix_len is not None else default_prefix_length(max_len)
@@ -390,11 +390,10 @@ def saturated_table(
     if target > PREFIX_BUDGET:
         raise BudgetExceeded(f"prefix length {target} exceeds budget {PREFIX_BUDGET}")
     if isinstance(spec, Literal):
-        word, probe = _probe(spec.word[:PREFIX_BUDGET], max_len, target)
-        return FactorTable(word, max_len, probe=probe)
+        return FactorTable(spec.word[:PREFIX_BUDGET], max_len)
     exact = [*range(1, max_len + 2)] if spec.flags.sturmian else None
     codes, w = _language_codes(spec.language(max_len), max_len, exact and exact[max_len])
-    return FactorTable(generate_prefix(spec, target), max_len, exact, (codes, len(codes), w))
+    return FactorTable(generate_prefix(spec, target), max_len, exact, (codes, w))
 
 
 class SturmianReport(Record):

@@ -95,7 +95,7 @@ def cmd_check(args) -> int:
     if args.json:
         _emit_json([v.to_json() for v in verdicts])
     else:
-        # A literal's window may have grown past --prefix-len until it saturated.
+        # A literal is read whole, whatever --prefix-len.
         print(f"prefix: {prefix_length} letters")
         for v in verdicts:
             print(_format_verdict(v))
@@ -169,7 +169,8 @@ _Option = namedtuple("_Option", "flag dest kind low required default choices hel
 _SPEC = _Option("--spec", "spec", required=True, help="word spec: fib | morphic:0->01,1->0;seed=0"
                 " | periodic:01 | ultper:0|1 | std:1,1,2,3 | mech:2/5@0 | literal:0100101")
 _MAX_N = _Option("--max-n", "max_n", int, 1, required=True, help="longest factor length")
-_PREFIX_LEN = _Option("--prefix-len", "prefix_len", int, 1, help="first window length")
+_PREFIX_LEN = _Option("--prefix-len", "prefix_len", int, 1,
+                      help="prefix length of an infinite spec")
 _JSON = _Option("--json", "json", bool, default=False, help="print JSON")
 
 # Each command's function, help line and options, in usage order.
@@ -192,7 +193,7 @@ COMMANDS = {
                 help="check the factor structure against a word's table"),
         _Option("--spec", "spec", help="word to verify against (default mech:p/(p+q)@0);"
                 " read only with --verify"),
-        _PREFIX_LEN._replace(help="first window length; read only with --verify"),
+        _PREFIX_LEN._replace(help="prefix length of an infinite spec; read only with --verify"),
         _JSON)),
     "harness": (cmd_harness, "run the cross-check harness over a corpus file", (
         _Option("--corpus", "corpus", required=True, help="file with one spec per line, # comments"),

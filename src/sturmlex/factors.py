@@ -24,13 +24,14 @@ language (the set of codes of all the word's windows at max_len), has
 every factor as a prefix of a window: its entries are its windows alone,
 its p is their histogram (or m + 1, given for a word known to be
 Sturmian), and its occurrences are read from a table of its word that
-counts every window and keeps its short suffixes.  Otherwise it is the
-half-window heuristic: every length-n factor first occurs inside the first
-half of the prefix.  The windows are counted in order of first
-occurrence, noting how many there are at the half's edge, the first start
-whose window ends past the half; max_len is saturated when that is all of
-them, and sorted first they are a run of the table's one sort.  Then the
-frontier is the last length before the count differs from the half's.
+counts every window and keeps its short suffixes.  Otherwise, as on a
+``literal:`` read whole, it is the half-window heuristic: every length-n
+factor first occurs inside the first half of the word.  The windows are
+counted in one read, in order of first occurrence, noting how many there
+are at the half's edge, the first start whose window ends past the half;
+max_len is saturated when that is all of them, and sorted first they are a
+run of the table's one sort.  Then the frontier is the last length before
+the count differs from the half's.
 """
 
 from __future__ import annotations
@@ -90,12 +91,11 @@ def _short_codes(word: str, n: int, w: int):
     return _codes(tail + format((1 << w) - 1, "x") * (n - 1), n, 0, len(tail), w)
 
 
-def _add_windows(windows, word: str, n: int, start: int, w: int, edges=()) -> int:
-    """Add the width-w codes of the length-n windows of ``word`` from
-    ``start`` on to ``windows``, a Counter or a set of codes, in the chunks
-    and under the cap of :attr:`FactorTable.counts`, and return the start
-    after the last window read.  ``edges``, a dict keyed by starts, ends a
-    chunk at each key, and sets each key read to the distinct windows before it."""
+def _add_windows(windows, word: str, n: int, w: int, edge: int = 0) -> int:
+    """Add the width-w codes of the length-n windows of ``word`` to
+    ``windows``, a Counter or a set of codes, in the chunks and under the cap
+    of :attr:`FactorTable.counts`, and return how many distinct windows there
+    are once those that start before ``edge`` are read."""
     # An entry peaks at its n letters and at most 245 bytes more while a table
     # is built, and holds less once it is (tracemalloc, Python 3.11, with 4-bit
     # codes: 219 B more and 140 B held at n=18 on a random 2^21-letter
@@ -103,44 +103,18 @@ def _add_windows(windows, word: str, n: int, start: int, w: int, edges=()) -> in
     # codes took n/2 bytes).  Binary codes take n/4 bytes under the same charge.
     entry = n + 245
     end, most = len(word) - n + 1, max(1, TABLE_BUDGET // (16 * entry))
-    for edge in [*sorted(e for e in edges if start <= e < end), end]:
-        while start < edge:
-            stop = min(start + most, edge)
+    start, before = 0, []
+    for stop_at in (min(edge, end), end):
+        while start < stop_at:
+            stop = min(start + most, stop_at)
             windows.update(_codes(word, n, start, stop, w))
             start = stop
             if (len(windows) + n - 1) * entry > TABLE_BUDGET:
                 raise BudgetExceeded(
                     f"length-{n} table entries take more than {TABLE_BUDGET} bytes"
                 )
-        if start in edges:
-            edges[start] = len(windows)
-    return start
-
-
-def _probe(word: str, max_len: int, target: int) -> tuple:
-    """(prefix, (windows, early, width)): the first ``word[:length]``, length
-    = target, 2 target, ... up to |word|, saturated at max_len, its windows
-    at max_len counted in order of first occurrence, how many fit in its
-    first half, and its width.  A doubled prefix checks and reads its new
-    letters alone (:func:`_width`); a letter past 1 re-keys the windows so
-    far, in order, from base 4 to base 16."""
-    cap = len(word)
-    halves = (min(target << k, cap) // 2 for k in range(cap.bit_length() + 1))
-    edges = dict.fromkeys(max(0, h - max_len + 1) for h in halves)
-    width, start, seen, windows = 2, 0, 0, Counter()
-    while True:
-        length = min(target, cap)
-        prefix = word[:length]
-        # A candidate whose new letters are all 0 and 1 keeps an earlier width 4.
-        if (w := max(width, _width(prefix[seen:]))) != width:
-            keys = [int(decode(c, max_len, 2), 16) for c in windows]
-            width, windows = w, Counter(dict(zip(keys, windows.values())))
-        start, seen = _add_windows(windows, prefix, max_len, start, width, edges), length
-        # At the cap there is no test: a literal may hold no window at all.
-        early = edges[max(0, length // 2 - max_len + 1)]
-        if length >= cap or len(windows) == early:
-            return prefix, (windows, early, width)
-        target *= 2
+        before.append(len(windows))
+    return before[0]
 
 
 def _language_codes(pieces, n: int, full: int | None = None) -> tuple[set[int], int]:
@@ -155,7 +129,7 @@ def _language_codes(pieces, n: int, full: int | None = None) -> tuple[set[int], 
         if _width(piece) > w:
             codes, w, new = set(), 4, read
         for word in new:
-            _add_windows(codes, word, n, 0, w)
+            _add_windows(codes, word, n, w)
         if len(codes) == full:
             break
     return codes, w
@@ -185,17 +159,15 @@ class FactorTable:
     """Sorted entries standing for the factors of lengths 1..max_len of a prefix.
 
     ``word`` is digit-only, else MalformedSpec names its least other letter.
-    ``probe``, when given, is (windows, early, width): the windows at
-    max_len, counted by the probe that kept ``word`` (:func:`_probe`) or a
-    language's set of codes (:func:`_language_codes`), how many fit in the
-    first half, and their width; else the table probes its word alone.  A
-    table of a language is certified: its p is counted from the codes, or
-    is ``exact``, when given, the word's [p(0), ..., p(max_len)].  The
-    frontier is max_len on a certified table and on one whose windows all
-    fit in its first half; else it is one less than the first n at which
-    the count differs from the first half's own counts, or max_len when
-    none does.  ``width`` is 2 on a binary table, else 4; the table keeps
-    no list of its letters.
+    ``language``, when given, is (codes, width): a language's set of codes
+    at max_len and their width (:func:`_language_codes`), and the table is
+    certified: its p is counted from the codes, or is ``exact``, when given,
+    the word's [p(0), ..., p(max_len)].  Else the table counts the windows
+    of its whole word, in one read.  The frontier is max_len on a certified
+    table and on one whose windows all fit in its first half; else it is one
+    less than the first n at which the count differs from the first half's
+    own counts, or max_len when none does.  ``width`` is 2 on a binary
+    table, else 4; the table keeps no list of its letters.
     ``codes``, ``lengths`` and ``lcps`` are parallel entry tuples in code
     order (the windows alone on a certified table; one given ``exact``
     builds ``lcps`` when read, as its p and starts need none), ``p[n]`` is
@@ -207,26 +179,26 @@ class FactorTable:
     on first read.  Only the caches are written after construction.
     """
 
-    def __init__(self, word: str, max_len: int, exact: list[int] | None = None, probe=None):
+    def __init__(self, word: str, max_len: int, exact: list[int] | None = None, language=None):
         if not 1 <= max_len <= len(word):
             raise WindowTooLarge(f"need 1 <= max_len <= {len(word)}, got {max_len}")
-        self.word, self.max_len = word, max_len
-        if probe is None:
-            _, probe = _probe(word, max_len, len(word))
-        windows, early, w = probe
-        self._windows, self.width, ref = windows, w, None
-        if isinstance(windows, set):
+        self.word, self.max_len, ref = word, max_len, None
+        if language is not None:
             # Certified: every factor begins a window of the language, so the windows
             # alone are the entries (no short suffix), and p needs no reference.
-            codes = sorted(windows)
+            self._windows, self.width = language
+            codes = sorted(self._windows)
             self.codes, self.lengths = tuple(codes), (max_len,) * len(codes)
             if exact is None:
-                lcps, exact = _histogram(codes, 0, max_len, w)
+                lcps, exact = _histogram(codes, 0, max_len, self.width)
                 self.lcps = tuple(lcps)
             self.p = [0, *exact[1 : max_len + 1]]
         else:
-            # One sort, of which the half's windows, the first `early` keys,
-            # sorted first are one run; the short suffixes land by bisection.
+            # The windows counted in order of first occurrence, the first `early`
+            # of them in the first half: sorted first, they are one run of the
+            # one sort, and the short suffixes land by bisection.
+            self._windows, self.width = windows, w = Counter(), _width(word)
+            early = _add_windows(windows, word, max_len, w, len(word) // 2 - max_len + 1)
             keys, shorts = [*windows], [*_short_codes(word, max_len, w)]
             inner = sorted(keys[:early])
             codes = sorted(inner + keys[early:] + shorts)
@@ -251,14 +223,12 @@ class FactorTable:
     def _recounted(self) -> FactorTable | None:
         """None on a table that counted every window and keeps its max_len - 1
         short suffixes as entries, else the table of its word that does."""
-        shorts = len(self.codes) - len(self._windows)
-        own = shorts == self.max_len - 1 and isinstance(self._windows, Counter)
-        return None if own else FactorTable(self.word, self.max_len)
+        return None if isinstance(self._windows, Counter) else FactorTable(self.word, self.max_len)
 
     @property
     def counts(self) -> Counter[int]:
         """Every window's occurrences, keyed by code in order of first
-        occurrence, as the counting table's probe read them in chunks: it
+        occurrence, as the counting table read them in chunks: it
         raises BudgetExceeded once the entries of a table at max_len, the
         distinct windows and max_len - 1 short suffixes, take more than
         TABLE_BUDGET bytes, so no table past the cap is ever built."""

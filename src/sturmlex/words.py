@@ -222,10 +222,12 @@ class Morphic(Record):
             _check_word(img, f"image of {a}")
         if self.seed not in rules:
             raise MalformedSpec("no rule for the seed letter")
+        # One C-level scan per letter without a rule; the error names the first in image order.
+        missing = [c for c in ALPHABET if c not in rules]
         for a, img in rules.items():
-            for c in img:
-                if c not in rules:
-                    raise MalformedSpec(f"image letter {c} of rule {a} has no rule")
+            if lacking := [c for c in missing if c in img]:
+                c = min(lacking, key=img.index)
+                raise MalformedSpec(f"image letter {c} of rule {a} has no rule")
         img0 = rules[self.seed]
         if not img0.startswith(self.seed) or len(img0) < 2:
             raise MalformedSpec(

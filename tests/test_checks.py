@@ -459,19 +459,16 @@ class TestRecurrenceHeuristic:
         assert seen == {(checks.INDETERMINATE, None, self.FINITE): 90114}
 
 
-def count_slices(monkeypatch) -> tuple[Counter, list[int]]:
-    """(starts, sizes), filled in as windows are read: how often each window
-    start is sliced, and the length of each word read."""
-    sliced, sizes = Counter(), []
+def count_reads(monkeypatch) -> list[int]:
+    """The length of each word whose windows are read, filled in as they are."""
+    sizes = []
 
-    def slicing(windows, word, n, start, w, edges=(), _original=factors._add_windows):
+    def reading(windows, word, *args, _original=factors._add_windows):
         sizes.append(len(word))
-        stop = _original(windows, word, n, start, w, edges)
-        sliced.update(range(start, stop))
-        return stop
+        return _original(windows, word, *args)
 
-    monkeypatch.setattr(factors, "_add_windows", slicing)
-    return sliced, sizes
+    monkeypatch.setattr(factors, "_add_windows", reading)
+    return sizes
 
 
 class TestSaturatedTable:
@@ -523,7 +520,7 @@ class TestSaturatedTable:
         fail = lambda *args: pytest.fail("counted")
         monkeypatch.setattr(type(spec), "language", fail, raising=False)
         monkeypatch.setattr(checks, "generate_prefix", lambda *args: pytest.fail("generated"))
-        monkeypatch.setattr(checks, "_probe", lambda *args: pytest.fail("probed"))
+        monkeypatch.setattr(checks, "FactorTable", lambda *args: pytest.fail("indexed"))
         with pytest.raises(WindowTooLarge, match=f"need max_len >= 1, got {max_len}"):
             entry(spec, max_len)
 
@@ -535,31 +532,26 @@ class TestSaturatedTable:
                 sx.parse_spec("fib"), checks.PREFIX_BUDGET + 1, prefix_len=1
             )
 
-    def test_a_prefix_gaining_a_letter_counts_anew(self, monkeypatch):
-        # The windows of 1024 and 2048 letters are binary, 2 bits a letter;
-        # that of 4096 holds a 2, 4 bits a letter, so the probe re-keys the
-        # windows it has counted rather than mix the widths or read their
-        # starts again.
+    def test_a_late_2_sets_the_width_of_the_whole_literal(self, monkeypatch):
+        # The first 3000 letters are binary and the 2 comes after them: the
+        # one read of the whole literal keys every window 4 bits a letter.
         rng = random.Random(20261019)
         word = format(rng.getrandbits(3000), "03000b") + "2"
         word += "".join(rng.choice("012") for _ in range(3000))
         spec = sx.Literal(word)
-        sliced, sizes = count_slices(monkeypatch)
+        sizes = count_reads(monkeypatch)
         t = checks.saturated_table(spec, 16, 1024)
-        assert sizes == [1024, 2048, 4096, len(word)]
-        assert sliced == Counter(range(len(word) - 16 + 1))
+        assert sizes == [len(word)]
         monkeypatch.undo()
-        ref = sx.FactorTable(t.word, 16)
+        ref = sx.FactorTable(word, 16)
         assert t.word == word and t.width == ref.width == 4
         assert (t.codes, t.frontier, t.counts) == (ref.codes, ref.frontier, ref.counts)
         assert list(t.counts) == list(ref.counts)  # in order of first occurrence
-        assert checks._battery(t) == checks._battery(ref)
-        recurrence = [checks.recurrence_heuristic(x, spec.flags) for x in (t, ref)]
-        assert recurrence[0] == recurrence[1]
+        assert [factors.decode(c, 16, 4) for c in t.counts] == [
+            *dict.fromkeys(word[i : i + 16] for i in range(len(word) - 16 + 1))]
 
     def test_each_letter_is_checked_once(self, monkeypatch):
-        # Each candidate checks its new letters alone, and the table takes
-        # its width from the probe, with no check of its own.
+        # The table checks its whole word's letters in one pass.
         checked = []
 
         def checking(word, _original=factors._width):
@@ -567,14 +559,33 @@ class TestSaturatedTable:
             return _original(word)
 
         monkeypatch.setattr(factors, "_width", checking)
-        _, sizes = count_slices(monkeypatch)
+        sizes = count_reads(monkeypatch)
         t = checks.saturated_table(sx.Literal(DENSE_LITERAL), 16, 1024)
-        assert len(sizes) > 2 and sizes[-1] == len(t.word)
-        assert checked == [b - a for a, b in zip([0, *sizes], sizes)]
+        assert t.word == DENSE_LITERAL and sizes == checked == [len(DENSE_LITERAL)]
+
+    @given(
+        base=st.one_of(
+            literals(1, 394, alphabets=("01",)),
+            st.tuples(st.lists(st.integers(1, 5), min_size=1, max_size=4),
+                      st.integers(1, 394)).map(
+                lambda d: sx.generate_prefix(sx.StandardSequence(tuple(d[0])), d[1]))),
+        tail=st.one_of(st.just(""), st.text("01", min_size=6, max_size=6)),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_literal_is_read_whole(self, base, tail, data):
+        # Whatever the prefix length, the table is the whole literal's, and
+        # so is every imbalance the balance check finds.
+        w = base + tail
+        max_len = data.draw(st.integers(1, len(w)))
+        prefix_len = data.draw(st.one_of(st.none(), st.integers(1, 1024)))
+        t = checks.saturated_table(sx.Literal(w), max_len, prefix_len)
+        assert t.word == w
+        v = sx.check_balance(t)
+        assert (v.status, v.witness) == naive.balance_verdict(w, max_len)
 
     def test_a_width_of_4_outlives_binary_letters(self):
-        # The first candidate holds a 2, the later ones add only 0s and 1s:
-        # the probe keeps 4 bits a letter.
+        # Only the first letter is a 2: the table keeps 4 bits a letter.
         bits = format(random.Random(20261019).getrandbits(3000), "03000b")
         t = checks.saturated_table(sx.Literal("2" + bits), 16, 1024)
         ref = sx.FactorTable(t.word, 16)
@@ -610,6 +621,7 @@ class TestSaturatedTable:
         (NON_PRIMITIVE, 8, 16),
         ("literal:" + "0110" * 10, 8, 4),
         ("literal:" + "0110" * 10, 30, None),
+        ("literal:" + DENSE_LITERAL, 16, 1024),
     ]
 
     @pytest.mark.parametrize("text,max_len,prefix_len", WINDOWS)
@@ -618,15 +630,9 @@ class TestSaturatedTable:
         target = max(prefix_len or checks.default_prefix_length(max_len), max_len)
         t = checks.saturated_table(spec, max_len, prefix_len)
         if isinstance(spec, sx.Literal):
-            # The reference indexes every candidate window in full, and
-            # stops at the first whose newest factor fits in the first half.
-            while True:
-                length = min(target, len(spec.word))
-                ref = sx.FactorTable(sx.generate_prefix(spec, length), max_len)
-                if length >= len(spec.word) or ref.saturated(max_len):
-                    break
-                target *= 2
-            assert t.word == ref.word and t.frontier == ref.frontier
+            # The whole literal, whatever the target.
+            ref = sx.FactorTable(spec.word, max_len)
+            assert t.word == spec.word and t.frontier == ref.frontier
         else:
             # A spec that knows its language indexes the target's letters,
             # and has the factors of a 2^16-letter prefix at every length.
@@ -646,14 +652,12 @@ class TestSaturatedTable:
 
         spec = sx.parse_spec(text)
         monkeypatch.setattr(checks, "FactorTable", build)
-        sliced, sizes = count_slices(monkeypatch)
+        sizes = count_reads(monkeypatch)
         t = checks.saturated_table(spec, max_len, prefix_len)
         assert builds == [len(t.word)]
         if isinstance(spec, sx.Literal):
-            # Over all candidate windows, each window start is sliced once,
-            # and the sliced starts are those of the kept window.
-            assert sliced == Counter(range(len(t.word) - max_len + 1))
-            assert sizes[-1] == len(t.word)
+            # The table reads the whole literal's windows once.
+            assert sizes == [len(spec.word)]
         else:
             # The table reads the language's pieces, never its word.
             pieces = [*spec.language(max_len)]
@@ -667,74 +671,69 @@ class TestSaturatedTable:
     )
     @settings(max_examples=150, deadline=None)
     def test_saturation_is_monotone(self, w, spec, size, data):
-        # The window probe decides on the longest length alone, and a table
+        # The half-window rule decides on the longest length alone, and a table
         # keeps only its frontier, because saturated(n) implies saturated(n-1).
         for word in (w, prefix(spec, size)):
             for n in range(2, data.draw(st.integers(1, len(word))) + 1):
                 assert not naive.saturated(word, n) or naive.saturated(word, n - 1)
 
 
-class TestProbeHalfCount:
-    """The half-window probe's count at each candidate's half edge, against
-    the oracle: it is the number of distinct windows in the first half, and
-    they are every window exactly when the candidate is saturated.  The
-    words cover doubled rounds, a capped last round whose edge lies inside
-    an earlier round, halves too short for any window and a word that gains
-    a 2 late, whose windows so far are re-keyed."""
+class TestHalfCount:
+    """The count of a bare table's windows at its half edge, the first start
+    whose window ends past the first half, against the oracle: it is the
+    number of distinct windows in the first half, and they are every window
+    exactly when the word is saturated.  The words cover halves too short
+    for any window, a 2 late and an edge inside a chunk of windows."""
 
     DENSE = format(random.Random(29).getrandbits(6000), "06000b")
 
     @staticmethod
-    def rounds(word: str, max_len: int, prefix_len: int) -> list[int]:
-        """The length of each candidate the probe read, after checking each."""
+    def half_count(word: str, max_len: int, prefix_len: int | None = None) -> tuple[int, int]:
+        """(early, total): the distinct windows before the half edge, and all of them."""
         read = []
 
-        def reading(windows, word, n, start, w, edges=(), _original=factors._add_windows):
-            stop = _original(windows, word, n, start, w, edges)
-            read.append((word, edges[max(0, len(word) // 2 - n + 1)], len(windows)))
-            return stop
+        def reading(windows, word, n, w, edge=0, _original=factors._add_windows):
+            early = _original(windows, word, n, w, edge)
+            read.append((edge, early, len(windows)))
+            return early
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(factors, "_add_windows", reading)
             t = checks.saturated_table(sx.Literal(word), max_len, prefix_len)
-        assert [len(v) for v, _, _ in read] == [
-            min(prefix_len << k, len(word)) for k in range(len(read))
-        ]
-        for k, (v, early, total) in enumerate(read):
-            assert early == len(naive.distinct_factors(v[: len(v) // 2], max_len))
-            assert total == len(naive.distinct_factors(v, max_len))
-            assert (early == total) == naive.saturated(v, max_len)
-            # The probe stops at the first saturated candidate, or at the end.
-            stops = naive.saturated(v, max_len) or len(v) == len(word)
-            assert stops == (k == len(read) - 1)
-        assert t.word == read[-1][0]
-        return [len(v) for v, _, _ in read]
+        assert t.word == word and len(read) == 1
+        (edge, early, total), half = read[0], len(word) // 2
+        assert edge == half - max_len + 1
+        assert early == len(naive.distinct_factors(word[:half], max_len))
+        assert total == len(naive.distinct_factors(word, max_len))
+        assert (early == total) == naive.saturated(word, max_len)
+        return early, total
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_counts_match_the_oracle(self, data):
         w = data.draw(literals(2, 400))
         max_len = data.draw(st.integers(1, min(len(w) - 1, 30)))
-        self.rounds(w, max_len, data.draw(st.integers(max_len, len(w) - 1)))
+        self.half_count(w, max_len, data.draw(st.integers(max_len, len(w) - 1)))
 
-    def test_a_capped_edge_inside_a_doubled_round(self):
-        # The last round's edge, 3000 - 16 + 1, lies in the 4096-letter
-        # round's read, which starts at its own edge, 2048 - 16 + 1.
-        assert self.rounds(self.DENSE, 16, 1024) == [1024, 2048, 4096, 6000]
-
-    def test_a_capped_edge_inside_the_first_round(self):
-        # Both edges, 512 - 16 + 1 and 750 - 16 + 1, lie in the first read.
-        assert self.rounds(self.DENSE[:1500], 16, 1024) == [1024, 1500]
+    def test_a_saturated_dense_word(self):
+        early, total = self.half_count(self.DENSE, 8, 1024)
+        assert early == total == 256
 
     def test_halves_too_short_for_any_window(self):
-        # Both halves, of 15 and 20 letters, hold no 30-letter window.
-        assert self.rounds(self.DENSE[:40], 30, 30) == [30, 40]
+        # The half, of 20 letters, holds no 30-letter window.
+        assert self.half_count(self.DENSE[:40], 30, 30) == (0, 11)
 
     def test_a_word_gaining_a_2_late(self):
-        # The 4096-letter round is the first with a 2, read 4 bits a letter.
         rng = random.Random(29)
         word = self.DENSE[:3000] + "2" + "".join(rng.choice("012") for _ in range(3000))
-        assert self.rounds(word, 16, 1024) == [1024, 2048, 4096, 6001]
+        early, total = self.half_count(word, 16, 1024)
+        assert early < total
+
+    def test_an_edge_inside_a_chunk(self, monkeypatch):
+        # Chunks of 7 windows: the edge, 50 - 12 + 1 = 39, is no chunk's end.
+        monkeypatch.setattr(factors, "TABLE_BUDGET", 16 * 7 * (12 + 245))
+        early, total = self.half_count(self.DENSE[:100], 12)
+        assert 0 < early < total
 
 
 @functools.lru_cache(maxsize=None)
@@ -1260,9 +1259,8 @@ class TestBinarySkip:
     def test_misfit_pairs_build_lcps(self):
         # A table of a language given its p builds its LCPs when a pair misfits.
         spec = sx.parse_spec(TM_SPEC)
-        codes, w = factors._language_codes(spec.language(240), 240)
-        probe = (codes, len(codes), w)
-        table = sx.FactorTable(prefix(TM_SPEC, 1024), 240, counted(spec, 240), probe)
+        language = factors._language_codes(spec.language(240), 240)
+        table = sx.FactorTable(prefix(TM_SPEC, 1024), 240, counted(spec, 240), language)
         assert "lcps" not in table.__dict__
         assert checks._battery(table)[0].status == checks.VIOLATED
         assert "lcps" in table.__dict__

@@ -90,8 +90,8 @@ class TestCheck:
             # The language holds all 241 factors; the prefix is the target.
             ("std:1,9,1,9", "nfop", 1024),
             ("std:1,9,1,9", "sturmian", 1024),
-            # A literal's window doubles until it saturates.
-            ("literal:" + prefix("fib", 3000), "sturmian", 2048),
+            # A literal is read whole, whatever --prefix-len.
+            ("literal:" + prefix("fib", 3000), "sturmian", 3000),
         ],
     )
     def test_text_names_the_window_used(self, capsys, spec, what, used):
@@ -102,6 +102,27 @@ class TestCheck:
         assert code == 0
         assert len(checks.saturated_table(words.parse_spec(spec), 240, 1024).word) == used
         assert out.splitlines()[0] == f"prefix: {used} letters"
+
+    def test_a_literal_is_judged_by_its_last_letters_too(self, capsys):
+        # Both 00 and 11 occur, the 11 only in the tail.  A window cut at
+        # 4096 letters, where the half-window rule held, printed
+        # SturmianConsistentUpTo 10.
+        spec = "literal:" + prefix("fib", 8188) + "1111"
+        code, out, _ = run(capsys, "check", "--spec", spec, "--what", "sturmian", "--max-n", "10")
+        lines = out.splitlines()
+        assert code == 1 and lines[0] == "prefix: 8192 letters"
+        assert "balance: Violated n=2 witness=(00,11)" in lines
+        assert lines[-1] == "sturmian: NotSturmian n=2 witness=(00,11) [balance violated]"
+
+    def test_a_sturmian_literal_is_judged_whole(self, capsys):
+        # 200 letters of a Sturmian word.  A window cut at --prefix-len 64
+        # printed "NotSturmian n=12 witness=(010101010100,100101010101)".
+        spec = "literal:" + prefix("std:1,5,5,3", 200)
+        code, out, _ = run(capsys, "check", "--spec", spec, "--what", "sturmian",
+                           "--max-n", "12", "--prefix-len", "64")
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "prefix: 200 letters"
+        assert lines[-1] == "sturmian: SturmianConsistentUpTo 12"
 
     def test_certified_window_decides_std_1_9_1_9(self, capsys):
         # The half-window rule kept 1024 letters, missed factors of lengths

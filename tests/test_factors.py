@@ -82,7 +82,7 @@ class TestBuild:
         ref, full = sx.FactorTable(word, 20), sx.FactorTable(prefix("fib", 200), 20)
         built, init = [], factors.FactorTable.__init__
         for exact in (None, [*range(1, 22)]):
-            t = sx.FactorTable(word, 20, exact, (codes, len(codes), w))
+            t = sx.FactorTable(word, 20, exact, (codes, w))
             assert len(t.codes) == t.p[20] == 21 and set(t.lengths) == {20}
             assert t.p == full.p and t.frontier == 20
             assert ("lcps" in vars(t)) == (exact is None)
@@ -161,7 +161,7 @@ class TestTableBudget:
         monkeypatch.setattr(factors, "TABLE_BUDGET", self.HELD - 1)
         windows = Counter()
         with pytest.raises(BudgetExceeded):
-            factors._add_windows(windows, self.WORD, 8, 0, factors._width(self.WORD))
+            factors._add_windows(windows, self.WORD, 8, factors._width(self.WORD))
         # The cap is this small, so the chunks are single windows: counting
         # stopped at the ninth distinct one.
         assert len(windows) == 9
@@ -174,7 +174,7 @@ class TestTableBudget:
         word = format(random.Random(20261018).getrandbits(1000), "01000b")
         windows = Counter()
         with pytest.raises(BudgetExceeded):
-            factors._add_windows(windows, word, 8, 0, factors._width(word))
+            factors._add_windows(windows, word, 8, factors._width(word))
         assert len(windows) > 57 and windows.total() % 4 == 0
         assert len(naive.distinct_factors(word[: windows.total() + 3], 8)) <= 57
 
@@ -207,13 +207,14 @@ class TestWindowCodes:
             want = [int(word[i : i + n], 1 << w) for i in range(start, stop)]
             assert list(factors._codes(word, n, start, stop, w)) == want
 
-    @pytest.mark.parametrize("n,counted", [(1, 0), (7, 300), (300, 257), (1200, 0)])
-    def test_counts_in_first_occurrence_order(self, n, counted):
-        # Counting resumes from the windows of the first ``counted`` starts.
+    @pytest.mark.parametrize(
+        "n,edge", [(1, 0), (7, 300), (300, 257), (300, 901), (300, 2000), (1200, -5), (1200, 1)])
+    def test_counts_in_first_occurrence_order(self, n, edge):
+        # The count returned is that of the distinct windows before the edge.
         word, w = self.WORD, factors._width(self.WORD)
         codes = [int(word[i : i + n], 1 << w) for i in range(len(word) - n + 1)]
-        windows = Counter(codes[:counted])
-        assert factors._add_windows(windows, word, n, counted, w) == len(codes)
+        windows = Counter()
+        assert factors._add_windows(windows, word, n, w, edge) == len(set(codes[: max(edge, 0)]))
         assert list(windows.items()) == list(Counter(codes).items())
 
     @pytest.mark.parametrize(
@@ -366,8 +367,8 @@ class TestHeuristicFrontier:
     table reads the half's windows as the first keys of the window counts,
     which come in order of first occurrence, as many as the read counted
     at the half's edge; the words cover odd lengths, halves too short for
-    any window, three letters, windows resumed over doublings and counting
-    in chunks of a few windows."""
+    any window, three letters, literals read whole whatever the prefix
+    length and counting in chunks of a few windows."""
 
     @given(chunked=st.booleans(), data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -383,7 +384,7 @@ class TestHeuristicFrontier:
             if max_len < len(w):
                 prefix_len = data.draw(st.integers(max_len, len(w) - 1))
                 t = checks.saturated_table(sx.Literal(w), max_len, prefix_len)
-                assert t.frontier == oracle_frontier(t.word, max_len)
+                assert t.word == w and t.frontier == oracle_frontier(w, max_len)
 
     @pytest.mark.parametrize("length", [4095, 4096, 8193])
     def test_dense_literal_frontier(self, length):
@@ -448,7 +449,7 @@ class TestDump:
 
 class TestCountsShared:
     def test_a_full_count_is_the_windows(self):
-        # A literal's probe counts every window, and so does a table built alone.
+        # A literal's table counts every window, as any bare table does.
         for t in (
             checks.saturated_table(sx.Literal(prefix("fib", 500)), 8, 400),
             sx.FactorTable(prefix("fib", 500), 8),

@@ -499,6 +499,18 @@ class TestMalformedSpecs:
         with pytest.raises(MalformedSpec):
             sx.MechanicalRational(2, 4)
 
+    @pytest.mark.parametrize(
+        "rules,message",
+        [
+            ({"0": "032"}, "image letter 3 of rule 0"),  # 2 and 3 lack rules, 3 first
+            ({"0": "01", "1": "0" * 5000 + "98"}, "image letter 9 of rule 1"),
+            ({"0": "01", "1": "17", "7": "5"}, "image letter 5 of rule 7"),
+        ],
+    )
+    def test_the_first_letter_without_a_rule_is_named(self, rules, message):
+        with pytest.raises(MalformedSpec, match=f"^{message} has no rule$"):
+            sx.Morphic(rules, "0")
+
 
 class TestKnownFlags:
     @pytest.mark.parametrize(
