@@ -8,7 +8,9 @@ the digit 2^w - 1, so that numeric order is lexicographic order and a
 short suffix sorts after every entry it is a prefix of.  The width w is 2
 (base 4, pad 3) when the letters are within 01, else 4 (base 16, pad f);
 codes of two widths never mix.  A window is a code from the moment it is
-read: a shift of one int read for a block of starts.  The table keeps
+read: a machine word cast from one int read for each letter phase, when
+there are more than 256 windows of at most 64 bits, else a shift of one
+int read for a block of starts.  The table keeps
 the entries sorted, with their lengths and the common-prefix length (LCP)
 of each entry with the one before it; occurrence counts stay with the
 windows, keyed by code.  The sorted length-n factors are the runs of
@@ -36,11 +38,13 @@ the count differs from the half's.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, repeat
 from operator import and_, lt, rshift, sub, xor
+from struct import calcsize
 
 from .errors import BudgetExceeded, NotAFactor, WindowTooLarge
 from .words import _check_word
@@ -82,7 +86,24 @@ def _codes(word: str, n: int, start: int, stop: int, w: int):
         x, shifts = int(word[a : b + n - 1], 1 << w), range(w * (b - a - 1), -1, -w)
         return map(and_, map(rshift, repeat(x), shifts), repeat((1 << w * n) - 1))
 
-    return chain.from_iterable(map(block, range(start, stop, 256)))
+    bits, total = w * n, stop - start
+    if bits > 64 or total <= 256:
+        return chain.from_iterable(map(block, range(start, stop, 256)))
+    # A window of at most 64 bits is a machine word of `size` bytes.  Each
+    # letter phase r is one int written as bytes in host order, 8/w letters a
+    # byte, so its windows begin at whole bytes; each byte phase c of them is
+    # one cast.  Bytes in little-endian order hold the windows last first.
+    size, per, out = 1 << (bits - 1 >> 3).bit_length(), 8 // w, [0] * total
+    fmt, big = next(f for f in "BHIQ" if calcsize(f) == size), sys.byteorder == "big"
+    for r in range(per):
+        windows = (total - r + per - 1) // per
+        nbytes = windows + size - 1
+        x = int(word[start + r : start + r + nbytes * per].ljust(nbytes * per, "0"), 1 << w)
+        data = memoryview(x.to_bytes(nbytes, sys.byteorder))
+        for c in range(min(size, windows)):
+            first, step = (c, size * per) if big else (windows - 1 - c, -size * per)
+            out[r + first * per :: step] = data[c : nbytes - (nbytes - c) % size].cast(fmt)
+    return map(rshift, out, repeat(8 * size - bits)) if 8 * size > bits else out
 
 
 def _short_codes(word: str, n: int, w: int):

@@ -90,11 +90,10 @@ class Record:
 def _check_word(s: str, what: str, allow_empty: bool = False) -> None:
     if not allow_empty and not s:
         raise MalformedSpec(f"{what} must be nonempty")
-    if s.isascii() and s.isdigit():
-        return  # the loop below only names the first bad letter
-    for c in s:
-        if c not in ALPHABET:
-            raise MalformedSpec(f"{what} contains {c!r}; letters are the digits 0-9")
+    # One bytes pass; a non-ASCII letter becomes "?", which is no digit.
+    if s.encode("ascii", "replace").translate(None, b"0123456789"):
+        c = next(c for c in s if c not in ALPHABET)
+        raise MalformedSpec(f"{what} contains {c!r}; letters are the digits 0-9")
 
 
 class KnownFlags(Record):
@@ -243,9 +242,12 @@ class Morphic(Record):
         # balanced, as a limit of Sturmian words, and aperiodic, as its incidence
         # matrix is primitive with determinant +-1 (Lothaire, ch. 2).  A prolongable rule
         # on 01 is primitive iff 1 is in s(0) and 0 in s(1); (01, 1) fixes 01^w, p(m) = 2.
+        # x is a fixed point of s restricted to the letters the seed reaches, so a
+        # rule on a letter x lacks does not hide the fact.
         rules = self.rules
         recurrent = self.seed in _closure(rules, rules[self.seed][1:])
-        sturmian = _is_sturmian(rules) and "1" in rules["0"] and "0" in rules["1"] or None
+        reached = {c: rules[c] for c in _closure(rules, self.seed)}
+        sturmian = _is_sturmian(reached) and "1" in reached["0"] and "0" in reached["1"] or None
         return KnownFlags(recurrent, None, None if recurrent else 1, sturmian)
 
     def __str__(self) -> str:

@@ -103,6 +103,13 @@ class TestCheck:
         assert len(checks.saturated_table(words.parse_spec(spec), 240, 1024).word) == used
         assert out.splitlines()[0] == f"prefix: {used} letters"
 
+    @pytest.mark.parametrize(
+        "spec", ["morphic:0->01,1->0,2->2;seed=0", "morphic:0->01,1->0,2->210;seed=0"])
+    def test_a_rule_the_word_never_reaches_changes_no_verdict(self, capsys, spec):
+        argv = ["check", "--what", "sturmian", "--json", "--max-n", "240"]
+        code, out, _ = run(capsys, *argv, "--spec", spec)
+        assert (code, out) == run(capsys, *argv, "--spec", "fib")[:2]
+
     def test_a_literal_is_judged_by_its_last_letters_too(self, capsys):
         # Both 00 and 11 occur, the 11 only in the tail.  A window cut at
         # 4096 letters, where the half-window rule held, printed

@@ -180,12 +180,15 @@ class TestTableBudget:
 
 
 class TestWindowCodes:
-    """Window codes come from one int per block of 256 starts; they agree
-    with reading each window, and each padded short suffix, on its own, at
-    the width of the word's letters and (a binary word) at 4 bits too."""
+    """Window codes come from one int per block of 256 starts, or, for a read
+    of more than 256 windows of at most 64 bits, from machine words; they
+    agree with reading each window, and each padded short suffix, on its own,
+    at the width of the word's letters and (a binary word) at 4 bits too."""
 
     WORD = format(random.Random(20261018).getrandbits(1200), "01200b")
     DIGITS = "".join(random.Random(7).choice("0123456789") for _ in range(700))
+    LONG = format(random.Random(20261022).getrandbits(4000), "04000b")
+    LONG_DIGITS = "".join(random.Random(8).choice("0123456789") for _ in range(4000))
 
     @pytest.mark.parametrize(
         "word,n,start,stop",
@@ -206,6 +209,51 @@ class TestWindowCodes:
         for w in {factors._width(word), 4}:
             want = [int(word[i : i + n], 1 << w) for i in range(start, stop)]
             assert list(factors._codes(word, n, start, stop, w)) == want
+
+    # Whole words of 1, 2, 4 and 8 bytes, and windows a shift short of one;
+    # reads of one block, one past it and thousands of starts, from starts
+    # off the 4- and 2-letter bytes, and one that ends at the last window.
+    @pytest.mark.parametrize("bits", [8, 16, 32, 64, 6, 20, 40, 62])
+    @pytest.mark.parametrize("start,reads", [(5, 1), (3, 256), (1, 257), (7, 3000), (0, 3001),
+                                             (None, 3333)])
+    def test_codes_read_machine_words(self, bits, start, reads):
+        for word, w in ((self.LONG, 2), (self.LONG, 4), (self.LONG_DIGITS, 4)):
+            if bits % w:
+                continue
+            n = bits // w
+            a = len(word) - n + 1 - reads if start is None else start
+            want = [int(word[i : i + n], 1 << w) for i in range(a, a + reads)]
+            assert list(factors._codes(word, n, a, a + reads, w)) == want, (w, n, a)
+
+    # Words with the pad digit in them, as _short_codes reads them, and
+    # empty reads.
+    @given(w=st.sampled_from([2, 4]), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_codes_against_each_window(self, w, data):
+        n = data.draw(st.integers(1, 64 // w))
+        letters = "013" if w == 2 else "0123456789f"
+        word = data.draw(st.text(letters, min_size=n, max_size=900))
+        start = data.draw(st.integers(0, len(word) - n + 1))
+        stop = data.draw(st.integers(start, len(word) - n + 1))
+        want = [int(word[i : i + n], 1 << w) for i in range(start, stop)]
+        assert list(factors._codes(word, n, start, stop, w)) == want
+
+    @pytest.mark.parametrize(
+        "letters,max_len", [("01", 4), ("01", 8), ("01", 16), ("01", 32),
+                            ("0123", 2), ("0123", 4), ("0123", 8), ("0123", 16)])
+    def test_tables_of_machine_word_windows(self, letters, max_len):
+        # Binary max-n 32 and width-4 max-n 16 are 64-bit windows; each read
+        # of the table (the half, then the rest) passes 256 starts.
+        rng = random.Random(max_len)
+        word = "".join(rng.choice(letters) for _ in range(1500))
+        t = sx.FactorTable(word, max_len)
+        assert t.p == [0, *(len(naive.distinct_factors(word, n)) for n in range(1, max_len + 1))]
+        assert t.frontier == oracle_frontier(word, max_len)
+        for n in range(1, max_len + 1):
+            want = naive.distinct_factors(word, n)
+            assert t.factors(n) == tuple(want)
+            for v in want[:: max(1, len(want) // 8)]:
+                assert t.count(v) == naive.occurrences(word, v), v
 
     @pytest.mark.parametrize(
         "n,edge", [(1, 0), (7, 300), (300, 257), (300, 901), (300, 2000), (1200, -5), (1200, 1)])

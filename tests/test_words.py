@@ -489,6 +489,20 @@ class TestMalformedSpecs:
         with pytest.raises(MalformedSpec):
             sx.parse_spec(text)
 
+    @pytest.mark.parametrize(
+        "text,letter",
+        [
+            ("literal:01\u0663", "\u0663"),  # an Arabic-Indic digit 3
+            ("periodic:\uff130", "\uff13"),  # a fullwidth digit 3
+            ("literal:0a\u0663", "a"),
+            ("literal:" + "01" * 2**19 + "x", "x"),  # the bad letter comes last
+            ("morphic:0->0" + "1" * 2**20 + "x,1->0;seed=0", "x"),
+        ],
+    )
+    def test_the_first_letter_not_a_digit_is_named(self, text, letter):
+        with pytest.raises(MalformedSpec, match=f"contains {letter!r}; letters are the digits 0-9$"):
+            sx.parse_spec(text)
+
     def test_morphic_object_validation(self):
         with pytest.raises(MalformedSpec):
             sx.Morphic({"0": "0", "1": "0"}, "0")  # seed image not longer
@@ -540,6 +554,20 @@ class TestKnownFlags:
     def test_flag_table(self, text, recurrent, aperiodic):
         flags = sx.parse_spec(text).flags
         assert (flags.recurrent, flags.aperiodic) == (recurrent, aperiodic)
+
+    # The fixed point reads only the rules of the letters its seed reaches.
+    @pytest.mark.parametrize(
+        "text,sturmian",
+        [
+            ("morphic:0->01,1->0,2->2;seed=0", True),  # the Fibonacci word
+            ("morphic:0->01,1->0,2->210;seed=0", True),
+            ("morphic:0->02,2->0;seed=0", None),  # the Fibonacci word on 02
+            ("morphic:0->012,1->02,2->1;seed=0", None),
+            ("morphic:0->01,1->1,2->0;seed=0", None),  # 01^w, not primitive
+        ],
+    )
+    def test_sturmian_on_the_letters_the_seed_reaches(self, text, sturmian):
+        assert sx.parse_spec(text).flags.sturmian is sturmian
 
     def test_non_primitive_morphic_is_not_recurrent(self):
         # 1 never reaches 0 under 0->01, 1->1, so 01^w has its 0 once.
